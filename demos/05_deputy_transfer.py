@@ -10,7 +10,7 @@ Run: python demos/05_deputy_transfer.py
 import numpy as np
 
 from fedfreq import Batch, ClientState, DetConfig, OptimizerState, init_params, local_epoch
-from fedfreq.det import receive_deputy, upload_model
+from fedfreq.det import receive_deputy, upload_model, validation_f1
 from fedfreq.model import clone_params, mlp_spec
 
 rng = np.random.default_rng(3)
@@ -48,10 +48,8 @@ print(f"  phi(p) = {log.phi_p:.3f}, phase = {log.phase.name}")
 print("\nDeliver a damaged aggregate (heavy noise) as the new deputy:")
 noisy = {k: v + 4.0 * rng.standard_normal(v.shape) for k, v in upload_model(state).items()}
 receive_deputy(state, noisy)
-from fedfreq.det import _validation_f1
-
 print(f"  phase reset to {state.phase.name}; phi(d) marked stale")
-print(f"  deputy validation F1 at delivery: {_validation_f1(state.deputy, spec, val_x, val_y):.3f}")
+print(f"  deputy validation F1 at delivery: {validation_f1(state.deputy, spec, val_x, val_y):.3f}")
 
 print("\nEach row: scores after that epoch and the phase the NEXT epoch will")
 print("use (gates at 0.7 and 0.9 of phi(p), never moving backward):")

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-NamedTensorMap = dict[str, np.ndarray]
+from .model import NamedTensorMap
 
 FORMAT_VERSION = 1
 

@@ -37,6 +37,7 @@ from .model import (
     OptimizerState,
     backward,
     ce_loss,
+    check_same_structure,
     clone_params,
     forward,
     kl_div,
@@ -111,7 +112,7 @@ def receive_deputy(state: ClientState, aggregated: NamedTensorMap) -> ClientStat
     stale.  Raises ValueError if the aggregate does not structurally match
     the client's models.
     """
-    _check_match(state.personalized, aggregated)
+    check_same_structure([state.personalized, aggregated])
     state.deputy = clone_params(aggregated)
     state.phase = DetPhase.RECOVER
     state.phi_d = None
@@ -123,22 +124,20 @@ def upload_model(state: ClientState) -> NamedTensorMap:
     return clone_params(state.personalized)
 
 
-def _check_match(reference: NamedTensorMap, other: NamedTensorMap) -> None:
-    if sorted(reference) != sorted(other):
-        raise ValueError("parameter names do not match the client's models")
-    for k in reference:
-        if reference[k].shape != other[k].shape:
-            raise ValueError(f"shape mismatch for {k!r}")
-
-
-def _train_step(
+def train_step(
     params: NamedTensorMap,
     opt: OptimizerState,
     spec: ModelSpec,
     batch: Batch,
-    teacher: NamedTensorMap | None,
+    teacher: NamedTensorMap | None = None,
+    prox: tuple[float, NamedTensorMap] | None = None,
 ) -> tuple[NamedTensorMap, float, float]:
-    """One SGD step on CE, plus distillation toward ``teacher`` if given."""
+    """One SGD step on CE; returns (new params, CE, KL).
+
+    With ``teacher`` the step adds a distillation pull toward the teacher's
+    predictions (KL is 0.0 without one).  With ``prox = (mu, anchor)`` it adds
+    the FedProx gradient ``mu * (w - anchor)``.
+    """
     probs, cache = forward(params, spec, batch)
     ce, dlogits = ce_loss(probs, batch.labels)
     kl = 0.0
@@ -147,6 +146,9 @@ def _train_step(
         kl, dkl_student, _ = kl_div(probs, teacher_probs)
         dlogits = dlogits + dkl_student
     grads = backward(cache, dlogits)
+    if prox is not None:
+        mu, anchor = prox
+        grads = {k: g + mu * (params[k] - anchor[k]) for k, g in grads.items()}
     return sgd_step(params, grads, opt), ce, kl
 
 
@@ -167,35 +169,23 @@ def local_epoch(
     batches = list(train)
     if not batches:
         raise ValueError("training set is empty")
+    # RECOVER: d learns from p; EXCHANGE: each from the other; SUBLIMATE: p from d
+    deputy_distils = state.phase < DetPhase.SUBLIMATE
+    personal_distils = state.phase > DetPhase.RECOVER
     ce_sum = kl_sum = 0.0
     for batch in batches:
-        if state.phase is DetPhase.RECOVER:
-            state.deputy, _, _ = _train_step(
-                state.deputy, state.opt_d, spec, batch, teacher=state.personalized
-            )
-            state.personalized, ce, kl = _train_step(
-                state.personalized, state.opt_p, spec, batch, teacher=None
-            )
-        elif state.phase is DetPhase.EXCHANGE:
-            state.deputy, _, _ = _train_step(
-                state.deputy, state.opt_d, spec, batch, teacher=state.personalized
-            )
-            state.personalized, ce, kl = _train_step(
-                state.personalized, state.opt_p, spec, batch, teacher=state.deputy
-            )
-        else:
-            state.deputy, _, _ = _train_step(
-                state.deputy, state.opt_d, spec, batch, teacher=None
-            )
-            state.personalized, ce, kl = _train_step(
-                state.personalized, state.opt_p, spec, batch, teacher=state.deputy
-            )
+        state.deputy, _, _ = train_step(
+            state.deputy, state.opt_d, spec, batch, state.personalized if deputy_distils else None
+        )
+        state.personalized, ce, kl = train_step(
+            state.personalized, state.opt_p, spec, batch, state.deputy if personal_distils else None
+        )
         ce_sum += ce
         kl_sum += kl
 
     val_x, val_y = val
-    state.phi_d = _validation_f1(state.deputy, spec, val_x, val_y)
-    state.phi_p = _validation_f1(state.personalized, spec, val_x, val_y)
+    state.phi_d = validation_f1(state.deputy, spec, val_x, val_y)
+    state.phi_p = validation_f1(state.personalized, spec, val_x, val_y)
     state.phase = det_phase_transition(state.phi_d, state.phi_p, cfg, state.phase)
     state.epoch += 1
     state.opt_p.epoch += 1
@@ -209,8 +199,9 @@ def local_epoch(
     )
 
 
-def _validation_f1(
+def validation_f1(
     params: NamedTensorMap, spec: ModelSpec, val_x: np.ndarray, val_y: np.ndarray
 ) -> float:
+    """Macro F1 of the model's argmax predictions on a validation split."""
     probs = predict_probs(params, spec, val_x)
     return macro_f1(probs.argmax(axis=1), val_y, spec.classes)

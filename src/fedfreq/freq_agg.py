@@ -24,9 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .model import NamedTensorMap, check_same_structure
 from .numerics import AmpPhase, amp_phase, dft2, idft2, recompose
-
-NamedTensorMap = dict[str, np.ndarray]
 
 # epsilon keeping a scheduled threshold strictly inside (0, 0.5)
 R_EPS = 1e-6
@@ -145,23 +144,6 @@ def low_freq_mask(rows: int, cols: int, r: float) -> FreqMask:
     return FreqMask(rows=rows, cols=cols, r=r, standard=standard, centered=centered)
 
 
-def _check_structural_identity(maps: list[NamedTensorMap]) -> list[str]:
-    """All maps must share the same keys and per-key shapes; returns sorted keys."""
-    if not maps:
-        raise ValueError("at least one client parameter map is required")
-    keys = sorted(maps[0])
-    for i, m in enumerate(maps):
-        if sorted(m) != keys:
-            raise ValueError(f"client {i} parameter names differ from client 0")
-        for k in keys:
-            if np.shape(m[k]) != np.shape(maps[0][k]):
-                raise ValueError(
-                    f"client {i} shape mismatch for {k!r}: "
-                    f"{np.shape(m[k])} vs {np.shape(maps[0][k])}"
-                )
-    return keys
-
-
 def _fuse_matrices(mats: list[np.ndarray], r: float) -> list[np.ndarray]:
     """Frequency-domain fusion of one 2-D parameter across clients."""
     mask = low_freq_mask(mats[0].shape[0], mats[0].shape[1], r).standard
@@ -187,7 +169,7 @@ def pfa_aggregate(req: AggregationRequest) -> list[NamedTensorMap]:
         raise ValueError(f"expected strategy {PFA!r}, got {req.strategy!r}")
     if not 0.0 < req.r < 0.5:
         raise ValueError(f"threshold r must lie in (0, 0.5), got {req.r}")
-    keys = _check_structural_identity(req.client_params)
+    keys = check_same_structure(req.client_params)
     k = len(req.client_params)
     outputs: list[NamedTensorMap] = [{} for _ in range(k)]
     for name in keys:
@@ -212,7 +194,7 @@ def fedavg_aggregate(req: AggregationRequest) -> NamedTensorMap:
     """Element-wise unweighted mean of every parameter across clients."""
     if req.strategy != FEDAVG:
         raise ValueError(f"expected strategy {FEDAVG!r}, got {req.strategy!r}")
-    keys = _check_structural_identity(req.client_params)
+    keys = check_same_structure(req.client_params)
     return {
         name: np.mean(
             [np.asarray(m[name], dtype=np.float64) for m in req.client_params], axis=0

@@ -19,6 +19,24 @@ import numpy as np
 
 NamedTensorMap = dict[str, np.ndarray]
 
+
+def check_same_structure(maps: list[NamedTensorMap]) -> list[str]:
+    """All maps must share the same keys and per-key shapes; returns sorted keys."""
+    if not maps:
+        raise ValueError("at least one parameter map is required")
+    keys = sorted(maps[0])
+    for i, m in enumerate(maps):
+        if sorted(m) != keys:
+            raise ValueError(f"parameter map {i} names differ from map 0")
+        for k in keys:
+            if np.shape(m[k]) != np.shape(maps[0][k]):
+                raise ValueError(
+                    f"parameter map {i} shape mismatch for {k!r}: "
+                    f"{np.shape(m[k])} vs {np.shape(maps[0][k])}"
+                )
+    return keys
+
+
 PROB_FLOOR = 1e-12  # probabilities are clamped below this before any log
 
 

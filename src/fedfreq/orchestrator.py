@@ -3,18 +3,17 @@
 A run executes ``total_epochs / local_epochs`` communication rounds over K
 synthetic clients.  Within a round every client trains locally; at the
 round boundary the server aggregates uploads with the configured strategy
-and pushes the result back down.  Strategies:
+and pushes the result back down.  Each strategy name is a row of
+``STRATEGIES`` with three columns:
 
-- ``PFA_DET``: frequency-domain aggregation, delivered to a deputy model
-  and transferred into the personalized model (the full method);
-- ``PFA_ONLY``: frequency-domain aggregation with direct replacement
-  (ablation without the deputy);
-- ``FEDAVG_DET``: plain averaging delivered to a deputy (ablation without
-  the frequency aggregation);
-- ``FEDAVG`` / ``FEDPROX``: plain averaging with replacement; FEDPROX adds
-  a proximal pull ``mu * (w - w_anchor)`` toward the last received global
-  model during local training;
-- ``LOCAL_ONLY``: no communication at all.
+- *aggregator*: ``PFA`` (frequency-domain, one aggregate per client),
+  ``FEDAVG`` (plain averaging, one shared aggregate) or none (no
+  communication, ``LOCAL_ONLY``);
+- *deputy*: the aggregate goes to a deputy model and is transferred into
+  the untouched personalized model (the ``_DET`` rows; ``PFA_DET`` is the
+  full method); otherwise it replaces the client's model;
+- *prox*: local training adds a proximal pull ``mu * (w - w_anchor)``
+  toward the last delivered model (``FEDPROX``).
 
 Every client/epoch produces one log row (losses, validation scores, phase,
 communication flag), which is enough to plot the post-communication
@@ -41,34 +40,60 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .data import ClientData, ClientProfile, DataError, default_profiles, ood_client, synth
-from .det import ClientState, DetConfig, local_epoch, receive_deputy, upload_model
+from .det import (
+    ClientState,
+    DetConfig,
+    local_epoch,
+    receive_deputy,
+    train_step,
+    upload_model,
+    validation_f1,
+)
 from .freq_agg import (
     FEDAVG,
     PFA,
     AggregationRequest,
-    NamedTensorMap,
     ScheduleParams,
     fedavg_aggregate,
     pfa_aggregate,
     schedule_r,
 )
-from .metrics import evaluate, macro_f1
+from .metrics import evaluate
 from .model import (
     MODEL_SPECS,
     Batch,
     ModelSpec,
+    NamedTensorMap,
     OptimizerState,
-    backward,
-    ce_loss,
     clone_params,
-    forward,
+    forward,  # unused here; perfbench's tracer test checks that it rebinds this name
     init_params,
     predict_probs,
-    sgd_step,
 )
 
-STRATEGIES = ("PFA_DET", "FEDAVG", "FEDPROX", "LOCAL_ONLY", "PFA_ONLY", "FEDAVG_DET")
-_DET_STRATEGIES = ("PFA_DET", "FEDAVG_DET")
+
+@dataclass(frozen=True)
+class Strategy:
+    """One row of the strategy table (see the module docstring)."""
+
+    aggregator: str | None  # PFA, FEDAVG, or None for no communication
+    deputy: bool  # deliver into a deputy instead of replacing the model
+    prox: bool  # proximal pull toward the last delivered model
+
+    @property
+    def deploys_global(self) -> bool:
+        """Whether the deployed model is the shared average, not a client's own."""
+        return self.aggregator == FEDAVG and not self.deputy
+
+
+STRATEGIES = {
+    "PFA_DET": Strategy(PFA, deputy=True, prox=False),
+    "FEDAVG": Strategy(FEDAVG, deputy=False, prox=False),
+    "FEDPROX": Strategy(FEDAVG, deputy=False, prox=True),
+    "LOCAL_ONLY": Strategy(None, deputy=False, prox=False),
+    "PFA_ONLY": Strategy(PFA, deputy=False, prox=False),
+    "FEDAVG_DET": Strategy(FEDAVG, deputy=True, prox=False),
+}
 
 # sub-stream tags under (seed, profile.seed, tag)
 _INIT_STREAM = 1
@@ -101,7 +126,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}")
+            raise ConfigError(f"unknown strategy {self.strategy!r}; choose from {list(STRATEGIES)}")
         if self.model_id not in MODEL_SPECS:
             raise ConfigError(f"unknown model_id {self.model_id!r}; choose from {sorted(MODEL_SPECS)}")
         if self.num_clients < 1:
@@ -152,9 +177,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     for key, value in values.items():
         current = getattr(cfg, key)
         try:
-            if isinstance(current, bool):  # not used today, kept for safety
-                parsed = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
+            if isinstance(current, int):
                 parsed = int(value)
             elif isinstance(current, float):
                 parsed = float(value)
@@ -223,7 +246,7 @@ class _Runtime:
     det: ClientState | None = None  # deputy strategies
     model: NamedTensorMap | None = None  # replacement / local strategies
     opt: OptimizerState | None = None
-    anchor: NamedTensorMap | None = None  # FedProx proximal target
+    anchor: NamedTensorMap | None = None  # proximal target, prox strategies only
     best_val: float = -1.0
     best_epoch: int = 0
     best_params: NamedTensorMap | None = None
@@ -239,49 +262,35 @@ def _make_batches(x, y, batch_size: int, rng: np.random.Generator) -> list[Batch
     ]
 
 
-def _val_f1(params: NamedTensorMap, spec: ModelSpec, x, y) -> float:
-    probs = predict_probs(params, spec, x)
-    return macro_f1(probs.argmax(axis=1), y, spec.classes)
-
-
-def _plain_epoch(rt: _Runtime, spec: ModelSpec, cfg: ExperimentConfig) -> tuple[float, float]:
-    """One CE epoch (plus proximal pull for FEDPROX); returns (mean CE, val F1)."""
+def _train_round(
+    rt: _Runtime, spec: ModelSpec, cfg: ExperimentConfig, strategy: Strategy, det_cfg: DetConfig
+) -> None:
+    """Train one client for ``local_epochs`` epochs, recording per-epoch logs."""
     x, y = rt.data.train_xy()
     if len(y) == 0:
         raise DataError(f"client {rt.index} has an empty training split")
-    mu = cfg.prox_mu if cfg.strategy == "FEDPROX" else 0.0
-    ce_sum = 0.0
-    batches = _make_batches(x, y, cfg.batch_size, rt.shuffle_rng)
-    for batch in batches:
-        probs, cache = forward(rt.model, spec, batch)
-        ce, dlogits = ce_loss(probs, batch.labels)
-        grads = backward(cache, dlogits)
-        if mu > 0.0:
-            grads = {k: g + mu * (rt.model[k] - rt.anchor[k]) for k, g in grads.items()}
-        rt.model = sgd_step(rt.model, grads, rt.opt)
-        ce_sum += ce
-    rt.opt.epoch += 1
-    return ce_sum / len(batches), _val_f1(rt.model, spec, *rt.data.val_xy())
-
-
-def _train_round(rt: _Runtime, spec: ModelSpec, cfg: ExperimentConfig, det_cfg: DetConfig) -> None:
-    """Train one client for ``local_epochs`` epochs, recording per-epoch logs."""
+    val_x, val_y = rt.data.val_xy()
+    prox = (cfg.prox_mu, rt.anchor) if strategy.prox and cfg.prox_mu > 0.0 else None
     rt.epoch_logs = []
     for _ in range(cfg.local_epochs):
+        batches = _make_batches(x, y, cfg.batch_size, rt.shuffle_rng)
         if rt.det is not None:
-            x, y = rt.data.train_xy()
-            batches = _make_batches(x, y, cfg.batch_size, rt.shuffle_rng)
-            log = local_epoch(rt.det, spec, batches, rt.data.val_xy(), det_cfg)
+            log = local_epoch(rt.det, spec, batches, (val_x, val_y), det_cfg)
             entry = (log.phase.name, log.ce_loss, log.kl_loss, log.phi_d, log.phi_p)
             candidate, val = rt.det.personalized, log.phi_p
         else:
-            ce, val = _plain_epoch(rt, spec, cfg)
-            entry = ("-", ce, 0.0, float("nan"), val)
+            ce_sum = 0.0
+            for batch in batches:
+                rt.model, ce, _ = train_step(rt.model, rt.opt, spec, batch, prox=prox)
+                ce_sum += ce
+            rt.opt.epoch += 1
+            val = validation_f1(rt.model, spec, val_x, val_y)
+            entry = ("-", ce_sum / len(batches), 0.0, float("nan"), val)
             candidate = rt.model
         rt.epoch_logs.append(entry)
-        # FEDAVG/FEDPROX deploy the aggregated global model; its snapshots
-        # are tracked at communication points instead (see _communicate)
-        if cfg.strategy not in ("FEDAVG", "FEDPROX") and val > rt.best_val:
+        # a strategy deploying the global model snapshots it at communication
+        # points instead (see _communicate)
+        if not strategy.deploys_global and val > rt.best_val:
             rt.best_val = val
             rt.best_params = clone_params(candidate)
             rt.best_epoch = rt.epoch_logs_offset + len(rt.epoch_logs)
@@ -303,6 +312,7 @@ def run_experiment(
     elif len(profiles) != cfg.num_clients:
         raise ConfigError("num_clients does not match the supplied profiles")
 
+    strategy = STRATEGIES[cfg.strategy]
     spec = MODEL_SPECS[cfg.model_id]
     dataset = synth(profiles, cfg.seed)
     ood = ood_client(profiles, cfg.seed)
@@ -321,7 +331,7 @@ def run_experiment(
             shuffle_rng=np.random.default_rng([cfg.seed, profile.seed, _SHUFFLE_STREAM]),
         )
         opt_kw = dict(base_lr=cfg.base_lr, epoch=0, halving_period=cfg.lr_halving_period)
-        if cfg.strategy in _DET_STRATEGIES:
+        if strategy.deputy:
             rt.det = ClientState(
                 client_id=i,
                 personalized=clone_params(common_init),
@@ -332,7 +342,8 @@ def run_experiment(
         else:
             rt.model = clone_params(common_init)
             rt.opt = OptimizerState(**opt_kw)
-            rt.anchor = clone_params(common_init)
+            if strategy.prox:
+                rt.anchor = clone_params(common_init)
         runtimes.append(rt)
 
     rows: list[RoundRow] = []
@@ -343,13 +354,13 @@ def run_experiment(
             for rt in runtimes:
                 rt.epoch_logs_offset = rnd * cfg.local_epochs
             if pool is not None:
-                list(pool.map(lambda rt: _train_round(rt, spec, cfg, det_cfg), runtimes))
+                list(pool.map(lambda rt: _train_round(rt, spec, cfg, strategy, det_cfg), runtimes))
             else:
                 for rt in runtimes:
-                    _train_round(rt, spec, cfg, det_cfg)
+                    _train_round(rt, spec, cfg, strategy, det_cfg)
 
             t_comm = (rnd + 1) * cfg.local_epochs
-            communicates = cfg.strategy != "LOCAL_ONLY"
+            communicates = strategy.aggregator is not None
             for e in range(cfg.local_epochs):
                 epoch = rnd * cfg.local_epochs + e + 1
                 for rt in runtimes:
@@ -368,7 +379,7 @@ def run_experiment(
                         )
                     )
             if communicates:
-                _communicate(runtimes, spec, cfg, schedule_r(t_comm, schedule), t_comm)
+                _communicate(runtimes, spec, strategy, schedule_r(t_comm, schedule), t_comm)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -377,36 +388,32 @@ def run_experiment(
 
 
 def _communicate(
-    runtimes: list[_Runtime], spec: ModelSpec, cfg: ExperimentConfig, r: float, t: int
+    runtimes: list[_Runtime], spec: ModelSpec, strategy: Strategy, r: float, t: int
 ) -> None:
     uploads = [
         upload_model(rt.det) if rt.det is not None else clone_params(rt.model)
         for rt in runtimes
     ]
-    if cfg.strategy in ("PFA_DET", "PFA_ONLY"):
+    if strategy.aggregator == PFA:
         aggregates = pfa_aggregate(AggregationRequest(uploads, r=r, strategy=PFA))
-        for rt, agg in zip(runtimes, aggregates):
-            if rt.det is not None:
-                receive_deputy(rt.det, agg)
-            else:
-                rt.model = agg
     else:
         global_params = fedavg_aggregate(AggregationRequest(uploads, strategy=FEDAVG))
-        for rt in runtimes:
-            if rt.det is not None:
-                receive_deputy(rt.det, global_params)
-            else:
-                rt.model = clone_params(global_params)
-                rt.anchor = clone_params(global_params)
-        if cfg.strategy in ("FEDAVG", "FEDPROX"):
+        aggregates = [global_params] * len(runtimes)
+    for rt, agg in zip(runtimes, aggregates):
+        if rt.det is not None:
+            receive_deputy(rt.det, agg)
+            continue
+        rt.model = clone_params(agg)
+        if strategy.prox:
+            rt.anchor = clone_params(agg)
+        if strategy.deploys_global:
             # the deployed model is the global aggregate; snapshot it per
             # client whenever it improves on that client's validation split
-            for rt in runtimes:
-                val = _val_f1(global_params, spec, *rt.data.val_xy())
-                if val > rt.best_val:
-                    rt.best_val = val
-                    rt.best_params = clone_params(global_params)
-                    rt.best_epoch = t
+            val = validation_f1(agg, spec, *rt.data.val_xy())
+            if val > rt.best_val:
+                rt.best_val = val
+                rt.best_params = clone_params(agg)
+                rt.best_epoch = t
 
 
 def _finalize(cfg, rows, runtimes, spec, ood: ClientData) -> ExperimentResult:

@@ -5,10 +5,10 @@ from fedfreq.det import (
     ClientState,
     DetConfig,
     DetPhase,
-    _train_step,
     det_phase_transition,
     local_epoch,
     receive_deputy,
+    train_step,
     upload_model,
 )
 from fedfreq.model import Batch, OptimizerState, clone_params, init_params, mlp_spec
@@ -171,7 +171,7 @@ def test_kl_is_zero_when_deputy_equals_p():
     rng = np.random.default_rng(0)
     x, y = make_data(rng)
     batch = batches_of(x, y)[0]
-    _, _, kl = _train_step(state.deputy, state.opt_d, SPEC, batch, teacher=state.personalized)
+    _, _, kl = train_step(state.deputy, state.opt_d, SPEC, batch, teacher=state.personalized)
     assert kl == 0.0
 
 

@@ -1,9 +1,11 @@
+import collections
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from fedfreq import orchestrator
 from fedfreq.checkpoint import load_checkpoint_full
 from fedfreq.data import default_profiles, ood_client, synth
 from fedfreq.metrics import evaluate, macro_f1
@@ -163,6 +165,48 @@ def test_fedavg_symmetry_identical_clients():
     for i in (1, 2, 3):
         for k in first:
             assert np.array_equal(result.best_params[i][k], first[k])
+
+
+@pytest.mark.parametrize(
+    "strategy,aggregator,deputy",
+    [
+        ("PFA_DET", "pfa_aggregate", True),
+        ("PFA_ONLY", "pfa_aggregate", False),
+        ("FEDAVG_DET", "fedavg_aggregate", True),
+        ("FEDAVG", "fedavg_aggregate", False),
+        ("FEDPROX", "fedavg_aggregate", False),
+        ("LOCAL_ONLY", None, False),
+    ],
+)
+def test_strategy_uses_only_its_aggregator_and_delivery(monkeypatch, strategy, aggregator, deputy):
+    calls = collections.Counter()
+
+    def counting(name):
+        original = getattr(orchestrator, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("pfa_aggregate", "fedavg_aggregate", "receive_deputy"):
+        monkeypatch.setattr(orchestrator, name, counting(name))
+    run_experiment(small_cfg(strategy=strategy, total_epochs=10))
+    rounds, clients = 2, 4
+    expected = collections.Counter()
+    if aggregator is not None:
+        expected[aggregator] = rounds
+    if deputy:
+        expected["receive_deputy"] = rounds * clients
+    assert calls == expected
+
+
+def test_fedprox_without_pull_matches_fedavg():
+    fedavg = run_experiment(small_cfg(strategy="FEDAVG", total_epochs=10))
+    fedprox = run_experiment(small_cfg(strategy="FEDPROX", total_epochs=10, prox_mu=0.0))
+    assert repr(fedprox.rows) == repr(fedavg.rows)  # repr: phi_d is NaN in every row
+    assert fedprox.clients == fedavg.clients
 
 
 # --- logging and reports -------------------------------------------------------------
