@@ -143,7 +143,7 @@ def train_step(
     kl = 0.0
     if teacher is not None:
         teacher_probs, _ = forward(teacher, spec, batch)
-        kl, dkl_student, _ = kl_div(probs, teacher_probs)
+        kl, dkl_student = kl_div(probs, teacher_probs)
         dlogits = dlogits + dkl_student
     grads = backward(cache, dlogits)
     if prox is not None:

@@ -53,9 +53,21 @@ class ModelSpec:
     layers: tuple[Layer, ...]
     input_shape: tuple[int, ...]
     classes: int = 3
+    # derived: per layer, the (weight key, bias key) of its parameters, or None
+    param_keys: tuple[tuple[str, str] | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         infer_shapes(self)  # raises on incompatible adjacent layers
+        counts = {"dense": 0, "conv2d": 0}
+        keys = []
+        for layer in self.layers:
+            if layer.kind in counts:
+                counts[layer.kind] += 1
+                prefix = f"{'conv' if layer.kind == 'conv2d' else 'dense'}{counts[layer.kind]}"
+                keys.append((f"{prefix}.weight", f"{prefix}.bias"))
+            else:
+                keys.append(None)
+        object.__setattr__(self, "param_keys", tuple(keys))
 
 
 @dataclass
@@ -160,36 +172,26 @@ MODEL_SPECS = {
 }
 
 
-def _param_names(spec: ModelSpec) -> list[tuple[int, str]]:
-    """(layer index, name prefix) for each parameterized layer."""
-    names = []
-    counts = {"dense": 0, "conv2d": 0}
-    for i, layer in enumerate(spec.layers):
-        if layer.kind in counts:
-            counts[layer.kind] += 1
-            prefix = "conv" if layer.kind == "conv2d" else "dense"
-            names.append((i, f"{prefix}{counts[layer.kind]}"))
-    return names
-
-
 def init_params(spec: ModelSpec, seed) -> NamedTensorMap:
     """Glorot-uniform weights, zero biases; deterministic for a given seed."""
     rng = np.random.default_rng(seed)
     params: NamedTensorMap = {}
-    for i, prefix in _param_names(spec):
-        layer = spec.layers[i]
+    for layer, keys in zip(spec.layers, spec.param_keys):
+        if keys is None:
+            continue
+        w_key, b_key = keys
         if layer.kind == "dense":
             d_in, d_out = layer.dims
             s = np.sqrt(6.0 / (d_in + d_out))
-            params[f"{prefix}.weight"] = rng.uniform(-s, s, size=(d_in, d_out))
-            params[f"{prefix}.bias"] = np.zeros(d_out)
+            params[w_key] = rng.uniform(-s, s, size=(d_in, d_out))
+            params[b_key] = np.zeros(d_out)
         else:
             c_in, c_out, kh, kw = layer.dims
             fan_in = c_in * kh * kw
             fan_out = c_out * kh * kw
             s = np.sqrt(6.0 / (fan_in + fan_out))
-            params[f"{prefix}.weight"] = rng.uniform(-s, s, size=(c_out, c_in, kh, kw))
-            params[f"{prefix}.bias"] = np.zeros(c_out)
+            params[w_key] = rng.uniform(-s, s, size=(c_out, c_in, kh, kw))
+            params[b_key] = np.zeros(c_out)
     return {k: params[k] for k in sorted(params)}
 
 
@@ -217,15 +219,12 @@ def forward(params: NamedTensorMap, spec: ModelSpec, batch: Batch) -> tuple[np.n
             )
         x = x.reshape(x.shape[0], *spec.input_shape)
     cache = ForwardCache(spec=spec, params=params)
-    names = dict(_param_names(spec))
-    for i, layer in enumerate(spec.layers):
+    for layer, keys in zip(spec.layers, spec.param_keys):
         cache.inputs.append(x)
         if layer.kind == "dense":
-            p = names[i]
-            x = x @ params[f"{p}.weight"] + params[f"{p}.bias"]
+            x = x @ params[keys[0]] + params[keys[1]]
         elif layer.kind == "conv2d":
-            p = names[i]
-            x = _conv2d_forward(x, params[f"{p}.weight"], params[f"{p}.bias"])
+            x = _conv2d_forward(x, params[keys[0]], params[keys[1]])
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         elif layer.kind == "flatten":
@@ -264,29 +263,26 @@ def backward(cache: ForwardCache, dlogits: np.ndarray) -> NamedTensorMap:
         raise ValueError(
             f"gradient shape {dlogits.shape} != output shape {cache.probs.shape}"
         )
-    names = dict(_param_names(cache.spec))
+    spec = cache.spec
     grads: NamedTensorMap = {}
     dx = dlogits
-    for i in range(len(cache.spec.layers) - 1, -1, -1):
-        layer = cache.spec.layers[i]
-        x = cache.inputs[i]
+    for i in range(len(spec.layers) - 1, -1, -1):
+        layer, keys, x = spec.layers[i], spec.param_keys[i], cache.inputs[i]
         if layer.kind == "softmax_output":
             continue  # losses already differentiate through the softmax
         if layer.kind == "dense":
-            p = names[i]
-            grads[f"{p}.weight"] = x.T @ dx
-            grads[f"{p}.bias"] = dx.sum(axis=0)
-            dx = dx @ cache.params[f"{p}.weight"].T
+            w_key, b_key = keys
+            grads[w_key] = x.T @ dx
+            grads[b_key] = dx.sum(axis=0)
+            dx = dx @ cache.params[w_key].T
         elif layer.kind == "conv2d":
-            p = names[i]
-            dw, db, dx = _conv2d_backward(x, cache.params[f"{p}.weight"], dx)
-            grads[f"{p}.weight"] = dw
-            grads[f"{p}.bias"] = db
+            w_key, b_key = keys
+            grads[w_key], grads[b_key], dx = _conv2d_backward(x, cache.params[w_key], dx)
         elif layer.kind == "relu":
             dx = dx * (x > 0.0)
         else:  # flatten
             dx = dx.reshape(x.shape)
-    return {k: grads[k] for k in sorted(grads)}
+    return grads
 
 
 def _conv2d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray):
@@ -320,12 +316,11 @@ def ce_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, dlogits / n
 
 
-def kl_div(p_probs: np.ndarray, q_probs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def kl_div(p_probs: np.ndarray, q_probs: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean KL divergence ``sum p*log(p/q)`` over a batch of probability rows.
 
-    Returns ``(value, dlogits_p, dlogits_q)``: gradients w.r.t. the logits
-    behind each argument.  In the training losses only the student's side is
-    applied; the teacher's distribution is treated as constant.
+    Returns ``(value, dlogits_p)``: the gradient w.r.t. the logits behind the
+    student ``p``.  The teacher's distribution ``q`` is treated as constant.
     """
     p = np.asarray(p_probs, dtype=np.float64)
     q = np.asarray(q_probs, dtype=np.float64)
@@ -338,20 +333,19 @@ def kl_div(p_probs: np.ndarray, q_probs: np.ndarray) -> tuple[float, np.ndarray,
     row_kl = (pc * log_ratio).sum(axis=1)
     value = float(np.mean(row_kl))
     dlogits_p = p * (log_ratio - row_kl[:, None]) / n
-    dlogits_q = (q - p) / n
-    return value, dlogits_p, dlogits_q
+    return value, dlogits_p
 
 
 def sgd_step(params: NamedTensorMap, grads: NamedTensorMap, opt: OptimizerState) -> NamedTensorMap:
     """One SGD update ``params - lr(epoch) * grads``; returns a new map."""
-    if sorted(params) != sorted(grads):
+    if params.keys() != grads.keys():
         raise ValueError("gradient map keys do not match parameter map keys")
     lr = opt.lr
     out: NamedTensorMap = {}
-    for k in sorted(params):
-        if params[k].shape != grads[k].shape:
+    for k, w in params.items():
+        if w.shape != grads[k].shape:
             raise ValueError(f"shape mismatch for {k!r}")
-        out[k] = params[k] - lr * grads[k]
+        out[k] = w - lr * grads[k]
     return out
 
 

@@ -9,7 +9,7 @@ Conventions used throughout the package:
 
 Transforms are evaluated with ``numpy.fft``; the algorithm is an
 implementation detail, the contract is the convention above.  All functions
-are pure and safe to call from concurrent workers.
+are pure.
 """
 
 from __future__ import annotations

@@ -23,16 +23,14 @@ strategies, the client's own model for LOCAL_ONLY/PFA_ONLY, and the
 aggregated global model (no personalization) for FEDAVG/FEDPROX.
 
 Runs are deterministic for a fixed config: every client draws from RNG
-streams keyed by (experiment seed, profile seed), and client training can
-be spread over worker threads without changing any result.
+streams keyed by (experiment seed, profile seed), and within a round the
+clients train one after another.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -138,22 +136,20 @@ class ExperimentConfig:
                 f"total_epochs ({self.total_epochs}) must be divisible by "
                 f"local_epochs ({self.local_epochs})"
             )
-        if not 0.0 < self.r0 <= self.r1 < 0.5:
-            raise ConfigError(f"need 0 < r0 <= r1 < 0.5, got {self.r0}, {self.r1}")
-        if not 0.0 < self.lambda1 < self.lambda2 < 1.0:
-            raise ConfigError(f"need 0 < lambda1 < lambda2 < 1, got {self.lambda1}, {self.lambda2}")
+        try:  # the components state their own rules
+            ScheduleParams(self.r0, self.r1, self.total_epochs)
+            DetConfig(self.lambda1, self.lambda2)
+            OptimizerState(self.base_lr, halving_period=self.lr_halving_period)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.prox_mu < 0:
             raise ConfigError("prox_mu must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.base_lr < 0:
-            raise ConfigError("base_lr must be >= 0")
-        if self.lr_halving_period < 1:
-            raise ConfigError("lr_halving_period must be >= 1")
         if not 0.0 < self.data_scale <= 1.0:
             raise ConfigError("data_scale must lie in (0, 1]")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if self.workers != 1:
+            raise ConfigError(f"workers must be 1 (clients train serially), got {self.workers}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
@@ -238,7 +234,7 @@ class ExperimentResult:
 
 @dataclass
 class _Runtime:
-    """Mutable per-client training context owned by one worker at a time."""
+    """Mutable per-client training context, carried from round to round."""
 
     index: int
     data: ClientData
@@ -250,8 +246,6 @@ class _Runtime:
     best_val: float = -1.0
     best_epoch: int = 0
     best_params: NamedTensorMap | None = None
-    epoch_logs: list = field(default_factory=list)
-    epoch_logs_offset: int = 0  # global epoch count before the current round
 
 
 def _make_batches(x, y, batch_size: int, rng: np.random.Generator) -> list[Batch]:
@@ -263,20 +257,27 @@ def _make_batches(x, y, batch_size: int, rng: np.random.Generator) -> list[Batch
 
 
 def _train_round(
-    rt: _Runtime, spec: ModelSpec, cfg: ExperimentConfig, strategy: Strategy, det_cfg: DetConfig
-) -> None:
-    """Train one client for ``local_epochs`` epochs, recording per-epoch logs."""
+    rt: _Runtime,
+    rnd: int,
+    spec: ModelSpec,
+    cfg: ExperimentConfig,
+    strategy: Strategy,
+    schedule: ScheduleParams,
+    det_cfg: DetConfig,
+) -> list[RoundRow]:
+    """Train one client for the ``local_epochs`` epochs of round ``rnd``; returns its rows."""
     x, y = rt.data.train_xy()
     if len(y) == 0:
         raise DataError(f"client {rt.index} has an empty training split")
     val_x, val_y = rt.data.val_xy()
     prox = (cfg.prox_mu, rt.anchor) if strategy.prox and cfg.prox_mu > 0.0 else None
-    rt.epoch_logs = []
-    for _ in range(cfg.local_epochs):
+    rows = []
+    for e in range(cfg.local_epochs):
+        epoch = rnd * cfg.local_epochs + e + 1
         batches = _make_batches(x, y, cfg.batch_size, rt.shuffle_rng)
         if rt.det is not None:
             log = local_epoch(rt.det, spec, batches, (val_x, val_y), det_cfg)
-            entry = (log.phase.name, log.ce_loss, log.kl_loss, log.phi_d, log.phi_p)
+            logged = (log.phase.name, log.ce_loss, log.kl_loss, log.phi_d, log.phi_p)
             candidate, val = rt.det.personalized, log.phi_p
         else:
             ce_sum = 0.0
@@ -285,15 +286,17 @@ def _train_round(
                 ce_sum += ce
             rt.opt.epoch += 1
             val = validation_f1(rt.model, spec, val_x, val_y)
-            entry = ("-", ce_sum / len(batches), 0.0, float("nan"), val)
+            logged = ("-", ce_sum / len(batches), 0.0, float("nan"), val)
             candidate = rt.model
-        rt.epoch_logs.append(entry)
+        comm_event = int(strategy.aggregator is not None and e == cfg.local_epochs - 1)
+        rows.append(RoundRow(epoch, rt.index, *logged, schedule_r(epoch, schedule), comm_event))
         # a strategy deploying the global model snapshots it at communication
         # points instead (see _communicate)
         if not strategy.deploys_global and val > rt.best_val:
             rt.best_val = val
             rt.best_params = clone_params(candidate)
-            rt.best_epoch = rt.epoch_logs_offset + len(rt.epoch_logs)
+            rt.best_epoch = epoch
+    return rows
 
 
 def run_experiment(
@@ -347,42 +350,16 @@ def run_experiment(
         runtimes.append(rt)
 
     rows: list[RoundRow] = []
-    rounds = cfg.total_epochs // cfg.local_epochs
-    pool = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
-    try:
-        for rnd in range(rounds):
-            for rt in runtimes:
-                rt.epoch_logs_offset = rnd * cfg.local_epochs
-            if pool is not None:
-                list(pool.map(lambda rt: _train_round(rt, spec, cfg, strategy, det_cfg), runtimes))
-            else:
-                for rt in runtimes:
-                    _train_round(rt, spec, cfg, strategy, det_cfg)
-
+    for rnd in range(cfg.total_epochs // cfg.local_epochs):
+        trained = [
+            row
+            for rt in runtimes
+            for row in _train_round(rt, rnd, spec, cfg, strategy, schedule, det_cfg)
+        ]
+        rows += sorted(trained, key=lambda row: (row.epoch, row.client))
+        if strategy.aggregator is not None:
             t_comm = (rnd + 1) * cfg.local_epochs
-            communicates = strategy.aggregator is not None
-            for e in range(cfg.local_epochs):
-                epoch = rnd * cfg.local_epochs + e + 1
-                for rt in runtimes:
-                    phase, ce, kl, phi_d, phi_p = rt.epoch_logs[e]
-                    rows.append(
-                        RoundRow(
-                            epoch=epoch,
-                            client=rt.index,
-                            phase=phase,
-                            ce_loss=ce,
-                            kl_loss=kl,
-                            phi_d=phi_d,
-                            phi_p=phi_p,
-                            r=schedule_r(epoch, schedule),
-                            comm_event=int(communicates and epoch == t_comm),
-                        )
-                    )
-            if communicates:
-                _communicate(runtimes, spec, strategy, schedule_r(t_comm, schedule), t_comm)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            _communicate(runtimes, spec, strategy, schedule_r(t_comm, schedule), t_comm)
 
     return _finalize(cfg, rows, runtimes, spec, ood)
 
@@ -472,7 +449,6 @@ def mean_boundary_change(rows: list[RoundRow], client: int) -> float:
 def results_payload(result: ExperimentResult) -> dict:
     """JSON-ready report: config echo, per-client metrics, macro averages."""
     return {
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "seed": result.config.seed,
         "strategy": result.config.strategy,
         "config": dataclasses.asdict(result.config),

@@ -94,6 +94,7 @@ def test_parse_config_missing_equals():
         ("batch_size", 0),
         ("data_scale", 0.0),
         ("workers", 0),
+        ("workers", 4),  # clients train serially
         ("num_clients", 0),
     ],
 )
@@ -268,12 +269,10 @@ def test_emit_report_files(tmp_path):
         assert field.name in echo
 
 
-def test_results_reproducible_except_timestamp(tmp_path):
+def test_results_reproducible_across_reruns(tmp_path):
     cfg = small_cfg(total_epochs=10)
     a = results_payload(run_experiment(cfg))
     b = results_payload(run_experiment(cfg))
-    a.pop("created_at")
-    b.pop("created_at")
     assert a == b
 
 
@@ -292,19 +291,13 @@ def test_save_run_checkpoints_roundtrip(tmp_path):
 # --- determinism ---------------------------------------------------------------------
 
 
-def test_determinism_across_runs_and_workers():
-    cfg1 = small_cfg(total_epochs=10, workers=1)
-    cfg4 = small_cfg(total_epochs=10, workers=4)
-    r1 = run_experiment(cfg1)
-    r2 = run_experiment(small_cfg(total_epochs=10, workers=1))
-    r4 = run_experiment(cfg4)
+def test_determinism_across_runs():
+    r1 = run_experiment(small_cfg(total_epochs=10))
+    r2 = run_experiment(small_cfg(total_epochs=10))
     assert [dataclasses.asdict(c) for c in r1.clients] == [dataclasses.asdict(c) for c in r2.clients]
-    assert [c.test_f1 for c in r1.clients] == [c.test_f1 for c in r4.clients]
-    assert [c.test_auc for c in r1.clients] == [c.test_auc for c in r4.clients]
-    assert r1.macro_f1 == r4.macro_f1
     rows1 = [(r.epoch, r.client, r.phi_p, r.ce_loss) for r in r1.rows]
-    rows4 = [(r.epoch, r.client, r.phi_p, r.ce_loss) for r in r4.rows]
-    assert rows1 == rows4
+    rows2 = [(r.epoch, r.client, r.phi_p, r.ce_loss) for r in r2.rows]
+    assert rows1 == rows2
 
 
 def test_fedprox_differs_from_fedavg_and_stays_finite():
