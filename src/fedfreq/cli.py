@@ -19,14 +19,22 @@ import numpy as np
 
 from .checkpoint import CorruptCheckpointError, load_checkpoint_full, save_checkpoint
 from .data import DataError, default_profiles, load_client, ood_client, save_client, synth
-from .freq_agg import FEDAVG, PFA, AggregationRequest, fedavg_aggregate, pfa_aggregate
+from .freq_agg import (
+    FEDAVG,
+    PFA,
+    AggregationRequest,
+    check_threshold,
+    fedavg_aggregate,
+    pfa_aggregate,
+)
 from .metrics import evaluate
-from .model import MODEL_SPECS, predict_probs
+from .model import MODEL_SPECS, check_same_structure, predict_probs
 from .orchestrator import (
     ConfigError,
     emit_report,
     load_config,
     mean_boundary_change,
+    read_curves,
     run_experiment,
     save_run_checkpoints,
 )
@@ -69,22 +77,27 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
+    try:
+        check_threshold(args.r)
+    except ValueError as exc:
+        raise ConfigError(f"--r: {exc}") from exc
     loaded = [load_checkpoint_full(p) for p in args.checkpoints]
-    model_id = loaded[0][1]
     maps = [params for _, _, params in loaded]
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        check_same_structure(maps)
+    except ValueError as exc:
+        raise DataError(f"checkpoints do not match: {exc}") from exc
     if args.strategy == PFA:
         aggregates = pfa_aggregate(AggregationRequest(maps, r=args.r, strategy=PFA))
-        for src, agg in zip(args.checkpoints, aggregates):
-            path = out / f"{Path(src).stem}.agg.ckpt"
-            save_checkpoint(agg, path, model_id=model_id)
-            print(f"wrote {path}")
+        names = [f"{Path(src).stem}.agg.ckpt" for src in args.checkpoints]
     else:
-        merged = fedavg_aggregate(AggregationRequest(maps, strategy=FEDAVG))
-        path = out / "global.ckpt"
-        save_checkpoint(merged, path, model_id=model_id)
-        print(f"wrote {path}")
+        aggregates = [fedavg_aggregate(AggregationRequest(maps, strategy=FEDAVG))]
+        names = ["global.ckpt"]
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, agg in zip(names, aggregates):
+        save_checkpoint(agg, out / name, model_id=loaded[0][1])
+        print(f"wrote {out / name}")
     return 0
 
 
@@ -114,7 +127,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    rows = _read_curves(Path(args.curves))
+    rows = read_curves(args.curves)
     clients = sorted({r.client for r in rows})
     print(f"{'client':>6} {'epochs':>6} {'best phi_p':>10} {'final phi_p':>11} {'mean comm delta':>15}")
     for c in clients:
@@ -128,31 +141,6 @@ def _cmd_report(args) -> int:
             f"{c:>6} {len(mine):>6} {max(phi):>10.4f} {phi[-1]:>11.4f} {delta:>15}"
         )
     return 0
-
-
-def _read_curves(path: Path):
-    from .orchestrator import RoundRow
-
-    rows = []
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != "epoch,client,phase,ce_loss,kl_loss,phi_d,phi_p,r,comm_event":
-        raise DataError(f"{path}: not a curves.csv file")
-    for line in lines[1:]:
-        parts = line.split(",")
-        rows.append(
-            RoundRow(
-                epoch=int(parts[0]),
-                client=int(parts[1]),
-                phase=parts[2],
-                ce_loss=float(parts[3]),
-                kl_loss=float(parts[4]),
-                phi_d=float(parts[5]),
-                phi_p=float(parts[6]),
-                r=float(parts[7]),
-                comm_event=int(parts[8]),
-            )
-        )
-    return rows
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,6 +19,10 @@ local task, so each communication window walks through three phases:
 local epoch; phases only move forward within a window and reset to RECOVER
 whenever a new deputy arrives.  Thresholds are inclusive (``>=``), so
 ``phi(p) == 0`` jumps straight to SUBLIMATE.
+
+A client without a deputy (``deputy = opt_d = None``) runs the baselines:
+aggregates replace ``p``, which trains on cross entropy alone (plus an
+optional FedProx pull); its phase stays RECOVER and ``phi(d)`` logs as NaN.
 """
 
 from __future__ import annotations
@@ -68,16 +72,16 @@ class DetConfig:
 
 @dataclass
 class ClientState:
-    """One client's models, phase and bookkeeping."""
+    """One client's models, phase and bookkeeping; no deputy under a replacing strategy."""
 
     client_id: int
     personalized: NamedTensorMap
-    deputy: NamedTensorMap
+    deputy: NamedTensorMap | None
     phase: DetPhase = DetPhase.RECOVER
     phi_d: float | None = None  # None marks a stale value pending evaluation
     phi_p: float | None = None
     opt_p: OptimizerState = field(default_factory=OptimizerState)
-    opt_d: OptimizerState = field(default_factory=OptimizerState)
+    opt_d: OptimizerState | None = field(default_factory=OptimizerState)
     epoch: int = 0
 
 
@@ -158,42 +162,46 @@ def local_epoch(
     train: Iterable[Batch],
     val: tuple[np.ndarray, np.ndarray],
     cfg: DetConfig,
+    prox: tuple[float, NamedTensorMap] | None = None,
 ) -> EpochLog:
     """One local training epoch under the current phase, then re-evaluate.
 
     Per batch the deputy updates first and each model's distillation
-    teacher is the other model's current parameters.  After the pass both
-    models are scored on the validation split (macro F1) and the phase
-    transition rule is applied.  Raises ValueError on an empty batch stream.
+    teacher is the other model's current parameters; ``prox`` applies to
+    ``p``.  After the pass both models are scored on the validation split
+    (macro F1) and the phase transition rule is applied; without a deputy
+    only ``p`` trains and is scored.  Raises ValueError on an empty stream.
     """
     batches = list(train)
     if not batches:
         raise ValueError("training set is empty")
+    has_deputy = state.deputy is not None
     # RECOVER: d learns from p; EXCHANGE: each from the other; SUBLIMATE: p from d
     deputy_distils = state.phase < DetPhase.SUBLIMATE
     personal_distils = state.phase > DetPhase.RECOVER
     ce_sum = kl_sum = 0.0
     for batch in batches:
-        state.deputy, _, _ = train_step(
-            state.deputy, state.opt_d, spec, batch, state.personalized if deputy_distils else None
-        )
+        if has_deputy:
+            teacher = state.personalized if deputy_distils else None
+            state.deputy, _, _ = train_step(state.deputy, state.opt_d, spec, batch, teacher)
+        teacher = state.deputy if personal_distils else None
         state.personalized, ce, kl = train_step(
-            state.personalized, state.opt_p, spec, batch, state.deputy if personal_distils else None
+            state.personalized, state.opt_p, spec, batch, teacher, prox
         )
         ce_sum += ce
         kl_sum += kl
 
-    val_x, val_y = val
-    state.phi_d = validation_f1(state.deputy, spec, val_x, val_y)
-    state.phi_p = validation_f1(state.personalized, spec, val_x, val_y)
-    state.phase = det_phase_transition(state.phi_d, state.phi_p, cfg, state.phase)
+    state.phi_p = validation_f1(state.personalized, spec, *val)
+    if has_deputy:
+        state.phi_d = validation_f1(state.deputy, spec, *val)
+        state.phase = det_phase_transition(state.phi_d, state.phi_p, cfg, state.phase)
+        state.opt_d.epoch += 1
     state.epoch += 1
     state.opt_p.epoch += 1
-    state.opt_d.epoch += 1
     return EpochLog(
         ce_loss=ce_sum / len(batches),
         kl_loss=kl_sum / len(batches),
-        phi_d=state.phi_d,
+        phi_d=state.phi_d if has_deputy else float("nan"),
         phi_p=state.phi_p,
         phase=state.phase,
     )

@@ -86,6 +86,12 @@ class AggregationRequest:
     strategy: str = PFA
 
 
+def check_threshold(r: float) -> None:
+    """Raise ValueError unless the low-frequency threshold lies in (0, 0.5)."""
+    if not 0.0 < r < 0.5:
+        raise ValueError(f"threshold r must lie in (0, 0.5), got {r}")
+
+
 def schedule_r(t: int, p: ScheduleParams) -> float:
     """Threshold in effect after ``t`` of ``total_epochs`` local epochs.
 
@@ -132,8 +138,7 @@ def low_freq_mask(rows: int, cols: int, r: float) -> FreqMask:
     """
     if rows < 1 or cols < 1:
         raise ValueError("mask dimensions must be >= 1")
-    if not 0.0 < r < 0.5:
-        raise ValueError(f"threshold r must lie in (0, 0.5), got {r}")
+    check_threshold(r)
     half_r = int(np.floor(r * rows))
     half_c = int(np.floor(r * cols))
     # signed frequency index per axis in standard DFT order
@@ -167,8 +172,7 @@ def pfa_aggregate(req: AggregationRequest) -> list[NamedTensorMap]:
     """
     if req.strategy != PFA:
         raise ValueError(f"expected strategy {PFA!r}, got {req.strategy!r}")
-    if not 0.0 < req.r < 0.5:
-        raise ValueError(f"threshold r must lie in (0, 0.5), got {req.r}")
+    check_threshold(req.r)
     keys = check_same_structure(req.client_params)
     k = len(req.client_params)
     outputs: list[NamedTensorMap] = [{} for _ in range(k)]

@@ -15,12 +15,14 @@ and pushes the result back down.  Each strategy name is a row of
 - *prox*: local training adds a proximal pull ``mu * (w - w_anchor)``
   toward the last delivered model (``FEDPROX``).
 
-Every client/epoch produces one log row (losses, validation scores, phase,
-communication flag), which is enough to plot the post-communication
-performance drop and its absence under the deputy scheme.  Deployed-model
-selection is by best validation macro F1: the personalized model for deputy
-strategies, the client's own model for LOCAL_ONLY/PFA_ONLY, and the
-aggregated global model (no personalization) for FEDAVG/FEDPROX.
+Every client is a ``det.ClientState`` (without a deputy under a replacing
+strategy) trained by ``det.local_epoch``.  Every client/epoch produces one
+log row (losses, validation scores, phase, communication flag), which is
+enough to plot the post-communication performance drop and its absence
+under the deputy scheme.  Deployed-model selection is by best validation
+macro F1: the personalized model for deputy strategies, the client's own
+model for LOCAL_ONLY/PFA_ONLY, and the aggregated global model (no
+personalization) for FEDAVG/FEDPROX.
 
 Runs are deterministic for a fixed config: every client draws from RNG
 streams keyed by (experiment seed, profile seed), and within a round the
@@ -43,7 +45,6 @@ from .det import (
     DetConfig,
     local_epoch,
     receive_deputy,
-    train_step,
     upload_model,
     validation_f1,
 )
@@ -139,9 +140,12 @@ class ExperimentConfig:
         try:  # the components state their own rules
             ScheduleParams(self.r0, self.r1, self.total_epochs)
             DetConfig(self.lambda1, self.lambda2)
-            OptimizerState(self.base_lr, halving_period=self.lr_halving_period)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        try:
+            OptimizerState(self.base_lr, halving_period=self.lr_halving_period)
+        except ValueError as exc:  # name the config keys, not OptimizerState's fields
+            raise ConfigError(f"base_lr / lr_halving_period: {exc}") from exc
         if self.prox_mu < 0:
             raise ConfigError("prox_mu must be >= 0")
         if self.batch_size < 1:
@@ -171,17 +175,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         values[key] = value
     cfg = ExperimentConfig()
     for key, value in values.items():
-        current = getattr(cfg, key)
-        try:
-            if isinstance(current, int):
-                parsed = int(value)
-            elif isinstance(current, float):
-                parsed = float(value)
-            else:
-                parsed = value
+        try:  # every field is an int, a float or a str, so its default's type parses it
+            setattr(cfg, key, type(getattr(cfg, key))(value))
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-        setattr(cfg, key, parsed)
     cfg.validate()
     return cfg
 
@@ -207,6 +204,11 @@ class RoundRow:
     phi_p: float
     r: float
     comm_event: int
+
+
+_CURVES_FIELDS = dataclasses.fields(RoundRow)
+CURVES_HEADER = ",".join(f.name for f in _CURVES_FIELDS)
+_PARSE = {"int": int, "str": str, "float": float}  # RoundRow's field annotations
 
 
 @dataclass
@@ -239,9 +241,7 @@ class _Runtime:
     index: int
     data: ClientData
     shuffle_rng: np.random.Generator
-    det: ClientState | None = None  # deputy strategies
-    model: NamedTensorMap | None = None  # replacement / local strategies
-    opt: OptimizerState | None = None
+    state: ClientState
     anchor: NamedTensorMap | None = None  # proximal target, prox strategies only
     best_val: float = -1.0
     best_epoch: int = 0
@@ -275,26 +275,16 @@ def _train_round(
     for e in range(cfg.local_epochs):
         epoch = rnd * cfg.local_epochs + e + 1
         batches = _make_batches(x, y, cfg.batch_size, rt.shuffle_rng)
-        if rt.det is not None:
-            log = local_epoch(rt.det, spec, batches, (val_x, val_y), det_cfg)
-            logged = (log.phase.name, log.ce_loss, log.kl_loss, log.phi_d, log.phi_p)
-            candidate, val = rt.det.personalized, log.phi_p
-        else:
-            ce_sum = 0.0
-            for batch in batches:
-                rt.model, ce, _ = train_step(rt.model, rt.opt, spec, batch, prox=prox)
-                ce_sum += ce
-            rt.opt.epoch += 1
-            val = validation_f1(rt.model, spec, val_x, val_y)
-            logged = ("-", ce_sum / len(batches), 0.0, float("nan"), val)
-            candidate = rt.model
+        log = local_epoch(rt.state, spec, batches, (val_x, val_y), det_cfg, prox)
+        phase = log.phase.name if strategy.deputy else "-"
+        logged = (phase, log.ce_loss, log.kl_loss, log.phi_d, log.phi_p)
         comm_event = int(strategy.aggregator is not None and e == cfg.local_epochs - 1)
         rows.append(RoundRow(epoch, rt.index, *logged, schedule_r(epoch, schedule), comm_event))
         # a strategy deploying the global model snapshots it at communication
         # points instead (see _communicate)
-        if not strategy.deploys_global and val > rt.best_val:
-            rt.best_val = val
-            rt.best_params = clone_params(candidate)
+        if not strategy.deploys_global and log.phi_p > rt.best_val:
+            rt.best_val = log.phi_p
+            rt.best_params = clone_params(rt.state.personalized)
             rt.best_epoch = epoch
     return rows
 
@@ -326,28 +316,23 @@ def run_experiment(
     # makes sense when client weight matrices start out aligned
     common_init = init_params(spec, [cfg.seed, _INIT_STREAM])
 
-    runtimes: list[_Runtime] = []
-    for i, (profile, cdata) in enumerate(zip(profiles, dataset.clients)):
-        rt = _Runtime(
+    opt_kw = dict(base_lr=cfg.base_lr, epoch=0, halving_period=cfg.lr_halving_period)
+    runtimes = [
+        _Runtime(
             index=i,
             data=cdata,
             shuffle_rng=np.random.default_rng([cfg.seed, profile.seed, _SHUFFLE_STREAM]),
-        )
-        opt_kw = dict(base_lr=cfg.base_lr, epoch=0, halving_period=cfg.lr_halving_period)
-        if strategy.deputy:
-            rt.det = ClientState(
+            state=ClientState(
                 client_id=i,
                 personalized=clone_params(common_init),
-                deputy=clone_params(common_init),
+                deputy=clone_params(common_init) if strategy.deputy else None,
                 opt_p=OptimizerState(**opt_kw),
-                opt_d=OptimizerState(**opt_kw),
-            )
-        else:
-            rt.model = clone_params(common_init)
-            rt.opt = OptimizerState(**opt_kw)
-            if strategy.prox:
-                rt.anchor = clone_params(common_init)
-        runtimes.append(rt)
+                opt_d=OptimizerState(**opt_kw) if strategy.deputy else None,
+            ),
+            anchor=clone_params(common_init) if strategy.prox else None,
+        )
+        for i, (profile, cdata) in enumerate(zip(profiles, dataset.clients))
+    ]
 
     rows: list[RoundRow] = []
     for rnd in range(cfg.total_epochs // cfg.local_epochs):
@@ -367,20 +352,17 @@ def run_experiment(
 def _communicate(
     runtimes: list[_Runtime], spec: ModelSpec, strategy: Strategy, r: float, t: int
 ) -> None:
-    uploads = [
-        upload_model(rt.det) if rt.det is not None else clone_params(rt.model)
-        for rt in runtimes
-    ]
+    uploads = [upload_model(rt.state) for rt in runtimes]
     if strategy.aggregator == PFA:
         aggregates = pfa_aggregate(AggregationRequest(uploads, r=r, strategy=PFA))
     else:
         global_params = fedavg_aggregate(AggregationRequest(uploads, strategy=FEDAVG))
         aggregates = [global_params] * len(runtimes)
     for rt, agg in zip(runtimes, aggregates):
-        if rt.det is not None:
-            receive_deputy(rt.det, agg)
+        if strategy.deputy:
+            receive_deputy(rt.state, agg)
             continue
-        rt.model = clone_params(agg)
+        rt.state.personalized = clone_params(agg)
         if strategy.prox:
             rt.anchor = clone_params(agg)
         if strategy.deploys_global:
@@ -398,10 +380,7 @@ def _finalize(cfg, rows, runtimes, spec, ood: ClientData) -> ExperimentResult:
     outcomes = []
     best_params: dict[int, NamedTensorMap] = {}
     for rt in runtimes:
-        params = rt.best_params
-        if params is None:  # no epoch improved on -1.0: cannot happen, but stay safe
-            params = rt.det.personalized if rt.det is not None else rt.model
-        best_params[rt.index] = params
+        params = best_params[rt.index] = rt.best_params
         test_x, test_y = rt.data.test_xy()
         own = evaluate(predict_probs(params, spec, test_x), test_y, spec.classes)
         far = evaluate(predict_probs(params, spec, ood_x), ood_y, spec.classes)
@@ -466,17 +445,35 @@ def emit_report(rows: list[RoundRow], result: ExperimentResult, out_dir) -> list
     out.mkdir(parents=True, exist_ok=True)
     curves = out / "curves.csv"
     with curves.open("w") as fh:
-        fh.write("epoch,client,phase,ce_loss,kl_loss,phi_d,phi_p,r,comm_event\n")
-        for row in rows:
-            fh.write(
-                f"{row.epoch},{row.client},{row.phase},{row.ce_loss!r},"
-                f"{row.kl_loss!r},{row.phi_d!r},{row.phi_p!r},{row.r!r},{row.comm_event}\n"
-            )
+        fh.write(CURVES_HEADER + "\n")
+        for row in rows:  # str of a float is its repr, which reads back exactly
+            fh.write(",".join(str(getattr(row, f.name)) for f in _CURVES_FIELDS) + "\n")
     results = out / "results.json"
     results.write_text(json.dumps(results_payload(result), indent=2) + "\n")
     echo = out / "config.echo"
     echo.write_text(config_echo(result.config))
     return [curves, results, echo]
+
+
+def read_curves(path) -> list[RoundRow]:
+    """Parse a curves.csv written by :func:`emit_report`.
+
+    Raises DataError, naming the file and line, on a wrong header, a row with
+    the wrong field count or a value that does not parse.
+    """
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != CURVES_HEADER:
+        raise DataError(f"{path}: not a curves.csv file")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        try:
+            if len(parts) != len(_CURVES_FIELDS):
+                raise ValueError(f"expected {len(_CURVES_FIELDS)} fields, got {len(parts)}")
+            rows.append(RoundRow(*(_PARSE[f.type](v) for f, v in zip(_CURVES_FIELDS, parts))))
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
+    return rows
 
 
 def save_run_checkpoints(result: ExperimentResult, out_dir) -> list[Path]:

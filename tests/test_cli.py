@@ -6,7 +6,7 @@ from fedfreq.checkpoint import load_checkpoint_full, save_checkpoint
 from fedfreq.cli import main
 from fedfreq.data import load_client
 from fedfreq.freq_agg import FEDAVG, PFA, AggregationRequest, fedavg_aggregate, pfa_aggregate
-from fedfreq.model import init_params, mlp_spec
+from fedfreq.model import MODEL_SPECS, init_params, mlp_spec
 
 
 def test_synth_data_writes_client_files(tmp_path, capsys):
@@ -122,3 +122,39 @@ def test_exit_code_corrupt_checkpoint(tmp_path, capsys):
 
 def test_exit_code_io_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 4
+
+
+def _single_error_line(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err  # one line, no traceback
+
+
+def test_report_truncated_row_is_a_data_error(tmp_path, capsys):
+    curves = tmp_path / "curves.csv"
+    curves.write_text("epoch,client,phase,ce_loss,kl_loss,phi_d,phi_p,r,comm_event\n1,0,-,0.5\n")
+    assert main(["report", "--curves", str(curves)]) == 3
+    _single_error_line(capsys, f"data error: {curves}: line 2: expected 9 fields, got 4")
+
+
+def test_aggregate_mismatched_checkpoints_is_a_data_error(tmp_path, capsys):
+    inputs = []
+    for model_id in ("mlp32", "conv4x8"):
+        path = tmp_path / f"{model_id}.ckpt"
+        save_checkpoint(init_params(MODEL_SPECS[model_id], 0), path, model_id=model_id)
+        inputs.append(str(path))
+    out = tmp_path / "agg"
+    assert main(["aggregate", *inputs, "--out-dir", str(out)]) == 3
+    _single_error_line(capsys, "data error: checkpoints do not match: ")
+    assert not out.exists()
+
+
+def test_aggregate_threshold_out_of_range_is_a_config_error(tmp_path, capsys):
+    inputs = []
+    for seed in (0, 1):
+        path = tmp_path / f"c{seed}.ckpt"
+        save_checkpoint(init_params(mlp_spec(8), seed), path, model_id="mlp8")
+        inputs.append(str(path))
+    out = tmp_path / "agg"
+    assert main(["aggregate", *inputs, "--r", "0.7", "--out-dir", str(out)]) == 2
+    _single_error_line(capsys, "config error: --r: ")
+    assert not out.exists()

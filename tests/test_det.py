@@ -10,6 +10,7 @@ from fedfreq.det import (
     receive_deputy,
     train_step,
     upload_model,
+    validation_f1,
 )
 from fedfreq.model import Batch, OptimizerState, clone_params, init_params, mlp_spec
 
@@ -247,3 +248,37 @@ def test_sublimate_trains_deputy_with_ce_only():
     local_epoch(state, SPEC, batches, (x, y), CFG)
     for k in expected:
         assert np.array_equal(state.deputy[k], expected[k])
+
+
+def test_local_epoch_without_deputy_matches_manual_prox_loop():
+    # a replacing strategy's client: one model, trained with a proximal pull
+    params = init_params(SPEC, 0)
+    state = ClientState(
+        client_id=0, personalized=clone_params(params), deputy=None, opt_d=None,
+        opt_p=OptimizerState(base_lr=5e-2),
+    )
+    anchor = init_params(SPEC, 9)
+    prox = (0.5, anchor)
+    rng = np.random.default_rng(7)
+    x, y = make_data(rng, n=40)
+    batches = batches_of(x, y)
+
+    expected, unpulled = clone_params(params), clone_params(params)
+    expected_opt, plain_opt = OptimizerState(base_lr=5e-2), OptimizerState(base_lr=5e-2)
+    ces = []
+    for batch in batches:
+        expected, ce, _ = train_step(expected, expected_opt, SPEC, batch, prox=prox)
+        unpulled, _, _ = train_step(unpulled, plain_opt, SPEC, batch)
+        ces.append(ce)
+
+    log = local_epoch(state, SPEC, batches, (x, y), CFG, prox)
+    for k in expected:
+        assert np.array_equal(state.personalized[k], expected[k])
+    assert any(not np.array_equal(expected[k], unpulled[k]) for k in expected)  # the pull acts
+    assert log.ce_loss == sum(ces) / len(ces)
+    assert log.kl_loss == 0.0
+    assert np.isnan(log.phi_d)
+    assert log.phi_p == validation_f1(expected, SPEC, x, y)
+    assert log.phase is DetPhase.RECOVER and state.phase is DetPhase.RECOVER
+    assert state.deputy is None and state.opt_d is None
+    assert state.opt_p.epoch == 1

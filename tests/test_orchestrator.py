@@ -7,7 +7,7 @@ import pytest
 
 from fedfreq import orchestrator
 from fedfreq.checkpoint import load_checkpoint_full
-from fedfreq.data import default_profiles, ood_client, synth
+from fedfreq.data import DataError, default_profiles, ood_client, synth
 from fedfreq.metrics import evaluate, macro_f1
 from fedfreq.model import (
     MODEL_SPECS,
@@ -22,6 +22,7 @@ from fedfreq.model import (
     sgd_step,
 )
 from fedfreq.orchestrator import (
+    CURVES_HEADER,
     ConfigError,
     ExperimentConfig,
     config_echo,
@@ -29,6 +30,7 @@ from fedfreq.orchestrator import (
     load_config,
     mean_boundary_change,
     parse_config_text,
+    read_curves,
     results_payload,
     run_experiment,
     save_run_checkpoints,
@@ -96,11 +98,12 @@ def test_parse_config_missing_equals():
         ("workers", 0),
         ("workers", 4),  # clients train serially
         ("num_clients", 0),
+        ("lr_halving_period", 0),
     ],
 )
 def test_config_validation_rejects(field, value):
     cfg = ExperimentConfig(**{field: value})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=field):
         cfg.validate()
 
 
@@ -269,11 +272,18 @@ def test_emit_report_files(tmp_path):
         assert field.name in echo
 
 
-def test_results_reproducible_across_reruns(tmp_path):
-    cfg = small_cfg(total_epochs=10)
-    a = results_payload(run_experiment(cfg))
-    b = results_payload(run_experiment(cfg))
-    assert a == b
+def test_read_curves_returns_the_emitted_rows(tmp_path):
+    result = run_experiment(small_cfg(strategy="FEDPROX", total_epochs=10))
+    emit_report(result.rows, result, tmp_path)
+    rows = read_curves(tmp_path / "curves.csv")
+    assert repr(rows) == repr(result.rows)  # repr: phi_d is NaN in every row
+
+
+def test_read_curves_names_file_and_line_of_an_unparsable_value(tmp_path):
+    path = tmp_path / "curves.csv"
+    path.write_text(f"{CURVES_HEADER}\n1,0,-,0.5,0.0,nan,0.5,0.35,0\n1,1,-,0.5,0.0,nan,0.5,0.35,x\n")
+    with pytest.raises(DataError, match="curves.csv: line 3: invalid literal for int"):
+        read_curves(path)
 
 
 def test_save_run_checkpoints_roundtrip(tmp_path):
@@ -291,13 +301,12 @@ def test_save_run_checkpoints_roundtrip(tmp_path):
 # --- determinism ---------------------------------------------------------------------
 
 
-def test_determinism_across_runs():
+def test_reruns_are_identical():
     r1 = run_experiment(small_cfg(total_epochs=10))
     r2 = run_experiment(small_cfg(total_epochs=10))
-    assert [dataclasses.asdict(c) for c in r1.clients] == [dataclasses.asdict(c) for c in r2.clients]
-    rows1 = [(r.epoch, r.client, r.phi_p, r.ce_loss) for r in r1.rows]
-    rows2 = [(r.epoch, r.client, r.phi_p, r.ce_loss) for r in r2.rows]
-    assert rows1 == rows2
+    assert repr(r1.rows) == repr(r2.rows)
+    assert r1.clients == r2.clients
+    assert results_payload(r1) == results_payload(r2)
 
 
 def test_fedprox_differs_from_fedavg_and_stays_finite():
