@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -207,7 +209,9 @@ def _loss_distill(params, spec, batch, teacher):
 @pytest.mark.parametrize("composition", ["ce", "deputy", "personalized"])
 def test_backward_matches_finite_differences(spec_builder, composition):
     spec = spec_builder()
-    rng = np.random.default_rng(abs(hash((composition, spec.input_shape))) % 2**32)
+    # crc32, not hash(): str hashing is salted per process, so hash() would draw a new
+    # case on every run and now and then put a ReLU input inside the finite-difference step
+    rng = np.random.default_rng(zlib.crc32(f"{composition}{spec.input_shape}".encode()))
     params = init_params(spec, int(rng.integers(0, 1000)))
     teacher = init_params(spec, int(rng.integers(1000, 2000)))
     batch = random_batch(rng, spec, n=4)

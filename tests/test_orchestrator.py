@@ -301,11 +301,20 @@ def test_save_run_checkpoints_roundtrip(tmp_path):
 # --- determinism ---------------------------------------------------------------------
 
 
-def test_reruns_are_identical():
-    r1 = run_experiment(small_cfg(total_epochs=10))
-    r2 = run_experiment(small_cfg(total_epochs=10))
+@pytest.fixture(scope="module")
+def two_runs():
+    """The same config run twice; both determinism tests share the pair."""
+    return run_experiment(small_cfg(total_epochs=10)), run_experiment(small_cfg(total_epochs=10))
+
+
+def test_determinism_across_runs(two_runs):
+    r1, r2 = two_runs
     assert repr(r1.rows) == repr(r2.rows)
     assert r1.clients == r2.clients
+
+
+def test_results_reproducible_across_reruns(two_runs):
+    r1, r2 = two_runs
     assert results_payload(r1) == results_payload(r2)
 
 
