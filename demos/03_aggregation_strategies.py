@@ -29,7 +29,7 @@ personalized = pfa_aggregate(AggregationRequest([{k: v.copy() for k, v in m.item
 print("Plain averaging returns ONE model; the frequency aggregator returns")
 print(f"one per client: got {len(personalized)} personalized aggregates.\n")
 
-mask = low_freq_mask(4, 4, r).standard
+mask = low_freq_mask(4, 4, r)
 for i in range(2):
     a_in = amp_phase(dft2(reshape_conv(clients[i]["conv1.weight"])))
     a_out = amp_phase(dft2(reshape_conv(personalized[i]["conv1.weight"])))

@@ -33,11 +33,9 @@ def batches():
 
 init = init_params(spec, 3)
 state = ClientState(
-    client_id=0,
     personalized=clone_params(init),
     deputy=clone_params(init),
-    opt_p=OptimizerState(base_lr=0.01),
-    opt_d=OptimizerState(base_lr=0.01),
+    opt=OptimizerState(base_lr=0.01),  # one schedule for both models
 )
 
 print("Warm up the personalized model for 8 epochs:")
@@ -48,7 +46,7 @@ print(f"  phi(p) = {log.phi_p:.3f}, phase = {log.phase.name}")
 print("\nDeliver a damaged aggregate (heavy noise) as the new deputy:")
 noisy = {k: v + 4.0 * rng.standard_normal(v.shape) for k, v in upload_model(state).items()}
 receive_deputy(state, noisy)
-print(f"  phase reset to {state.phase.name}; phi(d) marked stale")
+print(f"  phase reset to {state.phase.name}; phi(d) is rescored after the next epoch")
 print(f"  deputy validation F1 at delivery: {validation_f1(state.deputy, spec, val_x, val_y):.3f}")
 
 print("\nEach row: scores after that epoch and the phase the NEXT epoch will")

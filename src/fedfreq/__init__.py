@@ -15,7 +15,6 @@ from .det import ClientState, DetConfig, DetPhase, det_phase_transition, local_e
 from .freq_agg import (
     AggregationRequest,
     ConvShape,
-    FreqMask,
     ScheduleParams,
     fedavg_aggregate,
     low_freq_mask,

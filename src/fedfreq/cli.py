@@ -68,7 +68,7 @@ def _cmd_run(args) -> int:
     if not cfg.out_dir:
         raise ConfigError("no output directory: set out_dir in the config or pass --out-dir")
     result = run_experiment(cfg)
-    files = emit_report(result.rows, result, cfg.out_dir)
+    files = emit_report(result, cfg.out_dir)
     files += save_run_checkpoints(result, cfg.out_dir)
     for path in files:
         print(f"wrote {path}")
@@ -107,6 +107,9 @@ def _cmd_eval(args) -> int:
         raise ConfigError(f"checkpoint has unknown model id {model_id!r}")
     spec = MODEL_SPECS[model_id]
     client = load_client(args.data)
+    features, inputs = client.features.shape[1], int(np.prod(spec.input_shape))
+    if features != inputs:
+        raise DataError(f"{args.data}: {features} features, model {model_id!r} takes {inputs}")
     x, y = client.split_xy(args.split)
     if len(y) == 0:
         raise DataError(f"{args.data}: split {args.split!r} is empty")
@@ -133,13 +136,12 @@ def _cmd_report(args) -> int:
     for c in clients:
         mine = [r for r in rows if r.client == c]
         phi = [r.phi_p for r in mine if not np.isnan(r.phi_p)]
+        best, final = (f"{max(phi):.4f}", f"{phi[-1]:.4f}") if phi else ("n/a", "n/a")
         try:
             delta = f"{mean_boundary_change(rows, c):+.4f}"
         except ValueError:
             delta = "n/a"
-        print(
-            f"{c:>6} {len(mine):>6} {max(phi):>10.4f} {phi[-1]:>11.4f} {delta:>15}"
-        )
+        print(f"{c:>6} {len(mine):>6} {best:>10} {final:>11} {delta:>15}")
     return 0
 
 

@@ -332,6 +332,9 @@ def load_client(path) -> ClientData:
         raise DataError(f"{path}: expected {expect} bytes, got {len(raw)}")
     feats = np.frombuffer(raw, dtype="<f8", count=n * dim, offset=_HEADER.size)
     labels = np.frombuffer(raw, dtype="<i4", count=n, offset=_HEADER.size + n * dim * 8)
+    bad = labels[(labels < 0) | (labels >= CLASSES)]
+    if bad.size:
+        raise DataError(f"{path}: label {bad[0]} outside [0, {CLASSES})")
     return ClientData(
         features=feats.reshape(n, dim).astype(np.float64),
         labels=labels.astype(np.int64),

@@ -20,7 +20,7 @@ local epoch; phases only move forward within a window and reset to RECOVER
 whenever a new deputy arrives.  Thresholds are inclusive (``>=``), so
 ``phi(p) == 0`` jumps straight to SUBLIMATE.
 
-A client without a deputy (``deputy = opt_d = None``) runs the baselines:
+A client without a deputy (``deputy = None``) runs the baselines:
 aggregates replace ``p``, which trains on cross entropy alone (plus an
 optional FedProx pull); its phase stays RECOVER and ``phi(d)`` logs as NaN.
 """
@@ -72,17 +72,12 @@ class DetConfig:
 
 @dataclass
 class ClientState:
-    """One client's models, phase and bookkeeping; no deputy under a replacing strategy."""
+    """One client's models, their shared SGD schedule and the phase; no deputy if replacing."""
 
-    client_id: int
     personalized: NamedTensorMap
     deputy: NamedTensorMap | None
+    opt: OptimizerState = field(default_factory=OptimizerState)
     phase: DetPhase = DetPhase.RECOVER
-    phi_d: float | None = None  # None marks a stale value pending evaluation
-    phi_p: float | None = None
-    opt_p: OptimizerState = field(default_factory=OptimizerState)
-    opt_d: OptimizerState | None = field(default_factory=OptimizerState)
-    epoch: int = 0
 
 
 @dataclass
@@ -109,18 +104,15 @@ def det_phase_transition(
     return max(target, current)
 
 
-def receive_deputy(state: ClientState, aggregated: NamedTensorMap) -> ClientState:
+def receive_deputy(state: ClientState, aggregated: NamedTensorMap) -> None:
     """Install a server aggregate as the deputy; ``p`` is untouched.
 
-    Resets the phase to RECOVER and marks the deputy's validation score
-    stale.  Raises ValueError if the aggregate does not structurally match
-    the client's models.
+    Resets the phase to RECOVER.  Raises ValueError if the aggregate does
+    not structurally match the client's models.
     """
     check_same_structure([state.personalized, aggregated])
     state.deputy = clone_params(aggregated)
     state.phase = DetPhase.RECOVER
-    state.phi_d = None
-    return state
 
 
 def upload_model(state: ClientState) -> NamedTensorMap:
@@ -183,26 +175,25 @@ def local_epoch(
     for batch in batches:
         if has_deputy:
             teacher = state.personalized if deputy_distils else None
-            state.deputy, _, _ = train_step(state.deputy, state.opt_d, spec, batch, teacher)
+            state.deputy, _, _ = train_step(state.deputy, state.opt, spec, batch, teacher)
         teacher = state.deputy if personal_distils else None
         state.personalized, ce, kl = train_step(
-            state.personalized, state.opt_p, spec, batch, teacher, prox
+            state.personalized, state.opt, spec, batch, teacher, prox
         )
         ce_sum += ce
         kl_sum += kl
 
-    state.phi_p = validation_f1(state.personalized, spec, *val)
+    phi_p = validation_f1(state.personalized, spec, *val)
+    phi_d = float("nan")
     if has_deputy:
-        state.phi_d = validation_f1(state.deputy, spec, *val)
-        state.phase = det_phase_transition(state.phi_d, state.phi_p, cfg, state.phase)
-        state.opt_d.epoch += 1
-    state.epoch += 1
-    state.opt_p.epoch += 1
+        phi_d = validation_f1(state.deputy, spec, *val)
+        state.phase = det_phase_transition(phi_d, phi_p, cfg, state.phase)
+    state.opt.epoch += 1
     return EpochLog(
         ce_loss=ce_sum / len(batches),
         kl_loss=kl_sum / len(batches),
-        phi_d=state.phi_d if has_deputy else float("nan"),
-        phi_p=state.phi_p,
+        phi_d=phi_d,
+        phi_p=phi_p,
         phase=state.phase,
     )
 

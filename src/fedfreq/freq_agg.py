@@ -19,7 +19,7 @@ and yields a single shared model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,22 +38,6 @@ class ConvShape(NamedTuple):
     in_channels: int
     kernel_h: int
     kernel_w: int
-
-
-@dataclass(frozen=True)
-class FreqMask:
-    """Low-frequency indicator for a ``rows x cols`` spectrum.
-
-    ``standard`` is the boolean mask in unshifted DFT coordinates (DC at
-    index ``[0, 0]``), which is the layout the aggregator works in;
-    ``centered`` is the same mask with DC moved to the middle.
-    """
-
-    rows: int
-    cols: int
-    r: float
-    standard: np.ndarray = field(repr=False)
-    centered: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -127,14 +111,15 @@ def unreshape_conv(m: np.ndarray, s: ConvShape) -> np.ndarray:
     return m.reshape(n, d1, c, d2).transpose(0, 2, 1, 3)
 
 
-def low_freq_mask(rows: int, cols: int, r: float) -> FreqMask:
-    """Centered rectangular low-frequency mask with half-widths floor(r*dim).
+def low_freq_mask(rows: int, cols: int, r: float) -> np.ndarray:
+    """Boolean ``rows x cols`` low-frequency mask with half-widths floor(r*dim).
 
-    In centered coordinates (DC at (0, 0)) an entry (m, n) is inside the
-    mask iff ``|m| <= floor(r*rows)`` and ``|n| <= floor(r*cols)``.  Since
-    r < 0.5 the rectangle never reaches the Nyquist line, so the mask is
-    symmetric under (m, n) -> (-m, -n) and aggregation preserves Hermitian
-    symmetry.
+    The mask is in standard DFT layout (DC at index ``[0, 0]``), the layout
+    the aggregator works in; ``np.fft.fftshift(mask)`` moves DC to the
+    middle.  With signed frequencies (m, n) an entry is inside the mask iff
+    ``|m| <= floor(r*rows)`` and ``|n| <= floor(r*cols)``.  Since r < 0.5
+    the rectangle never reaches the Nyquist line, so the mask is symmetric
+    under (m, n) -> (-m, -n) and aggregation preserves Hermitian symmetry.
     """
     if rows < 1 or cols < 1:
         raise ValueError("mask dimensions must be >= 1")
@@ -144,14 +129,12 @@ def low_freq_mask(rows: int, cols: int, r: float) -> FreqMask:
     # signed frequency index per axis in standard DFT order
     sr = np.fft.fftfreq(rows, d=1.0 / rows).round().astype(int)
     sc = np.fft.fftfreq(cols, d=1.0 / cols).round().astype(int)
-    standard = (np.abs(sr)[:, None] <= half_r) & (np.abs(sc)[None, :] <= half_c)
-    centered = np.fft.fftshift(standard)
-    return FreqMask(rows=rows, cols=cols, r=r, standard=standard, centered=centered)
+    return (np.abs(sr)[:, None] <= half_r) & (np.abs(sc)[None, :] <= half_c)
 
 
 def _fuse_matrices(mats: list[np.ndarray], r: float) -> list[np.ndarray]:
     """Frequency-domain fusion of one 2-D parameter across clients."""
-    mask = low_freq_mask(mats[0].shape[0], mats[0].shape[1], r).standard
+    mask = low_freq_mask(mats[0].shape[0], mats[0].shape[1], r)
     decomps = [amp_phase(dft2(m)) for m in mats]
     mean_amp = np.mean([d.amplitude for d in decomps], axis=0)
     fused = []
@@ -174,23 +157,20 @@ def pfa_aggregate(req: AggregationRequest) -> list[NamedTensorMap]:
         raise ValueError(f"expected strategy {PFA!r}, got {req.strategy!r}")
     check_threshold(req.r)
     keys = check_same_structure(req.client_params)
-    k = len(req.client_params)
-    outputs: list[NamedTensorMap] = [{} for _ in range(k)]
+    outputs: list[NamedTensorMap] = [{} for _ in req.client_params]
     for name in keys:
         tensors = [np.asarray(m[name], dtype=np.float64) for m in req.client_params]
         if tensors[0].ndim == 4:
             shape = ConvShape(*tensors[0].shape)
             fused = _fuse_matrices([reshape_conv(t) for t in tensors], req.r)
-            for i, f in enumerate(fused):
-                outputs[i][name] = unreshape_conv(f, shape)
+            fused = [unreshape_conv(f, shape) for f in fused]
         elif tensors[0].ndim == 2:
             fused = _fuse_matrices(tensors, req.r)
-            for i, f in enumerate(fused):
-                outputs[i][name] = f
         else:
             mean = np.mean(tensors, axis=0)
-            for i in range(k):
-                outputs[i][name] = mean.copy()
+            fused = [mean.copy() for _ in tensors]
+        for out, f in zip(outputs, fused):
+            out[name] = f
     return outputs
 
 

@@ -282,11 +282,17 @@ def _train_round(
         rows.append(RoundRow(epoch, rt.index, *logged, schedule_r(epoch, schedule), comm_event))
         # a strategy deploying the global model snapshots it at communication
         # points instead (see _communicate)
-        if not strategy.deploys_global and log.phi_p > rt.best_val:
-            rt.best_val = log.phi_p
-            rt.best_params = clone_params(rt.state.personalized)
-            rt.best_epoch = epoch
+        if not strategy.deploys_global:
+            _keep_if_best(rt, log.phi_p, rt.state.personalized, epoch)
     return rows
+
+
+def _keep_if_best(rt: _Runtime, val: float, params: NamedTensorMap, epoch: int) -> None:
+    """Snapshot ``params`` as the client's deployed model if ``val`` beats its best."""
+    if val > rt.best_val:
+        rt.best_val = val
+        rt.best_params = clone_params(params)
+        rt.best_epoch = epoch
 
 
 def run_experiment(
@@ -316,18 +322,15 @@ def run_experiment(
     # makes sense when client weight matrices start out aligned
     common_init = init_params(spec, [cfg.seed, _INIT_STREAM])
 
-    opt_kw = dict(base_lr=cfg.base_lr, epoch=0, halving_period=cfg.lr_halving_period)
     runtimes = [
         _Runtime(
             index=i,
             data=cdata,
             shuffle_rng=np.random.default_rng([cfg.seed, profile.seed, _SHUFFLE_STREAM]),
             state=ClientState(
-                client_id=i,
                 personalized=clone_params(common_init),
                 deputy=clone_params(common_init) if strategy.deputy else None,
-                opt_p=OptimizerState(**opt_kw),
-                opt_d=OptimizerState(**opt_kw) if strategy.deputy else None,
+                opt=OptimizerState(cfg.base_lr, halving_period=cfg.lr_halving_period),
             ),
             anchor=clone_params(common_init) if strategy.prox else None,
         )
@@ -366,13 +369,8 @@ def _communicate(
         if strategy.prox:
             rt.anchor = clone_params(agg)
         if strategy.deploys_global:
-            # the deployed model is the global aggregate; snapshot it per
-            # client whenever it improves on that client's validation split
-            val = validation_f1(agg, spec, *rt.data.val_xy())
-            if val > rt.best_val:
-                rt.best_val = val
-                rt.best_params = clone_params(agg)
-                rt.best_epoch = t
+            # the deployed model is the global aggregate, scored on each client's split
+            _keep_if_best(rt, validation_f1(agg, spec, *rt.data.val_xy()), agg, t)
 
 
 def _finalize(cfg, rows, runtimes, spec, ood: ClientData) -> ExperimentResult:
@@ -439,14 +437,14 @@ def results_payload(result: ExperimentResult) -> dict:
     }
 
 
-def emit_report(rows: list[RoundRow], result: ExperimentResult, out_dir) -> list[Path]:
+def emit_report(result: ExperimentResult, out_dir) -> list[Path]:
     """Write curves.csv, results.json and config.echo under ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     curves = out / "curves.csv"
     with curves.open("w") as fh:
         fh.write(CURVES_HEADER + "\n")
-        for row in rows:  # str of a float is its repr, which reads back exactly
+        for row in result.rows:  # str of a float is its repr, which reads back exactly
             fh.write(",".join(str(getattr(row, f.name)) for f in _CURVES_FIELDS) + "\n")
     results = out / "results.json"
     results.write_text(json.dumps(results_payload(result), indent=2) + "\n")

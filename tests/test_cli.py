@@ -4,7 +4,7 @@ import numpy as np
 
 from fedfreq.checkpoint import load_checkpoint_full, save_checkpoint
 from fedfreq.cli import main
-from fedfreq.data import load_client
+from fedfreq.data import ClientData, load_client, save_client
 from fedfreq.freq_agg import FEDAVG, PFA, AggregationRequest, fedavg_aggregate, pfa_aggregate
 from fedfreq.model import MODEL_SPECS, init_params, mlp_spec
 
@@ -134,6 +134,45 @@ def test_report_truncated_row_is_a_data_error(tmp_path, capsys):
     curves.write_text("epoch,client,phase,ce_loss,kl_loss,phi_d,phi_p,r,comm_event\n1,0,-,0.5\n")
     assert main(["report", "--curves", str(curves)]) == 3
     _single_error_line(capsys, f"data error: {curves}: line 2: expected 9 fields, got 4")
+
+
+def test_report_without_a_finite_phi_p_prints_na(tmp_path, capsys):
+    curves = tmp_path / "curves.csv"
+    curves.write_text(
+        "epoch,client,phase,ce_loss,kl_loss,phi_d,phi_p,r,comm_event\n1,0,-,0.5,0.0,nan,nan,0.35,0\n"
+    )
+    assert main(["report", "--curves", str(curves)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[1].split() == ["0", "1", "n/a", "n/a", "n/a"]
+
+
+def _eval_file(tmp_path, features, labels):
+    n = len(labels)
+    client = ClientData(
+        features=features,
+        labels=np.asarray(labels),
+        train_idx=np.arange(0),
+        val_idx=np.arange(0),
+        test_idx=np.arange(n),
+    )
+    data = tmp_path / "client.fsd"
+    save_client(client, data)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(mlp_spec(32), 0), ckpt, model_id="mlp32")
+    return main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]), data
+
+
+def test_eval_feature_count_mismatch_is_a_data_error(tmp_path, capsys):
+    rc, data = _eval_file(tmp_path, np.zeros((6, 5)), [0, 1, 2, 0, 1, 2])
+    assert rc == 3
+    _single_error_line(capsys, f"data error: {data}: 5 features, model 'mlp32' takes 32")
+
+
+def test_eval_label_out_of_range_is_a_data_error(tmp_path, capsys):
+    rc, data = _eval_file(tmp_path, np.zeros((6, 32)), [0, 1, 2, 7, 1, 2])
+    assert rc == 3
+    _single_error_line(capsys, f"data error: {data}: label 7 outside [0, 3)")
 
 
 def test_aggregate_mismatched_checkpoints_is_a_data_error(tmp_path, capsys):

@@ -70,10 +70,10 @@ def test_reshape_errors():
 
 def test_mask_4x4_quarter():
     mask = low_freq_mask(4, 4, 0.25)
-    assert mask.standard.sum() == 9
+    assert mask.sum() == 9
     # centered view shows a 3x3 block of ones around the middle
     assert np.array_equal(
-        mask.centered,
+        np.fft.fftshift(mask),
         np.array(
             [
                 [False, False, False, False],
@@ -87,8 +87,8 @@ def test_mask_4x4_quarter():
 
 def test_mask_dc_only():
     mask = low_freq_mask(5, 5, 0.05)
-    assert mask.standard.sum() == 1
-    assert mask.standard[0, 0]
+    assert mask.sum() == 1
+    assert mask[0, 0]
 
 
 def test_mask_symmetric_under_negation():
@@ -97,7 +97,7 @@ def test_mask_symmetric_under_negation():
         rows = int(rng.integers(1, 20))
         cols = int(rng.integers(1, 20))
         r = float(rng.uniform(0.01, 0.49))
-        m = low_freq_mask(rows, cols, r).standard
+        m = low_freq_mask(rows, cols, r)
         for i in range(rows):
             for j in range(cols):
                 assert m[i, j] == m[(-i) % rows, (-j) % cols]
@@ -109,7 +109,7 @@ def test_mask_matches_oracle():
         rows = int(rng.integers(1, 24))
         cols = int(rng.integers(1, 24))
         r = float(rng.uniform(0.01, 0.49))
-        assert np.array_equal(low_freq_mask(rows, cols, r).standard, oracle_mask(rows, cols, r))
+        assert np.array_equal(low_freq_mask(rows, cols, r), oracle_mask(rows, cols, r))
 
 
 def test_mask_threshold_validation():
@@ -285,6 +285,34 @@ def test_pfa_idempotent_on_consensus():
     for a, b in zip(once, twice):
         for k in a:
             assert np.max(np.abs(a[k] - b[k])) < 1e-8
+
+
+def test_pfa_commutes_with_client_order():
+    # permuting the input maps permutes the outputs; the amplitude mean then
+    # sums in another order, so equality holds to rounding, not bit for bit
+    rng = np.random.default_rng(14)
+    for _ in range(25):
+        k = int(rng.integers(2, 6))
+        conv = tuple(int(rng.integers(1, 5)) for _ in range(4))
+        dense = (int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+        bias = int(rng.integers(1, 8))
+        maps = [
+            {
+                "conv.weight": rng.standard_normal(conv),
+                "fc.weight": rng.standard_normal(dense),
+                "fc.bias": rng.standard_normal(bias),
+            }
+            for _ in range(k)
+        ]
+        r = float(rng.uniform(0.01, 0.49))
+        perm = rng.permutation(k)
+        if np.array_equal(perm, np.arange(k)):
+            perm = perm[::-1]
+        outputs = pfa_aggregate(AggregationRequest(maps, r=r, strategy=PFA))
+        permuted = pfa_aggregate(AggregationRequest([maps[j] for j in perm], r=r, strategy=PFA))
+        for i, j in enumerate(perm):
+            for name in maps[0]:
+                np.testing.assert_allclose(permuted[i][name], outputs[j][name], rtol=0, atol=1e-12)
 
 
 def test_pfa_outputs_are_real_float():

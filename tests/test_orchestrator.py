@@ -255,7 +255,7 @@ def test_mean_boundary_change_computation():
 def test_emit_report_files(tmp_path):
     cfg = small_cfg(total_epochs=10)
     result = run_experiment(cfg)
-    files = emit_report(result.rows, result, tmp_path)
+    files = emit_report(result, tmp_path)
     assert sorted(f.name for f in files) == ["config.echo", "curves.csv", "results.json"]
 
     lines = (tmp_path / "curves.csv").read_text().splitlines()
@@ -274,7 +274,7 @@ def test_emit_report_files(tmp_path):
 
 def test_read_curves_returns_the_emitted_rows(tmp_path):
     result = run_experiment(small_cfg(strategy="FEDPROX", total_epochs=10))
-    emit_report(result.rows, result, tmp_path)
+    emit_report(result, tmp_path)
     rows = read_curves(tmp_path / "curves.csv")
     assert repr(rows) == repr(result.rows)  # repr: phi_d is NaN in every row
 

@@ -1,0 +1,78 @@
+"""Print byte-identity digests of the run artifacts for the acceptance configs.
+
+Runs ``fedfreq run`` (through ``fedfreq.cli.main``) for every strategy at
+two settings, E=5/T=100 and E=1/T=20, with seed 7 and ``data_scale = 0.1``,
+and prints one line per run: the first 16 hex digits of SHA-256 over
+``curves.csv`` followed by ``best_client_0..3.ckpt``, then the same for
+``results.json``.  A refactor that keeps behaviour prints the same lines.
+
+Usage, comparing two checkouts::
+
+    PYTHONPATH=src python tools/artifact_digest.py > after.txt
+    PYTHONPATH=../parent/src python tools/artifact_digest.py > before.txt
+    diff before.txt after.txt
+
+Each run writes into a scratch directory that is deleted afterwards.
+``results.json`` echoes the output directory in its config; the digest is
+taken with that value blanked to ``""`` (the config default), so it does
+not depend on where the tool runs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from fedfreq import cli
+
+STRATEGIES = ("PFA_DET", "FEDAVG", "FEDPROX", "LOCAL_ONLY", "PFA_ONLY", "FEDAVG_DET")
+SETTINGS = ((5, 100), (1, 20))  # (local_epochs, total_epochs)
+SEED = 7
+DATA_SCALE = 0.1
+CLIENTS = 4
+
+
+def _digest(blobs: list[bytes]) -> str:
+    h = hashlib.sha256()
+    for blob in blobs:
+        h.update(blob)
+    return h.hexdigest()[:16]
+
+
+def run_digests(strategy: str, local_epochs: int, total_epochs: int) -> tuple[str, str]:
+    """Run one config; return the (artifacts, results.json) digests."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp, "run.cfg"), Path(tmp, "out")
+        cfg.write_text(
+            f"strategy = {strategy}\nnum_clients = {CLIENTS}\n"
+            f"local_epochs = {local_epochs}\ntotal_epochs = {total_epochs}\n"
+            f"data_scale = {DATA_SCALE}\nseed = {SEED}\n"
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["run", "--config", str(cfg), "--out-dir", str(out)])
+        if rc != 0:
+            raise SystemExit(f"{strategy} E={local_epochs} T={total_epochs}: exit code {rc}")
+        names = ["curves.csv", *(f"best_client_{i}.ckpt" for i in range(CLIENTS))]
+        results = (out / "results.json").read_bytes()
+        echoed = f'"out_dir": {json.dumps(str(out))}'.encode()
+        if results.count(echoed) != 1:
+            raise SystemExit(f"{strategy}: results.json does not echo out_dir once")
+        results = results.replace(echoed, b'"out_dir": ""')
+        return _digest([(out / n).read_bytes() for n in names]), _digest([results])
+
+
+def main() -> int:
+    for local_epochs, total_epochs in SETTINGS:
+        for strategy in STRATEGIES:
+            artifacts, results = run_digests(strategy, local_epochs, total_epochs)
+            print(f"{strategy:<10} E={local_epochs} T={total_epochs:<3} {artifacts} {results}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
