@@ -14,7 +14,6 @@ from .data import ClientProfile, FederatedDataset, default_profiles, ood_client,
 from .det import ClientState, DetConfig, DetPhase, det_phase_transition, local_epoch
 from .freq_agg import (
     AggregationRequest,
-    ConvShape,
     ScheduleParams,
     fedavg_aggregate,
     low_freq_mask,

@@ -99,7 +99,6 @@ class ClientData:
     train_idx: np.ndarray
     val_idx: np.ndarray
     test_idx: np.ndarray
-    profile: ClientProfile | None = None
 
     def split_xy(self, split: str) -> tuple[np.ndarray, np.ndarray]:
         idx = {"train": self.train_idx, "val": self.val_idx, "test": self.test_idx}[split]
@@ -253,7 +252,6 @@ def _generate_client(profile: ClientProfile, global_seed: int) -> ClientData:
         train_idx=np.sort(np.concatenate(split_idx["train"])),
         val_idx=np.sort(np.concatenate(split_idx["val"])),
         test_idx=np.sort(np.concatenate(split_idx["test"])),
-        profile=profile,
     )
 
 

@@ -7,20 +7,22 @@ and its own high-frequency amplitudes.  The shared band is a centered
 rectangle whose half-widths are ``floor(r * dim)`` per axis; ``r`` grows
 linearly over training (see :func:`schedule_r`).
 
-Convolution kernels ``(N, C, d1, d2)`` are rearranged into a ``d1*N x d2*C``
-matrix before the transform; fully connected weights are transformed in
-their native ``(out, in)`` orientation; 1-D parameters (biases) fall back to
-element-wise averaging.  The output is one aggregate per client, since phase
-and high frequencies stay client-specific.
+Each parameter is fused as one client stack: the K clients' tensors are
+stacked along a leading axis, and one transform, one amplitude mean over
+that axis and one inverse transform handle all K at once.  Convolution
+kernels ``(N, C, d1, d2)`` are rearranged into ``d1*N x d2*C`` matrices
+before the transform; fully connected weights are transformed in their
+native ``(out, in)`` orientation; 1-D parameters (biases) take the mean over
+the client axis.  The output is one aggregate per client, since phase and
+high frequencies stay client-specific.
 
-The "FEDAVG" strategy is the element-wise unweighted mean of every parameter
-and yields a single shared model.
+The "FEDAVG" strategy is the mean of the same client stack over its client
+axis and yields a single shared model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,15 +31,6 @@ from .numerics import AmpPhase, amp_phase, dft2, idft2, recompose
 
 # epsilon keeping a scheduled threshold strictly inside (0, 0.5)
 R_EPS = 1e-6
-
-
-class ConvShape(NamedTuple):
-    """Dimensions of a 4-D convolution kernel."""
-
-    out_channels: int
-    in_channels: int
-    kernel_h: int
-    kernel_w: int
 
 
 @dataclass(frozen=True)
@@ -89,26 +82,25 @@ def schedule_r(t: int, p: ScheduleParams) -> float:
 
 
 def reshape_conv(w: np.ndarray) -> np.ndarray:
-    """Rearrange a conv kernel ``(N, C, d1, d2)`` into a ``d1*N x d2*C`` matrix.
+    """Rearrange conv kernels ``(..., N, C, d1, d2)`` into ``(..., d1*N, d2*C)`` matrices.
 
-    Element ``(n, c, x, y)`` lands at row ``n*d1 + x``, column ``c*d2 + y``.
+    Element ``(n, c, x, y)`` of each kernel lands at row ``n*d1 + x``, column
+    ``c*d2 + y``; leading (client) axes are kept.
     """
     w = np.asarray(w)
-    if w.ndim != 4:
-        raise ValueError(f"expected a 4-D kernel, got shape {w.shape}")
-    n, c, d1, d2 = w.shape
-    return w.transpose(0, 2, 1, 3).reshape(n * d1, c * d2)
+    if w.ndim < 4:
+        raise ValueError(f"expected 4-D kernels, got shape {w.shape}")
+    *lead, n, c, d1, d2 = w.shape
+    return w.swapaxes(-3, -2).reshape(*lead, n * d1, c * d2)
 
 
-def unreshape_conv(m: np.ndarray, s: ConvShape) -> np.ndarray:
-    """Exact inverse of :func:`reshape_conv` for a kernel of shape ``s``."""
+def unreshape_conv(m: np.ndarray, kernel: tuple[int, int, int, int]) -> np.ndarray:
+    """Exact inverse of :func:`reshape_conv` for kernels of shape ``kernel``."""
     m = np.asarray(m)
-    n, c, d1, d2 = s
-    if m.shape != (n * d1, c * d2):
-        raise ValueError(
-            f"matrix shape {m.shape} does not match kernel shape {tuple(s)}"
-        )
-    return m.reshape(n, d1, c, d2).transpose(0, 2, 1, 3)
+    n, c, d1, d2 = kernel
+    if m.shape[-2:] != (n * d1, c * d2):
+        raise ValueError(f"matrix shape {m.shape} does not match kernel shape {tuple(kernel)}")
+    return m.reshape(*m.shape[:-2], n, d1, c, d2).swapaxes(-3, -2)
 
 
 def low_freq_mask(rows: int, cols: int, r: float) -> np.ndarray:
@@ -132,16 +124,17 @@ def low_freq_mask(rows: int, cols: int, r: float) -> np.ndarray:
     return (np.abs(sr)[:, None] <= half_r) & (np.abs(sc)[None, :] <= half_c)
 
 
-def _fuse_matrices(mats: list[np.ndarray], r: float) -> list[np.ndarray]:
-    """Frequency-domain fusion of one 2-D parameter across clients."""
-    mask = low_freq_mask(mats[0].shape[0], mats[0].shape[1], r)
-    decomps = [amp_phase(dft2(m)) for m in mats]
-    mean_amp = np.mean([d.amplitude for d in decomps], axis=0)
-    fused = []
-    for d in decomps:
-        amp = np.where(mask, mean_amp, d.amplitude)
-        out, _ = idft2(recompose(AmpPhase(amp, d.phase)))
-        fused.append(out)
+def _stack(maps: list[NamedTensorMap], name: str) -> np.ndarray:
+    """Parameter ``name`` of every client, stacked along a leading client axis."""
+    return np.stack([np.asarray(m[name], dtype=np.float64) for m in maps])
+
+
+def _fuse(stack: np.ndarray, r: float) -> np.ndarray:
+    """Frequency-domain fusion of a ``(K, rows, cols)`` client stack."""
+    mask = low_freq_mask(*stack.shape[-2:], r)
+    spectrum = amp_phase(dft2(stack))
+    amp = np.where(mask, spectrum.amplitude.mean(axis=0), spectrum.amplitude)
+    fused, _ = idft2(recompose(AmpPhase(amp, spectrum.phase)))
     return fused
 
 
@@ -149,9 +142,9 @@ def pfa_aggregate(req: AggregationRequest) -> list[NamedTensorMap]:
     """Frequency-domain aggregation; returns one personalized map per client.
 
     Per parameter: 4-D kernels go through :func:`reshape_conv`, 2-D weights
-    are transformed as-is, anything else is element-wise averaged.  Masked
-    amplitudes are replaced by the across-client arithmetic mean; unmasked
-    amplitudes and the whole phase map stay client-specific.
+    are transformed as-is, anything else is averaged over the client axis.
+    Masked amplitudes are replaced by the across-client arithmetic mean;
+    unmasked amplitudes and the whole phase map stay client-specific.
     """
     if req.strategy != PFA:
         raise ValueError(f"expected strategy {PFA!r}, got {req.strategy!r}")
@@ -159,16 +152,14 @@ def pfa_aggregate(req: AggregationRequest) -> list[NamedTensorMap]:
     keys = check_same_structure(req.client_params)
     outputs: list[NamedTensorMap] = [{} for _ in req.client_params]
     for name in keys:
-        tensors = [np.asarray(m[name], dtype=np.float64) for m in req.client_params]
-        if tensors[0].ndim == 4:
-            shape = ConvShape(*tensors[0].shape)
-            fused = _fuse_matrices([reshape_conv(t) for t in tensors], req.r)
-            fused = [unreshape_conv(f, shape) for f in fused]
-        elif tensors[0].ndim == 2:
-            fused = _fuse_matrices(tensors, req.r)
+        stack = _stack(req.client_params, name)
+        shape = stack.shape[1:]  # one client's tensor
+        if len(shape) == 4:
+            fused = unreshape_conv(_fuse(reshape_conv(stack), req.r), shape)
+        elif len(shape) == 2:
+            fused = _fuse(stack, req.r)
         else:
-            mean = np.mean(tensors, axis=0)
-            fused = [mean.copy() for _ in tensors]
+            fused = np.repeat(stack.mean(axis=0, keepdims=True), len(stack), axis=0)
         for out, f in zip(outputs, fused):
             out[name] = f
     return outputs
@@ -179,9 +170,4 @@ def fedavg_aggregate(req: AggregationRequest) -> NamedTensorMap:
     if req.strategy != FEDAVG:
         raise ValueError(f"expected strategy {FEDAVG!r}, got {req.strategy!r}")
     keys = check_same_structure(req.client_params)
-    return {
-        name: np.mean(
-            [np.asarray(m[name], dtype=np.float64) for m in req.client_params], axis=0
-        )
-        for name in keys
-    }
+    return {name: _stack(req.client_params, name).mean(axis=0) for name in keys}

@@ -7,9 +7,11 @@ Conventions used throughout the package:
 - the inverse divides by ``rows * cols`` and returns the real part;
 - the phase of a zero entry is 0, and phase values lie in ``(-pi, pi]``.
 
-Transforms are evaluated with ``numpy.fft``; the algorithm is an
-implementation detail, the contract is the convention above.  All functions
-are pure.
+Transforms act on the last two axes, so a ``(K, rows, cols)`` stack of
+matrices is transformed in one call, matrix by matrix; a 2-D input is the
+stack of one.  Transforms are evaluated with ``numpy.fft``; the algorithm is
+an implementation detail, the contract is the convention above.  All
+functions are pure.
 """
 
 from __future__ import annotations
@@ -35,13 +37,14 @@ class AmpPhase(NamedTuple):
 
 
 def dft2(m: np.ndarray) -> np.ndarray:
-    """Unnormalized forward 2-D DFT of a real matrix.
+    """Unnormalized forward 2-D DFT of a real matrix or stack of matrices.
 
-    Raises ValueError if the input is not a finite real 2-D matrix.
+    Raises ValueError if the input is not a finite, real, non-empty array
+    of at least two dimensions.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.size == 0:
+        raise ValueError(f"expected a non-empty stack of 2-D matrices, got shape {m.shape}")
     if np.iscomplexobj(m):
         raise ValueError("forward transform input must be real")
     m = m.astype(np.float64, copy=False)
@@ -53,23 +56,27 @@ def dft2(m: np.ndarray) -> np.ndarray:
 def idft2(f: np.ndarray) -> tuple[np.ndarray, float]:
     """Inverse 2-D DFT with ``1/(rows*cols)`` normalization.
 
-    Returns ``(real_part, max_imag_residue)``.  Raises
-    SymmetryViolationError when the imaginary residue exceeds
-    ``IMAG_RESIDUE_TOL`` times the largest input amplitude, which signals a
-    non-Hermitian spectrum (e.g. a corrupted aggregation).
+    Returns ``(real_part, max_imag_residue)``, the residue being the largest
+    over the stack.  Raises SymmetryViolationError when a matrix's imaginary
+    residue exceeds ``IMAG_RESIDUE_TOL`` times that matrix's own largest
+    input amplitude, which signals a non-Hermitian spectrum (e.g. a
+    corrupted aggregation).
     """
     f = np.asarray(f, dtype=np.complex128)
-    if f.ndim != 2 or f.size == 0:
-        raise ValueError(f"expected a non-empty 2-D matrix, got shape {f.shape}")
+    if f.ndim < 2 or f.size == 0:
+        raise ValueError(f"expected a non-empty stack of 2-D matrices, got shape {f.shape}")
     inv = np.fft.ifft2(f)
-    residue = float(np.max(np.abs(inv.imag)))
-    limit = IMAG_RESIDUE_TOL * float(np.max(np.abs(f)))
-    if residue > limit:
+    # each matrix is held to its own scale: a large one cannot hide a small one's asymmetry
+    residue = np.abs(inv.imag).max(axis=(-2, -1)).ravel()
+    limit = IMAG_RESIDUE_TOL * np.abs(f).max(axis=(-2, -1)).ravel()
+    over = np.flatnonzero(residue > limit)
+    if over.size:
+        i = over[0]  # the first offending matrix, by flat index
         raise SymmetryViolationError(
-            f"imaginary residue {residue:.3e} exceeds {limit:.3e}; "
+            f"imaginary residue {residue[i]:.3e} exceeds {limit[i]:.3e} in matrix {i}; "
             "spectrum is not Hermitian-symmetric"
         )
-    return inv.real, residue
+    return inv.real, float(residue.max())
 
 
 def amp_phase(f: np.ndarray) -> AmpPhase:

@@ -315,6 +315,16 @@ def run_experiment(
     spec = MODEL_SPECS[cfg.model_id]
     dataset = synth(profiles, cfg.seed)
     ood = ood_client(profiles, cfg.seed)
+    # macro AUC is undefined on a test split with one class; fail before any training.
+    # A set counts the classes because np.unique would import numpy.ma (1.7 MB).
+    scored = {f"client {i}": c for i, c in enumerate(dataset.clients)}
+    for who, cdata in {**scored, "the held-out cohort": ood}.items():
+        held = len(set(cdata.labels[cdata.test_idx].tolist()))
+        if held < 2:
+            raise DataError(
+                f"{who}'s test split holds {held} of {spec.classes} classes; "
+                "macro AUC needs at least two"
+            )
     schedule = ScheduleParams(cfg.r0, cfg.r1, cfg.total_epochs)
     det_cfg = DetConfig(cfg.lambda1, cfg.lambda2)
 
@@ -409,14 +419,15 @@ def mean_boundary_change(rows: list[RoundRow], client: int) -> float:
     """Mean change of the deployed model's validation F1 across communications.
 
     For every epoch t flagged as a communication event with a following
-    epoch, accumulates ``phi_p(t+1) - phi_p(t)``.  Negative means the model
-    the client trains right after a communication lost validation F1.
+    epoch, accumulates ``phi_p(t+1) - phi_p(t)``, skipping a boundary where
+    either value is NaN.  Negative means the model the client trains right
+    after a communication lost validation F1.
     """
-    phi = {row.epoch: row.phi_p for row in rows if row.client == client}
+    phi = {row.epoch: row.phi_p for row in rows if row.client == client and not np.isnan(row.phi_p)}
     deltas = [
         phi[row.epoch + 1] - phi[row.epoch]
         for row in rows
-        if row.client == client and row.comm_event and (row.epoch + 1) in phi
+        if row.client == client and row.comm_event and row.epoch in phi and row.epoch + 1 in phi
     ]
     if not deltas:
         raise ValueError(f"no communication boundaries logged for client {client}")
@@ -424,11 +435,15 @@ def mean_boundary_change(rows: list[RoundRow], client: int) -> float:
 
 
 def results_payload(result: ExperimentResult) -> dict:
-    """JSON-ready report: config echo, per-client metrics, macro averages."""
+    """JSON-ready report: config echo, per-client metrics, macro averages.
+
+    The config echo leaves out ``out_dir``, so the same config gives the same
+    bytes wherever the report is written.
+    """
     return {
         "seed": result.config.seed,
         "strategy": result.config.strategy,
-        "config": dataclasses.asdict(result.config),
+        "config": {k: v for k, v in dataclasses.asdict(result.config).items() if k != "out_dir"},
         "clients": [dataclasses.asdict(c) for c in result.clients],
         "macro_f1": result.macro_f1,
         "macro_auc": result.macro_auc,

@@ -147,6 +147,41 @@ def test_report_without_a_finite_phi_p_prints_na(tmp_path, capsys):
     assert out.splitlines()[1].split() == ["0", "1", "n/a", "n/a", "n/a"]
 
 
+def test_report_skips_a_boundary_with_a_nan_phi_p(tmp_path, capsys):
+    curves = tmp_path / "curves.csv"
+    curves.write_text(
+        "epoch,client,phase,ce_loss,kl_loss,phi_d,phi_p,r,comm_event\n"
+        "1,0,-,0.5,0.0,nan,nan,0.35,1\n"
+        "2,0,-,0.5,0.0,nan,0.4,0.35,0\n"
+    )
+    assert main(["report", "--curves", str(curves)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[1].split() == ["0", "2", "0.4000", "0.4000", "n/a"]
+
+
+def test_run_with_a_single_class_test_split_is_a_data_error(tmp_path, capsys):
+    # at this scale and seed, client 1's test split holds only class 0
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        "strategy = FEDAVG\nlocal_epochs = 1\ntotal_epochs = 2\ndata_scale = 0.02\nseed = 7\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 3
+    _single_error_line(capsys, "data error: client 1's test split holds 1 of 3 classes")
+    assert not out.exists()
+
+
+def test_run_writes_the_same_bytes_in_any_directory(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("strategy = PFA_DET\nlocal_epochs = 1\ntotal_epochs = 2\nseed = 4\n")
+    outs = [tmp_path / "a", tmp_path / "elsewhere" / "b"]
+    for out in outs:
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    for name in ("results.json", "curves.csv", "best_client_0.ckpt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def _eval_file(tmp_path, features, labels):
     n = len(labels)
     client = ClientData(

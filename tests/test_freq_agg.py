@@ -5,7 +5,6 @@ from fedfreq.freq_agg import (
     FEDAVG,
     PFA,
     AggregationRequest,
-    ConvShape,
     ScheduleParams,
     fedavg_aggregate,
     low_freq_mask,
@@ -14,6 +13,8 @@ from fedfreq.freq_agg import (
     schedule_r,
     unreshape_conv,
 )
+from fedfreq.model import MODEL_SPECS, init_params
+from fedfreq.numerics import AmpPhase, amp_phase, dft2, idft2, recompose
 from helpers import direct_dft2, oracle_mask
 
 
@@ -53,8 +54,8 @@ def test_reshape_bijective_by_exhaustion():
 def test_unreshape_inverts_reshape():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        shape = ConvShape(*(int(rng.integers(1, 5)) for _ in range(4)))
-        w = rng.standard_normal(tuple(shape))
+        shape = tuple(int(rng.integers(1, 5)) for _ in range(4))
+        w = rng.standard_normal(shape)
         assert np.array_equal(unreshape_conv(reshape_conv(w), shape), w)
 
 
@@ -62,7 +63,19 @@ def test_reshape_errors():
     with pytest.raises(ValueError):
         reshape_conv(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
-        unreshape_conv(np.zeros((4, 4)), ConvShape(2, 2, 2, 3))
+        unreshape_conv(np.zeros((4, 4)), (2, 2, 2, 3))
+
+
+def test_stacked_reshape_matches_per_kernel():
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        kernel = tuple(int(rng.integers(1, 5)) for _ in range(4))
+        stack = rng.standard_normal((int(rng.integers(1, 5)), *kernel))
+        mats = reshape_conv(stack)
+        assert np.array_equal(mats, np.stack([reshape_conv(w) for w in stack]))
+        back = unreshape_conv(mats, kernel)
+        assert np.array_equal(back, np.stack([unreshape_conv(m, kernel) for m in mats]))
+        assert np.array_equal(back, stack)
 
 
 # --- low-frequency mask ---------------------------------------------------------
@@ -313,6 +326,38 @@ def test_pfa_commutes_with_client_order():
         for i, j in enumerate(perm):
             for name in maps[0]:
                 np.testing.assert_allclose(permuted[i][name], outputs[j][name], rtol=0, atol=1e-12)
+
+
+def _per_client_reference(maps, r):
+    """PFA written client by client with 2-D ``numerics`` calls."""
+    outputs = [{} for _ in maps]
+    for name in maps[0]:
+        tensors = [np.asarray(m[name], dtype=np.float64) for m in maps]
+        conv = tensors[0].ndim == 4
+        if tensors[0].ndim == 1:
+            for out in outputs:
+                out[name] = np.mean(tensors, axis=0)
+            continue
+        mats = [reshape_conv(t) if conv else t for t in tensors]
+        mask = low_freq_mask(*mats[0].shape, r)
+        spectra = [amp_phase(dft2(m)) for m in mats]
+        mean_amp = np.mean([s.amplitude for s in spectra], axis=0)
+        for out, s in zip(outputs, spectra):
+            fused, _ = idft2(recompose(AmpPhase(np.where(mask, mean_amp, s.amplitude), s.phase)))
+            out[name] = unreshape_conv(fused, tensors[0].shape) if conv else fused
+    return outputs
+
+
+@pytest.mark.parametrize("model_id", ["mlp32", "conv4x8"])
+def test_pfa_stack_matches_per_client_reference_bit_for_bit(model_id):
+    spec = MODEL_SPECS[model_id]
+    maps = [init_params(spec, [seed, 1]) for seed in range(4)]
+    for r in (0.05, 0.2, 0.35, 0.48):
+        outputs = pfa_aggregate(AggregationRequest(maps, r=r, strategy=PFA))
+        for out, ref in zip(outputs, _per_client_reference(maps, r)):
+            assert sorted(out) == sorted(ref)
+            for name in ref:
+                assert np.array_equal(out[name], ref[name]), (model_id, r, name)
 
 
 def test_pfa_outputs_are_real_float():

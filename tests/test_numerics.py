@@ -146,3 +146,32 @@ def test_linearity():
         lhs = dft2(a * x + b * y)
         rhs = a * dft2(x) + b * dft2(y)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+# --- stacks of matrices --------------------------------------------------------
+
+
+def test_dft2_and_idft2_on_a_stack_match_per_matrix_calls():
+    rng = np.random.default_rng(17)
+    for shape in [(4, 8, 6), (1, 5, 5), (3, 1, 7), (2, 3, 4, 4)]:
+        stack = rng.standard_normal(shape)
+        f = dft2(stack)
+        mats = stack.reshape(-1, *shape[-2:])
+        assert np.array_equal(f, np.stack([dft2(m) for m in mats]).reshape(f.shape))
+        back, residue = idft2(f)
+        per_matrix = [idft2(dft2(m)) for m in mats]
+        assert np.array_equal(back, np.stack([b for b, _ in per_matrix]).reshape(shape))
+        assert residue == max(r for _, r in per_matrix)
+
+
+def test_idft2_holds_each_matrix_of_a_stack_to_its_own_amplitude():
+    rng = np.random.default_rng(19)
+    large = dft2(1e8 * rng.standard_normal((4, 4)))  # Hermitian, amplitudes near 1e9
+    small = np.zeros((4, 4), dtype=complex)
+    small[1, 0] = 1.0  # unit amplitude, conjugate partner at (3, 0) missing
+    idft2(large)
+    with pytest.raises(SymmetryViolationError):
+        idft2(small)
+    # a bound taken over the whole stack (1e-6 * 1e9) would let this stack pass
+    with pytest.raises(SymmetryViolationError, match="in matrix 1"):
+        idft2(np.stack([large, small]))

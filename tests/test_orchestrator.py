@@ -252,6 +252,31 @@ def test_mean_boundary_change_computation():
     assert abs(mean_boundary_change(result.rows, 0) - manual) < 1e-15
 
 
+def test_mean_boundary_change_skips_a_boundary_with_a_nan_phi_p():
+    def row(epoch, phi_p, comm_event):
+        return orchestrator.RoundRow(epoch, 0, "-", 0.5, 0.0, np.nan, phi_p, 0.35, comm_event)
+
+    rows = [row(1, np.nan, 1), row(2, 0.4, 0), row(3, 0.5, 1), row(4, 0.25, 0)]
+    assert mean_boundary_change(rows, 0) == 0.25 - 0.5
+    with pytest.raises(ValueError):
+        mean_boundary_change(rows[:2], 0)
+
+
+def test_single_class_held_out_cohort_fails_before_training(monkeypatch):
+    def one_class_cohort(profiles, seed):
+        cohort = ood_client(profiles, seed)
+        cohort.labels = np.zeros_like(cohort.labels)
+        return cohort
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the data check")
+
+    monkeypatch.setattr(orchestrator, "ood_client", one_class_cohort)
+    monkeypatch.setattr(orchestrator, "local_epoch", no_training)
+    with pytest.raises(DataError, match="the held-out cohort's test split holds 1 of 3 classes"):
+        run_experiment(small_cfg())
+
+
 def test_emit_report_files(tmp_path):
     cfg = small_cfg(total_epochs=10)
     result = run_experiment(cfg)

@@ -13,9 +13,6 @@ Usage, comparing two checkouts::
     diff before.txt after.txt
 
 Each run writes into a scratch directory that is deleted afterwards.
-``results.json`` echoes the output directory in its config; the digest is
-taken with that value blanked to ``""`` (the config default), so it does
-not depend on where the tool runs.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -59,10 +55,6 @@ def run_digests(strategy: str, local_epochs: int, total_epochs: int) -> tuple[st
             raise SystemExit(f"{strategy} E={local_epochs} T={total_epochs}: exit code {rc}")
         names = ["curves.csv", *(f"best_client_{i}.ckpt" for i in range(CLIENTS))]
         results = (out / "results.json").read_bytes()
-        echoed = f'"out_dir": {json.dumps(str(out))}'.encode()
-        if results.count(echoed) != 1:
-            raise SystemExit(f"{strategy}: results.json does not echo out_dir once")
-        results = results.replace(echoed, b'"out_dir": ""')
         return _digest([(out / n).read_bytes() for n in names]), _digest([results])
 
 
