@@ -5,7 +5,8 @@ experiment from a config file), ``aggregate`` (offline aggregation over
 checkpoint files), ``eval`` (score a checkpoint on a dataset file) and
 ``report`` (summarize a curves.csv log).
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 I/O error,
+5 training diverged (a parameter stopped being finite; ``run`` writes nothing).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from .checkpoint import CorruptCheckpointError, load_checkpoint_full, save_checkpoint
 from .data import DataError, default_profiles, load_client, ood_client, save_client, synth
+from .det import DivergenceError
 from .freq_agg import (
     FEDAVG,
     PFA,
@@ -42,6 +44,7 @@ from .orchestrator import (
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_IO = 4
+EXIT_DIVERGED = 5
 
 
 def _cmd_synth_data(args) -> int:
@@ -193,6 +196,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except DivergenceError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

@@ -23,6 +23,23 @@ whenever a new deputy arrives.  Thresholds are inclusive (``>=``), so
 A client without a deputy (``deputy = None``) runs the baselines:
 aggregates replace ``p``, which trains on cross entropy alone (plus an
 optional FedProx pull); its phase stays RECOVER and ``phi(d)`` logs as NaN.
+
+All clients train together (:func:`train_epoch`).  Each model's parameters
+are stacked along a leading client axis, with the clients sorted once by
+batch count (descending, stable), so the clients that still have a batch at
+index i are a prefix of the stack.  At each batch index every client with a
+batch left makes its deputy step, then its ``p`` step.  The clients of that
+prefix train in groups of neighbours whose batches have the same row count;
+each group is a slice view of the stack, updated in place.  Each phase gives
+a per-client 0/1 distillation mask, and ``p``'s forward pass on a batch
+serves both as the deputy's teacher and as ``p``'s own step.  Every client
+gets exactly the numbers it would get training alone:
+
+- short batches are never zero-padded to a common size: padding changes the
+  rounding (the 32->3 output matmul differs when the row count is not a
+  multiple of 4, and a 1-row batch takes OpenBLAS's matrix-vector path);
+- a 1-row batch trains alone: the conv weight-gradient einsum over a stack
+  of 1-row batches rounds differently from the same einsum on one client.
 """
 
 from __future__ import annotations
@@ -48,6 +65,10 @@ from .model import (
     predict_probs,
     sgd_step,
 )
+
+
+class DivergenceError(ArithmeticError):
+    """A model's parameters stopped being finite during local training."""
 
 
 class DetPhase(IntEnum):
@@ -120,34 +141,6 @@ def upload_model(state: ClientState) -> NamedTensorMap:
     return clone_params(state.personalized)
 
 
-def train_step(
-    params: NamedTensorMap,
-    opt: OptimizerState,
-    spec: ModelSpec,
-    batch: Batch,
-    teacher: NamedTensorMap | None = None,
-    prox: tuple[float, NamedTensorMap] | None = None,
-) -> tuple[NamedTensorMap, float, float]:
-    """One SGD step on CE; returns (new params, CE, KL).
-
-    With ``teacher`` the step adds a distillation pull toward the teacher's
-    predictions (KL is 0.0 without one).  With ``prox = (mu, anchor)`` it adds
-    the FedProx gradient ``mu * (w - anchor)``.
-    """
-    probs, cache = forward(params, spec, batch)
-    ce, dlogits = ce_loss(probs, batch.labels)
-    kl = 0.0
-    if teacher is not None:
-        teacher_probs, _ = forward(teacher, spec, batch)
-        kl, dkl_student = kl_div(probs, teacher_probs)
-        dlogits = dlogits + dkl_student
-    grads = backward(cache, dlogits)
-    if prox is not None:
-        mu, anchor = prox
-        grads = {k: g + mu * (params[k] - anchor[k]) for k, g in grads.items()}
-    return sgd_step(params, grads, opt), ce, kl
-
-
 def local_epoch(
     state: ClientState,
     spec: ModelSpec,
@@ -156,46 +149,131 @@ def local_epoch(
     cfg: DetConfig,
     prox: tuple[float, NamedTensorMap] | None = None,
 ) -> EpochLog:
-    """One local training epoch under the current phase, then re-evaluate.
+    """One client's epoch: :func:`train_epoch` over a stack of one."""
+    batches = [(b.inputs, b.labels) for b in train]
+    prox_all = None if prox is None else (prox[0], [prox[1]])
+    return train_epoch([state], spec, [batches], [val], cfg, prox_all)[0]
 
-    Per batch the deputy updates first and each model's distillation
-    teacher is the other model's current parameters; ``prox`` applies to
-    ``p``.  After the pass both models are scored on the validation split
-    (macro F1) and the phase transition rule is applied; without a deputy
-    only ``p`` trains and is scored.  Raises ValueError on an empty stream.
+
+def train_epoch(
+    states: list[ClientState],
+    spec: ModelSpec,
+    train: list[list[tuple[np.ndarray, np.ndarray]]],
+    vals: list[tuple[np.ndarray, np.ndarray]],
+    cfg: DetConfig,
+    prox: tuple[float, list[NamedTensorMap]] | None = None,
+) -> list[EpochLog]:
+    """One local epoch for every client at once, then re-evaluate each.
+
+    ``train[j]`` is client j's list of ``(inputs, labels)`` batches and
+    ``vals[j]`` its validation split; ``prox = (mu, anchors)`` pulls each
+    personalized model toward its own anchor.  Each model's phase decides
+    its distillation (see the module docstring).  After the pass every
+    parameter must be finite, else :class:`DivergenceError`; then both models
+    are scored on the validation split (macro F1) and the phase transition
+    rule is applied.  Without deputies only ``p`` trains and is scored.
+    Raises ValueError on an empty batch list, on a mix of clients with and
+    without a deputy, or on clients whose learning rates differ.
     """
-    batches = list(train)
-    if not batches:
+    if any(not batches for batches in train):
         raise ValueError("training set is empty")
-    has_deputy = state.deputy is not None
-    # RECOVER: d learns from p; EXCHANGE: each from the other; SUBLIMATE: p from d
-    deputy_distils = state.phase < DetPhase.SUBLIMATE
-    personal_distils = state.phase > DetPhase.RECOVER
-    ce_sum = kl_sum = 0.0
-    for batch in batches:
-        if has_deputy:
-            teacher = state.personalized if deputy_distils else None
-            state.deputy, _, _ = train_step(state.deputy, state.opt, spec, batch, teacher)
-        teacher = state.deputy if personal_distils else None
-        state.personalized, ce, kl = train_step(
-            state.personalized, state.opt, spec, batch, teacher, prox
-        )
-        ce_sum += ce
-        kl_sum += kl
+    has_deputy = states[0].deputy is not None
+    if any((s.deputy is not None) != has_deputy for s in states):
+        raise ValueError("either every client trained together has a deputy or none has")
+    opt = states[0].opt
+    if any(s.opt.lr != opt.lr for s in states):
+        raise ValueError("clients trained together must share one learning rate")
 
-    phi_p = validation_f1(state.personalized, spec, *val)
-    phi_d = float("nan")
-    if has_deputy:
-        phi_d = validation_f1(state.deputy, spec, *val)
-        state.phase = det_phase_transition(phi_d, phi_p, cfg, state.phase)
-    state.opt.epoch += 1
-    return EpochLog(
-        ce_loss=ce_sum / len(batches),
-        kl_loss=kl_sum / len(batches),
-        phi_d=phi_d,
-        phi_p=phi_p,
-        phase=state.phase,
-    )
+    order = sorted(range(len(states)), key=lambda j: -len(train[j]))  # stable
+    p = _stack([states[j].personalized for j in order])
+    d = _stack([states[j].deputy for j in order]) if has_deputy else None
+    anchor = None if prox is None else _stack([prox[1][j] for j in order])
+    phases = np.array([states[j].phase for j in order])
+    # RECOVER: d learns from p; EXCHANGE: each from the other; SUBLIMATE: p from d
+    deputy_distils = phases < DetPhase.SUBLIMATE
+    personal_distils = (phases > DetPhase.RECOVER) & has_deputy
+    ce_sum, kl_sum = np.zeros(len(order)), np.zeros(len(order))
+    for i in range(len(train[order[0]])):
+        sizes = [len(train[j][i][1]) for j in order if len(train[j]) > i]
+        for a, b in _groups(sizes):
+            x = np.stack([train[j][i][0] for j in order[a:b]])
+            y = np.stack([train[j][i][1] for j in order[a:b]])
+            pg = {k: v[a:b] for k, v in p.items()}
+            p_probs, p_cache = forward(pg, spec, x)
+            teacher_probs = None
+            if has_deputy:
+                dg = {k: v[a:b] for k, v in d.items()}
+                d_probs, d_cache = forward(dg, spec, x)
+                _step(dg, d_cache, d_probs, y, p_probs, deputy_distils[a:b], opt)
+                if personal_distils[a:b].any():
+                    teacher_probs, _ = forward(dg, spec, x)
+            pull = None if prox is None else (prox[0], {k: v[a:b] for k, v in anchor.items()})
+            ce, kl = _step(pg, p_cache, p_probs, y, teacher_probs, personal_distils[a:b], opt, pull)
+            ce_sum[a:b] += ce
+            kl_sum[a:b] += kl
+
+    models = {"personalized": p, "deputy": d} if has_deputy else {"personalized": p}
+    for name, stack in models.items():
+        for key, v in stack.items():
+            if not np.isfinite(v).all():
+                j = min(j for s, j in enumerate(order) if not np.isfinite(v[s]).all())
+                raise DivergenceError(
+                    f"client {j} diverged in epoch {states[j].opt.epoch + 1}: "
+                    f"{name} tensor {key!r} is not finite"
+                )
+
+    rank = {j: s for s, j in enumerate(order)}
+    logs = []
+    for j, state in enumerate(states):
+        s = rank[j]
+        state.personalized = {k: v[s] for k, v in p.items()}
+        phi_p = validation_f1(state.personalized, spec, *vals[j])
+        phi_d = float("nan")
+        if has_deputy:
+            state.deputy = {k: v[s] for k, v in d.items()}
+            phi_d = validation_f1(state.deputy, spec, *vals[j])
+            state.phase = det_phase_transition(phi_d, phi_p, cfg, state.phase)
+        state.opt.epoch += 1
+        n = len(train[j])
+        logs.append(EpochLog(float(ce_sum[s] / n), float(kl_sum[s] / n), phi_d, phi_p, state.phase))
+    return logs
+
+
+def _stack(maps: list[NamedTensorMap]) -> NamedTensorMap:
+    return {k: np.stack([m[k] for m in maps]) for k in maps[0]}
+
+
+def _groups(sizes: list[int]):
+    """Slices ``(a, b)`` of neighbouring clients whose batches share a row count.
+
+    A 1-row batch makes a group of its own (see the module docstring).
+    """
+    a = 0
+    for b in range(1, len(sizes) + 1):
+        if b == len(sizes) or sizes[b] != sizes[a] or sizes[a] == 1:
+            yield a, b
+            a = b
+
+
+def _step(params, cache, probs, labels, teacher_probs, distils, opt, prox=None):
+    """One in-place SGD step on CE for a client stack; returns per-client (CE, KL).
+
+    Clients flagged in ``distils`` add a distillation pull toward
+    ``teacher_probs``; the others log a KL of 0.0.  ``prox = (mu, anchor)``
+    adds the FedProx gradient ``mu * (w - anchor)``.
+    """
+    ce, dlogits = ce_loss(probs, labels)
+    kl = np.zeros(len(distils))
+    if distils.any():
+        kl_all, dkl = kl_div(probs, teacher_probs)
+        dlogits = np.where(distils[:, None, None], dlogits + dkl, dlogits)
+        kl = np.where(distils, kl_all, 0.0)
+    grads = backward(cache, dlogits)
+    if prox is not None:
+        mu, anchor = prox
+        grads = {k: g + mu * (params[k] - anchor[k]) for k, g in grads.items()}
+    sgd_step(params, grads, opt)
+    return ce, kl
 
 
 def validation_f1(

@@ -8,7 +8,10 @@ learning rate halves every ``halving_period`` epochs.
 
 Parameters live in plain ``dict[str, np.ndarray]`` maps ("named tensor
 maps"); names are unique and all iteration that must be deterministic walks
-them in sorted order.
+them in sorted order.  Forward, backward, the losses and SGD are written
+once, over a leading client axis: a map whose tensors are ``(K, ...)``
+stacks holds K clients' models, and each client's numbers come out exactly
+as they would from that client alone.  A plain map is a stack of one.
 """
 
 from __future__ import annotations
@@ -201,64 +204,89 @@ def clone_params(params: NamedTensorMap) -> NamedTensorMap:
 
 @dataclass
 class ForwardCache:
-    """Forward-pass record consumed by :func:`backward`."""
+    """Forward-pass record consumed by :func:`backward`; tensors carry the client axis."""
 
     spec: ModelSpec
     params: NamedTensorMap
+    lifted: bool  # a plain map run as a one-client stack; backward drops the axis again
     inputs: list[np.ndarray] = field(repr=False, default_factory=list)
     probs: np.ndarray | None = field(repr=False, default=None)
 
 
-def forward(params: NamedTensorMap, spec: ModelSpec, batch: Batch) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network; returns (probabilities, cache for backward)."""
-    x = batch.inputs
-    if x.shape[1:] != tuple(spec.input_shape):
-        if int(np.prod(x.shape[1:])) != int(np.prod(spec.input_shape)):
+def _stacked(params: NamedTensorMap, spec: ModelSpec) -> bool:
+    """Whether the tensors carry a leading client axis (read off the first weight)."""
+    for layer, keys in zip(spec.layers, spec.param_keys):
+        if keys is not None:
+            return params[keys[0]].ndim == len(layer.dims) + 1
+    return False
+
+
+def forward(
+    params: NamedTensorMap, spec: ModelSpec, batch: Batch | np.ndarray
+) -> tuple[np.ndarray, ForwardCache]:
+    """Run the network; returns (probabilities, cache for backward).
+
+    Every layer works over a leading client axis: with stacked parameters
+    (each tensor ``(K, ...)``) ``batch`` is an input array ``(K, n, ...)``
+    and client k's rows meet only client k's parameters.  A plain map with a
+    :class:`Batch` or an input array ``(n, ...)`` runs as a one-client stack.
+    """
+    x = batch.inputs if isinstance(batch, Batch) else batch
+    lifted = not _stacked(params, spec)
+    if lifted:
+        params = {k: v[None] for k, v in params.items()}
+        x = x[None]
+    if x.shape[2:] != tuple(spec.input_shape):
+        if int(np.prod(x.shape[2:])) != int(np.prod(spec.input_shape)):
             raise ValueError(
-                f"batch shape {x.shape[1:]} incompatible with input {spec.input_shape}"
+                f"batch shape {x.shape[2:]} incompatible with input {spec.input_shape}"
             )
-        x = x.reshape(x.shape[0], *spec.input_shape)
-    cache = ForwardCache(spec=spec, params=params)
+        x = x.reshape(*x.shape[:2], *spec.input_shape)
+    cache = ForwardCache(spec=spec, params=params, lifted=lifted)
     for layer, keys in zip(spec.layers, spec.param_keys):
         cache.inputs.append(x)
         if layer.kind == "dense":
-            x = x @ params[keys[0]] + params[keys[1]]
+            x = x @ params[keys[0]] + params[keys[1]][:, None, :]
         elif layer.kind == "conv2d":
             x = _conv2d_forward(x, params[keys[0]], params[keys[1]])
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         elif layer.kind == "flatten":
-            x = x.reshape(x.shape[0], -1)
+            x = x.reshape(*x.shape[:2], -1)
         else:  # softmax_output
-            z = x - x.max(axis=1, keepdims=True)
+            z = x - x.max(axis=-1, keepdims=True)
             e = np.exp(z)
-            x = e / e.sum(axis=1, keepdims=True)
+            x = e / e.sum(axis=-1, keepdims=True)
     cache.probs = x
-    return x, cache
+    return (x[0] if lifted else x), cache
 
 
 def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     # valid convolution, stride 1: accumulate one shifted product per kernel tap
-    _, c_in, kh, kw = w.shape
-    hh = x.shape[2] - kh + 1
-    ww = x.shape[3] - kw + 1
-    out = np.zeros((x.shape[0], w.shape[0], hh, ww))
+    kh, kw = w.shape[3:]
+    hh = x.shape[3] - kh + 1
+    ww = x.shape[4] - kw + 1
+    out = np.zeros((*x.shape[:2], w.shape[1], hh, ww))
     for i in range(kh):
         for j in range(kw):
-            out += np.einsum("bchw,oc->bohw", x[:, :, i : i + hh, j : j + ww], w[:, :, i, j])
-    return out + b[None, :, None, None]
+            out += np.einsum(
+                "kbchw,koc->kbohw", x[:, :, :, i : i + hh, j : j + ww], w[:, :, :, i, j]
+            )
+    return out + b[:, None, :, None, None]
 
 
 def backward(cache: ForwardCache, dlogits: np.ndarray) -> NamedTensorMap:
     """Backpropagate a gradient w.r.t. the final logits through the network.
 
-    Returns a gradient map with exactly the trainable parameter keys.
-    Raises ValueError if the cache is incomplete or the gradient shape does
-    not match the cached output.
+    Returns a gradient map with exactly the trainable parameter keys, stacked
+    like the parameters the cache was made with.  Raises ValueError if the
+    cache is incomplete or the gradient shape does not match the cached output.
     """
     if cache.probs is None or len(cache.inputs) != len(cache.spec.layers):
         raise ValueError("stale or incomplete forward cache")
     dlogits = np.asarray(dlogits, dtype=np.float64)
+    if cache.lifted:
+        dlogits = dlogits[None]
     if dlogits.shape != cache.probs.shape:
         raise ValueError(
             f"gradient shape {dlogits.shape} != output shape {cache.probs.shape}"
@@ -266,91 +294,102 @@ def backward(cache: ForwardCache, dlogits: np.ndarray) -> NamedTensorMap:
     spec = cache.spec
     grads: NamedTensorMap = {}
     dx = dlogits
-    for i in range(len(spec.layers) - 1, -1, -1):
+    # no gradient is needed below the lowest layer with parameters
+    lowest = min(i for i, keys in enumerate(spec.param_keys) if keys is not None)
+    for i in range(len(spec.layers) - 1, lowest - 1, -1):
         layer, keys, x = spec.layers[i], spec.param_keys[i], cache.inputs[i]
         if layer.kind == "softmax_output":
             continue  # losses already differentiate through the softmax
         if layer.kind == "dense":
             w_key, b_key = keys
-            grads[w_key] = x.T @ dx
-            grads[b_key] = dx.sum(axis=0)
-            dx = dx @ cache.params[w_key].T
+            grads[w_key] = x.transpose(0, 2, 1) @ dx
+            grads[b_key] = dx.sum(axis=1)
+            if i > lowest:
+                dx = dx @ cache.params[w_key].transpose(0, 2, 1)
         elif layer.kind == "conv2d":
             w_key, b_key = keys
-            grads[w_key], grads[b_key], dx = _conv2d_backward(x, cache.params[w_key], dx)
+            grads[w_key], grads[b_key], dx = _conv2d_backward(x, cache.params[w_key], dx, i > lowest)
         elif layer.kind == "relu":
             dx = dx * (x > 0.0)
         else:  # flatten
             dx = dx.reshape(x.shape)
+    if cache.lifted:
+        return {k: g[0] for k, g in grads.items()}
     return grads
 
 
-def _conv2d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray):
-    _, c_in, kh, kw = w.shape
-    hh, ww = dout.shape[2], dout.shape[3]
+def _conv2d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray, want_dx: bool):
+    kh, kw = w.shape[3:]
+    hh, ww = dout.shape[3], dout.shape[4]
     dw = np.zeros_like(w)
-    dx = np.zeros_like(x)
+    dx = np.zeros_like(x) if want_dx else None
     for i in range(kh):
         for j in range(kw):
-            window = x[:, :, i : i + hh, j : j + ww]
-            dw[:, :, i, j] = np.einsum("bohw,bchw->oc", dout, window)
-            dx[:, :, i : i + hh, j : j + ww] += np.einsum(
-                "bohw,oc->bchw", dout, w[:, :, i, j]
-            )
-    db = dout.sum(axis=(0, 2, 3))
+            window = x[:, :, :, i : i + hh, j : j + ww]
+            dw[:, :, :, i, j] = np.einsum("kbohw,kbchw->koc", dout, window)
+            if want_dx:
+                dx[:, :, :, i : i + hh, j : j + ww] += np.einsum(
+                    "kbohw,koc->kbchw", dout, w[:, :, :, i, j]
+                )
+    db = dout.sum(axis=(1, 3, 4))
     return dw, db, dx
 
 
-def ce_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross entropy and its gradient w.r.t. the logits.
+def ce_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross entropy over the rows and its gradient w.r.t. the logits.
 
-    Probabilities are clamped below at ``PROB_FLOOR`` before the log.
+    Takes ``(n, classes)`` probabilities with ``(n,)`` labels, or a client
+    stack ``(K, n, classes)`` with ``(K, n)`` labels and then returns one
+    loss per client.  Probabilities are clamped below at ``PROB_FLOOR``
+    before the log.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    n = probs.shape[0]
-    picked = np.clip(probs[np.arange(n), labels], PROB_FLOOR, None)
-    loss = float(np.mean(-np.log(picked)))
-    dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
-    return loss, dlogits / n
+    n = probs.shape[-2]
+    dlogits = probs.reshape(-1, probs.shape[-1]).copy()  # one row per (client, sample)
+    rows = np.arange(dlogits.shape[0])
+    picked = dlogits[rows, labels.ravel()]
+    loss = (-np.log(np.maximum(picked, PROB_FLOOR))).reshape(labels.shape).sum(axis=-1) / n
+    dlogits[rows, labels.ravel()] -= 1.0
+    return (float(loss) if loss.ndim == 0 else loss), dlogits.reshape(probs.shape) / n
 
 
-def kl_div(p_probs: np.ndarray, q_probs: np.ndarray) -> tuple[float, np.ndarray]:
+def kl_div(p_probs: np.ndarray, q_probs: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean KL divergence ``sum p*log(p/q)`` over a batch of probability rows.
 
     Returns ``(value, dlogits_p)``: the gradient w.r.t. the logits behind the
     student ``p``.  The teacher's distribution ``q`` is treated as constant.
+    Like :func:`ce_loss`, a client stack gives one value per client.
     """
     p = np.asarray(p_probs, dtype=np.float64)
     q = np.asarray(q_probs, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    n = p.shape[0]
-    pc = np.clip(p, PROB_FLOOR, None)
-    qc = np.clip(q, PROB_FLOOR, None)
-    log_ratio = np.log(pc / qc)
-    row_kl = (pc * log_ratio).sum(axis=1)
-    value = float(np.mean(row_kl))
-    dlogits_p = p * (log_ratio - row_kl[:, None]) / n
-    return value, dlogits_p
+    n = p.shape[-2]
+    pc = np.maximum(p, PROB_FLOOR)
+    log_ratio = np.log(pc / np.maximum(q, PROB_FLOOR))
+    row_kl = (pc * log_ratio).sum(axis=-1)
+    value = row_kl.sum(axis=-1) / n
+    dlogits_p = p * (log_ratio - row_kl[..., None]) / n
+    return (float(value) if value.ndim == 0 else value), dlogits_p
 
 
 def sgd_step(params: NamedTensorMap, grads: NamedTensorMap, opt: OptimizerState) -> NamedTensorMap:
-    """One SGD update ``params - lr(epoch) * grads``; returns a new map."""
+    """One SGD update ``params -= lr(epoch) * grads``, in place; returns ``params``.
+
+    In place, so a map of views into a client stack updates the stack.
+    """
     if params.keys() != grads.keys():
         raise ValueError("gradient map keys do not match parameter map keys")
-    lr = opt.lr
-    out: NamedTensorMap = {}
     for k, w in params.items():
         if w.shape != grads[k].shape:
             raise ValueError(f"shape mismatch for {k!r}")
-        out[k] = w - lr * grads[k]
-    return out
+    lr = opt.lr
+    for k, w in params.items():
+        w -= lr * grads[k]
+    return params
 
 
 def predict_probs(params: NamedTensorMap, spec: ModelSpec, inputs: np.ndarray) -> np.ndarray:
-    """Class probabilities for a full array of inputs (labels unused)."""
-    batch = Batch(inputs=inputs, labels=np.zeros(len(inputs), dtype=np.int64))
-    probs, _ = forward(params, spec, batch)
-    return probs
+    """Class probabilities for a full array of inputs."""
+    return forward(params, spec, np.asarray(inputs, dtype=np.float64))[0]

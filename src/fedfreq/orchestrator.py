@@ -16,7 +16,8 @@ and pushes the result back down.  Each strategy name is a row of
   toward the last delivered model (``FEDPROX``).
 
 Every client is a ``det.ClientState`` (without a deputy under a replacing
-strategy) trained by ``det.local_epoch``.  Every client/epoch produces one
+strategy).  Rounds run epoch by epoch, and each epoch trains all clients
+together with one ``det.train_epoch`` call.  Every client/epoch produces one
 log row (losses, validation scores, phase, communication flag), which is
 enough to plot the post-communication performance drop and its absence
 under the deputy scheme.  Deployed-model selection is by best validation
@@ -25,8 +26,8 @@ model for LOCAL_ONLY/PFA_ONLY, and the aggregated global model (no
 personalization) for FEDAVG/FEDPROX.
 
 Runs are deterministic for a fixed config: every client draws from RNG
-streams keyed by (experiment seed, profile seed), and within a round the
-clients train one after another.
+streams keyed by (experiment seed, profile seed), and each client's numbers
+are exactly those it would get training alone.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .data import ClientData, ClientProfile, DataError, default_profiles, ood_cl
 from .det import (
     ClientState,
     DetConfig,
-    local_epoch,
     receive_deputy,
+    train_epoch,
     upload_model,
     validation_f1,
 )
@@ -60,7 +61,6 @@ from .freq_agg import (
 from .metrics import evaluate
 from .model import (
     MODEL_SPECS,
-    Batch,
     ModelSpec,
     NamedTensorMap,
     OptimizerState,
@@ -153,7 +153,7 @@ class ExperimentConfig:
         if not 0.0 < self.data_scale <= 1.0:
             raise ConfigError("data_scale must lie in (0, 1]")
         if self.workers != 1:
-            raise ConfigError(f"workers must be 1 (clients train serially), got {self.workers}")
+            raise ConfigError(f"workers must be 1 (one process trains every client), got {self.workers}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
@@ -248,16 +248,8 @@ class _Runtime:
     best_params: NamedTensorMap | None = None
 
 
-def _make_batches(x, y, batch_size: int, rng: np.random.Generator) -> list[Batch]:
-    perm = rng.permutation(len(y))
-    return [
-        Batch(inputs=x[perm[i : i + batch_size]], labels=y[perm[i : i + batch_size]])
-        for i in range(0, len(y), batch_size)
-    ]
-
-
 def _train_round(
-    rt: _Runtime,
+    runtimes: list[_Runtime],
     rnd: int,
     spec: ModelSpec,
     cfg: ExperimentConfig,
@@ -265,26 +257,44 @@ def _train_round(
     schedule: ScheduleParams,
     det_cfg: DetConfig,
 ) -> list[RoundRow]:
-    """Train one client for the ``local_epochs`` epochs of round ``rnd``; returns its rows."""
-    x, y = rt.data.train_xy()
-    if len(y) == 0:
-        raise DataError(f"client {rt.index} has an empty training split")
-    val_x, val_y = rt.data.val_xy()
-    prox = (cfg.prox_mu, rt.anchor) if strategy.prox and cfg.prox_mu > 0.0 else None
+    """Train all clients together for the ``local_epochs`` epochs of round ``rnd``.
+
+    Returns the round's rows, ordered by (epoch, client).
+    """
+    train = [rt.data.train_xy() for rt in runtimes]
+    for rt, (_, y) in zip(runtimes, train):
+        if len(y) == 0:
+            raise DataError(f"client {rt.index} has an empty training split")
+    vals = [rt.data.val_xy() for rt in runtimes]
+    pull = strategy.prox and cfg.prox_mu > 0.0
+    prox = (cfg.prox_mu, [rt.anchor for rt in runtimes]) if pull else None
+    states = [rt.state for rt in runtimes]
     rows = []
     for e in range(cfg.local_epochs):
         epoch = rnd * cfg.local_epochs + e + 1
-        batches = _make_batches(x, y, cfg.batch_size, rt.shuffle_rng)
-        log = local_epoch(rt.state, spec, batches, (val_x, val_y), det_cfg, prox)
-        phase = log.phase.name if strategy.deputy else "-"
-        logged = (phase, log.ce_loss, log.kl_loss, log.phi_d, log.phi_p)
+        batches = [
+            _shuffled_batches(x, y, cfg.batch_size, rt.shuffle_rng)
+            for rt, (x, y) in zip(runtimes, train)
+        ]
+        logs = train_epoch(states, spec, batches, vals, det_cfg, prox)
+        r = schedule_r(epoch, schedule)
         comm_event = int(strategy.aggregator is not None and e == cfg.local_epochs - 1)
-        rows.append(RoundRow(epoch, rt.index, *logged, schedule_r(epoch, schedule), comm_event))
-        # a strategy deploying the global model snapshots it at communication
-        # points instead (see _communicate)
-        if not strategy.deploys_global:
-            _keep_if_best(rt, log.phi_p, rt.state.personalized, epoch)
+        for rt, log in zip(runtimes, logs):
+            phase = log.phase.name if strategy.deputy else "-"
+            logged = (phase, log.ce_loss, log.kl_loss, log.phi_d, log.phi_p)
+            rows.append(RoundRow(epoch, rt.index, *logged, r, comm_event))
+            # a strategy deploying the global model snapshots it at communication
+            # points instead (see _communicate)
+            if not strategy.deploys_global:
+                _keep_if_best(rt, log.phi_p, rt.state.personalized, epoch)
     return rows
+
+
+def _shuffled_batches(x, y, batch_size: int, rng: np.random.Generator) -> list[tuple]:
+    """One epoch's ``(inputs, labels)`` batches in a fresh random order."""
+    perm = rng.permutation(len(y))
+    x, y = x[perm], y[perm]
+    return [(x[i : i + batch_size], y[i : i + batch_size]) for i in range(0, len(y), batch_size)]
 
 
 def _keep_if_best(rt: _Runtime, val: float, params: NamedTensorMap, epoch: int) -> None:
@@ -349,12 +359,7 @@ def run_experiment(
 
     rows: list[RoundRow] = []
     for rnd in range(cfg.total_epochs // cfg.local_epochs):
-        trained = [
-            row
-            for rt in runtimes
-            for row in _train_round(rt, rnd, spec, cfg, strategy, schedule, det_cfg)
-        ]
-        rows += sorted(trained, key=lambda row: (row.epoch, row.client))
+        rows += _train_round(runtimes, rnd, spec, cfg, strategy, schedule, det_cfg)
         if strategy.aggregator is not None:
             t_comm = (rnd + 1) * cfg.local_epochs
             _communicate(runtimes, spec, strategy, schedule_r(t_comm, schedule), t_comm)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from fedfreq.checkpoint import load_checkpoint_full, save_checkpoint
 from fedfreq.cli import main
@@ -169,6 +170,23 @@ def test_run_with_a_single_class_test_split_is_a_data_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 3
     _single_error_line(capsys, "data error: client 1's test split holds 1 of 3 classes")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy", ["PFA_DET", "FEDAVG"])
+def test_run_that_diverges_exits_5_and_writes_nothing(tmp_path, capsys, strategy):
+    # at this learning rate the weights overflow in the first epoch after the
+    # first aggregation; PFA_DET once died in the FFT, FEDAVG once exited 0
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        f"strategy = {strategy}\nlocal_epochs = 5\ntotal_epochs = 20\nbase_lr = 1000\nseed = 0\n"
+    )
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("training diverged: client ") and err.count("\n") == 1, err
+    assert " diverged in epoch 6: " in err and "is not finite" in err, err
     assert not out.exists()
 
 

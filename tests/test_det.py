@@ -1,18 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedfreq.det import (
     ClientState,
     DetConfig,
     DetPhase,
+    DivergenceError,
     det_phase_transition,
     local_epoch,
     receive_deputy,
-    train_step,
+    train_epoch,
     upload_model,
     validation_f1,
 )
-from fedfreq.model import Batch, OptimizerState, clone_params, init_params, mlp_spec
+from fedfreq.model import (
+    MODEL_SPECS,
+    Batch,
+    OptimizerState,
+    backward,
+    ce_loss,
+    clone_params,
+    forward,
+    init_params,
+    mlp_spec,
+    sgd_step,
+)
 
 CFG = DetConfig(0.7, 0.9)
 SPEC = mlp_spec(input_dim=6)
@@ -164,12 +178,15 @@ def test_p_bit_stable_across_repeated_receives():
 
 
 def test_kl_is_zero_when_deputy_equals_p():
-    state = make_state()
+    # at zero learning rate the deputy stays equal to p, so p's distillation
+    # pull in EXCHANGE compares two identical distributions on every batch
+    state = make_state(base_lr=0.0)
+    state.phase = DetPhase.EXCHANGE
     rng = np.random.default_rng(0)
     x, y = make_data(rng)
-    batch = batches_of(x, y)[0]
-    _, _, kl = train_step(state.deputy, state.opt, SPEC, batch, teacher=state.personalized)
-    assert kl == 0.0
+    log = local_epoch(state, SPEC, batches_of(x, y), (x, y), CFG)
+    assert log.kl_loss == 0.0
+    assert log.ce_loss > 0.0
 
 
 def test_local_epoch_empty_stream_raises():
@@ -233,8 +250,6 @@ def test_sublimate_trains_deputy_with_ce_only():
     batches = batches_of(x, y)
     expected = clone_params(state.deputy)
     expected_opt = OptimizerState(base_lr=1e-2)
-    from fedfreq.model import backward, ce_loss, forward, sgd_step
-
     for batch in batches:
         probs, cache = forward(expected, SPEC, batch)
         _, dlogits = ce_loss(probs, batch.labels)
@@ -258,12 +273,15 @@ def test_local_epoch_without_deputy_matches_manual_prox_loop():
     batches = batches_of(x, y)
 
     expected, unpulled = clone_params(params), clone_params(params)
-    expected_opt, plain_opt = OptimizerState(base_lr=5e-2), OptimizerState(base_lr=5e-2)
+    opt = OptimizerState(base_lr=5e-2)
     ces = []
     for batch in batches:
-        expected, ce, _ = train_step(expected, expected_opt, SPEC, batch, prox=prox)
-        unpulled, _, _ = train_step(unpulled, plain_opt, SPEC, batch)
-        ces.append(ce)
+        for model, mu in ((unpulled, 0.0), (expected, 0.5)):
+            probs, cache = forward(model, SPEC, batch)
+            ce, dlogits = ce_loss(probs, batch.labels)
+            grads = {k: g + mu * (model[k] - anchor[k]) for k, g in backward(cache, dlogits).items()}
+            sgd_step(model, grads, opt)
+        ces.append(ce)  # the pulled model's, stepped last
 
     log = local_epoch(state, SPEC, batches, (x, y), CFG, prox)
     for k in expected:
@@ -276,3 +294,211 @@ def test_local_epoch_without_deputy_matches_manual_prox_loop():
     assert log.phase is DetPhase.RECOVER and state.phase is DetPhase.RECOVER
     assert state.deputy is None
     assert state.opt.epoch == 1
+
+
+# --- stacked epoch: every client trains as if alone --------------------------------
+#
+# The reference below is an independent per-client loop over plain 2-D arrays,
+# written out here so the stacked code in fedfreq.model is checked against
+# arithmetic it does not share.
+
+
+def _ref_forward(params, spec, x):
+    x = x.reshape(len(x), *spec.input_shape)
+    inputs = []
+    for layer, keys in zip(spec.layers, spec.param_keys):
+        inputs.append(x)
+        if layer.kind == "dense":
+            x = x @ params[keys[0]] + params[keys[1]]
+        elif layer.kind == "conv2d":
+            w, b = params[keys[0]], params[keys[1]]
+            kh, kw = w.shape[2:]
+            hh, ww = x.shape[2] - kh + 1, x.shape[3] - kw + 1
+            out = np.zeros((len(x), w.shape[0], hh, ww))
+            for i in range(kh):
+                for j in range(kw):
+                    out += np.einsum("bchw,oc->bohw", x[:, :, i : i + hh, j : j + ww], w[:, :, i, j])
+            x = out + b[None, :, None, None]
+        elif layer.kind == "relu":
+            x = np.maximum(x, 0.0)
+        elif layer.kind == "flatten":
+            x = x.reshape(len(x), -1)
+        else:
+            e = np.exp(x - x.max(axis=1, keepdims=True))
+            x = e / e.sum(axis=1, keepdims=True)
+    return x, inputs
+
+
+def _ref_backward(params, spec, inputs, dx):
+    grads = {}
+    for layer, keys, x in reversed(list(zip(spec.layers, spec.param_keys, inputs))):
+        if layer.kind == "dense":
+            grads[keys[0]], grads[keys[1]] = x.T @ dx, dx.sum(axis=0)
+            dx = dx @ params[keys[0]].T
+        elif layer.kind == "conv2d":
+            w = params[keys[0]]
+            hh, ww = dx.shape[2:]
+            dw, dxx = np.zeros_like(w), np.zeros_like(x)
+            for i in range(w.shape[2]):
+                for j in range(w.shape[3]):
+                    dw[:, :, i, j] = np.einsum("bohw,bchw->oc", dx, x[:, :, i : i + hh, j : j + ww])
+                    dxx[:, :, i : i + hh, j : j + ww] += np.einsum("bohw,oc->bchw", dx, w[:, :, i, j])
+            grads[keys[0]], grads[keys[1]], dx = dw, dx.sum(axis=(0, 2, 3)), dxx
+        elif layer.kind == "relu":
+            dx = dx * (x > 0.0)
+        elif layer.kind == "flatten":
+            dx = dx.reshape(x.shape)
+    return grads
+
+
+def _ref_step(params, spec, x, y, lr, teacher_probs=None, prox=None):
+    """One plain SGD step; returns (new params, CE, KL, probs before the step)."""
+    probs, inputs = _ref_forward(params, spec, x)
+    n = len(y)
+    ce = float(np.mean(-np.log(np.clip(probs[np.arange(n), y], 1e-12, None))))
+    dlogits = probs.copy()
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits = dlogits / n
+    kl = 0.0
+    if teacher_probs is not None:
+        pc, qc = np.clip(probs, 1e-12, None), np.clip(teacher_probs, 1e-12, None)
+        log_ratio = np.log(pc / qc)
+        row_kl = (pc * log_ratio).sum(axis=1)
+        kl = float(np.mean(row_kl))
+        dlogits = dlogits + probs * (log_ratio - row_kl[:, None]) / n
+    grads = _ref_backward(params, spec, inputs, dlogits)
+    if prox is not None:
+        mu, anchor = prox
+        grads = {k: g + mu * (params[k] - anchor[k]) for k, g in grads.items()}
+    return {k: params[k] - lr * grads[k] for k in params}, ce, kl, probs
+
+
+def _ref_epoch(p, d, phase, spec, batches, lr, prox):
+    """The per-client loop: per batch the deputy steps first, then p."""
+    ce_sum = kl_sum = 0.0
+    for x, y in batches:
+        p_probs = _ref_forward(p, spec, x)[0]
+        if d is not None:
+            d = _ref_step(d, spec, x, y, lr, p_probs if phase < DetPhase.SUBLIMATE else None)[0]
+        teacher = _ref_forward(d, spec, x)[0] if d is not None and phase > DetPhase.RECOVER else None
+        p, ce, kl, _ = _ref_step(p, spec, x, y, lr, teacher, prox)
+        ce_sum += ce
+        kl_sum += kl
+    return p, d, ce_sum / len(batches), kl_sum / len(batches)
+
+
+def _client_batches(rng, spec, n, size):
+    x = rng.standard_normal((n, int(np.prod(spec.input_shape))))
+    y = rng.integers(0, spec.classes, size=n)
+    return [(x[i : i + size], y[i : i + size]) for i in range(0, n, size)]
+
+
+@pytest.mark.parametrize("with_deputy", [True, False])
+@pytest.mark.parametrize("model_id", ["mlp32", "conv4x8"])
+def test_stacked_epoch_matches_a_per_client_loop_bit_for_bit(model_id, with_deputy):
+    spec = MODEL_SPECS[model_id]
+    rng = np.random.default_rng(11)
+    # 3, 3, 4 and 2 batches of 16; clients 0, 1 and 3 end on a 1-row batch,
+    # 0 and 1 at the same batch index
+    sizes = [33, 33, 50, 17]
+    phases = [DetPhase.RECOVER, DetPhase.EXCHANGE, DetPhase.SUBLIMATE, DetPhase.EXCHANGE]
+    train = [_client_batches(rng, spec, n, 16) for n in sizes]
+    vals = [(x, y) for x, y in (_client_batches(rng, spec, 30, 30)[0] for _ in sizes)]
+    anchors = [init_params(spec, 100 + j) for j in range(len(sizes))]
+    states = [
+        ClientState(
+            personalized=init_params(spec, j),
+            deputy=init_params(spec, 50 + j) if with_deputy else None,
+            opt=OptimizerState(base_lr=0.05, epoch=3),
+            phase=phases[j] if with_deputy else DetPhase.RECOVER,
+        )
+        for j in range(len(sizes))
+    ]
+    expected = [
+        _ref_epoch(s.personalized, s.deputy, s.phase, spec, train[j], 0.05, (0.3, anchors[j]))
+        for j, s in enumerate(states)
+    ]
+
+    logs = train_epoch(states, spec, train, vals, CFG, (0.3, anchors))
+
+    for j, (state, log, (p, d, ce, kl)) in enumerate(zip(states, logs, expected)):
+        for k in p:
+            assert np.array_equal(state.personalized[k], p[k]), (j, k)
+            if with_deputy:
+                assert np.array_equal(state.deputy[k], d[k]), (j, k)
+        assert log.ce_loss == ce and log.kl_loss == kl, j
+        assert log.phi_p == validation_f1(p, spec, *vals[j])
+        assert state.opt.epoch == 4
+    # p distils from its deputy outside RECOVER only; KL is exactly 0.0 otherwise
+    distils = [log.kl_loss > 0.0 for log in logs]
+    assert distils == ([False, True, True, True] if with_deputy else [False] * 4)
+    assert logs[0].kl_loss == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_permuting_the_clients_permutes_the_outputs(data):
+    model_id = data.draw(st.sampled_from(["mlp32", "conv4x8"]))
+    k = data.draw(st.integers(1, 5))
+    size = data.draw(st.sampled_from([4, 8, 16]))
+    sizes = data.draw(st.lists(st.integers(1, 3 * size + 1), min_size=k, max_size=k))
+    phases = data.draw(st.lists(st.sampled_from(list(DetPhase)), min_size=k, max_size=k))
+    with_deputy = data.draw(st.booleans())
+    perm = data.draw(st.permutations(range(k)))
+    spec = MODEL_SPECS[model_id]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    train = [_client_batches(rng, spec, n, size) for n in sizes]
+    vals = [_client_batches(rng, spec, 12, 12)[0] for _ in sizes]
+
+    def fresh_states():
+        return [
+            ClientState(
+                personalized=init_params(spec, j),
+                deputy=init_params(spec, 50 + j) if with_deputy else None,
+                opt=OptimizerState(base_lr=0.05),
+                phase=phases[j],
+            )
+            for j in range(k)
+        ]
+
+    straight, shuffled = fresh_states(), fresh_states()
+    logs = train_epoch(straight, spec, train, vals, CFG)
+    moved = train_epoch(
+        [shuffled[j] for j in perm], spec, [train[j] for j in perm], [vals[j] for j in perm], CFG
+    )
+    for pos, j in enumerate(perm):
+        a, b = straight[j], shuffled[j]
+        for key in a.personalized:
+            assert np.array_equal(a.personalized[key], b.personalized[key])
+            if with_deputy:
+                assert np.array_equal(a.deputy[key], b.deputy[key])
+        got, want = moved[pos], logs[j]
+        assert (got.ce_loss, got.kl_loss, got.phi_p, got.phase) == (
+            want.ce_loss, want.kl_loss, want.phi_p, want.phase
+        )
+        assert np.array_equal(got.phi_d, want.phi_d, equal_nan=True)
+
+
+def test_train_epoch_names_the_diverged_client_epoch_and_tensor():
+    states = [make_state(seed=j) for j in range(3)]
+    for state in states:
+        state.opt.epoch = 6
+    # the NaN reaches every tensor of client 1; the first in name order is named
+    states[1].personalized["dense2.weight"][0, 0] = np.nan
+    rng = np.random.default_rng(12)
+    train = [[(b.inputs, b.labels) for b in batches_of(*make_data(rng))] for _ in states]
+    match = "client 1 diverged in epoch 7: personalized tensor 'dense1.bias' is not finite"
+    with pytest.raises(DivergenceError, match=match):
+        train_epoch(states, SPEC, train, [make_data(rng)] * 3, CFG)
+
+
+def test_train_epoch_rejects_clients_it_cannot_stack():
+    rng = np.random.default_rng(13)
+    x, y = make_data(rng)
+    train = [[(x, y)], [(x, y)]]
+    mixed = [make_state(), ClientState(personalized=init_params(SPEC, 1), deputy=None)]
+    with pytest.raises(ValueError, match="deputy"):
+        train_epoch(mixed, SPEC, train, [(x, y)] * 2, CFG)
+    apart = [make_state(), make_state(base_lr=0.5)]
+    with pytest.raises(ValueError, match="learning rate"):
+        train_epoch(apart, SPEC, train, [(x, y)] * 2, CFG)

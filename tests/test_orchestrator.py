@@ -272,7 +272,7 @@ def test_single_class_held_out_cohort_fails_before_training(monkeypatch):
         raise AssertionError("trained before the data check")
 
     monkeypatch.setattr(orchestrator, "ood_client", one_class_cohort)
-    monkeypatch.setattr(orchestrator, "local_epoch", no_training)
+    monkeypatch.setattr(orchestrator, "train_epoch", no_training)
     with pytest.raises(DataError, match="the held-out cohort's test split holds 1 of 3 classes"):
         run_experiment(small_cfg())
 

@@ -1,10 +1,11 @@
 """Print byte-identity digests of the run artifacts for the acceptance configs.
 
-Runs ``fedfreq run`` (through ``fedfreq.cli.main``) for every strategy at
-two settings, E=5/T=100 and E=1/T=20, with seed 7 and ``data_scale = 0.1``,
-and prints one line per run: the first 16 hex digits of SHA-256 over
-``curves.csv`` followed by ``best_client_0..3.ckpt``, then the same for
-``results.json``.  A refactor that keeps behaviour prints the same lines.
+Runs ``fedfreq run`` (through ``fedfreq.cli.main``) for every strategy on
+mlp32 at two settings, E=5/T=100 and E=1/T=20, plus FEDPROX and PFA_DET on
+conv4x8 at E=1/T=20, all with seed 7 and ``data_scale = 0.1``.  It prints one
+line per run: the first 16 hex digits of SHA-256 over ``curves.csv``
+followed by ``best_client_0..3.ckpt``, then the same for ``results.json``.
+A refactor that keeps behaviour prints the same lines.
 
 Usage, comparing two checkouts::
 
@@ -27,7 +28,14 @@ from pathlib import Path
 from fedfreq import cli
 
 STRATEGIES = ("PFA_DET", "FEDAVG", "FEDPROX", "LOCAL_ONLY", "PFA_ONLY", "FEDAVG_DET")
-SETTINGS = ((5, 100), (1, 20))  # (local_epochs, total_epochs)
+# (strategy, model_id, local_epochs, total_epochs); the conv runs cover the
+# conv layers' training path, which the mlp32 runs never reach
+RUNS = (
+    *((s, "mlp32", 5, 100) for s in STRATEGIES),
+    *((s, "mlp32", 1, 20) for s in STRATEGIES),
+    ("FEDPROX", "conv4x8", 1, 20),
+    ("PFA_DET", "conv4x8", 1, 20),
+)
 SEED = 7
 DATA_SCALE = 0.1
 CLIENTS = 4
@@ -40,29 +48,28 @@ def _digest(blobs: list[bytes]) -> str:
     return h.hexdigest()[:16]
 
 
-def run_digests(strategy: str, local_epochs: int, total_epochs: int) -> tuple[str, str]:
+def run_digests(strategy: str, model_id: str, local_epochs: int, total_epochs: int) -> tuple[str, str]:
     """Run one config; return the (artifacts, results.json) digests."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp, "run.cfg"), Path(tmp, "out")
         cfg.write_text(
-            f"strategy = {strategy}\nnum_clients = {CLIENTS}\n"
+            f"strategy = {strategy}\nmodel_id = {model_id}\nnum_clients = {CLIENTS}\n"
             f"local_epochs = {local_epochs}\ntotal_epochs = {total_epochs}\n"
             f"data_scale = {DATA_SCALE}\nseed = {SEED}\n"
         )
         with contextlib.redirect_stdout(io.StringIO()):
             rc = cli.main(["run", "--config", str(cfg), "--out-dir", str(out)])
         if rc != 0:
-            raise SystemExit(f"{strategy} E={local_epochs} T={total_epochs}: exit code {rc}")
+            raise SystemExit(f"{strategy} {model_id} E={local_epochs} T={total_epochs}: exit code {rc}")
         names = ["curves.csv", *(f"best_client_{i}.ckpt" for i in range(CLIENTS))]
         results = (out / "results.json").read_bytes()
         return _digest([(out / n).read_bytes() for n in names]), _digest([results])
 
 
 def main() -> int:
-    for local_epochs, total_epochs in SETTINGS:
-        for strategy in STRATEGIES:
-            artifacts, results = run_digests(strategy, local_epochs, total_epochs)
-            print(f"{strategy:<10} E={local_epochs} T={total_epochs:<3} {artifacts} {results}")
+    for strategy, model_id, local_epochs, total_epochs in RUNS:
+        artifacts, results = run_digests(strategy, model_id, local_epochs, total_epochs)
+        print(f"{strategy:<10} {model_id:<7} E={local_epochs} T={total_epochs:<3} {artifacts} {results}")
     return 0
 
 
