@@ -193,24 +193,26 @@ def train_epoch(
     deputy_distils = phases < DetPhase.SUBLIMATE
     personal_distils = (phases > DetPhase.RECOVER) & has_deputy
     ce_sum, kl_sum = np.zeros(len(order)), np.zeros(len(order))
-    for i in range(len(train[order[0]])):
-        sizes = [len(train[j][i][1]) for j in order if len(train[j]) > i]
-        for a, b in _groups(sizes):
-            x = np.stack([train[j][i][0] for j in order[a:b]])
-            y = np.stack([train[j][i][1] for j in order[a:b]])
-            pg = {k: v[a:b] for k, v in p.items()}
-            p_probs, p_cache = forward(pg, spec, x)
-            teacher_probs = None
-            if has_deputy:
-                dg = {k: v[a:b] for k, v in d.items()}
-                d_probs, d_cache = forward(dg, spec, x)
-                _step(dg, d_cache, d_probs, y, p_probs, deputy_distils[a:b], opt)
-                if personal_distils[a:b].any():
-                    teacher_probs, _ = forward(dg, spec, x)
-            pull = None if prox is None else (prox[0], {k: v[a:b] for k, v in anchor.items()})
-            ce, kl = _step(pg, p_cache, p_probs, y, teacher_probs, personal_distils[a:b], opt, pull)
-            ce_sum[a:b] += ce
-            kl_sum[a:b] += kl
+    # an overflow shows up as a non-finite parameter, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(train[order[0]])):
+            sizes = [len(train[j][i][1]) for j in order if len(train[j]) > i]
+            for a, b in _groups(sizes):
+                x = np.stack([train[j][i][0] for j in order[a:b]])
+                y = np.stack([train[j][i][1] for j in order[a:b]])
+                pg = {k: v[a:b] for k, v in p.items()}
+                p_probs, p_cache = forward(pg, spec, x)
+                teacher_probs = None
+                if has_deputy:
+                    dg = {k: v[a:b] for k, v in d.items()}
+                    d_probs, d_cache = forward(dg, spec, x)
+                    _step(dg, d_cache, d_probs, y, p_probs, deputy_distils[a:b], opt)
+                    if personal_distils[a:b].any():
+                        teacher_probs, _ = forward(dg, spec, x)
+                pull = None if prox is None else (prox[0], {k: v[a:b] for k, v in anchor.items()})
+                ce, kl = _step(pg, p_cache, p_probs, y, teacher_probs, personal_distils[a:b], opt, pull)
+                ce_sum[a:b] += ce
+                kl_sum[a:b] += kl
 
     models = {"personalized": p, "deputy": d} if has_deputy else {"personalized": p}
     for name, stack in models.items():

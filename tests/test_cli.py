@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -182,7 +183,8 @@ def test_run_that_diverges_exits_5_and_writes_nothing(tmp_path, capsys, strategy
         f"strategy = {strategy}\nlocal_epochs = 5\ntotal_epochs = 20\nbase_lr = 1000\nseed = 0\n"
     )
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():  # the one error line is all the user sees
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 5
     err = capsys.readouterr().err
     assert err.startswith("training diverged: client ") and err.count("\n") == 1, err
