@@ -6,7 +6,7 @@ imported into one interpreter under different names (``fedfreq_base`` and
 of a pair share the process, its heap and the machine's state at that
 moment.  For every setting the script makes one warm-up run per side, then
 ``--pairs`` pairs of ``fedfreq run`` calls (in-process through
-``cli.main``, into a scratch directory that is deleted afterwards).  Pair i
+``cli.main``, into a temporary directory that is deleted afterwards).  Pair i
 uses experiment seed ``--seed`` + i on both sides, and the side that runs
 first alternates from pair to pair.  Per setting it reports the quartiles
 of each side's wall times and of the per-pair ratios change/base.  Pairing
