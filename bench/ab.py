@@ -14,6 +14,16 @@ and alternation cancel most of the drift of a shared host (Kalibera &
 Jones, "Rigorous Benchmarking in Reasonable Time", ISMM 2013).
 It also records whether the two sides wrote byte-identical artifacts.
 
+The ``layer`` section times each tree's own library functions the same way:
+``forward`` and ``backward`` for mlp32 and conv4x8 at the training-group
+shape (4 clients x 16 rows, stacked) and the validation shape (1 client x
+19 rows), ``ce_loss``, ``kl_div`` and ``sgd_step`` at the training-group
+shape, ``validation_f1`` and ``pfa_aggregate`` (4 clients) for each model,
+and ``save_checkpoint`` / ``load_checkpoint_full`` of an mlp32 map.  Both
+sides get the same inputs.  One sample is a loop of calls sized on the base
+side to take about ``LAYER_SAMPLE_S``; per function the file holds each
+side's median time per call and the quartiles of the paired ratios.
+
 Usage, from the repository root::
 
     python bench/ab.py --base ../parent/src --change src --tag stacked_training
@@ -21,8 +31,9 @@ Usage, from the repository root::
     python bench/ab.py --base src --change src --quick --out ab.json
 
 The file holds the machine facts (cores, BLAS, numpy, Python) and the git
-commit of each tree.  ``--quick`` shrinks every run to two rounds and makes
-two pairs: its numbers mean nothing, it only shows that the script works.
+commit of each tree.  ``--quick`` shrinks every run to two rounds, every
+layer sample to a few calls, and makes two pairs: its numbers mean nothing,
+it only shows that the script works.
 The script checks no timing; perfbench stays the regression gate.
 """
 
@@ -41,6 +52,8 @@ import subprocess
 import sys
 import tempfile
 import time
+import timeit
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +66,8 @@ SETTINGS = {
 CLIENTS = 4
 SIDES = ("base", "change")
 ARTIFACTS = ("curves.csv", "results.json", *(f"best_client_{i}.ckpt" for i in range(CLIENTS)))
+LAYER_SHAPES = {"train": (CLIENTS, 16), "val": (1, 19)}  # (clients, rows) of one call
+LAYER_SAMPLE_S = 0.02  # seconds of calls in one layer sample (one side of a pair)
 
 
 def load_tree(src: Path, name: str):
@@ -65,6 +80,51 @@ def load_tree(src: Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return importlib.import_module(f"{name}.cli")
+
+
+def layer_cases(pkg: str, tmp: Path) -> dict:
+    """Zero-argument calls of package ``pkg``'s library functions, by name.
+
+    Inputs are drawn from fixed seeds, so both trees get the same numbers.
+    """
+    model = importlib.import_module(f"{pkg}.model")
+    det = importlib.import_module(f"{pkg}.det")
+    freq_agg = importlib.import_module(f"{pkg}.freq_agg")
+    checkpoint = importlib.import_module(f"{pkg}.checkpoint")
+    rng = np.random.default_rng(0)
+    cases = {}
+    for model_id, spec in model.MODEL_SPECS.items():
+        maps = [model.init_params(spec, seed) for seed in range(CLIENTS)]
+        features = int(np.prod(spec.input_shape))
+        for shape_name, (k, n) in LAYER_SHAPES.items():
+            params = {key: np.stack([m[key] for m in maps[:k]]) for key in maps[0]}
+            x = rng.standard_normal((k, n, features))
+            if k == 1:  # a plain map, as validation passes it
+                params, x = maps[0], x[0]
+            probs, cache = model.forward(params, spec, x)
+            cases[f"forward.{model_id}.{shape_name}"] = partial(model.forward, params, spec, x)
+            cases[f"backward.{model_id}.{shape_name}"] = partial(
+                model.backward, cache, rng.standard_normal(probs.shape)
+            )
+        val = rng.standard_normal((19, features)), rng.integers(0, spec.classes, 19)
+        cases[f"validation_f1.{model_id}"] = partial(det.validation_f1, maps[0], spec, *val)
+        request = freq_agg.AggregationRequest(maps, r=0.35, strategy=freq_agg.PFA)
+        cases[f"pfa_aggregate.{model_id}"] = partial(freq_agg.pfa_aggregate, request)
+
+    k, n = LAYER_SHAPES["train"]
+    probs, teacher = rng.dirichlet(np.ones(3), size=(2, k, n))
+    cases["ce_loss"] = partial(model.ce_loss, probs, rng.integers(0, 3, size=(k, n)))
+    cases["kl_div"] = partial(model.kl_div, probs, teacher)
+    mlp = [model.init_params(model.MODEL_SPECS["mlp32"], seed) for seed in range(k)]
+    stacked = {key: np.stack([m[key] for m in mlp]) for key in mlp[0]}
+    grads = {key: rng.standard_normal(v.shape) for key, v in stacked.items()}
+    # in place: the parameters drift by 1e-3 of a gradient per call
+    cases["sgd_step"] = partial(model.sgd_step, stacked, grads, model.OptimizerState(base_lr=1e-3))
+    path = tmp / f"{pkg}.ckpt"
+    cases["save_checkpoint"] = partial(checkpoint.save_checkpoint, mlp[0], path, model_id="mlp32")
+    cases["save_checkpoint"]()
+    cases["load_checkpoint_full"] = partial(checkpoint.load_checkpoint_full, path)
+    return cases
 
 
 def git_facts(src: Path) -> dict:
@@ -149,6 +209,33 @@ def measure(clis: dict, config: dict, pairs: int, seed: int) -> dict:
     }
 
 
+def measure_layers(pairs: int, sample_s: float) -> dict:
+    """Paired timings of every :func:`layer_cases` call; both trees must be loaded."""
+    layer = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = {side: layer_cases(f"fedfreq_{side}", Path(tmp)) for side in SIDES}
+        for name in cases["base"]:
+            calls = {side: cases[side][name] for side in SIDES}
+            timers = {side: timeit.Timer(calls[side]) for side in SIDES}
+            for side in SIDES:  # warm-up
+                timers[side].timeit(3)
+            count, seconds = timers["base"].autorange()
+            number = max(1, round(sample_s * count / seconds))
+            per_call: dict[str, list[float]] = {side: [] for side in SIDES}
+            for i in range(pairs):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    per_call[side].append(timers[side].timeit(number) / number)
+            ratios = [c / b for b, c in zip(per_call["base"], per_call["change"])]
+            layer[name] = {
+                "calls_per_sample": number,
+                "base_us": 1e6 * quartiles(per_call["base"])["median"],
+                "change_us": 1e6 * quartiles(per_call["change"])["median"],
+                "ratio_change_over_base": quartiles(ratios),
+                "change_faster_pairs": sum(r < 1.0 for r in ratios),
+            }
+    return layer
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, type=Path, help="src/ directory of the reference tree")
@@ -173,15 +260,23 @@ def main(argv=None) -> int:
               f"gain shown: {e2e[name]['gain_shown']}, "
               f"identical artifacts: {e2e[name]['identical_artifacts']}")
 
+    layer = measure_layers(pairs, LAYER_SAMPLE_S / 20 if args.quick else LAYER_SAMPLE_S)
+    for name, row in layer.items():
+        r = row["ratio_change_over_base"]
+        print(f"{name:<26} {row['base_us']:9.1f} -> {row['change_us']:9.1f} us/call, "
+              f"change/base {r['median']:.3f} (IQR {r['q1']:.3f}-{r['q3']:.3f})")
+
     report = {
         "tag": args.tag,
         "quick": args.quick,
-        "clock": "time.perf_counter around cli.main, seconds per fedfreq run",
+        "clock": "e2e: time.perf_counter around cli.main, seconds per fedfreq run; "
+        "layer: timeit (garbage collection off), microseconds per call",
         "pairs": pairs,
         "first_seed": args.seed,
         "machine": machine_facts(),
         "trees": {side: git_facts(getattr(args, side).resolve()) for side in SIDES},
         "e2e": e2e,
+        "layer": layer,
     }
     out = args.out or Path(__file__).resolve().parent.parent / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")

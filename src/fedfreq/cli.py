@@ -5,8 +5,10 @@ experiment from a config file), ``aggregate`` (offline aggregation over
 checkpoint files), ``eval`` (score a checkpoint on a dataset file) and
 ``report`` (summarize a curves.csv log).
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 I/O error,
-5 training diverged (a parameter stopped being finite; ``run`` writes nothing).
+Exit codes: 0 success, 2 configuration error, 3 data error (including a
+checkpoint, or an aggregate of checkpoints, holding a non-finite tensor;
+``aggregate`` then writes nothing), 4 I/O error, 5 training diverged (a
+parameter stopped being finite; ``run`` writes nothing).
 """
 
 from __future__ import annotations
@@ -90,13 +92,19 @@ def _cmd_aggregate(args) -> int:
         check_same_structure(maps)
     except ValueError as exc:
         raise DataError(f"checkpoints do not match: {exc}") from exc
-    if args.strategy == PFA:
-        aggregates = pfa_aggregate(AggregationRequest(maps, r=args.r, strategy=PFA))
-        names = [f"{Path(src).stem}.agg.ckpt" for src in args.checkpoints]
-    else:
-        aggregates = [fedavg_aggregate(AggregationRequest(maps, strategy=FEDAVG))]
-        names = ["global.ckpt"]
+    for path, params in zip(args.checkpoints, maps):
+        _check_finite(params, path)
+    # an overflow shows up as a non-finite aggregate, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.strategy == PFA:
+            aggregates = pfa_aggregate(AggregationRequest(maps, r=args.r, strategy=PFA))
+            names = [f"{Path(src).stem}.agg.ckpt" for src in args.checkpoints]
+        else:
+            aggregates = [fedavg_aggregate(AggregationRequest(maps, strategy=FEDAVG))]
+            names = ["global.ckpt"]
     out = Path(args.out_dir)
+    for name, agg in zip(names, aggregates):
+        _check_finite(agg, f"aggregate for {out / name}")
     out.mkdir(parents=True, exist_ok=True)
     for name, agg in zip(names, aggregates):
         save_checkpoint(agg, out / name, model_id=loaded[0][1])
@@ -104,8 +112,16 @@ def _cmd_aggregate(args) -> int:
     return 0
 
 
+def _check_finite(params, source) -> None:
+    """DataError naming ``source`` and its first tensor, in name order, that is not finite."""
+    for name in sorted(params):
+        if not np.isfinite(params[name]).all():
+            raise DataError(f"{source}: tensor {name!r} is not finite")
+
+
 def _cmd_eval(args) -> int:
     _, model_id, params = load_checkpoint_full(args.checkpoint)
+    _check_finite(params, args.checkpoint)
     if model_id not in MODEL_SPECS:
         raise ConfigError(f"checkpoint has unknown model id {model_id!r}")
     spec = MODEL_SPECS[model_id]

@@ -33,13 +33,12 @@ prefix train in groups of neighbours whose batches have the same row count;
 each group is a slice view of the stack, updated in place.  Each phase gives
 a per-client 0/1 distillation mask, and ``p``'s forward pass on a batch
 serves both as the deputy's teacher and as ``p``'s own step.  Every client
-gets exactly the numbers it would get training alone:
-
-- short batches are never zero-padded to a common size: padding changes the
-  rounding (the 32->3 output matmul differs when the row count is not a
-  multiple of 4, and a 1-row batch takes OpenBLAS's matrix-vector path);
-- a 1-row batch trains alone: the conv weight-gradient einsum over a stack
-  of 1-row batches rounds differently from the same einsum on one client.
+gets exactly the numbers it would get training alone.  Short batches are
+never zero-padded to a common size, because padding changes the rounding:
+the 32->3 output matmul differs when the row count is not a multiple of 4,
+and a 1-row batch takes OpenBLAS's matrix-vector path.  Clients whose batches
+have the same row count, 1-row batches included, run the same per-client
+BLAS calls in a stack as alone.
 """
 
 from __future__ import annotations
@@ -246,13 +245,10 @@ def _stack(maps: list[NamedTensorMap]) -> NamedTensorMap:
 
 
 def _groups(sizes: list[int]):
-    """Slices ``(a, b)`` of neighbouring clients whose batches share a row count.
-
-    A 1-row batch makes a group of its own (see the module docstring).
-    """
+    """Slices ``(a, b)`` of neighbouring clients whose batches share a row count."""
     a = 0
     for b in range(1, len(sizes) + 1):
-        if b == len(sizes) or sizes[b] != sizes[a] or sizes[a] == 1:
+        if b == len(sizes) or sizes[b] != sizes[a]:
             yield a, b
             a = b
 

@@ -12,10 +12,23 @@ them in sorted order.  Forward, backward, the losses and SGD are written
 once, over a leading client axis: a map whose tensors are ``(K, ...)``
 stacks holds K clients' models, and each client's numbers come out exactly
 as they would from that client alone.  A plain map is a stack of one.
+
+A convolution is unfolded and multiplied.  Each client's input is gathered
+into one row per (sample, output pixel) through a tap index that is built
+once per (input shape, kernel shape); one batched matmul with the flattened
+kernels gives the output, one more gives the weight gradient, and the input
+gradient is scattered back through the same index.  This rounds differently
+from summing one shifted product per kernel tap, the earlier formulation:
+a matmul adds a row's taps in BLAS order, not tap by tap, and none of the
+faster numpy formulations tried reproduced the per-tap weight-gradient
+bits.  The forward pass unfolds at most ``UNFOLD_BLOCK`` samples at a time,
+so scoring thousands of rows never holds all their patches at once (the
+patch array is ``kh * kw`` times the size of a one-channel input).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +54,7 @@ def check_same_structure(maps: list[NamedTensorMap]) -> list[str]:
 
 
 PROB_FLOOR = 1e-12  # probabilities are clamped below this before any log
+UNFOLD_BLOCK = 512  # samples a conv forward pass unfolds at a time (see the module docstring)
 
 
 @dataclass(frozen=True)
@@ -262,17 +276,17 @@ def forward(
 
 
 def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # valid convolution, stride 1: accumulate one shifted product per kernel tap
-    kh, kw = w.shape[3:]
-    hh = x.shape[3] - kh + 1
-    ww = x.shape[4] - kw + 1
-    out = np.zeros((*x.shape[:2], w.shape[1], hh, ww))
-    for i in range(kh):
-        for j in range(kw):
-            out += np.einsum(
-                "kbchw,koc->kbohw", x[:, :, :, i : i + hh, j : j + ww], w[:, :, :, i, j]
-            )
-    return out + b[:, None, :, None, None]
+    # valid convolution, stride 1: one matmul per block of unfolded samples
+    k, n = x.shape[:2]
+    o, kh, kw = w.shape[1], w.shape[3], w.shape[4]
+    idx = _tap_index(*x.shape[2:], kh, kw)
+    w_cols = w.reshape(k, o, -1).transpose(0, 2, 1)
+    out = np.empty((k, n, o, idx.shape[0]))
+    for s in range(0, n, UNFOLD_BLOCK):
+        rows = _unfold(x[:, s : s + UNFOLD_BLOCK], idx) @ w_cols  # (K, m * pixels, O)
+        out[:, s : s + UNFOLD_BLOCK] = rows.reshape(k, -1, idx.shape[0], o).transpose(0, 1, 3, 2)
+    out += b[:, None, :, None]
+    return out.reshape(k, n, o, x.shape[3] - kh + 1, x.shape[4] - kw + 1)
 
 
 def backward(cache: ForwardCache, dlogits: np.ndarray) -> NamedTensorMap:
@@ -319,20 +333,38 @@ def backward(cache: ForwardCache, dlogits: np.ndarray) -> NamedTensorMap:
 
 
 def _conv2d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray, want_dx: bool):
-    kh, kw = w.shape[3:]
-    hh, ww = dout.shape[3], dout.shape[4]
-    dw = np.zeros_like(w)
-    dx = np.zeros_like(x) if want_dx else None
-    for i in range(kh):
-        for j in range(kw):
-            window = x[:, :, :, i : i + hh, j : j + ww]
-            dw[:, :, :, i, j] = np.einsum("kbohw,kbchw->koc", dout, window)
-            if want_dx:
-                dx[:, :, :, i : i + hh, j : j + ww] += np.einsum(
-                    "kbohw,koc->kbchw", dout, w[:, :, :, i, j]
-                )
-    db = dout.sum(axis=(1, 3, 4))
+    k, n, o = dout.shape[:3]
+    idx = _tap_index(*x.shape[2:], *w.shape[3:])
+    rows = dout.reshape(k, n, o, -1).transpose(0, 1, 3, 2).reshape(k, -1, o)  # (K, n * pixels, O)
+    dw = (rows.transpose(0, 2, 1) @ _unfold(x, idx)).reshape(w.shape)
+    db = rows.sum(axis=1)
+    dx = None
+    if want_dx:
+        # each patch entry's gradient goes back to the input pixel it was gathered from
+        dpatches = (rows @ w.reshape(k, o, -1)).reshape(k, n, *idx.shape)
+        dx = np.zeros(x.shape)
+        np.add.at(dx.reshape(k, n, -1), (slice(None), slice(None), idx), dpatches)
     return dw, db, dx
+
+
+@functools.lru_cache(maxsize=None)
+def _tap_index(c: int, h: int, w: int, kh: int, kw: int) -> np.ndarray:
+    """Flat input offsets, ``(output pixels, c * kh * kw)``, of a valid convolution's patches.
+
+    Row ``y * (w - kw + 1) + z`` lists the pixel's taps in ``(channel, i, j)``
+    order, the order of a kernel's ``(in_ch, kh, kw)`` axes.
+    """
+    pixels = np.arange(h - kh + 1)[:, None] * w + np.arange(w - kw + 1)
+    taps = np.arange(c)[:, None, None] * (h * w) + np.arange(kh)[:, None] * w + np.arange(kw)
+    idx = pixels.reshape(-1, 1) + taps.reshape(1, -1)
+    idx.flags.writeable = False
+    return idx
+
+
+def _unfold(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Patch rows ``(K, n * pixels, taps)`` of a ``(K, n, C, H, W)`` input."""
+    k, n = x.shape[:2]
+    return np.take(x.reshape(k, n, -1), idx, axis=2).reshape(k, n * idx.shape[0], idx.shape[1])
 
 
 def ce_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:

@@ -252,3 +252,57 @@ def test_aggregate_threshold_out_of_range_is_a_config_error(tmp_path, capsys):
     assert main(["aggregate", *inputs, "--r", "0.7", "--out-dir", str(out)]) == 2
     _single_error_line(capsys, "config error: --r: ")
     assert not out.exists()
+
+
+def _mlp32_checkpoints(tmp_path, poison):
+    """Three mlp32 checkpoints; ``poison(i, params)`` may edit client i's map before saving."""
+    paths = []
+    for i in range(3):
+        params = init_params(MODEL_SPECS["mlp32"], i)
+        poison(i, params)
+        path = tmp_path / f"client_{i}.ckpt"
+        save_checkpoint(params, path, model_id="mlp32")
+        paths.append(str(path))
+    return paths
+
+
+def _nan_in_client_1(i, params):
+    if i == 1:
+        params["dense2.weight"][0, 0] = np.nan
+
+
+@pytest.mark.parametrize("strategy", [PFA, FEDAVG])
+def test_aggregate_of_a_non_finite_checkpoint_is_a_data_error(tmp_path, capsys, strategy):
+    # PFA once died in the FFT with a raw ValueError; FEDAVG wrote a NaN global.ckpt
+    inputs = _mlp32_checkpoints(tmp_path, _nan_in_client_1)
+    out = tmp_path / "agg"
+    assert main(["aggregate", *inputs, "--strategy", strategy, "--out-dir", str(out)]) == 3
+    _single_error_line(capsys, f"data error: {inputs[1]}: tensor 'dense2.weight' is not finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy", [PFA, FEDAVG])
+def test_aggregate_that_overflows_is_a_data_error(tmp_path, capsys, strategy):
+    # every input is finite, but the mean of two 1e308 entries is not
+    def huge(i, params):
+        params["dense1.weight"][3, 4] = 1e308
+
+    inputs = _mlp32_checkpoints(tmp_path, huge)
+    out = tmp_path / "agg"
+    with warnings.catch_warnings():  # the one error line is all the user sees
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["aggregate", *inputs, "--strategy", strategy, "--out-dir", str(out)]) == 3
+    first = "client_0.agg.ckpt" if strategy == PFA else "global.ckpt"
+    _single_error_line(capsys, f"data error: aggregate for {out / first}: tensor 'dense1.weight' is not finite")
+    assert not out.exists()
+
+
+def test_eval_of_a_non_finite_checkpoint_is_a_data_error(tmp_path, capsys):
+    # it once scored the NaN model (macro F1 0.254) and exited 0
+    main(["synth-data", "--scale", "0.1", "--seed", "0", "--out-dir", str(tmp_path)])
+    ckpt = _mlp32_checkpoints(tmp_path, _nan_in_client_1)[1]
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", ckpt, "--data", str(tmp_path / "client_0.fsd")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""  # no scores
+    assert err == f"data error: {ckpt}: tensor 'dense2.weight' is not finite\n"

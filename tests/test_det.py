@@ -312,13 +312,9 @@ def _ref_forward(params, spec, x):
             x = x @ params[keys[0]] + params[keys[1]]
         elif layer.kind == "conv2d":
             w, b = params[keys[0]], params[keys[1]]
-            kh, kw = w.shape[2:]
-            hh, ww = x.shape[2] - kh + 1, x.shape[3] - kw + 1
-            out = np.zeros((len(x), w.shape[0], hh, ww))
-            for i in range(kh):
-                for j in range(kw):
-                    out += np.einsum("bchw,oc->bohw", x[:, :, i : i + hh, j : j + ww], w[:, :, i, j])
-            x = out + b[None, :, None, None]
+            hh, ww = x.shape[2] - w.shape[2] + 1, x.shape[3] - w.shape[3] + 1
+            rows = _ref_patch_rows(x, *w.shape[2:]) @ w.reshape(len(w), -1).T
+            x = rows.reshape(len(x), hh, ww, len(w)).transpose(0, 3, 1, 2) + b[None, :, None, None]
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         elif layer.kind == "flatten":
@@ -329,6 +325,22 @@ def _ref_forward(params, spec, x):
     return x, inputs
 
 
+def _ref_patch_origins(shape, kh, kw):
+    """(sample, channels, y, z) of each patch of a valid convolution, in row order."""
+    n, c, h, w = shape
+    return [(s, c, y, z) for s in range(n) for y in range(h - kh + 1) for z in range(w - kw + 1)]
+
+
+def _ref_patch_rows(x, kh, kw):
+    """A valid convolution's input unfolded: one row per patch, taps in (channel, i, j) order."""
+    return np.array(
+        [
+            [x[s, ch, y + i, z + j] for ch, i, j in np.ndindex(c, kh, kw)]
+            for s, c, y, z in _ref_patch_origins(x.shape, kh, kw)
+        ]
+    )
+
+
 def _ref_backward(params, spec, inputs, dx):
     grads = {}
     for layer, keys, x in reversed(list(zip(spec.layers, spec.param_keys, inputs))):
@@ -337,13 +349,14 @@ def _ref_backward(params, spec, inputs, dx):
             dx = dx @ params[keys[0]].T
         elif layer.kind == "conv2d":
             w = params[keys[0]]
-            hh, ww = dx.shape[2:]
-            dw, dxx = np.zeros_like(w), np.zeros_like(x)
-            for i in range(w.shape[2]):
-                for j in range(w.shape[3]):
-                    dw[:, :, i, j] = np.einsum("bohw,bchw->oc", dx, x[:, :, i : i + hh, j : j + ww])
-                    dxx[:, :, i : i + hh, j : j + ww] += np.einsum("bohw,oc->bchw", dx, w[:, :, i, j])
-            grads[keys[0]], grads[keys[1]], dx = dw, dx.sum(axis=(0, 2, 3)), dxx
+            rows = dx.transpose(0, 2, 3, 1).reshape(-1, len(w))  # one row per (sample, pixel)
+            grads[keys[0]] = (rows.T @ _ref_patch_rows(x, *w.shape[2:])).reshape(w.shape)
+            grads[keys[1]] = rows.sum(axis=0)
+            dpatch = rows @ w.reshape(len(w), -1)
+            dx = np.zeros_like(x)
+            for r, (s, c, y, z) in enumerate(_ref_patch_origins(x.shape, *w.shape[2:])):
+                for t, (ch, i, j) in enumerate(np.ndindex(c, *w.shape[2:])):
+                    dx[s, ch, y + i, z + j] += dpatch[r, t]
         elif layer.kind == "relu":
             dx = dx * (x > 0.0)
         elif layer.kind == "flatten":

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedfreq.model import (
+    UNFOLD_BLOCK,
     Batch,
     Layer,
     ModelSpec,
@@ -34,6 +35,24 @@ def small_mlp(input_dim=6, hidden=8, classes=3):
         ),
         input_shape=(input_dim,),
         classes=classes,
+    )
+
+
+def two_conv():
+    # a conv above a conv: the upper one unfolds two channels and passes its
+    # input gradient down, which a lowest-layer single-channel conv never does
+    return ModelSpec(
+        layers=(
+            Layer("conv2d", (1, 2, 2, 2)),
+            Layer("relu"),
+            Layer("conv2d", (2, 3, 2, 2)),
+            Layer("relu"),
+            Layer("flatten"),
+            Layer("dense", (24, 3)),
+            Layer("softmax_output"),
+        ),
+        input_shape=(1, 4, 6),
+        classes=3,
     )
 
 
@@ -99,6 +118,35 @@ def test_forward_reshapes_flat_input_for_conv():
     params = init_params(spec, 0)
     probs, _ = forward(params, spec, Batch(inputs=np.zeros((2, 32)), labels=np.zeros(2, dtype=int)))
     assert probs.shape == (2, 3)
+
+
+def test_conv_forward_beyond_one_unfold_block_matches_a_loop_convolution():
+    spec = ModelSpec(
+        layers=(Layer("conv2d", (2, 3, 3, 2)), Layer("flatten"), Layer("dense", (45, 3)), Layer("softmax_output")),
+        input_shape=(2, 5, 6),
+        classes=3,
+    )
+    rng = np.random.default_rng(17)
+    n = 2 * UNFOLD_BLOCK + 37  # two full blocks and a partial one
+    x = rng.standard_normal((n, 2, 5, 6))
+    params = init_params(spec, 5)
+    params["conv1.bias"] = rng.standard_normal(3)
+    w, b = params["conv1.weight"], params["conv1.bias"]
+    want = np.empty((n, 3, 3, 5))
+    for o in range(3):
+        for y in range(3):
+            for z in range(5):
+                want[:, o, y, z] = b[o] + (x[:, :, y : y + 3, z : z + 2] * w[o]).sum(axis=(1, 2, 3))
+    _, cache = forward(params, spec, x)
+    got = cache.inputs[1][0]  # the conv's output is the flatten layer's input
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    # the same client inside a stack of three gets the same bits
+    others = [init_params(spec, seed) for seed in (6, 7)]
+    stacked = {k: np.stack([others[0][k], params[k], others[1][k]]) for k in params}
+    xs = np.stack([rng.standard_normal(x.shape), x, rng.standard_normal(x.shape)])
+    probs, stacked_cache = forward(stacked, spec, xs)
+    assert np.array_equal(stacked_cache.inputs[1][1], got)
+    assert np.array_equal(probs[1], predict_probs(params, spec, x))
 
 
 def test_model_spec_validation():
@@ -205,7 +253,7 @@ def _loss_distill(params, spec, batch, teacher):
     return ce_loss(probs, batch.labels)[0] + kl_div(probs, t_probs)[0]
 
 
-@pytest.mark.parametrize("spec_builder", [small_mlp, lambda: conv_spec((1, 4, 6))])
+@pytest.mark.parametrize("spec_builder", [small_mlp, lambda: conv_spec((1, 4, 6)), two_conv])
 @pytest.mark.parametrize("composition", ["ce", "deputy", "personalized"])
 def test_backward_matches_finite_differences(spec_builder, composition):
     spec = spec_builder()
