@@ -215,8 +215,7 @@ def measure_layers(pairs: int, sample_s: float) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         cases = {side: layer_cases(f"fedfreq_{side}", Path(tmp)) for side in SIDES}
         for name in cases["base"]:
-            calls = {side: cases[side][name] for side in SIDES}
-            timers = {side: timeit.Timer(calls[side]) for side in SIDES}
+            timers = {side: timeit.Timer(cases[side][name]) for side in SIDES}
             for side in SIDES:  # warm-up
                 timers[side].timeit(3)
             count, seconds = timers["base"].autorange()
