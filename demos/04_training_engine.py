@@ -5,7 +5,7 @@ Run: python demos/04_training_engine.py
 
 import numpy as np
 
-from fedfreq import Batch, OptimizerState, backward, ce_loss, forward, init_params, kl_div, sgd_step
+from fedfreq import OptimizerState, backward, ce_loss, forward, init_params, kl_div, sgd_step
 from fedfreq.model import mlp_spec
 
 rng = np.random.default_rng(1)
@@ -18,16 +18,16 @@ labels = rng.integers(0, 3, size=240)
 inputs = centers[labels] + 0.6 * rng.standard_normal((240, 2))
 
 print("Gradient sanity on one batch (finite differences, one weight):")
-batch = Batch(inputs=inputs[:16], labels=labels[:16])
-probs, cache = forward(params, spec, batch)
-loss, dlogits = ce_loss(probs, batch.labels)
+x, y = inputs[:16], labels[:16]
+probs, cache = forward(params, spec, x)
+loss, dlogits = ce_loss(probs, y)
 grads = backward(cache, dlogits)
 name, idx = "dense1.weight", (0, 0)
 step = 1e-6
 params[name][idx] += step
-hi, _ = ce_loss(forward(params, spec, batch)[0], batch.labels)
+hi, _ = ce_loss(forward(params, spec, x)[0], y)
 params[name][idx] -= 2 * step
-lo, _ = ce_loss(forward(params, spec, batch)[0], batch.labels)
+lo, _ = ce_loss(forward(params, spec, x)[0], y)
 params[name][idx] += step
 print(f"  analytic {grads[name][idx]:+.6f}  finite-difference {(hi - lo) / (2 * step):+.6f}")
 
@@ -37,20 +37,19 @@ for epoch in range(40):
     order = rng.permutation(len(labels))
     for i in range(0, len(labels), 16):
         sel = order[i : i + 16]
-        b = Batch(inputs=inputs[sel], labels=labels[sel])
-        probs, cache = forward(params, spec, b)
-        _, dlogits = ce_loss(probs, b.labels)
+        probs, cache = forward(params, spec, inputs[sel])
+        _, dlogits = ce_loss(probs, labels[sel])
         params = sgd_step(params, backward(cache, dlogits), opt)
     opt.epoch += 1
     if epoch % 10 == 9 or epoch == 0:
-        probs, _ = forward(params, spec, Batch(inputs=inputs, labels=labels))
+        probs, _ = forward(params, spec, inputs)
         loss, _ = ce_loss(probs, labels)
         acc = float(np.mean(probs.argmax(axis=1) == labels))
         print(f"  epoch {epoch + 1:2d}: lr={opt.lr:.4f}  loss={loss:.4f}  accuracy={acc:.3f}")
 
 print("\nKL divergence between two softened predictions (distillation term):")
-teacher, _ = forward(init_params(spec, seed=9), spec, Batch(inputs=inputs[:8], labels=labels[:8]))
-student, _ = forward(params, spec, Batch(inputs=inputs[:8], labels=labels[:8]))
+teacher, _ = forward(init_params(spec, seed=9), spec, inputs[:8])
+student, _ = forward(params, spec, inputs[:8])
 value, d_student = kl_div(student, teacher)
 print(f"  KL(student || teacher) = {value:.4f}")
 print(f"  gradient flows to the student only ({np.abs(d_student).max():.2e});")

@@ -25,7 +25,6 @@ from .freq_agg import (
 from .metrics import EvalResult, evaluate, macro_auc, macro_f1
 from .model import (
     MODEL_SPECS,
-    Batch,
     ModelSpec,
     OptimizerState,
     backward,

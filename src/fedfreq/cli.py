@@ -7,7 +7,8 @@ checkpoint files), ``eval`` (score a checkpoint on a dataset file) and
 
 Exit codes: 0 success, 2 configuration error, 3 data error (including a
 checkpoint, or an aggregate of checkpoints, holding a non-finite tensor;
-``aggregate`` then writes nothing), 4 I/O error, 5 training diverged (a
+``aggregate`` then writes nothing; and an ``eval`` checkpoint whose tensor
+names or shapes do not fit its model id), 4 I/O error, 5 training diverged (a
 parameter stopped being finite; ``run`` writes nothing).
 """
 
@@ -32,7 +33,7 @@ from .freq_agg import (
     pfa_aggregate,
 )
 from .metrics import evaluate
-from .model import MODEL_SPECS, check_same_structure, predict_probs
+from .model import MODEL_SPECS, check_same_structure, init_params, predict_probs
 from .orchestrator import (
     ConfigError,
     emit_report,
@@ -125,6 +126,10 @@ def _cmd_eval(args) -> int:
     if model_id not in MODEL_SPECS:
         raise ConfigError(f"checkpoint has unknown model id {model_id!r}")
     spec = MODEL_SPECS[model_id]
+    try:
+        check_same_structure([init_params(spec, 0), params])
+    except ValueError as exc:
+        raise DataError(f"{args.checkpoint}: tensors do not fit model {model_id!r}: {exc}") from exc
     client = load_client(args.data)
     features, inputs = client.features.shape[1], int(np.prod(spec.input_shape))
     if features != inputs:

@@ -104,15 +104,6 @@ class ClientData:
         idx = {"train": self.train_idx, "val": self.val_idx, "test": self.test_idx}[split]
         return self.features[idx], self.labels[idx]
 
-    def train_xy(self):
-        return self.split_xy("train")
-
-    def val_xy(self):
-        return self.split_xy("val")
-
-    def test_xy(self):
-        return self.split_xy("test")
-
 
 @dataclass
 class FederatedDataset:

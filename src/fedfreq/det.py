@@ -24,6 +24,10 @@ A client without a deputy (``deputy = None``) runs the baselines:
 aggregates replace ``p``, which trains on cross entropy alone (plus an
 optional FedProx pull); its phase stays RECOVER and ``phi(d)`` logs as NaN.
 
+The SGD schedule is run-wide: the caller owns one ``OptimizerState``, passes
+it to every :func:`train_epoch` call and that call advances it by one epoch,
+so both models of every client always step at the same learning rate.
+
 All clients train together (:func:`train_epoch`).  Each model's parameters
 are stacked along a leading client axis, with the clients sorted once by
 batch count (descending, stable), so the clients that still have a batch at
@@ -43,7 +47,7 @@ BLAS calls in a stack as alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable
 
@@ -51,7 +55,6 @@ import numpy as np
 
 from .metrics import macro_f1
 from .model import (
-    Batch,
     ModelSpec,
     NamedTensorMap,
     OptimizerState,
@@ -63,6 +66,7 @@ from .model import (
     kl_div,
     predict_probs,
     sgd_step,
+    stack_params,
 )
 
 
@@ -92,11 +96,10 @@ class DetConfig:
 
 @dataclass
 class ClientState:
-    """One client's models, their shared SGD schedule and the phase; no deputy if replacing."""
+    """One client's models and phase; no deputy if replacing.  The caller owns the schedule."""
 
     personalized: NamedTensorMap
     deputy: NamedTensorMap | None
-    opt: OptimizerState = field(default_factory=OptimizerState)
     phase: DetPhase = DetPhase.RECOVER
 
 
@@ -143,15 +146,14 @@ def upload_model(state: ClientState) -> NamedTensorMap:
 def local_epoch(
     state: ClientState,
     spec: ModelSpec,
-    train: Iterable[Batch],
+    train: Iterable[tuple[np.ndarray, np.ndarray]],
     val: tuple[np.ndarray, np.ndarray],
     cfg: DetConfig,
+    opt: OptimizerState,
     prox: tuple[float, NamedTensorMap] | None = None,
 ) -> EpochLog:
     """One client's epoch: :func:`train_epoch` over a stack of one."""
-    batches = [(b.inputs, b.labels) for b in train]
-    prox_all = None if prox is None else (prox[0], [prox[1]])
-    return train_epoch([state], spec, [batches], [val], cfg, prox_all)[0]
+    return train_epoch([state], spec, [list(train)], [val], cfg, opt, prox)[0]
 
 
 def train_epoch(
@@ -160,33 +162,31 @@ def train_epoch(
     train: list[list[tuple[np.ndarray, np.ndarray]]],
     vals: list[tuple[np.ndarray, np.ndarray]],
     cfg: DetConfig,
-    prox: tuple[float, list[NamedTensorMap]] | None = None,
+    opt: OptimizerState,
+    prox: tuple[float, NamedTensorMap] | None = None,
 ) -> list[EpochLog]:
     """One local epoch for every client at once, then re-evaluate each.
 
     ``train[j]`` is client j's list of ``(inputs, labels)`` batches and
-    ``vals[j]`` its validation split; ``prox = (mu, anchors)`` pulls each
-    personalized model toward its own anchor.  Each model's phase decides
-    its distillation (see the module docstring).  After the pass every
-    parameter must be finite, else :class:`DivergenceError`; then both models
-    are scored on the validation split (macro F1) and the phase transition
-    rule is applied.  Without deputies only ``p`` trains and is scored.
-    Raises ValueError on an empty batch list, on a mix of clients with and
-    without a deputy, or on clients whose learning rates differ.
+    ``vals[j]`` its validation split.  Every step uses ``opt``'s learning
+    rate, and ``opt.epoch`` advances by one at the end.  ``prox = (mu,
+    anchor)`` pulls every personalized model toward the one anchor map.
+    Each model's phase decides its distillation (see the module docstring).
+    After the pass every parameter must be finite, else
+    :class:`DivergenceError`; then both models are scored on the validation
+    split (macro F1) and the phase transition rule is applied.  Without
+    deputies only ``p`` trains and is scored.  Raises ValueError on an empty
+    batch list or on a mix of clients with and without a deputy.
     """
     if any(not batches for batches in train):
         raise ValueError("training set is empty")
     has_deputy = states[0].deputy is not None
     if any((s.deputy is not None) != has_deputy for s in states):
         raise ValueError("either every client trained together has a deputy or none has")
-    opt = states[0].opt
-    if any(s.opt.lr != opt.lr for s in states):
-        raise ValueError("clients trained together must share one learning rate")
 
     order = sorted(range(len(states)), key=lambda j: -len(train[j]))  # stable
-    p = _stack([states[j].personalized for j in order])
-    d = _stack([states[j].deputy for j in order]) if has_deputy else None
-    anchor = None if prox is None else _stack([prox[1][j] for j in order])
+    p = stack_params([states[j].personalized for j in order])
+    d = stack_params([states[j].deputy for j in order]) if has_deputy else None
     phases = np.array([states[j].phase for j in order])
     # RECOVER: d learns from p; EXCHANGE: each from the other; SUBLIMATE: p from d
     deputy_distils = phases < DetPhase.SUBLIMATE
@@ -208,8 +208,7 @@ def train_epoch(
                     _step(dg, d_cache, d_probs, y, p_probs, deputy_distils[a:b], opt)
                     if personal_distils[a:b].any():
                         teacher_probs, _ = forward(dg, spec, x)
-                pull = None if prox is None else (prox[0], {k: v[a:b] for k, v in anchor.items()})
-                ce, kl = _step(pg, p_cache, p_probs, y, teacher_probs, personal_distils[a:b], opt, pull)
+                ce, kl = _step(pg, p_cache, p_probs, y, teacher_probs, personal_distils[a:b], opt, prox)
                 ce_sum[a:b] += ce
                 kl_sum[a:b] += kl
 
@@ -219,7 +218,7 @@ def train_epoch(
             if not np.isfinite(v).all():
                 j = min(j for s, j in enumerate(order) if not np.isfinite(v[s]).all())
                 raise DivergenceError(
-                    f"client {j} diverged in epoch {states[j].opt.epoch + 1}: "
+                    f"client {j} diverged in epoch {opt.epoch + 1}: "
                     f"{name} tensor {key!r} is not finite"
                 )
 
@@ -234,14 +233,10 @@ def train_epoch(
             state.deputy = {k: v[s] for k, v in d.items()}
             phi_d = validation_f1(state.deputy, spec, *vals[j])
             state.phase = det_phase_transition(phi_d, phi_p, cfg, state.phase)
-        state.opt.epoch += 1
         n = len(train[j])
         logs.append(EpochLog(float(ce_sum[s] / n), float(kl_sum[s] / n), phi_d, phi_p, state.phase))
+    opt.epoch += 1
     return logs
-
-
-def _stack(maps: list[NamedTensorMap]) -> NamedTensorMap:
-    return {k: np.stack([m[k] for m in maps]) for k in maps[0]}
 
 
 def _groups(sizes: list[int]):
@@ -258,7 +253,8 @@ def _step(params, cache, probs, labels, teacher_probs, distils, opt, prox=None):
 
     Clients flagged in ``distils`` add a distillation pull toward
     ``teacher_probs``; the others log a KL of 0.0.  ``prox = (mu, anchor)``
-    adds the FedProx gradient ``mu * (w - anchor)``.
+    adds the FedProx gradient ``mu * (w - anchor)``, the one anchor map
+    broadcast over the stack (the same bits as subtracting it per client).
     """
     ce, dlogits = ce_loss(probs, labels)
     kl = np.zeros(len(distils))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NamedTensorMap, check_same_structure
+from .model import NamedTensorMap, check_same_structure, stack_params
 from .numerics import AmpPhase, amp_phase, dft2, idft2, recompose
 
 # epsilon keeping a scheduled threshold strictly inside (0, 0.5)
@@ -124,11 +124,6 @@ def low_freq_mask(rows: int, cols: int, r: float) -> np.ndarray:
     return (np.abs(sr)[:, None] <= half_r) & (np.abs(sc)[None, :] <= half_c)
 
 
-def _stack(maps: list[NamedTensorMap], name: str) -> np.ndarray:
-    """Parameter ``name`` of every client, stacked along a leading client axis."""
-    return np.stack([np.asarray(m[name], dtype=np.float64) for m in maps])
-
-
 def _fuse(stack: np.ndarray, r: float) -> np.ndarray:
     """Frequency-domain fusion of a ``(K, rows, cols)`` client stack."""
     mask = low_freq_mask(*stack.shape[-2:], r)
@@ -150,9 +145,10 @@ def pfa_aggregate(req: AggregationRequest) -> list[NamedTensorMap]:
         raise ValueError(f"expected strategy {PFA!r}, got {req.strategy!r}")
     check_threshold(req.r)
     keys = check_same_structure(req.client_params)
+    stacks = stack_params(req.client_params)
     outputs: list[NamedTensorMap] = [{} for _ in req.client_params]
     for name in keys:
-        stack = _stack(req.client_params, name)
+        stack = stacks[name]
         shape = stack.shape[1:]  # one client's tensor
         if len(shape) == 4:
             fused = unreshape_conv(_fuse(reshape_conv(stack), req.r), shape)
@@ -170,4 +166,5 @@ def fedavg_aggregate(req: AggregationRequest) -> NamedTensorMap:
     if req.strategy != FEDAVG:
         raise ValueError(f"expected strategy {FEDAVG!r}, got {req.strategy!r}")
     keys = check_same_structure(req.client_params)
-    return {name: _stack(req.client_params, name).mean(axis=0) for name in keys}
+    stacks = stack_params(req.client_params)
+    return {name: stacks[name].mean(axis=0) for name in keys}

@@ -10,8 +10,9 @@ Parameters live in plain ``dict[str, np.ndarray]`` maps ("named tensor
 maps"); names are unique and all iteration that must be deterministic walks
 them in sorted order.  Forward, backward, the losses and SGD are written
 once, over a leading client axis: a map whose tensors are ``(K, ...)``
-stacks holds K clients' models, and each client's numbers come out exactly
-as they would from that client alone.  A plain map is a stack of one.
+stacks holds K clients' models (:func:`stack_params` builds one), and each
+client's numbers come out exactly as they would from that client alone.  A
+plain map is a stack of one.  Inputs and labels are plain arrays.
 
 A convolution is unfolded and multiplied.  Each client's input is gathered
 into one row per (sample, output pixel) through a tap index that is built
@@ -43,7 +44,8 @@ def check_same_structure(maps: list[NamedTensorMap]) -> list[str]:
     keys = sorted(maps[0])
     for i, m in enumerate(maps):
         if sorted(m) != keys:
-            raise ValueError(f"parameter map {i} names differ from map 0")
+            name = min(set(m) ^ set(keys))
+            raise ValueError(f"parameter map {i} names differ from map 0 at {name!r}")
         for k in keys:
             if np.shape(m[k]) != np.shape(maps[0][k]):
                 raise ValueError(
@@ -85,20 +87,6 @@ class ModelSpec:
             else:
                 keys.append(None)
         object.__setattr__(self, "param_keys", tuple(keys))
-
-
-@dataclass
-class Batch:
-    """A mini-batch of inputs with integer class labels."""
-
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if len(self.labels) < 1 or self.inputs.shape[0] != len(self.labels):
-            raise ValueError("batch needs >= 1 sample and matching label count")
 
 
 @dataclass
@@ -216,6 +204,11 @@ def clone_params(params: NamedTensorMap) -> NamedTensorMap:
     return {k: v.copy() for k, v in params.items()}
 
 
+def stack_params(maps: list[NamedTensorMap]) -> NamedTensorMap:
+    """Each tensor of the maps stacked along a new leading client axis, as float64."""
+    return {k: np.stack([m[k] for m in maps]).astype(np.float64, copy=False) for k in maps[0]}
+
+
 @dataclass
 class ForwardCache:
     """Forward-pass record consumed by :func:`backward`; tensors carry the client axis."""
@@ -235,17 +228,14 @@ def _stacked(params: NamedTensorMap, spec: ModelSpec) -> bool:
     return False
 
 
-def forward(
-    params: NamedTensorMap, spec: ModelSpec, batch: Batch | np.ndarray
-) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network; returns (probabilities, cache for backward).
+def forward(params: NamedTensorMap, spec: ModelSpec, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Run the network on an input array; returns (probabilities, cache for backward).
 
     Every layer works over a leading client axis: with stacked parameters
-    (each tensor ``(K, ...)``) ``batch`` is an input array ``(K, n, ...)``
-    and client k's rows meet only client k's parameters.  A plain map with a
-    :class:`Batch` or an input array ``(n, ...)`` runs as a one-client stack.
+    (each tensor ``(K, ...)``) ``x`` is ``(K, n, ...)`` and client k's rows
+    meet only client k's parameters.  A plain map with inputs ``(n, ...)``
+    runs as a one-client stack.
     """
-    x = batch.inputs if isinstance(batch, Batch) else batch
     lifted = not _stacked(params, spec)
     if lifted:
         params = {k: v[None] for k, v in params.items()}

@@ -13,17 +13,19 @@ and pushes the result back down.  Each strategy name is a row of
   the untouched personalized model (the ``_DET`` rows; ``PFA_DET`` is the
   full method); otherwise it replaces the client's model;
 - *prox*: local training adds a proximal pull ``mu * (w - w_anchor)``
-  toward the last delivered model (``FEDPROX``).
+  toward one anchor shared by all clients: the common init until the first
+  communication, then the last global model (``FEDPROX``, a FEDAVG row).
 
 Every client is a ``det.ClientState`` (without a deputy under a replacing
-strategy).  Rounds run epoch by epoch, and each epoch trains all clients
-together with one ``det.train_epoch`` call.  Every client/epoch produces one
-log row (losses, validation scores, phase, communication flag), which is
-enough to plot the post-communication performance drop and its absence
-under the deputy scheme.  Deployed-model selection is by best validation
-macro F1: the personalized model for deputy strategies, the client's own
-model for LOCAL_ONLY/PFA_ONLY, and the aggregated global model (no
-personalization) for FEDAVG/FEDPROX.
+strategy); the run holds one SGD schedule and one prox anchor.  Rounds run
+epoch by epoch, and each epoch trains all clients together with one
+``det.train_epoch`` call.  Every client/epoch produces one log row (losses,
+validation scores, phase, communication flag), which is enough to plot the
+post-communication performance drop and its absence under the deputy
+scheme.  Deployed-model selection is by best validation macro F1: the
+personalized model for deputy strategies, the client's own model for
+LOCAL_ONLY/PFA_ONLY, and the aggregated global model (no personalization)
+for FEDAVG/FEDPROX.
 
 Runs are deterministic for a fixed config: every client draws from RNG
 streams keyed by (experiment seed, profile seed), and each client's numbers
@@ -73,11 +75,20 @@ from .model import (
 
 @dataclass(frozen=True)
 class Strategy:
-    """One row of the strategy table (see the module docstring)."""
+    """One row of the strategy table (see the module docstring).
+
+    The *prox* anchor is the common init until the first communication, then
+    the last global model, so a prox row must aggregate with FEDAVG (PFA
+    makes no global model).
+    """
 
     aggregator: str | None  # PFA, FEDAVG, or None for no communication
     deputy: bool  # deliver into a deputy instead of replacing the model
-    prox: bool  # proximal pull toward the last delivered model
+    prox: bool  # proximal pull toward the global model
+
+    def __post_init__(self) -> None:
+        if self.prox and self.aggregator != FEDAVG:
+            raise ValueError("a prox pull needs the global model that only FEDAVG makes")
 
     @property
     def deploys_global(self) -> bool:
@@ -242,7 +253,6 @@ class _Runtime:
     data: ClientData
     shuffle_rng: np.random.Generator
     state: ClientState
-    anchor: NamedTensorMap | None = None  # proximal target, prox strategies only
     best_val: float = -1.0
     best_epoch: int = 0
     best_params: NamedTensorMap | None = None
@@ -256,18 +266,18 @@ def _train_round(
     strategy: Strategy,
     schedule: ScheduleParams,
     det_cfg: DetConfig,
+    opt: OptimizerState,
+    prox: tuple[float, NamedTensorMap] | None,
 ) -> list[RoundRow]:
     """Train all clients together for the ``local_epochs`` epochs of round ``rnd``.
 
     Returns the round's rows, ordered by (epoch, client).
     """
-    train = [rt.data.train_xy() for rt in runtimes]
+    train = [rt.data.split_xy("train") for rt in runtimes]
     for rt, (_, y) in zip(runtimes, train):
         if len(y) == 0:
             raise DataError(f"client {rt.index} has an empty training split")
-    vals = [rt.data.val_xy() for rt in runtimes]
-    pull = strategy.prox and cfg.prox_mu > 0.0
-    prox = (cfg.prox_mu, [rt.anchor for rt in runtimes]) if pull else None
+    vals = [rt.data.split_xy("val") for rt in runtimes]
     states = [rt.state for rt in runtimes]
     rows = []
     for e in range(cfg.local_epochs):
@@ -276,7 +286,7 @@ def _train_round(
             _shuffled_batches(x, y, cfg.batch_size, rt.shuffle_rng)
             for rt, (x, y) in zip(runtimes, train)
         ]
-        logs = train_epoch(states, spec, batches, vals, det_cfg, prox)
+        logs = train_epoch(states, spec, batches, vals, det_cfg, opt, prox)
         r = schedule_r(epoch, schedule)
         comm_event = int(strategy.aggregator is not None and e == cfg.local_epochs - 1)
         for rt, log in zip(runtimes, logs):
@@ -350,27 +360,32 @@ def run_experiment(
             state=ClientState(
                 personalized=clone_params(common_init),
                 deputy=clone_params(common_init) if strategy.deputy else None,
-                opt=OptimizerState(cfg.base_lr, halving_period=cfg.lr_halving_period),
             ),
-            anchor=clone_params(common_init) if strategy.prox else None,
         )
         for i, (profile, cdata) in enumerate(zip(profiles, dataset.clients))
     ]
+    opt = OptimizerState(cfg.base_lr, halving_period=cfg.lr_halving_period)
+    # one anchor for every client: the common init, then each round's global model
+    prox = (cfg.prox_mu, common_init) if strategy.prox and cfg.prox_mu > 0.0 else None
 
     rows: list[RoundRow] = []
     for rnd in range(cfg.total_epochs // cfg.local_epochs):
-        rows += _train_round(runtimes, rnd, spec, cfg, strategy, schedule, det_cfg)
+        rows += _train_round(runtimes, rnd, spec, cfg, strategy, schedule, det_cfg, opt, prox)
         if strategy.aggregator is not None:
             t_comm = (rnd + 1) * cfg.local_epochs
-            _communicate(runtimes, spec, strategy, schedule_r(t_comm, schedule), t_comm)
+            global_params = _communicate(runtimes, spec, strategy, schedule_r(t_comm, schedule), t_comm)
+            if prox is not None:
+                prox = (cfg.prox_mu, global_params)
 
     return _finalize(cfg, rows, runtimes, spec, ood)
 
 
 def _communicate(
     runtimes: list[_Runtime], spec: ModelSpec, strategy: Strategy, r: float, t: int
-) -> None:
+) -> NamedTensorMap | None:
+    """Aggregate the uploads and deliver; returns the FEDAVG global model (None under PFA)."""
     uploads = [upload_model(rt.state) for rt in runtimes]
+    global_params = None
     if strategy.aggregator == PFA:
         aggregates = pfa_aggregate(AggregationRequest(uploads, r=r, strategy=PFA))
     else:
@@ -381,20 +396,19 @@ def _communicate(
             receive_deputy(rt.state, agg)
             continue
         rt.state.personalized = clone_params(agg)
-        if strategy.prox:
-            rt.anchor = clone_params(agg)
         if strategy.deploys_global:
             # the deployed model is the global aggregate, scored on each client's split
-            _keep_if_best(rt, validation_f1(agg, spec, *rt.data.val_xy()), agg, t)
+            _keep_if_best(rt, validation_f1(agg, spec, *rt.data.split_xy("val")), agg, t)
+    return global_params
 
 
 def _finalize(cfg, rows, runtimes, spec, ood: ClientData) -> ExperimentResult:
-    ood_x, ood_y = ood.test_xy()
+    ood_x, ood_y = ood.split_xy("test")
     outcomes = []
     best_params: dict[int, NamedTensorMap] = {}
     for rt in runtimes:
         params = best_params[rt.index] = rt.best_params
-        test_x, test_y = rt.data.test_xy()
+        test_x, test_y = rt.data.split_xy("test")
         own = evaluate(predict_probs(params, spec, test_x), test_y, spec.classes)
         far = evaluate(predict_probs(params, spec, ood_x), ood_y, spec.classes)
         outcomes.append(

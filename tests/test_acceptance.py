@@ -167,20 +167,20 @@ def test_criterion_4_gradient_checks():
         spec = small_mlp() if seed % 2 == 0 else conv_spec((1, 4, 6))
         params = init_params(spec, seed)
         teacher = init_params(spec, 1000 + seed)
-        batch = random_batch(rng, spec, n=4)
-        probs, cache = forward(params, spec, batch)
-        teacher_probs, _ = forward(teacher, spec, batch)
-        _, d_ce = ce_loss(probs, batch.labels)
+        x, y = random_batch(rng, spec, n=4)
+        probs, cache = forward(params, spec, x)
+        teacher_probs, _ = forward(teacher, spec, x)
+        _, d_ce = ce_loss(probs, y)
         _, d_kl = kl_div(probs, teacher_probs)
 
         def ce_of(p):
-            pr, _ = forward(p, spec, batch)
-            return ce_loss(pr, batch.labels)[0]
+            pr, _ = forward(p, spec, x)
+            return ce_loss(pr, y)[0]
 
         def distill_of(p):
-            pr, _ = forward(p, spec, batch)
-            tpr, _ = forward(teacher, spec, batch)
-            return ce_loss(pr, batch.labels)[0] + kl_div(pr, tpr)[0]
+            pr, _ = forward(p, spec, x)
+            tpr, _ = forward(teacher, spec, x)
+            return ce_loss(pr, y)[0] + kl_div(pr, tpr)[0]
 
         # CE alone, and the CE+KL(student||teacher) form shared by the
         # deputy (Eq.4-style) and personalized (Eq.5-style) objectives

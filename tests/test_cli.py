@@ -306,3 +306,41 @@ def test_eval_of_a_non_finite_checkpoint_is_a_data_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""  # no scores
     assert err == f"data error: {ckpt}: tensor 'dense2.weight' is not finite\n"
+
+
+def _conv_params_as_mlp32(params):
+    return init_params(MODEL_SPECS["conv4x8"], 0)
+
+
+def _dense1_cut(params):
+    params["dense1.weight"] = params["dense1.weight"][:, :10].copy()
+    return params
+
+
+def _extra_tensor(params):
+    params["extra.bias"] = np.zeros(3)
+    return params
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        # these two once died inside forward with a raw ValueError, exit 1
+        (_conv_params_as_mlp32, "parameter map 1 names differ from map 0 at 'conv1.bias'"),
+        (_dense1_cut, "parameter map 1 shape mismatch for 'dense1.weight': (32, 10) vs (32, 64)"),
+        # this one was scored as if the tensor were not there (macro F1 0.239), exit 0
+        (_extra_tensor, "parameter map 1 names differ from map 0 at 'extra.bias'"),
+    ],
+    ids=["conv4x8_tensors", "dense1_cut", "extra_tensor"],
+)
+def test_eval_of_a_checkpoint_that_does_not_fit_its_model_is_a_data_error(
+    tmp_path, capsys, edit, problem
+):
+    main(["synth-data", "--scale", "0.1", "--seed", "0", "--out-dir", str(tmp_path)])
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(edit(init_params(MODEL_SPECS["mlp32"], 0)), ckpt, model_id="mlp32")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "client_0.fsd")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"data error: {ckpt}: tensors do not fit model 'mlp32': {problem}\n"

@@ -134,15 +134,15 @@ def test_heterogeneity_hurts_cross_client_transfer():
         ds = synth([src, dst], seed)
         a, b = ds.clients
 
-        x, y = a.train_xy()
+        x, y = a.split_xy("train")
         centroids = np.stack([x[y == c].mean(axis=0) for c in range(CLASSES)])
 
         def predict(features):
             d = ((features[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
             return d.argmin(axis=1)
 
-        ax, ay = a.test_xy()
-        bx, by = b.test_xy()
+        ax, ay = a.split_xy("test")
+        bx, by = b.split_xy("test")
         own = np.mean(predict(ax) == ay)
         cross = np.mean(predict(bx) == by)
         wins += own > cross

@@ -17,7 +17,6 @@ from fedfreq.det import (
 )
 from fedfreq.model import (
     MODEL_SPECS,
-    Batch,
     OptimizerState,
     backward,
     ce_loss,
@@ -32,13 +31,9 @@ CFG = DetConfig(0.7, 0.9)
 SPEC = mlp_spec(input_dim=6)
 
 
-def make_state(seed=0, base_lr=1e-2):
+def make_state(seed=0):
     params = init_params(SPEC, seed)
-    return ClientState(
-        personalized=clone_params(params),
-        deputy=clone_params(params),
-        opt=OptimizerState(base_lr=base_lr),
-    )
+    return ClientState(personalized=clone_params(params), deputy=clone_params(params))
 
 
 def make_data(rng, n=40):
@@ -48,7 +43,7 @@ def make_data(rng, n=40):
 
 
 def batches_of(x, y, size=8):
-    return [Batch(inputs=x[i : i + size], labels=y[i : i + size]) for i in range(0, len(y), size)]
+    return [(x[i : i + size], y[i : i + size]) for i in range(0, len(y), size)]
 
 
 # --- phase transition rule -------------------------------------------------------
@@ -180,11 +175,11 @@ def test_p_bit_stable_across_repeated_receives():
 def test_kl_is_zero_when_deputy_equals_p():
     # at zero learning rate the deputy stays equal to p, so p's distillation
     # pull in EXCHANGE compares two identical distributions on every batch
-    state = make_state(base_lr=0.0)
+    state = make_state()
     state.phase = DetPhase.EXCHANGE
     rng = np.random.default_rng(0)
     x, y = make_data(rng)
-    log = local_epoch(state, SPEC, batches_of(x, y), (x, y), CFG)
+    log = local_epoch(state, SPEC, batches_of(x, y), (x, y), CFG, OptimizerState(base_lr=0.0))
     assert log.kl_loss == 0.0
     assert log.ce_loss > 0.0
 
@@ -192,29 +187,31 @@ def test_kl_is_zero_when_deputy_equals_p():
 def test_local_epoch_empty_stream_raises():
     state = make_state()
     with pytest.raises(ValueError):
-        local_epoch(state, SPEC, [], make_data(np.random.default_rng(0), n=10), CFG)
+        local_epoch(state, SPEC, [], make_data(np.random.default_rng(0), n=10), CFG, OptimizerState())
 
 
 def test_local_epoch_zero_lr_freezes_p():
-    state = make_state(base_lr=0.0)
+    state = make_state()
+    opt = OptimizerState(base_lr=0.0)
     rng = np.random.default_rng(1)
     x, y = make_data(rng)
     before = clone_params(state.personalized)
     for _ in range(3):  # covers RECOVER plus post-transition phases
-        local_epoch(state, SPEC, batches_of(x, y), (x, y), CFG)
+        local_epoch(state, SPEC, batches_of(x, y), (x, y), CFG, opt)
     for k in before:
         assert np.array_equal(state.personalized[k], before[k])
 
 
 def test_local_epoch_trains_and_logs():
     state = make_state()
+    opt = OptimizerState()
     rng = np.random.default_rng(2)
     x, y = make_data(rng, n=48)
-    log = local_epoch(state, SPEC, batches_of(x, y), (x, y), CFG)
+    log = local_epoch(state, SPEC, batches_of(x, y), (x, y), CFG, opt)
     assert log.ce_loss > 0.0
     assert 0.0 <= log.phi_d <= 1.0
     assert 0.0 <= log.phi_p <= 1.0
-    assert state.opt.epoch == 1
+    assert opt.epoch == 1
     assert log.phase is state.phase
 
 
@@ -222,18 +219,19 @@ def test_recover_epoch_logs_no_kl_for_p():
     state = make_state()
     rng = np.random.default_rng(3)
     x, y = make_data(rng)
-    log = local_epoch(state, SPEC, batches_of(x, y), (x, y), CFG)
+    log = local_epoch(state, SPEC, batches_of(x, y), (x, y), CFG, OptimizerState())
     # the first epoch runs entirely in RECOVER: p sees cross entropy only
     assert log.kl_loss == 0.0
 
 
 def test_phase_monotone_within_window_and_resets_on_receive():
     state = make_state()
+    opt = OptimizerState()
     rng = np.random.default_rng(4)
     x, y = make_data(rng, n=64)
     phases = []
     for _ in range(4):
-        log = local_epoch(state, SPEC, batches_of(x, y), (x, y), CFG)
+        log = local_epoch(state, SPEC, batches_of(x, y), (x, y), CFG, opt)
         phases.append(log.phase)
     assert all(b >= a for a, b in zip(phases, phases[1:]))
     receive_deputy(state, init_params(SPEC, 5))
@@ -250,12 +248,12 @@ def test_sublimate_trains_deputy_with_ce_only():
     batches = batches_of(x, y)
     expected = clone_params(state.deputy)
     expected_opt = OptimizerState(base_lr=1e-2)
-    for batch in batches:
-        probs, cache = forward(expected, SPEC, batch)
-        _, dlogits = ce_loss(probs, batch.labels)
+    for bx, by in batches:
+        probs, cache = forward(expected, SPEC, bx)
+        _, dlogits = ce_loss(probs, by)
         expected = sgd_step(expected, backward(cache, dlogits), expected_opt)
 
-    local_epoch(state, SPEC, batches, (x, y), CFG)
+    local_epoch(state, SPEC, batches, (x, y), CFG, OptimizerState(base_lr=1e-2))
     for k in expected:
         assert np.array_equal(state.deputy[k], expected[k])
 
@@ -263,9 +261,8 @@ def test_sublimate_trains_deputy_with_ce_only():
 def test_local_epoch_without_deputy_matches_manual_prox_loop():
     # a replacing strategy's client: one model, trained with a proximal pull
     params = init_params(SPEC, 0)
-    state = ClientState(
-        personalized=clone_params(params), deputy=None, opt=OptimizerState(base_lr=5e-2)
-    )
+    state = ClientState(personalized=clone_params(params), deputy=None)
+    state_opt = OptimizerState(base_lr=5e-2)
     anchor = init_params(SPEC, 9)
     prox = (0.5, anchor)
     rng = np.random.default_rng(7)
@@ -275,15 +272,15 @@ def test_local_epoch_without_deputy_matches_manual_prox_loop():
     expected, unpulled = clone_params(params), clone_params(params)
     opt = OptimizerState(base_lr=5e-2)
     ces = []
-    for batch in batches:
+    for bx, by in batches:
         for model, mu in ((unpulled, 0.0), (expected, 0.5)):
-            probs, cache = forward(model, SPEC, batch)
-            ce, dlogits = ce_loss(probs, batch.labels)
+            probs, cache = forward(model, SPEC, bx)
+            ce, dlogits = ce_loss(probs, by)
             grads = {k: g + mu * (model[k] - anchor[k]) for k, g in backward(cache, dlogits).items()}
             sgd_step(model, grads, opt)
         ces.append(ce)  # the pulled model's, stepped last
 
-    log = local_epoch(state, SPEC, batches, (x, y), CFG, prox)
+    log = local_epoch(state, SPEC, batches, (x, y), CFG, state_opt, prox)
     for k in expected:
         assert np.array_equal(state.personalized[k], expected[k])
     assert any(not np.array_equal(expected[k], unpulled[k]) for k in expected)  # the pull acts
@@ -293,7 +290,7 @@ def test_local_epoch_without_deputy_matches_manual_prox_loop():
     assert log.phi_p == validation_f1(expected, SPEC, x, y)
     assert log.phase is DetPhase.RECOVER and state.phase is DetPhase.RECOVER
     assert state.deputy is None
-    assert state.opt.epoch == 1
+    assert state_opt.epoch == 1
 
 
 # --- stacked epoch: every client trains as if alone --------------------------------
@@ -417,22 +414,22 @@ def test_stacked_epoch_matches_a_per_client_loop_bit_for_bit(model_id, with_depu
     phases = [DetPhase.RECOVER, DetPhase.EXCHANGE, DetPhase.SUBLIMATE, DetPhase.EXCHANGE]
     train = [_client_batches(rng, spec, n, 16) for n in sizes]
     vals = [(x, y) for x, y in (_client_batches(rng, spec, 30, 30)[0] for _ in sizes)]
-    anchors = [init_params(spec, 100 + j) for j in range(len(sizes))]
+    anchor = init_params(spec, 100)  # one map for every client, broadcast over the stack
     states = [
         ClientState(
             personalized=init_params(spec, j),
             deputy=init_params(spec, 50 + j) if with_deputy else None,
-            opt=OptimizerState(base_lr=0.05, epoch=3),
             phase=phases[j] if with_deputy else DetPhase.RECOVER,
         )
         for j in range(len(sizes))
     ]
     expected = [
-        _ref_epoch(s.personalized, s.deputy, s.phase, spec, train[j], 0.05, (0.3, anchors[j]))
+        _ref_epoch(s.personalized, s.deputy, s.phase, spec, train[j], 0.05, (0.3, anchor))
         for j, s in enumerate(states)
     ]
+    opt = OptimizerState(base_lr=0.05, epoch=3)
 
-    logs = train_epoch(states, spec, train, vals, CFG, (0.3, anchors))
+    logs = train_epoch(states, spec, train, vals, CFG, opt, (0.3, anchor))
 
     for j, (state, log, (p, d, ce, kl)) in enumerate(zip(states, logs, expected)):
         for k in p:
@@ -441,7 +438,7 @@ def test_stacked_epoch_matches_a_per_client_loop_bit_for_bit(model_id, with_depu
                 assert np.array_equal(state.deputy[k], d[k]), (j, k)
         assert log.ce_loss == ce and log.kl_loss == kl, j
         assert log.phi_p == validation_f1(p, spec, *vals[j])
-        assert state.opt.epoch == 4
+    assert opt.epoch == 4  # one schedule, advanced once for all clients
     # p distils from its deputy outside RECOVER only; KL is exactly 0.0 otherwise
     distils = [log.kl_loss > 0.0 for log in logs]
     assert distils == ([False, True, True, True] if with_deputy else [False] * 4)
@@ -468,16 +465,20 @@ def test_permuting_the_clients_permutes_the_outputs(data):
             ClientState(
                 personalized=init_params(spec, j),
                 deputy=init_params(spec, 50 + j) if with_deputy else None,
-                opt=OptimizerState(base_lr=0.05),
                 phase=phases[j],
             )
             for j in range(k)
         ]
 
     straight, shuffled = fresh_states(), fresh_states()
-    logs = train_epoch(straight, spec, train, vals, CFG)
+    logs = train_epoch(straight, spec, train, vals, CFG, OptimizerState(base_lr=0.05))
     moved = train_epoch(
-        [shuffled[j] for j in perm], spec, [train[j] for j in perm], [vals[j] for j in perm], CFG
+        [shuffled[j] for j in perm],
+        spec,
+        [train[j] for j in perm],
+        [vals[j] for j in perm],
+        CFG,
+        OptimizerState(base_lr=0.05),
     )
     for pos, j in enumerate(perm):
         a, b = straight[j], shuffled[j]
@@ -494,15 +495,13 @@ def test_permuting_the_clients_permutes_the_outputs(data):
 
 def test_train_epoch_names_the_diverged_client_epoch_and_tensor():
     states = [make_state(seed=j) for j in range(3)]
-    for state in states:
-        state.opt.epoch = 6
     # the NaN reaches every tensor of client 1; the first in name order is named
     states[1].personalized["dense2.weight"][0, 0] = np.nan
     rng = np.random.default_rng(12)
-    train = [[(b.inputs, b.labels) for b in batches_of(*make_data(rng))] for _ in states]
+    train = [batches_of(*make_data(rng)) for _ in states]
     match = "client 1 diverged in epoch 7: personalized tensor 'dense1.bias' is not finite"
     with pytest.raises(DivergenceError, match=match):
-        train_epoch(states, SPEC, train, [make_data(rng)] * 3, CFG)
+        train_epoch(states, SPEC, train, [make_data(rng)] * 3, CFG, OptimizerState(epoch=6))
 
 
 def test_train_epoch_rejects_clients_it_cannot_stack():
@@ -511,7 +510,4 @@ def test_train_epoch_rejects_clients_it_cannot_stack():
     train = [[(x, y)], [(x, y)]]
     mixed = [make_state(), ClientState(personalized=init_params(SPEC, 1), deputy=None)]
     with pytest.raises(ValueError, match="deputy"):
-        train_epoch(mixed, SPEC, train, [(x, y)] * 2, CFG)
-    apart = [make_state(), make_state(base_lr=0.5)]
-    with pytest.raises(ValueError, match="learning rate"):
-        train_epoch(apart, SPEC, train, [(x, y)] * 2, CFG)
+        train_epoch(mixed, SPEC, train, [(x, y)] * 2, CFG, OptimizerState())

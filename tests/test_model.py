@@ -5,7 +5,6 @@ import pytest
 
 from fedfreq.model import (
     UNFOLD_BLOCK,
-    Batch,
     Layer,
     ModelSpec,
     OptimizerState,
@@ -59,7 +58,7 @@ def two_conv():
 def random_batch(rng, spec, n=5):
     x = rng.standard_normal((n, *spec.input_shape))
     y = rng.integers(0, spec.classes, size=n)
-    return Batch(inputs=x, labels=y)
+    return x, y
 
 
 # --- forward ------------------------------------------------------------------
@@ -68,8 +67,8 @@ def random_batch(rng, spec, n=5):
 def test_forward_zero_weights_gives_uniform():
     spec = small_mlp()
     params = {k: np.zeros_like(v) for k, v in init_params(spec, 0).items()}
-    batch = random_batch(np.random.default_rng(0), spec)
-    probs, _ = forward(params, spec, batch)
+    x, _ = random_batch(np.random.default_rng(0), spec)
+    probs, _ = forward(params, spec, x)
     assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
 
 
@@ -80,8 +79,7 @@ def test_forward_softmax_saturation():
         classes=3,
     )
     params = {"dense1.weight": np.eye(3) * 50.0, "dense1.bias": np.zeros(3)}
-    batch = Batch(inputs=np.array([[1.0, 0.0, 0.0]]), labels=np.array([0]))
-    probs, _ = forward(params, spec, batch)
+    probs, _ = forward(params, spec, np.array([[1.0, 0.0, 0.0]]))
     assert probs[0, 0] > 1.0 - 1e-9
     assert probs[0, 1] < 1e-9 and probs[0, 2] < 1e-9
 
@@ -91,7 +89,7 @@ def test_forward_rows_sum_to_one():
     spec = small_mlp()
     params = init_params(spec, 1)
     for _ in range(100):
-        probs, _ = forward(params, spec, random_batch(rng, spec))
+        probs, _ = forward(params, spec, random_batch(rng, spec)[0])
         assert np.all(probs >= 0.0)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
 
@@ -100,9 +98,9 @@ def test_forward_deterministic():
     rng = np.random.default_rng(2)
     spec = small_mlp()
     params = init_params(spec, 2)
-    batch = random_batch(rng, spec)
-    a, _ = forward(params, spec, batch)
-    b, _ = forward(params, spec, batch)
+    x, _ = random_batch(rng, spec)
+    a, _ = forward(params, spec, x)
+    b, _ = forward(params, spec, x)
     assert np.array_equal(a, b)
 
 
@@ -110,13 +108,13 @@ def test_forward_shape_mismatch():
     spec = small_mlp()
     params = init_params(spec, 0)
     with pytest.raises(ValueError):
-        forward(params, spec, Batch(inputs=np.zeros((2, 5)), labels=np.zeros(2, dtype=int)))
+        forward(params, spec, np.zeros((2, 5)))
 
 
 def test_forward_reshapes_flat_input_for_conv():
     spec = conv_spec((1, 4, 8))
     params = init_params(spec, 0)
-    probs, _ = forward(params, spec, Batch(inputs=np.zeros((2, 32)), labels=np.zeros(2, dtype=int)))
+    probs, _ = forward(params, spec, np.zeros((2, 32)))
     assert probs.shape == (2, 3)
 
 
@@ -239,18 +237,18 @@ def test_kl_gradients_match_finite_differences():
 # --- backward -------------------------------------------------------------------
 
 
-def _loss_ce(params, spec, batch):
-    probs, _ = forward(params, spec, batch)
-    return ce_loss(probs, batch.labels)[0]
+def _loss_ce(params, spec, x, y):
+    probs, _ = forward(params, spec, x)
+    return ce_loss(probs, y)[0]
 
 
-def _loss_distill(params, spec, batch, teacher):
+def _loss_distill(params, spec, x, y, teacher):
     # both training losses share this shape: CE plus KL(student || teacher)
     # with the teacher held constant; deputy and personalized roles swap
     # which model is the student
-    probs, _ = forward(params, spec, batch)
-    t_probs, _ = forward(teacher, spec, batch)
-    return ce_loss(probs, batch.labels)[0] + kl_div(probs, t_probs)[0]
+    probs, _ = forward(params, spec, x)
+    t_probs, _ = forward(teacher, spec, x)
+    return ce_loss(probs, y)[0] + kl_div(probs, t_probs)[0]
 
 
 @pytest.mark.parametrize("spec_builder", [small_mlp, lambda: conv_spec((1, 4, 6)), two_conv])
@@ -262,17 +260,17 @@ def test_backward_matches_finite_differences(spec_builder, composition):
     rng = np.random.default_rng(zlib.crc32(f"{composition}{spec.input_shape}".encode()))
     params = init_params(spec, int(rng.integers(0, 1000)))
     teacher = init_params(spec, int(rng.integers(1000, 2000)))
-    batch = random_batch(rng, spec, n=4)
+    x, y = random_batch(rng, spec, n=4)
 
-    probs, cache = forward(params, spec, batch)
-    _, dlogits = ce_loss(probs, batch.labels)
+    probs, cache = forward(params, spec, x)
+    _, dlogits = ce_loss(probs, y)
     if composition == "ce":
-        loss_fn = lambda p: _loss_ce(p, spec, batch)
+        loss_fn = lambda p: _loss_ce(p, spec, x, y)
     else:
-        t_probs, _ = forward(teacher, spec, batch)
+        t_probs, _ = forward(teacher, spec, x)
         _, dkl = kl_div(probs, t_probs)
         dlogits = dlogits + dkl
-        loss_fn = lambda p: _loss_distill(p, spec, batch, teacher)
+        loss_fn = lambda p: _loss_distill(p, spec, x, y, teacher)
     analytic = backward(cache, dlogits)
     fd = fd_gradient(loss_fn, clone_params(params))
     assert sorted(analytic) == sorted(params)
@@ -283,8 +281,8 @@ def test_backward_matches_finite_differences(spec_builder, composition):
 def test_backward_zero_upstream_gives_zero_gradients():
     spec = small_mlp()
     params = init_params(spec, 7)
-    batch = random_batch(np.random.default_rng(7), spec)
-    probs, cache = forward(params, spec, batch)
+    x, _ = random_batch(np.random.default_rng(7), spec)
+    probs, cache = forward(params, spec, x)
     grads = backward(cache, np.zeros_like(probs))
     for g in grads.values():
         assert np.all(g == 0.0)
@@ -293,10 +291,10 @@ def test_backward_zero_upstream_gives_zero_gradients():
 def test_backward_excludes_teacher_parameters():
     spec = small_mlp()
     params = init_params(spec, 8)
-    batch = random_batch(np.random.default_rng(8), spec)
-    probs, cache = forward(params, spec, batch)
-    teacher_probs, _ = forward(init_params(spec, 9), spec, batch)
-    _, dlogits = ce_loss(probs, batch.labels)
+    x, y = random_batch(np.random.default_rng(8), spec)
+    probs, cache = forward(params, spec, x)
+    teacher_probs, _ = forward(init_params(spec, 9), spec, x)
+    _, dlogits = ce_loss(probs, y)
     _, dkl = kl_div(probs, teacher_probs)
     grads = backward(cache, dlogits + dkl)
     assert sorted(grads) == sorted(params)  # only the student's keys
@@ -305,7 +303,7 @@ def test_backward_excludes_teacher_parameters():
 def test_backward_rejects_bad_gradient_shape():
     spec = small_mlp()
     params = init_params(spec, 10)
-    probs, cache = forward(params, spec, random_batch(np.random.default_rng(10), spec))
+    probs, cache = forward(params, spec, random_batch(np.random.default_rng(10), spec)[0])
     with pytest.raises(ValueError):
         backward(cache, np.zeros((probs.shape[0], probs.shape[1] + 1)))
 
@@ -313,7 +311,7 @@ def test_backward_rejects_bad_gradient_shape():
 def test_backward_rejects_stale_cache():
     spec = small_mlp()
     params = init_params(spec, 11)
-    probs, cache = forward(params, spec, random_batch(np.random.default_rng(11), spec))
+    probs, cache = forward(params, spec, random_batch(np.random.default_rng(11), spec)[0])
     cache.inputs.pop()
     with pytest.raises(ValueError):
         backward(cache, np.zeros_like(probs))
@@ -367,17 +365,16 @@ def test_loss_decreases_on_separable_toy_set():
     centers = np.array([[3.0, 0.0], [-3.0, 3.0], [0.0, -3.0]])
     labels = rng.integers(0, 3, size=60)
     inputs = centers[labels] + 0.1 * rng.standard_normal((60, 2))
-    batch = Batch(inputs=inputs, labels=labels)
     opt = OptimizerState(base_lr=0.05)
 
     def current_loss(p):
-        probs, _ = forward(p, spec, batch)
-        return ce_loss(probs, batch.labels)[0]
+        probs, _ = forward(p, spec, inputs)
+        return ce_loss(probs, labels)[0]
 
     initial = current_loss(params)
     for _ in range(200):
-        probs, cache = forward(params, spec, batch)
-        _, dlogits = ce_loss(probs, batch.labels)
+        probs, cache = forward(params, spec, inputs)
+        _, dlogits = ce_loss(probs, labels)
         params = sgd_step(params, backward(cache, dlogits), opt)
     assert current_loss(params) < initial
 
@@ -398,5 +395,5 @@ def test_predict_probs_matches_forward():
     params = init_params(spec, 14)
     x = np.random.default_rng(14).standard_normal((7, 6))
     probs = predict_probs(params, spec, x)
-    ref, _ = forward(params, spec, Batch(inputs=x, labels=np.zeros(7, dtype=int)))
+    ref, _ = forward(params, spec, x)
     assert np.array_equal(probs, ref)

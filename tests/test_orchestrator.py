@@ -11,7 +11,6 @@ from fedfreq.data import DataError, default_profiles, ood_client, synth
 from fedfreq.metrics import evaluate, macro_f1
 from fedfreq.model import (
     MODEL_SPECS,
-    Batch,
     OptimizerState,
     backward,
     ce_loss,
@@ -135,23 +134,22 @@ def test_local_only_single_client_matches_manual_loop():
     params = init_params(spec, [cfg.seed, 1])
     shuffle_rng = np.random.default_rng([cfg.seed, profile.seed, 2])
     opt = OptimizerState(base_lr=cfg.base_lr, halving_period=cfg.lr_halving_period)
-    x, y = client.train_xy()
-    val_x, val_y = client.val_xy()
+    x, y = client.split_xy("train")
+    val_x, val_y = client.split_xy("val")
     best_val, best_params = -1.0, None
     for _ in range(cfg.total_epochs):
         perm = shuffle_rng.permutation(len(y))
         for i in range(0, len(y), cfg.batch_size):
             sel = perm[i : i + cfg.batch_size]
-            batch = Batch(inputs=x[sel], labels=y[sel])
-            probs, cache = forward(params, spec, batch)
-            _, dlogits = ce_loss(probs, batch.labels)
+            probs, cache = forward(params, spec, x[sel])
+            _, dlogits = ce_loss(probs, y[sel])
             params = sgd_step(params, backward(cache, dlogits), opt)
         opt.epoch += 1
         val = macro_f1(predict_probs(params, spec, val_x).argmax(axis=1), val_y, 3)
         if val > best_val:
             best_val, best_params = val, clone_params(params)
 
-    test_x, test_y = client.test_xy()
+    test_x, test_y = client.split_xy("test")
     expected = evaluate(predict_probs(best_params, spec, test_x), test_y, 3)
     assert result.clients[0].test_f1 == expected.macro_f1
     assert result.clients[0].test_auc == expected.macro_auc
@@ -350,6 +348,42 @@ def test_fedprox_differs_from_fedavg_and_stays_finite():
     rows_a = [r.ce_loss for r in fedavg.rows]
     rows_p = [r.ce_loss for r in fedprox.rows]
     assert rows_a != rows_p  # proximal pull changes the trajectory
+
+
+def test_fedprox_pulls_toward_the_init_then_the_latest_global_model(monkeypatch):
+    cfg = small_cfg(strategy="FEDPROX", num_clients=4, total_epochs=15, local_epochs=5, prox_mu=0.1)
+    pulls, global_models = [], []
+    train_epoch, fedavg_aggregate = orchestrator.train_epoch, orchestrator.fedavg_aggregate
+
+    def recording_train_epoch(*args):
+        mu, anchor = args[-1]  # prox, the last argument
+        pulls.append((mu, clone_params(anchor)))
+        return train_epoch(*args)
+
+    def recording_fedavg(req):
+        out = fedavg_aggregate(req)
+        global_models.append(clone_params(out))
+        return out
+
+    monkeypatch.setattr(orchestrator, "train_epoch", recording_train_epoch)
+    monkeypatch.setattr(orchestrator, "fedavg_aggregate", recording_fedavg)
+    run_experiment(cfg)
+
+    init = init_params(MODEL_SPECS[cfg.model_id], [cfg.seed, 1])
+    assert len(pulls) == 15 and len(global_models) == 3
+    for epoch, (mu, anchor) in enumerate(pulls):
+        rnd = epoch // cfg.local_epochs
+        expected = init if rnd == 0 else global_models[rnd - 1]
+        assert mu == 0.1
+        assert sorted(anchor) == sorted(expected)
+        assert all(np.array_equal(anchor[k], expected[k]) for k in expected), epoch
+    assert not np.array_equal(global_models[0]["dense1.weight"], init["dense1.weight"])
+
+
+@pytest.mark.parametrize("aggregator", [orchestrator.PFA, None])
+def test_a_prox_strategy_without_a_global_model_is_rejected(aggregator):
+    with pytest.raises(ValueError, match="only FEDAVG"):
+        orchestrator.Strategy(aggregator, deputy=False, prox=True)
 
 
 def test_ood_evaluation_present():
