@@ -19,7 +19,8 @@ The ``layer`` section times each tree's own library functions the same way:
 shape (4 clients x 16 rows, stacked) and the validation shape (1 client x
 19 rows), ``ce_loss``, ``kl_div`` and ``sgd_step`` at the training-group
 shape, ``validation_f1`` and ``pfa_aggregate`` (4 clients) for each model,
-and ``save_checkpoint`` / ``load_checkpoint_full`` of an mlp32 map.  Both
+``macro_auc`` on 60 rows (a client's test split at data_scale 0.1), and
+``save_checkpoint`` / ``load_checkpoint_full`` of an mlp32 map.  Both
 sides get the same inputs.  One sample is a loop of calls sized on the base
 side to take about ``LAYER_SAMPLE_S``; per function the file holds each
 side's median time per call and the quartiles of the paired ratios.
@@ -68,6 +69,7 @@ SIDES = ("base", "change")
 ARTIFACTS = ("curves.csv", "results.json", *(f"best_client_{i}.ckpt" for i in range(CLIENTS)))
 LAYER_SHAPES = {"train": (CLIENTS, 16), "val": (1, 19)}  # (clients, rows) of one call
 LAYER_SAMPLE_S = 0.02  # seconds of calls in one layer sample (one side of a pair)
+AUC_ROWS = 60  # a client's test split at data_scale 0.1
 
 
 def load_tree(src: Path, name: str):
@@ -120,6 +122,9 @@ def layer_cases(pkg: str, tmp: Path) -> dict:
     grads = {key: rng.standard_normal(v.shape) for key, v in stacked.items()}
     # in place: the parameters drift by 1e-3 of a gradient per call
     cases["sgd_step"] = partial(model.sgd_step, stacked, grads, model.OptimizerState(base_lr=1e-3))
+    metrics = importlib.import_module(f"{pkg}.metrics")
+    scores = rng.dirichlet(np.ones(3), size=AUC_ROWS)
+    cases["macro_auc"] = partial(metrics.macro_auc, scores, rng.integers(0, 3, size=AUC_ROWS), 3)
     path = tmp / f"{pkg}.ckpt"
     cases["save_checkpoint"] = partial(checkpoint.save_checkpoint, mlp[0], path, model_id="mlp32")
     cases["save_checkpoint"]()

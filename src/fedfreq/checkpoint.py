@@ -64,11 +64,14 @@ def load_checkpoint_full(path) -> tuple[int, str, NamedTensorMap]:
     payload, (stored,) = raw[:-8], struct.unpack("<Q", raw[-8:])
     if _checksum(payload) != stored:
         raise CorruptCheckpointError(f"{path}: checksum mismatch")
+    (version,) = struct.unpack_from("<I", payload)
+    if version != FORMAT_VERSION:
+        raise UnsupportedVersionError(f"{path}: unsupported checkpoint version {version}")
     try:
         return _decode(payload)
+    except CorruptCheckpointError as exc:
+        raise CorruptCheckpointError(f"{path}: {exc}") from None
     except (struct.error, UnicodeDecodeError, ValueError) as exc:
-        if isinstance(exc, (CorruptCheckpointError, UnsupportedVersionError)):
-            raise
         raise CorruptCheckpointError(f"{path}: malformed payload ({exc})") from exc
 
 
@@ -93,9 +96,7 @@ def _decode(payload: bytes) -> tuple[int, str, NamedTensorMap]:
         offset += n
         return out
 
-    (version,) = take("<I")
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(f"unsupported checkpoint version {version}")
+    (version,) = take("<I")  # checked by the caller
     (id_len,) = take("<I")
     model_id = take_bytes(id_len).decode("utf-8")
     (count,) = take("<I")

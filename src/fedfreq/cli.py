@@ -6,10 +6,11 @@ checkpoint files), ``eval`` (score a checkpoint on a dataset file) and
 ``report`` (summarize a curves.csv log).
 
 Exit codes: 0 success, 2 configuration error, 3 data error (including a
-checkpoint, or an aggregate of checkpoints, holding a non-finite tensor;
-``aggregate`` then writes nothing; and an ``eval`` checkpoint whose tensor
-names or shapes do not fit its model id), 4 I/O error, 5 training diverged (a
-parameter stopped being finite; ``run`` writes nothing).
+corrupt checkpoint or one of an unknown format version; a checkpoint, or an
+aggregate of checkpoints, holding a non-finite tensor; ``aggregate`` then
+writes nothing; and an ``eval`` checkpoint whose tensor names or shapes do
+not fit its model id), 4 I/O error, 5 training diverged (a parameter stopped
+being finite; ``run`` writes nothing).
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CorruptCheckpointError, load_checkpoint_full, save_checkpoint
+from .checkpoint import (
+    CorruptCheckpointError,
+    UnsupportedVersionError,
+    load_checkpoint_full,
+    save_checkpoint,
+)
 from .data import DataError, default_profiles, load_client, ood_client, save_client, synth
 from .det import DivergenceError
 from .freq_agg import (
@@ -211,7 +217,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, CorruptCheckpointError) as exc:
+    except (DataError, CorruptCheckpointError, UnsupportedVersionError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

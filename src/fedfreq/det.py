@@ -43,6 +43,14 @@ the 32->3 output matmul differs when the row count is not a multiple of 4,
 and a 1-row batch takes OpenBLAS's matrix-vector path.  Clients whose batches
 have the same row count, 1-row batches included, run the same per-client
 BLAS calls in a stack as alone.
+
+Validation is the exception: after the epoch one forward pass scores every
+client's ``p`` and deputy (:func:`stacked_validation_f1`), each client's
+split zero-padded to the longest.  Padding may change the last bits of a
+validation probability, but only each scored row's argmax is used and
+padded rows are never scored, so a score can differ from scoring the model
+alone only where two class probabilities lie within rounding of each other.
+The property tests compare the two, and none has differed.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .metrics import macro_f1
+from .metrics import stacked_macro_f1
 from .model import (
     ModelSpec,
     NamedTensorMap,
@@ -173,13 +181,22 @@ def train_epoch(
     anchor)`` pulls every personalized model toward the one anchor map.
     Each model's phase decides its distillation (see the module docstring).
     After the pass every parameter must be finite, else
-    :class:`DivergenceError`; then both models are scored on the validation
-    split (macro F1) and the phase transition rule is applied.  Without
-    deputies only ``p`` trains and is scored.  Raises ValueError on an empty
-    batch list or on a mix of clients with and without a deputy.
+    :class:`DivergenceError`; then both models of every client are scored on
+    its validation split (macro F1) in one stacked pass, and the phase
+    transition rule is applied.  Without deputies only ``p`` trains and is
+    scored.  Every batch is checked before any training: an empty batch
+    list, an empty batch or a batch whose inputs and labels differ in row
+    count raises ValueError naming the client (and the batch index), as does
+    a mix of clients with and without a deputy.
     """
-    if any(not batches for batches in train):
-        raise ValueError("training set is empty")
+    for j, batches in enumerate(train):
+        if not batches:
+            raise ValueError(f"client {j}'s training set is empty")
+        for i, (x, y) in enumerate(batches):
+            if len(y) == 0:
+                raise ValueError(f"client {j}'s batch {i} is empty")
+            if len(x) != len(y):
+                raise ValueError(f"client {j}'s batch {i} has {len(x)} inputs but {len(y)} labels")
     has_deputy = states[0].deputy is not None
     if any((s.deputy is not None) != has_deputy for s in states):
         raise ValueError("either every client trained together has a deputy or none has")
@@ -222,16 +239,20 @@ def train_epoch(
                     f"{name} tensor {key!r} is not finite"
                 )
 
+    # one validation pass scores every p, then every deputy, each on its client's split
+    scored = {k: np.concatenate([m[k] for m in models.values()]) for k in p} if has_deputy else p
+    scores = stacked_validation_f1(scored, spec, [vals[j] for j in order] * len(models))
+    scores = scores.reshape(len(models), len(order))
     rank = {j: s for s, j in enumerate(order)}
     logs = []
     for j, state in enumerate(states):
         s = rank[j]
         state.personalized = {k: v[s] for k, v in p.items()}
-        phi_p = validation_f1(state.personalized, spec, *vals[j])
+        phi_p = float(scores[0, s])
         phi_d = float("nan")
         if has_deputy:
             state.deputy = {k: v[s] for k, v in d.items()}
-            phi_d = validation_f1(state.deputy, spec, *vals[j])
+            phi_d = float(scores[1, s])
             state.phase = det_phase_transition(phi_d, phi_p, cfg, state.phase)
         n = len(train[j])
         logs.append(EpochLog(float(ce_sum[s] / n), float(kl_sum[s] / n), phi_d, phi_p, state.phase))
@@ -273,6 +294,26 @@ def _step(params, cache, probs, labels, teacher_probs, distils, opt, prox=None):
 def validation_f1(
     params: NamedTensorMap, spec: ModelSpec, val_x: np.ndarray, val_y: np.ndarray
 ) -> float:
-    """Macro F1 of the model's argmax predictions on a validation split."""
-    probs = predict_probs(params, spec, val_x)
-    return macro_f1(probs.argmax(axis=1), val_y, spec.classes)
+    """Macro F1 of one model's argmax predictions on a validation split (a stack of one)."""
+    stack = {k: v[None] for k, v in params.items()}
+    return float(stacked_validation_f1(stack, spec, [(val_x, val_y)])[0])
+
+
+def stacked_validation_f1(
+    params: NamedTensorMap, spec: ModelSpec, vals: list[tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """Macro F1 of each of K stacked models on its own split ``vals[j]``, in one forward pass.
+
+    ``params`` holds ``(K, ...)`` tensors (a broadcast view scores one model
+    on K splits).  Each split is zero-padded to the longest and the padded
+    rows are not scored (see the module docstring for why padding is safe
+    here).  Raises ValueError on an empty split.
+    """
+    counts = np.array([len(y) for _, y in vals])
+    x = np.zeros((len(vals), counts.max(), *np.shape(vals[0][0])[1:]))
+    y = np.zeros(x.shape[:2], dtype=np.int64)
+    for j, (val_x, val_y) in enumerate(vals):
+        x[j, : len(val_y)] = val_x
+        y[j, : len(val_y)] = val_y
+    probs = predict_probs(params, spec, x)
+    return stacked_macro_f1(probs.argmax(axis=-1), y, counts, spec.classes)

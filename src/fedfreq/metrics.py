@@ -40,15 +40,17 @@ def confusion_matrix(predictions: np.ndarray, labels: np.ndarray, classes: int) 
 
 
 def per_class_prf(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Precision, recall, F1 per class from a confusion matrix (0 on 0/0)."""
-    tp = np.diag(cm).astype(np.float64)
-    pred = cm.sum(axis=0).astype(np.float64)
-    true = cm.sum(axis=1).astype(np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        precision = np.where(pred > 0, tp / pred, 0.0)
-        recall = np.where(true > 0, tp / true, 0.0)
-        pr = precision + recall
-        f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1.0), 0.0)
+    """Precision, recall, F1 per class from a confusion matrix (0 on 0/0).
+
+    A stack of matrices ``(K, classes, classes)`` gives ``(K, classes)`` arrays.
+    """
+    tp = np.diagonal(cm, axis1=-2, axis2=-1).astype(np.float64)
+    # tp <= pred and tp <= true, and precision + recall is 0 only where tp is:
+    # every zero denominator meets a zero numerator, and 0 / 1 gives the 0 convention
+    precision = tp / np.maximum(cm.sum(axis=-2), 1)
+    recall = tp / np.maximum(cm.sum(axis=-1), 1)
+    pr = precision + recall
+    f1 = 2.0 * precision * recall / np.where(pr > 0, pr, 1.0)
     return precision, recall, f1
 
 
@@ -57,6 +59,38 @@ def macro_f1(predictions: np.ndarray, labels: np.ndarray, classes: int) -> float
     cm = confusion_matrix(predictions, labels, classes)
     _, _, f1 = per_class_prf(cm)
     return float(f1.sum() / classes)
+
+
+def stacked_macro_f1(
+    predictions: np.ndarray, labels: np.ndarray, counts: np.ndarray, classes: int
+) -> np.ndarray:
+    """:func:`macro_f1` of every row of ``(K, n)`` predictions and labels, as ``(K,)``.
+
+    Row j scores its first ``counts[j]`` entries; the rest are padding.  One
+    ``np.bincount`` builds every confusion matrix, and padding entries go to
+    a spare bin past the last matrix.  Raises ValueError, like
+    :func:`macro_f1`, on an empty row or a scored value out of class range.
+    """
+    predictions = np.asarray(predictions, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    k, n = labels.shape
+    if predictions.shape != labels.shape or counts.shape != (k,):
+        raise ValueError(
+            f"need (K, n) predictions and labels and K counts, got "
+            f"{predictions.shape}, {labels.shape} and {counts.shape}"
+        )
+    if k < 1 or counts.min() < 1 or counts.max() > n:
+        raise ValueError("every row must score between 1 and n entries")
+    scored = np.arange(n) < counts[:, None]
+    for name, values in (("prediction", predictions), ("label", labels)):
+        if ((values < 0) | (values >= classes))[scored].any():
+            raise ValueError(f"{name} out of class range")
+    cells = classes * classes
+    bins = np.where(scored, np.arange(k)[:, None] * cells + labels * classes + predictions, k * cells)
+    cm = np.bincount(bins.ravel(), minlength=k * cells + 1)[:-1].reshape(k, classes, classes)
+    _, _, f1 = per_class_prf(cm)
+    return f1.sum(axis=-1) / classes
 
 
 def macro_auc(scores: np.ndarray, labels: np.ndarray, classes: int) -> float:

@@ -24,12 +24,17 @@ a matmul adds a row's taps in BLAS order, not tap by tap, and none of the
 faster numpy formulations tried reproduced the per-tap weight-gradient
 bits.  The forward pass unfolds at most ``UNFOLD_BLOCK`` samples at a time,
 so scoring thousands of rows never holds all their patches at once (the
-patch array is ``kh * kw`` times the size of a one-channel input).
+patch array is ``kh * kw`` times the size of a one-channel input).  When
+one block covers the batch, as in every training step, :class:`ForwardCache`
+keeps the patches and :func:`backward` multiplies them again instead of
+unfolding the input a second time; a larger batch is unfolded again, with
+the same bits.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,6 +222,8 @@ class ForwardCache:
     params: NamedTensorMap
     lifted: bool  # a plain map run as a one-client stack; backward drops the axis again
     inputs: list[np.ndarray] = field(repr=False, default_factory=list)
+    # by layer index: a conv layer's unfolded input, kept when one UNFOLD_BLOCK covered the batch
+    patches: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
     probs: np.ndarray | None = field(repr=False, default=None)
 
 
@@ -241,18 +248,21 @@ def forward(params: NamedTensorMap, spec: ModelSpec, x: np.ndarray) -> tuple[np.
         params = {k: v[None] for k, v in params.items()}
         x = x[None]
     if x.shape[2:] != tuple(spec.input_shape):
-        if int(np.prod(x.shape[2:])) != int(np.prod(spec.input_shape)):
+        # math.prod, not np.prod: this runs once per batch, and np.prod of a tuple is slow
+        if math.prod(x.shape[2:]) != math.prod(spec.input_shape):
             raise ValueError(
                 f"batch shape {x.shape[2:]} incompatible with input {spec.input_shape}"
             )
         x = x.reshape(*x.shape[:2], *spec.input_shape)
     cache = ForwardCache(spec=spec, params=params, lifted=lifted)
-    for layer, keys in zip(spec.layers, spec.param_keys):
+    for i, (layer, keys) in enumerate(zip(spec.layers, spec.param_keys)):
         cache.inputs.append(x)
         if layer.kind == "dense":
             x = x @ params[keys[0]] + params[keys[1]][:, None, :]
         elif layer.kind == "conv2d":
-            x = _conv2d_forward(x, params[keys[0]], params[keys[1]])
+            x, patches = _conv2d_forward(x, params[keys[0]], params[keys[1]])
+            if patches is not None:
+                cache.patches[i] = patches
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         elif layer.kind == "flatten":
@@ -265,18 +275,25 @@ def forward(params: NamedTensorMap, spec: ModelSpec, x: np.ndarray) -> tuple[np.
     return (x[0] if lifted else x), cache
 
 
-def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # valid convolution, stride 1: one matmul per block of unfolded samples
+def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """Valid convolution, stride 1: one matmul per block of unfolded samples.
+
+    Returns ``(output, patches)``; ``patches`` is the unfolded input when one
+    block covered the batch, else None.
+    """
     k, n = x.shape[:2]
     o, kh, kw = w.shape[1], w.shape[3], w.shape[4]
     idx = _tap_index(*x.shape[2:], kh, kw)
     w_cols = w.reshape(k, o, -1).transpose(0, 2, 1)
     out = np.empty((k, n, o, idx.shape[0]))
+    patches = None
     for s in range(0, n, UNFOLD_BLOCK):
-        rows = _unfold(x[:, s : s + UNFOLD_BLOCK], idx) @ w_cols  # (K, m * pixels, O)
+        patches = _unfold(x[:, s : s + UNFOLD_BLOCK], idx)
+        rows = patches @ w_cols  # (K, m * pixels, O)
         out[:, s : s + UNFOLD_BLOCK] = rows.reshape(k, -1, idx.shape[0], o).transpose(0, 1, 3, 2)
     out += b[:, None, :, None]
-    return out.reshape(k, n, o, x.shape[3] - kh + 1, x.shape[4] - kw + 1)
+    patches = patches if n <= UNFOLD_BLOCK else None
+    return out.reshape(k, n, o, x.shape[3] - kh + 1, x.shape[4] - kw + 1), patches
 
 
 def backward(cache: ForwardCache, dlogits: np.ndarray) -> NamedTensorMap:
@@ -312,7 +329,9 @@ def backward(cache: ForwardCache, dlogits: np.ndarray) -> NamedTensorMap:
                 dx = dx @ cache.params[w_key].transpose(0, 2, 1)
         elif layer.kind == "conv2d":
             w_key, b_key = keys
-            grads[w_key], grads[b_key], dx = _conv2d_backward(x, cache.params[w_key], dx, i > lowest)
+            grads[w_key], grads[b_key], dx = _conv2d_backward(
+                x, cache.params[w_key], dx, i > lowest, cache.patches.get(i)
+            )
         elif layer.kind == "relu":
             dx = dx * (x > 0.0)
         else:  # flatten
@@ -322,11 +341,16 @@ def backward(cache: ForwardCache, dlogits: np.ndarray) -> NamedTensorMap:
     return grads
 
 
-def _conv2d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray, want_dx: bool):
+def _conv2d_backward(
+    x: np.ndarray, w: np.ndarray, dout: np.ndarray, want_dx: bool, patches: np.ndarray | None
+):
+    """Weight, bias and (if ``want_dx``) input gradients; ``patches`` is ``x`` unfolded, if kept."""
     k, n, o = dout.shape[:3]
     idx = _tap_index(*x.shape[2:], *w.shape[3:])
     rows = dout.reshape(k, n, o, -1).transpose(0, 1, 3, 2).reshape(k, -1, o)  # (K, n * pixels, O)
-    dw = (rows.transpose(0, 2, 1) @ _unfold(x, idx)).reshape(w.shape)
+    if patches is None:
+        patches = _unfold(x, idx)
+    dw = (rows.transpose(0, 2, 1) @ patches).reshape(w.shape)
     db = rows.sum(axis=1)
     dx = None
     if want_dx:

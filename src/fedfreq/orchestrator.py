@@ -47,9 +47,9 @@ from .det import (
     ClientState,
     DetConfig,
     receive_deputy,
+    stacked_validation_f1,
     train_epoch,
     upload_model,
-    validation_f1,
 )
 from .freq_agg import (
     FEDAVG,
@@ -394,11 +394,15 @@ def _communicate(
     for rt, agg in zip(runtimes, aggregates):
         if strategy.deputy:
             receive_deputy(rt.state, agg)
-            continue
-        rt.state.personalized = clone_params(agg)
-        if strategy.deploys_global:
-            # the deployed model is the global aggregate, scored on each client's split
-            _keep_if_best(rt, validation_f1(agg, spec, *rt.data.split_xy("val")), agg, t)
+        else:
+            rt.state.personalized = clone_params(agg)
+    if strategy.deploys_global:
+        # the deployed model is the global aggregate, scored on every client's split in one pass
+        k = len(runtimes)
+        broadcast = {name: np.broadcast_to(v, (k, *v.shape)) for name, v in global_params.items()}
+        scores = stacked_validation_f1(broadcast, spec, [rt.data.split_xy("val") for rt in runtimes])
+        for rt, score in zip(runtimes, scores):
+            _keep_if_best(rt, float(score), global_params, t)
     return global_params
 
 

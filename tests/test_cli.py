@@ -1,5 +1,8 @@
+import hashlib
 import json
+import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,3 +347,32 @@ def test_eval_of_a_checkpoint_that_does_not_fit_its_model_is_a_data_error(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"data error: {ckpt}: tensors do not fit model 'mlp32': {problem}\n"
+
+
+def _as_version_2(path):
+    """Rewrite a checkpoint's format version to 2, with a valid checksum."""
+    payload = struct.pack("<I", 2) + path.read_bytes()[4:-8]
+    digest = int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
+    path.write_bytes(payload + struct.pack("<Q", digest))
+
+
+def test_eval_of_an_unknown_checkpoint_version_is_a_data_error(tmp_path, capsys):
+    # it once exited 1 with a raw UnsupportedVersionError traceback
+    main(["synth-data", "--scale", "0.1", "--seed", "0", "--out-dir", str(tmp_path)])
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(MODEL_SPECS["mlp32"], 0), ckpt, model_id="mlp32")
+    _as_version_2(ckpt)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "client_0.fsd")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"data error: {ckpt}: unsupported checkpoint version 2\n"
+
+
+def test_aggregate_of_an_unknown_checkpoint_version_is_a_data_error(tmp_path, capsys):
+    inputs = _mlp32_checkpoints(tmp_path, lambda i, params: None)
+    _as_version_2(Path(inputs[2]))
+    out = tmp_path / "agg"
+    assert main(["aggregate", *inputs, "--out-dir", str(out)]) == 3
+    _single_error_line(capsys, f"data error: {inputs[2]}: unsupported checkpoint version 2")
+    assert not out.exists()

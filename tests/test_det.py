@@ -11,10 +11,12 @@ from fedfreq.det import (
     det_phase_transition,
     local_epoch,
     receive_deputy,
+    stacked_validation_f1,
     train_epoch,
     upload_model,
     validation_f1,
 )
+from fedfreq.metrics import macro_f1
 from fedfreq.model import (
     MODEL_SPECS,
     OptimizerState,
@@ -24,6 +26,7 @@ from fedfreq.model import (
     forward,
     init_params,
     mlp_spec,
+    predict_probs,
     sgd_step,
 )
 
@@ -511,3 +514,96 @@ def test_train_epoch_rejects_clients_it_cannot_stack():
     mixed = [make_state(), ClientState(personalized=init_params(SPEC, 1), deputy=None)]
     with pytest.raises(ValueError, match="deputy"):
         train_epoch(mixed, SPEC, train, [(x, y)] * 2, CFG, OptimizerState())
+
+
+@pytest.mark.parametrize("call", ["train_epoch", "local_epoch"])
+@pytest.mark.parametrize(
+    "bad_batch, problem",
+    [
+        # once a raw IndexError from ce_loss
+        (lambda x, y: (x, y[:-1]), "batch 2 has 8 inputs but 7 labels"),
+        # once a raw ValueError from a reshape
+        (lambda x, y: (x[:0], y[:0]), "batch 2 is empty"),
+    ],
+    ids=["row_count_mismatch", "empty"],
+)
+def test_epoch_names_a_bad_batch_before_training(call, bad_batch, problem):
+    rng = np.random.default_rng(14)
+    states = [make_state(seed=j) for j in range(3)]
+    train = [batches_of(*make_data(rng)) for _ in states]
+    bad = 1 if call == "train_epoch" else 0
+    train[bad][2] = bad_batch(*train[bad][2])
+    before = [clone_params(s.personalized) for s in states]
+    opt = OptimizerState()
+    with pytest.raises(ValueError, match=f"client {bad}'s {problem}"):
+        if call == "train_epoch":
+            train_epoch(states, SPEC, train, [make_data(rng)] * 3, CFG, opt)
+        else:
+            local_epoch(states[0], SPEC, train[0], make_data(rng), CFG, opt)
+    # every batch is checked before the first step: nothing trained
+    for state, params in zip(states, before):
+        for k in params:
+            assert np.array_equal(state.personalized[k], params[k])
+    assert opt.epoch == 0
+
+
+# --- stacked validation: padded splits score as each model alone ----------------------
+
+
+def _random_stack(rng, spec, k):
+    """K models with weights drawn from ``rng`` (biases too, so no logit is trivially tied)."""
+    return {
+        key: rng.normal(0.0, 0.5, size=(k, *v.shape)) for key, v in init_params(spec, 0).items()
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model_id=st.sampled_from(["mlp32", "conv4x8"]),
+    sizes=st.lists(st.integers(1, 60), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_stacked_validation_equals_scoring_each_model_alone(model_id, sizes, seed, data):
+    spec = MODEL_SPECS[model_id]
+    k = len(sizes)
+    # the classes each split may hold; a split often lacks one or two
+    held = [
+        sorted(data.draw(st.sets(st.integers(0, spec.classes - 1), min_size=1)))
+        for _ in range(k)
+    ]
+    rng = np.random.default_rng(seed)
+    params = _random_stack(rng, spec, k)
+    features = int(np.prod(spec.input_shape))
+    vals = [(rng.standard_normal((n, features)), rng.choice(c, size=n)) for n, c in zip(sizes, held)]
+
+    scores = stacked_validation_f1(params, spec, vals)
+    # one model broadcast over every split, as a global model is scored
+    one = {key: np.broadcast_to(v[0], v.shape) for key, v in params.items()}
+    broadcast = stacked_validation_f1(one, spec, vals)
+    for j, (x, y) in enumerate(vals):
+        alone = {key: v[j] for key, v in params.items()}
+        want = macro_f1(predict_probs(alone, spec, x).argmax(axis=1), y, spec.classes)
+        assert scores[j] == want == validation_f1(alone, spec, x, y), j
+        first = {key: v[0] for key, v in params.items()}
+        assert broadcast[j] == validation_f1(first, spec, x, y), j
+
+
+def test_epoch_scores_every_model_on_its_own_ragged_split():
+    rng = np.random.default_rng(15)
+    states = [make_state(seed=j) for j in range(3)]
+    for s, phase in zip(states, DetPhase):
+        s.phase = phase
+    train = [batches_of(*make_data(rng)) for _ in states]
+    vals = [make_data(rng, n) for n in (7, 31, 18)]
+    logs = train_epoch(states, SPEC, train, vals, CFG, OptimizerState(base_lr=0.05))
+    for state, log, (x, y) in zip(states, logs, vals):
+        assert log.phi_p == validation_f1(state.personalized, SPEC, x, y)
+        assert log.phi_d == validation_f1(state.deputy, SPEC, x, y)
+
+
+def test_stacked_validation_rejects_an_empty_split():
+    rng = np.random.default_rng(16)
+    params = _random_stack(rng, SPEC, 2)
+    with pytest.raises(ValueError, match="between 1 and n"):
+        stacked_validation_f1(params, SPEC, [make_data(rng, 5), make_data(rng, 0)])

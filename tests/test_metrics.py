@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedfreq.metrics import confusion_matrix, evaluate, macro_auc, macro_f1, per_class_prf
+from fedfreq.metrics import (
+    confusion_matrix,
+    evaluate,
+    macro_auc,
+    macro_f1,
+    per_class_prf,
+    stacked_macro_f1,
+)
 from helpers import brute_force_auc, brute_force_f1
 
 
@@ -51,6 +60,56 @@ def test_macro_f1_matches_brute_force():
         labels = rng.integers(0, 3, size=n)
         preds = rng.integers(0, 3, size=n)
         assert macro_f1(preds, labels, 3) == brute_force_f1(preds, labels, 3)
+
+
+# --- stacked macro F1 ------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    classes=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_macro_f1_is_macro_f1_of_every_row(counts, classes, seed):
+    rng = np.random.default_rng(seed)
+    n = max(counts)
+    # padding holds values no scored entry may take: it must not reach any matrix
+    preds = rng.integers(-3, classes + 3, size=(len(counts), n))
+    labels = rng.integers(-3, classes + 3, size=(len(counts), n))
+    for j, c in enumerate(counts):
+        # a row may lack some classes entirely, in its labels or its predictions
+        present = rng.choice(classes, size=int(rng.integers(1, classes + 1)), replace=False)
+        labels[j, :c] = rng.choice(present, size=c)
+        preds[j, :c] = rng.integers(0, classes, size=c)
+    got = stacked_macro_f1(preds, labels, counts, classes)
+    assert got.shape == (len(counts),)
+    for j, c in enumerate(counts):
+        assert got[j] == macro_f1(preds[j, :c], labels[j, :c], classes), j
+
+
+def test_per_class_prf_of_a_stack_is_per_class_prf_of_each_matrix():
+    cms = np.random.default_rng(6).integers(0, 4, size=(5, 3, 3))
+    cms[2, :, 1] = 0  # a class never predicted
+    stacked = per_class_prf(cms)
+    for j, cm in enumerate(cms):
+        for got, want in zip(stacked, per_class_prf(cm)):
+            assert np.array_equal(got[j], want)
+
+
+def test_stacked_macro_f1_validation():
+    preds = labels = np.zeros((2, 4), dtype=int)
+    with pytest.raises(ValueError, match="between 1 and n"):
+        stacked_macro_f1(preds, labels, [4, 0], 3)  # an empty row
+    with pytest.raises(ValueError, match="between 1 and n"):
+        stacked_macro_f1(preds, labels, [4, 5], 3)  # more entries than the row holds
+    with pytest.raises(ValueError, match="K counts"):
+        stacked_macro_f1(preds, labels, [4], 3)
+    bad = labels.copy()
+    bad[1, 2] = 3
+    with pytest.raises(ValueError, match="label out of class range"):
+        stacked_macro_f1(preds, bad, [4, 4], 3)
+    assert stacked_macro_f1(preds, bad, [4, 2], 3).shape == (2,)  # the bad entry is padding
 
 
 # --- macro AUC ------------------------------------------------------------------

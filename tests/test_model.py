@@ -1,3 +1,4 @@
+import dataclasses
 import zlib
 
 import numpy as np
@@ -276,6 +277,50 @@ def test_backward_matches_finite_differences(spec_builder, composition):
     assert sorted(analytic) == sorted(params)
     for name in params:
         assert relative_error(analytic[name], fd[name]) < 1e-4, name
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("spec_builder", [lambda: conv_spec((1, 4, 8)), two_conv])
+def test_conv_backward_from_cached_patches_matches_unfolding_again(spec_builder, stacked):
+    spec = spec_builder()
+    rng = np.random.default_rng(18)
+    maps = [init_params(spec, seed) for seed in (18, 19, 20)]
+    if stacked:
+        params = {k: np.stack([m[k] for m in maps]) for k in maps[0]}
+        x = rng.standard_normal((3, 16, *spec.input_shape))
+    else:
+        params, x = maps[0], rng.standard_normal((16, *spec.input_shape))
+    probs, cache = forward(params, spec, x)
+    convs = [i for i, layer in enumerate(spec.layers) if layer.kind == "conv2d"]
+    assert sorted(cache.patches) == convs  # one UNFOLD_BLOCK covered the batch
+    dlogits = rng.standard_normal(probs.shape)
+    got = backward(cache, dlogits)
+    want = backward(dataclasses.replace(cache, patches={}), dlogits)  # unfolds again
+    assert sorted(got) == sorted(want)
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
+
+
+def test_conv_backward_beyond_one_unfold_block_sums_the_blocks_gradients():
+    # no patches are kept for a batch larger than one block; the gradient of a
+    # batch is still the sum of the gradients of its parts
+    spec = two_conv()
+    rng = np.random.default_rng(21)
+    params = init_params(spec, 21)
+    n = UNFOLD_BLOCK + 37
+    x, y = random_batch(rng, spec, n=n)
+    probs, cache = forward(params, spec, x)
+    assert cache.patches == {}
+    _, dlogits = ce_loss(probs, y)
+    whole = backward(cache, dlogits)
+    parts = []
+    for rows in (slice(0, UNFOLD_BLOCK), slice(UNFOLD_BLOCK, n)):
+        _, part_cache = forward(params, spec, x[rows])
+        assert part_cache.patches  # each part fits in one block
+        parts.append(backward(part_cache, dlogits[rows]))
+    for k in params:
+        assert np.allclose(whole[k], parts[0][k] + parts[1][k], rtol=1e-9, atol=1e-12), k
+    assert any(np.abs(g).max() > 1e-3 for g in whole.values())
 
 
 def test_backward_zero_upstream_gives_zero_gradients():
