@@ -50,7 +50,7 @@ split zero-padded to the longest.  Padding may change the last bits of a
 validation probability, but only each scored row's argmax is used and
 padded rows are never scored, so a score can differ from scoring the model
 alone only where two class probabilities lie within rounding of each other.
-The property tests compare the two, and none has differed.
+The property tests check that the two agree.
 """
 
 from __future__ import annotations
