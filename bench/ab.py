@@ -13,6 +13,9 @@ of each side's wall times and of the per-pair ratios change/base.  Pairing
 and alternation cancel most of the drift of a shared host (Kalibera &
 Jones, "Rigorous Benchmarking in Reasonable Time", ISMM 2013).
 It also records whether the two sides wrote byte-identical artifacts.
+The ``e2e`` section times the two perfbench training workloads; the
+``acceptance`` section times one run per strategy (all six) at the
+acceptance setting (mlp32, E=5, T=100, data_scale 0.1, K=4).
 
 The ``layer`` section times each tree's own library functions the same way:
 ``forward`` and ``backward`` for mlp32 and conv4x8 at the training-group
@@ -63,6 +66,11 @@ import numpy as np
 SETTINGS = {
     "det_mlp": dict(strategy="PFA_DET", model_id="mlp32", local_epochs=5, total_epochs=100, data_scale=0.1),
     "fedprox_conv": dict(strategy="FEDPROX", model_id="conv4x8", local_epochs=1, total_epochs=100, data_scale=0.05),
+}
+# the acceptance setting, one fedfreq run per strategy
+ACCEPTANCE = {
+    strategy: dict(strategy=strategy, model_id="mlp32", local_epochs=5, total_epochs=100, data_scale=0.1)
+    for strategy in ("PFA_DET", "FEDAVG", "FEDPROX", "LOCAL_ONLY", "PFA_ONLY", "FEDAVG_DET")
 }
 CLIENTS = 4
 SIDES = ("base", "change")
@@ -253,16 +261,17 @@ def main(argv=None) -> int:
 
     clis = {side: load_tree(getattr(args, side).resolve(), f"fedfreq_{side}") for side in SIDES}
     pairs = 2 if args.quick else args.pairs
-    e2e = {}
-    for name, config in SETTINGS.items():
-        if args.quick:
-            config = {**config, "total_epochs": 2 * config["local_epochs"]}
-        e2e[name] = measure(clis, config, pairs, args.seed)
-        r = e2e[name]["ratio_change_over_base"]
-        print(f"{name:<13} change/base {r['median']:.3f} (IQR {r['q1']:.3f}-{r['q3']:.3f}), "
-              f"faster in {e2e[name]['change_faster_pairs']}/{pairs} pairs, "
-              f"gain shown: {e2e[name]['gain_shown']}, "
-              f"identical artifacts: {e2e[name]['identical_artifacts']}")
+    runs = {"e2e": {}, "acceptance": {}}
+    for section, settings in (("e2e", SETTINGS), ("acceptance", ACCEPTANCE)):
+        for name, config in settings.items():
+            if args.quick:
+                config = {**config, "total_epochs": 2 * config["local_epochs"]}
+            row = runs[section][name] = measure(clis, config, pairs, args.seed)
+            r = row["ratio_change_over_base"]
+            print(f"{name:<13} change/base {r['median']:.3f} (IQR {r['q1']:.3f}-{r['q3']:.3f}), "
+                  f"faster in {row['change_faster_pairs']}/{pairs} pairs, "
+                  f"gain shown: {row['gain_shown']}, "
+                  f"identical artifacts: {row['identical_artifacts']}")
 
     layer = measure_layers(pairs, LAYER_SAMPLE_S / 20 if args.quick else LAYER_SAMPLE_S)
     for name, row in layer.items():
@@ -279,7 +288,7 @@ def main(argv=None) -> int:
         "first_seed": args.seed,
         "machine": machine_facts(),
         "trees": {side: git_facts(getattr(args, side).resolve()) for side in SIDES},
-        "e2e": e2e,
+        **runs,
         "layer": layer,
     }
     out = args.out or Path(__file__).resolve().parent.parent / f"BENCH_{args.tag}.json"

@@ -1,4 +1,4 @@
-"""Deputy-enhanced transfer: the per-client two-model training scheme.
+"""Deputy-enhanced transfer: the two-model training scheme, run over a cohort of clients.
 
 Each client keeps a *personalized* model ``p`` that is deployed, uploaded
 and never overwritten by communication, plus a *deputy* ``d`` that absorbs
@@ -20,37 +20,33 @@ local epoch; phases only move forward within a window and reset to RECOVER
 whenever a new deputy arrives.  Thresholds are inclusive (``>=``), so
 ``phi(p) == 0`` jumps straight to SUBLIMATE.
 
-A client without a deputy (``deputy = None``) runs the baselines:
-aggregates replace ``p``, which trains on cross entropy alone (plus an
-optional FedProx pull); its phase stays RECOVER and ``phi(d)`` logs as NaN.
+Clients without a deputy run the baselines: aggregates replace ``p``, which
+trains on cross entropy alone (plus an optional FedProx pull); the phase
+stays RECOVER and ``phi(d)`` logs as NaN.
 
-The SGD schedule is run-wide: the caller owns one ``OptimizerState``, passes
-it to every :func:`train_epoch` call and that call advances it by one epoch,
-so both models of every client always step at the same learning rate.
-
-All clients train together (:func:`train_epoch`).  Each model's parameters
-are stacked along a leading client axis, with the clients sorted once by
-batch count (descending, stable), so the clients that still have a batch at
-index i are a prefix of the stack.  At each batch index every client with a
-batch left makes its deputy step, then its ``p`` step.  The clients of that
-prefix train in groups of neighbours whose batches have the same row count;
-each group is a slice view of the stack, updated in place.  Each phase gives
-a per-client 0/1 distillation mask, and ``p``'s forward pass on a batch
-serves both as the deputy's teacher and as ``p``'s own step.  Every client
-gets exactly the numbers it would get training alone.  Short batches are
+A run's clients live in one :class:`Cohort`: each model is one ``(K, ...)``
+stack per parameter, with the clients in *slot* order, sorted once by batch
+count (descending, stable).  :func:`train_epoch` trains the stacks in
+place: at each batch index every slot with a batch left makes its deputy
+step, then its ``p`` step, in groups of neighbouring slots whose batches
+have the same row count; a group runs the same per-client BLAS calls as
+each client alone, 1-row batches included, so every client gets exactly the
+numbers it would get training alone.  ``p``'s forward pass on a batch
+serves both as the deputy's teacher and as ``p``'s own step.  Batches are
 never zero-padded to a common size, because padding changes the rounding:
 the 32->3 output matmul differs when the row count is not a multiple of 4,
-and a 1-row batch takes OpenBLAS's matrix-vector path.  Clients whose batches
-have the same row count, 1-row batches included, run the same per-client
-BLAS calls in a stack as alone.
+and a 1-row batch takes OpenBLAS's matrix-vector path.
 
-Validation is the exception: after the epoch one forward pass scores every
-client's ``p`` and deputy (:func:`stacked_validation_f1`), each client's
-split zero-padded to the longest.  Padding may change the last bits of a
-validation probability, but only each scored row's argmax is used and
-padded rows are never scored, so a score can differ from scoring the model
-alone only where two class probabilities lie within rounding of each other.
-The property tests check that the two agree.
+Validation is the exception: one forward pass scores every ``p`` and deputy
+(:func:`stacked_validation_f1`) on the validation splits, zero-padded once
+to the longest (:func:`pad_splits`).  Padding may change the last bits of a
+probability, but only each scored row's argmax is used and padded rows are
+never scored, so a score can differ from scoring the model alone only where
+two class probabilities lie within rounding of each other.  The property
+tests check that the two agree.
+
+One client outside a run is a :class:`ClientState`; :func:`local_epoch`
+trains it as a cohort of one.
 """
 
 from __future__ import annotations
@@ -113,26 +109,89 @@ class ClientState:
 
 @dataclass
 class EpochLog:
-    """Per-epoch record of the personalized model's losses and both phis."""
+    """One epoch's losses of ``p``, both phis and the new phase, as ``(K,)`` arrays or scalars."""
 
-    ce_loss: float
-    kl_loss: float
-    phi_d: float
-    phi_p: float
-    phase: DetPhase
+    ce_loss: float | np.ndarray
+    kl_loss: float | np.ndarray
+    phi_d: float | np.ndarray
+    phi_p: float | np.ndarray
+    phase: DetPhase | np.ndarray
 
 
-def det_phase_transition(
-    phi_d: float, phi_p: float, cfg: DetConfig, current: DetPhase
-) -> DetPhase:
-    """Next phase from validation scores; never moves backward in a window."""
-    if phi_d >= cfg.lambda2 * phi_p:
-        target = DetPhase.SUBLIMATE
-    elif phi_d >= cfg.lambda1 * phi_p:
-        target = DetPhase.EXCHANGE
-    else:
-        target = DetPhase.RECOVER
-    return max(target, current)
+class Cohort:
+    """K clients' models and run state as stacks in slot order (see the module docstring).
+
+    Holds copies of client j's ``p[j]`` and deputy ``d[j]`` (every client
+    has one or none does), its validation split ``vals[j]`` and, in a run,
+    its training split ``train[j]`` and shuffle stream ``rngs[j]``.  The
+    clients' ``batch_counts`` fix the order: slot s holds client
+    ``clients[s]``, and client j sits in slot ``slots[j]``.  Phases start at
+    RECOVER; ``best`` stacks each slot's best model so far, its validation
+    F1 in ``best_f1`` (-1.0 before the first snapshot), its epoch in ``best_epoch``.
+    """
+
+    def __init__(
+        self,
+        p: list[NamedTensorMap],
+        d: list[NamedTensorMap] | None,
+        vals: list[tuple[np.ndarray, np.ndarray]],
+        batch_counts: list[int],
+        train: list[tuple[np.ndarray, np.ndarray]] = (),
+        rngs: list[np.random.Generator] = (),
+    ) -> None:
+        self.clients = np.array(sorted(range(len(p)), key=lambda j: -batch_counts[j]))  # stable
+        self.slots = np.argsort(self.clients)
+
+        def in_slots(items):
+            return [items[j] for j in self.clients] if items else []
+
+        self.p = stack_params(in_slots(p))
+        self.d = None if d is None else stack_params(in_slots(d))
+        self.phases = np.full(len(p), DetPhase.RECOVER)
+        self.val = pad_splits(in_slots(vals))
+        self.train, self.rngs = in_slots(train), in_slots(rngs)
+        self.best = clone_params(self.p)
+        self.best_f1 = np.full(len(p), -1.0)
+        self.best_epoch = np.zeros(len(p), dtype=np.int64)
+
+    def shuffled_batches(self, batch_size: int) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+        """One epoch's ``(inputs, labels)`` batches per slot, each split in a fresh order from its stream."""
+        batches = []
+        for (x, y), rng in zip(self.train, self.rngs):
+            perm = rng.permutation(len(y))
+            x, y = x[perm], y[perm]
+            batches.append([(x[i : i + batch_size], y[i : i + batch_size]) for i in range(0, len(y), batch_size)])
+        return batches
+
+    def keep_best(self, f1: np.ndarray, params: NamedTensorMap, epoch: int) -> None:
+        """Snapshot slot s of the stack ``params`` wherever ``f1[s]`` beats the slot's best."""
+        better = f1 > self.best_f1
+        for k, v in self.best.items():
+            v[better] = params[k][better]
+        self.best_f1[better] = f1[better]
+        self.best_epoch[better] = epoch
+
+    def deliver(self, aggregates: NamedTensorMap, deputy: bool) -> None:
+        """Write a ``(K, ...)`` stack in client order into the deputies (phases back to RECOVER) or ``p``."""
+        target = self.d if deputy else self.p
+        for k, v in target.items():
+            v[...] = aggregates[k][self.clients]
+        if deputy:
+            self.phases[:] = DetPhase.RECOVER
+
+
+def det_phase_transition(phi_d, phi_p, cfg: DetConfig, current):
+    """Next phase from validation scores; never moves backward in a window.
+
+    Scalar scores and phase give a DetPhase; ``(K,)`` arrays give an int array.
+    """
+    target = np.where(
+        phi_d >= cfg.lambda2 * phi_p,
+        DetPhase.SUBLIMATE,
+        np.where(phi_d >= cfg.lambda1 * phi_p, DetPhase.EXCHANGE, DetPhase.RECOVER),
+    )
+    after = np.maximum(target, current)
+    return DetPhase(int(after)) if after.ndim == 0 else after
 
 
 def receive_deputy(state: ClientState, aggregated: NamedTensorMap) -> None:
@@ -160,36 +219,46 @@ def local_epoch(
     opt: OptimizerState,
     prox: tuple[float, NamedTensorMap] | None = None,
 ) -> EpochLog:
-    """One client's epoch: :func:`train_epoch` over a stack of one."""
-    return train_epoch([state], spec, [list(train)], [val], cfg, opt, prox)[0]
+    """One client's epoch: :func:`train_epoch` over a cohort of one; updates ``state``."""
+    train = list(train)
+    deputy = None if state.deputy is None else [state.deputy]
+    cohort = Cohort([state.personalized], deputy, [val], [len(train)])
+    cohort.phases[0] = state.phase
+    log = train_epoch(cohort, spec, [train], cfg, opt, prox)
+    state.personalized = {k: v[0] for k, v in cohort.p.items()}
+    if cohort.d is not None:
+        state.deputy = {k: v[0] for k, v in cohort.d.items()}
+    state.phase = DetPhase(int(cohort.phases[0]))
+    scores = (float(log.ce_loss[0]), float(log.kl_loss[0]), float(log.phi_d[0]), float(log.phi_p[0]))
+    return EpochLog(*scores, state.phase)
 
 
 def train_epoch(
-    states: list[ClientState],
+    cohort: Cohort,
     spec: ModelSpec,
     train: list[list[tuple[np.ndarray, np.ndarray]]],
-    vals: list[tuple[np.ndarray, np.ndarray]],
     cfg: DetConfig,
     opt: OptimizerState,
     prox: tuple[float, NamedTensorMap] | None = None,
-) -> list[EpochLog]:
-    """One local epoch for every client at once, then re-evaluate each.
+) -> EpochLog:
+    """One local epoch for every slot of ``cohort`` at once, then re-evaluate each.
 
-    ``train[j]`` is client j's list of ``(inputs, labels)`` batches and
-    ``vals[j]`` its validation split.  Every step uses ``opt``'s learning
-    rate, and ``opt.epoch`` advances by one at the end.  ``prox = (mu,
-    anchor)`` pulls every personalized model toward the one anchor map.
-    Each model's phase decides its distillation (see the module docstring).
-    After the pass every parameter must be finite, else
-    :class:`DivergenceError`; then both models of every client are scored on
-    its validation split (macro F1) in one stacked pass, and the phase
-    transition rule is applied.  Without deputies only ``p`` trains and is
-    scored.  Every batch is checked before any training: an empty batch
-    list, an empty batch or a batch whose inputs and labels differ in row
-    count raises ValueError naming the client (and the batch index), as does
-    a mix of clients with and without a deputy.
+    ``train[s]`` is slot s's list of ``(inputs, labels)`` batches.  Every
+    step uses ``opt``'s learning rate; ``opt.epoch`` advances by one at the
+    end.  ``prox = (mu, anchor)`` pulls every ``p`` toward the one anchor
+    map.  Each slot's phase decides its distillation (see the module
+    docstring).  After the pass every parameter must be finite, else
+    :class:`DivergenceError` names the client, epoch and tensor; then every
+    model is scored on its client's validation split and the transition
+    rule updates ``cohort.phases``.  Returns an :class:`EpochLog` of
+    per-slot arrays.  Every batch is checked before any training: an empty
+    batch list, an empty batch or a batch whose inputs and labels differ in
+    row count raises ValueError naming the client (and the batch index).
     """
-    for j, batches in enumerate(train):
+    clients, p, d = cohort.clients, cohort.p, cohort.d
+    if len(train) != len(clients):
+        raise ValueError(f"need one batch list per slot ({len(clients)}), got {len(train)}")
+    for j, batches in zip(clients, train):
         if not batches:
             raise ValueError(f"client {j}'s training set is empty")
         for i, (x, y) in enumerate(batches):
@@ -197,29 +266,23 @@ def train_epoch(
                 raise ValueError(f"client {j}'s batch {i} is empty")
             if len(x) != len(y):
                 raise ValueError(f"client {j}'s batch {i} has {len(x)} inputs but {len(y)} labels")
-    has_deputy = states[0].deputy is not None
-    if any((s.deputy is not None) != has_deputy for s in states):
-        raise ValueError("either every client trained together has a deputy or none has")
+    counts = np.array([len(batches) for batches in train])
 
-    order = sorted(range(len(states)), key=lambda j: -len(train[j]))  # stable
-    p = stack_params([states[j].personalized for j in order])
-    d = stack_params([states[j].deputy for j in order]) if has_deputy else None
-    phases = np.array([states[j].phase for j in order])
     # RECOVER: d learns from p; EXCHANGE: each from the other; SUBLIMATE: p from d
-    deputy_distils = phases < DetPhase.SUBLIMATE
-    personal_distils = (phases > DetPhase.RECOVER) & has_deputy
-    ce_sum, kl_sum = np.zeros(len(order)), np.zeros(len(order))
+    deputy_distils = cohort.phases < DetPhase.SUBLIMATE
+    personal_distils = (cohort.phases > DetPhase.RECOVER) & (d is not None)
+    ce_sum, kl_sum = np.zeros(len(clients)), np.zeros(len(clients))
     # an overflow shows up as a non-finite parameter, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(train[order[0]])):
-            sizes = [len(train[j][i][1]) for j in order if len(train[j]) > i]
+        for i in range(counts.max()):
+            sizes = [len(batches[i][1]) if len(batches) > i else 0 for batches in train]
             for a, b in _groups(sizes):
-                x = np.stack([train[j][i][0] for j in order[a:b]])
-                y = np.stack([train[j][i][1] for j in order[a:b]])
+                x = np.array([batches[i][0] for batches in train[a:b]])  # np.array: np.stack costs more
+                y = np.array([batches[i][1] for batches in train[a:b]])
                 pg = {k: v[a:b] for k, v in p.items()}
                 p_probs, p_cache = forward(pg, spec, x)
                 teacher_probs = None
-                if has_deputy:
+                if d is not None:
                     dg = {k: v[a:b] for k, v in d.items()}
                     d_probs, d_cache = forward(dg, spec, x)
                     _step(dg, d_cache, d_probs, y, p_probs, deputy_distils[a:b], opt)
@@ -229,43 +292,37 @@ def train_epoch(
                 ce_sum[a:b] += ce
                 kl_sum[a:b] += kl
 
-    models = {"personalized": p, "deputy": d} if has_deputy else {"personalized": p}
+    models = {"personalized": p} if d is None else {"personalized": p, "deputy": d}
     for name, stack in models.items():
         for key, v in stack.items():
-            if not np.isfinite(v).all():
-                j = min(j for s, j in enumerate(order) if not np.isfinite(v[s]).all())
+            finite = np.isfinite(v).reshape(len(v), -1).all(axis=1)
+            if not finite.all():
                 raise DivergenceError(
-                    f"client {j} diverged in epoch {opt.epoch + 1}: "
+                    f"client {clients[~finite].min()} diverged in epoch {opt.epoch + 1}: "
                     f"{name} tensor {key!r} is not finite"
                 )
 
     # one validation pass scores every p, then every deputy, each on its client's split
-    scored = {k: np.concatenate([m[k] for m in models.values()]) for k in p} if has_deputy else p
-    scores = stacked_validation_f1(scored, spec, [vals[j] for j in order] * len(models))
-    scores = scores.reshape(len(models), len(order))
-    rank = {j: s for s, j in enumerate(order)}
-    logs = []
-    for j, state in enumerate(states):
-        s = rank[j]
-        state.personalized = {k: v[s] for k, v in p.items()}
-        phi_p = float(scores[0, s])
-        phi_d = float("nan")
-        if has_deputy:
-            state.deputy = {k: v[s] for k, v in d.items()}
-            phi_d = float(scores[1, s])
-            state.phase = det_phase_transition(phi_d, phi_p, cfg, state.phase)
-        n = len(train[j])
-        logs.append(EpochLog(float(ce_sum[s] / n), float(kl_sum[s] / n), phi_d, phi_p, state.phase))
+    scored, val = p, cohort.val
+    if d is not None:
+        scored = {k: np.concatenate([v, d[k]]) for k, v in p.items()}
+        val = tuple(np.concatenate([part, part]) for part in val)
+    scores = stacked_validation_f1(scored, spec, val).reshape(len(models), len(clients))
+    phi_p, phi_d = scores[0], np.full(len(clients), np.nan)
+    if d is not None:
+        phi_d = scores[1]
+        cohort.phases = det_phase_transition(phi_d, phi_p, cfg, cohort.phases)
     opt.epoch += 1
-    return logs
+    return EpochLog(ce_sum / counts, kl_sum / counts, phi_d, phi_p, cohort.phases.copy())
 
 
 def _groups(sizes: list[int]):
-    """Slices ``(a, b)`` of neighbouring clients whose batches share a row count."""
+    """Slices ``(a, b)`` of neighbouring slots whose batches share a row count (0: no batch)."""
     a = 0
     for b in range(1, len(sizes) + 1):
         if b == len(sizes) or sizes[b] != sizes[a]:
-            yield a, b
+            if sizes[a]:
+                yield a, b
             a = b
 
 
@@ -286,7 +343,8 @@ def _step(params, cache, probs, labels, teacher_probs, distils, opt, prox=None):
     grads = backward(cache, dlogits)
     if prox is not None:
         mu, anchor = prox
-        grads = {k: g + mu * (params[k] - anchor[k]) for k, g in grads.items()}
+        for k, g in grads.items():  # in place, the same bits as g + mu * (w - anchor)
+            g += mu * (params[k] - anchor[k])
     sgd_step(params, grads, opt)
     return ce, kl
 
@@ -296,24 +354,31 @@ def validation_f1(
 ) -> float:
     """Macro F1 of one model's argmax predictions on a validation split (a stack of one)."""
     stack = {k: v[None] for k, v in params.items()}
-    return float(stacked_validation_f1(stack, spec, [(val_x, val_y)])[0])
+    return float(stacked_validation_f1(stack, spec, pad_splits([(val_x, val_y)]))[0])
 
 
-def stacked_validation_f1(
-    params: NamedTensorMap, spec: ModelSpec, vals: list[tuple[np.ndarray, np.ndarray]]
-) -> np.ndarray:
-    """Macro F1 of each of K stacked models on its own split ``vals[j]``, in one forward pass.
-
-    ``params`` holds ``(K, ...)`` tensors (a broadcast view scores one model
-    on K splits).  Each split is zero-padded to the longest and the padded
-    rows are not scored (see the module docstring for why padding is safe
-    here).  Raises ValueError on an empty split.
-    """
+def pad_splits(vals: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K splits ``(inputs, labels)`` as ``(x, y, counts)``: split j fills ``counts[j]`` rows of
+    ``x[j]`` and ``y[j]``, zero-padded to the longest split."""
     counts = np.array([len(y) for _, y in vals])
     x = np.zeros((len(vals), counts.max(), *np.shape(vals[0][0])[1:]))
     y = np.zeros(x.shape[:2], dtype=np.int64)
     for j, (val_x, val_y) in enumerate(vals):
         x[j, : len(val_y)] = val_x
         y[j, : len(val_y)] = val_y
+    return x, y, counts
+
+
+def stacked_validation_f1(
+    params: NamedTensorMap, spec: ModelSpec, val: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Macro F1 of each of K stacked models on its own split, in one forward pass.
+
+    ``params`` holds ``(K, ...)`` tensors (a broadcast view scores one model
+    on K splits) and ``val`` is the K splits padded by :func:`pad_splits`;
+    padded rows are not scored (see the module docstring for why padding is
+    safe here).  Raises ValueError on an empty split.
+    """
+    x, y, counts = val
     probs = predict_probs(params, spec, x)
     return stacked_macro_f1(probs.argmax(axis=-1), y, counts, spec.classes)

@@ -7,9 +7,11 @@ and its own high-frequency amplitudes.  The shared band is a centered
 rectangle whose half-widths are ``floor(r * dim)`` per axis; ``r`` grows
 linearly over training (see :func:`schedule_r`).
 
-Each parameter is fused as one client stack: the K clients' tensors are
-stacked along a leading axis, and one transform, one amplitude mean over
-that axis and one inverse transform handle all K at once.  Convolution
+Each parameter is fused as one client stack (:func:`pfa_fuse`): the K
+clients' tensors are stacked along a leading axis, and one transform, one
+amplitude mean over that axis and one inverse transform handle all K at
+once.  A run passes its cohort's stack straight in; :func:`pfa_aggregate`
+stacks a list of maps first and splits the result again.  Convolution
 kernels ``(N, C, d1, d2)`` are rearranged into ``d1*N x d2*C`` matrices
 before the transform; fully connected weights are transformed in their
 native ``(out, in)`` orientation; 1-D parameters (biases) take the mean over
@@ -17,7 +19,7 @@ the client axis.  The output is one aggregate per client, since phase and
 high frequencies stay client-specific.
 
 The "FEDAVG" strategy is the mean of the same client stack over its client
-axis and yields a single shared model.
+axis (:func:`fedavg_fuse`) and yields a single shared model.
 """
 
 from __future__ import annotations
@@ -133,38 +135,44 @@ def _fuse(stack: np.ndarray, r: float) -> np.ndarray:
     return fused
 
 
-def pfa_aggregate(req: AggregationRequest) -> list[NamedTensorMap]:
-    """Frequency-domain aggregation; returns one personalized map per client.
+def pfa_fuse(stacks: NamedTensorMap, r: float) -> NamedTensorMap:
+    """Frequency-domain aggregation of ``(K, ...)`` client stacks; returns the K aggregates, stacked.
 
     Per parameter: 4-D kernels go through :func:`reshape_conv`, 2-D weights
     are transformed as-is, anything else is averaged over the client axis.
     Masked amplitudes are replaced by the across-client arithmetic mean;
     unmasked amplitudes and the whole phase map stay client-specific.
     """
-    if req.strategy != PFA:
-        raise ValueError(f"expected strategy {PFA!r}, got {req.strategy!r}")
-    check_threshold(req.r)
-    keys = check_same_structure(req.client_params)
-    stacks = stack_params(req.client_params)
-    outputs: list[NamedTensorMap] = [{} for _ in req.client_params]
-    for name in keys:
-        stack = stacks[name]
+    check_threshold(r)
+    fused = {}
+    for name, stack in stacks.items():
         shape = stack.shape[1:]  # one client's tensor
         if len(shape) == 4:
-            fused = unreshape_conv(_fuse(reshape_conv(stack), req.r), shape)
+            fused[name] = unreshape_conv(_fuse(reshape_conv(stack), r), shape)
         elif len(shape) == 2:
-            fused = _fuse(stack, req.r)
+            fused[name] = _fuse(stack, r)
         else:
-            fused = np.repeat(stack.mean(axis=0, keepdims=True), len(stack), axis=0)
-        for out, f in zip(outputs, fused):
-            out[name] = f
-    return outputs
+            fused[name] = np.repeat(stack.mean(axis=0, keepdims=True), len(stack), axis=0)
+    return fused
+
+
+def fedavg_fuse(stacks: NamedTensorMap) -> NamedTensorMap:
+    """Element-wise unweighted mean of ``(K, ...)`` client stacks over the client axis."""
+    return {name: stack.mean(axis=0) for name, stack in stacks.items()}
+
+
+def pfa_aggregate(req: AggregationRequest) -> list[NamedTensorMap]:
+    """:func:`pfa_fuse` of a list of client maps; returns one personalized map per client."""
+    if req.strategy != PFA:
+        raise ValueError(f"expected strategy {PFA!r}, got {req.strategy!r}")
+    check_same_structure(req.client_params)
+    fused = pfa_fuse(stack_params(req.client_params), req.r)
+    return [{name: v[k] for name, v in fused.items()} for k in range(len(req.client_params))]
 
 
 def fedavg_aggregate(req: AggregationRequest) -> NamedTensorMap:
-    """Element-wise unweighted mean of every parameter across clients."""
+    """:func:`fedavg_fuse` of a list of client maps; returns the one shared map."""
     if req.strategy != FEDAVG:
         raise ValueError(f"expected strategy {FEDAVG!r}, got {req.strategy!r}")
-    keys = check_same_structure(req.client_params)
-    stacks = stack_params(req.client_params)
-    return {name: stacks[name].mean(axis=0) for name in keys}
+    check_same_structure(req.client_params)
+    return fedavg_fuse(stack_params(req.client_params))

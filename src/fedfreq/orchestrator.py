@@ -16,16 +16,16 @@ and pushes the result back down.  Each strategy name is a row of
   toward one anchor shared by all clients: the common init until the first
   communication, then the last global model (``FEDPROX``, a FEDAVG row).
 
-Every client is a ``det.ClientState`` (without a deputy under a replacing
-strategy); the run holds one SGD schedule and one prox anchor.  Rounds run
-epoch by epoch, and each epoch trains all clients together with one
-``det.train_epoch`` call.  Every client/epoch produces one log row (losses,
-validation scores, phase, communication flag), which is enough to plot the
-post-communication performance drop and its absence under the deputy
-scheme.  Deployed-model selection is by best validation macro F1: the
-personalized model for deputy strategies, the client's own model for
-LOCAL_ONLY/PFA_ONLY, and the aggregated global model (no personalization)
-for FEDAVG/FEDPROX.
+All clients live in one ``det.Cohort`` for the whole run, next to one SGD
+schedule and one prox anchor.  Each epoch trains them together with one
+``det.train_epoch`` call.  At a communication the server fuses the ``p``
+stack, read in client order (``freq_agg.pfa_fuse`` or ``fedavg_fuse``), and
+writes the result into the deputy or ``p`` stack.  Every client/epoch gives
+one log row (losses, validation scores, phase, communication flag), enough
+to plot the post-communication performance drop and its absence under the
+deputy scheme.  The deployed model is the one with the best validation
+macro F1: the personalized model for deputy strategies, the client's own
+model for LOCAL_ONLY/PFA_ONLY, and the global model for FEDAVG/FEDPROX.
 
 Runs are deterministic for a fixed config: every client draws from RNG
 streams keyed by (experiment seed, profile seed), and each client's numbers
@@ -43,30 +43,14 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .data import ClientData, ClientProfile, DataError, default_profiles, ood_client, synth
-from .det import (
-    ClientState,
-    DetConfig,
-    receive_deputy,
-    stacked_validation_f1,
-    train_epoch,
-    upload_model,
-)
-from .freq_agg import (
-    FEDAVG,
-    PFA,
-    AggregationRequest,
-    ScheduleParams,
-    fedavg_aggregate,
-    pfa_aggregate,
-    schedule_r,
-)
+from .det import Cohort, DetConfig, DetPhase, stacked_validation_f1, train_epoch
+from .freq_agg import FEDAVG, PFA, ScheduleParams, fedavg_fuse, pfa_fuse, schedule_r
 from .metrics import evaluate
 from .model import (
     MODEL_SPECS,
     ModelSpec,
     NamedTensorMap,
     OptimizerState,
-    clone_params,
     forward,  # unused here; perfbench's tracer test checks that it rebinds this name
     init_params,
     predict_probs,
@@ -157,8 +141,13 @@ class ExperimentConfig:
             OptimizerState(self.base_lr, halving_period=self.lr_halving_period)
         except ValueError as exc:  # name the config keys, not OptimizerState's fields
             raise ConfigError(f"base_lr / lr_halving_period: {exc}") from exc
+        for key in ("base_lr", "prox_mu"):  # a NaN slips past every "< 0" check
+            if not np.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.prox_mu < 0:
             raise ConfigError("prox_mu must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if not 0.0 < self.data_scale <= 1.0:
@@ -183,9 +172,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = value
+        if key in values:
+            raise ConfigError(f"line {lineno}: config key {key!r} repeats line {values[key][0]}")
+        values[key] = lineno, value
     cfg = ExperimentConfig()
-    for key, value in values.items():
+    for key, (_, value) in values.items():
         try:  # every field is an int, a float or a str, so its default's type parses it
             setattr(cfg, key, type(getattr(cfg, key))(value))
         except ValueError as exc:
@@ -245,76 +236,6 @@ class ExperimentResult:
     best_params: dict[int, NamedTensorMap] = field(repr=False, default_factory=dict)
 
 
-@dataclass
-class _Runtime:
-    """Mutable per-client training context, carried from round to round."""
-
-    index: int
-    data: ClientData
-    shuffle_rng: np.random.Generator
-    state: ClientState
-    best_val: float = -1.0
-    best_epoch: int = 0
-    best_params: NamedTensorMap | None = None
-
-
-def _train_round(
-    runtimes: list[_Runtime],
-    rnd: int,
-    spec: ModelSpec,
-    cfg: ExperimentConfig,
-    strategy: Strategy,
-    schedule: ScheduleParams,
-    det_cfg: DetConfig,
-    opt: OptimizerState,
-    prox: tuple[float, NamedTensorMap] | None,
-) -> list[RoundRow]:
-    """Train all clients together for the ``local_epochs`` epochs of round ``rnd``.
-
-    Returns the round's rows, ordered by (epoch, client).
-    """
-    train = [rt.data.split_xy("train") for rt in runtimes]
-    for rt, (_, y) in zip(runtimes, train):
-        if len(y) == 0:
-            raise DataError(f"client {rt.index} has an empty training split")
-    vals = [rt.data.split_xy("val") for rt in runtimes]
-    states = [rt.state for rt in runtimes]
-    rows = []
-    for e in range(cfg.local_epochs):
-        epoch = rnd * cfg.local_epochs + e + 1
-        batches = [
-            _shuffled_batches(x, y, cfg.batch_size, rt.shuffle_rng)
-            for rt, (x, y) in zip(runtimes, train)
-        ]
-        logs = train_epoch(states, spec, batches, vals, det_cfg, opt, prox)
-        r = schedule_r(epoch, schedule)
-        comm_event = int(strategy.aggregator is not None and e == cfg.local_epochs - 1)
-        for rt, log in zip(runtimes, logs):
-            phase = log.phase.name if strategy.deputy else "-"
-            logged = (phase, log.ce_loss, log.kl_loss, log.phi_d, log.phi_p)
-            rows.append(RoundRow(epoch, rt.index, *logged, r, comm_event))
-            # a strategy deploying the global model snapshots it at communication
-            # points instead (see _communicate)
-            if not strategy.deploys_global:
-                _keep_if_best(rt, log.phi_p, rt.state.personalized, epoch)
-    return rows
-
-
-def _shuffled_batches(x, y, batch_size: int, rng: np.random.Generator) -> list[tuple]:
-    """One epoch's ``(inputs, labels)`` batches in a fresh random order."""
-    perm = rng.permutation(len(y))
-    x, y = x[perm], y[perm]
-    return [(x[i : i + batch_size], y[i : i + batch_size]) for i in range(0, len(y), batch_size)]
-
-
-def _keep_if_best(rt: _Runtime, val: float, params: NamedTensorMap, epoch: int) -> None:
-    """Snapshot ``params`` as the client's deployed model if ``val`` beats its best."""
-    if val > rt.best_val:
-        rt.best_val = val
-        rt.best_params = clone_params(params)
-        rt.best_epoch = epoch
-
-
 def run_experiment(
     cfg: ExperimentConfig, profiles: list[ClientProfile] | None = None
 ) -> ExperimentResult:
@@ -352,74 +273,79 @@ def run_experiment(
     # makes sense when client weight matrices start out aligned
     common_init = init_params(spec, [cfg.seed, _INIT_STREAM])
 
-    runtimes = [
-        _Runtime(
-            index=i,
-            data=cdata,
-            shuffle_rng=np.random.default_rng([cfg.seed, profile.seed, _SHUFFLE_STREAM]),
-            state=ClientState(
-                personalized=clone_params(common_init),
-                deputy=clone_params(common_init) if strategy.deputy else None,
-            ),
-        )
-        for i, (profile, cdata) in enumerate(zip(profiles, dataset.clients))
-    ]
+    train = [cdata.split_xy("train") for cdata in dataset.clients]
+    for i, (_, y) in enumerate(train):
+        if len(y) == 0:
+            raise DataError(f"client {i} has an empty training split")
+    cohort = Cohort(
+        [common_init] * cfg.num_clients,
+        [common_init] * cfg.num_clients if strategy.deputy else None,
+        [cdata.split_xy("val") for cdata in dataset.clients],
+        [-(-len(y) // cfg.batch_size) for _, y in train],
+        train=train,
+        rngs=[np.random.default_rng([cfg.seed, profile.seed, _SHUFFLE_STREAM]) for profile in profiles],
+    )
     opt = OptimizerState(cfg.base_lr, halving_period=cfg.lr_halving_period)
     # one anchor for every client: the common init, then each round's global model
     prox = (cfg.prox_mu, common_init) if strategy.prox and cfg.prox_mu > 0.0 else None
 
     rows: list[RoundRow] = []
-    for rnd in range(cfg.total_epochs // cfg.local_epochs):
-        rows += _train_round(runtimes, rnd, spec, cfg, strategy, schedule, det_cfg, opt, prox)
-        if strategy.aggregator is not None:
-            t_comm = (rnd + 1) * cfg.local_epochs
-            global_params = _communicate(runtimes, spec, strategy, schedule_r(t_comm, schedule), t_comm)
+    for epoch in range(1, cfg.total_epochs + 1):
+        log = train_epoch(cohort, spec, cohort.shuffled_batches(cfg.batch_size), det_cfg, opt, prox)
+        r = schedule_r(epoch, schedule)
+        comm_event = int(strategy.aggregator is not None and epoch % cfg.local_epochs == 0)
+        for j, s in enumerate(cohort.slots):  # curves.csv rows, in client order
+            phase = DetPhase(log.phase[s]).name if strategy.deputy else "-"
+            logged = (float(log.ce_loss[s]), float(log.kl_loss[s]), float(log.phi_d[s]), float(log.phi_p[s]))
+            rows.append(RoundRow(epoch, j, phase, *logged, r, comm_event))
+        # a strategy deploying the global model snapshots it at communication
+        # points instead (see _communicate)
+        if not strategy.deploys_global:
+            cohort.keep_best(log.phi_p, cohort.p, epoch)
+        if comm_event:
+            global_params = _communicate(cohort, spec, strategy, r, epoch)
             if prox is not None:
                 prox = (cfg.prox_mu, global_params)
 
-    return _finalize(cfg, rows, runtimes, spec, ood)
+    return _finalize(cfg, rows, cohort, dataset.clients, spec, ood)
 
 
 def _communicate(
-    runtimes: list[_Runtime], spec: ModelSpec, strategy: Strategy, r: float, t: int
+    cohort: Cohort, spec: ModelSpec, strategy: Strategy, r: float, t: int
 ) -> NamedTensorMap | None:
-    """Aggregate the uploads and deliver; returns the FEDAVG global model (None under PFA)."""
-    uploads = [upload_model(rt.state) for rt in runtimes]
+    """Aggregate every ``p`` and deliver; returns the FEDAVG global model (None under PFA).
+
+    Both aggregators read the ``p`` stack in client order: a mean in slot order rounds differently.
+    """
+    uploads = {k: v[cohort.slots] for k, v in cohort.p.items()}
     global_params = None
     if strategy.aggregator == PFA:
-        aggregates = pfa_aggregate(AggregationRequest(uploads, r=r, strategy=PFA))
+        aggregates = pfa_fuse(uploads, r)
     else:
-        global_params = fedavg_aggregate(AggregationRequest(uploads, strategy=FEDAVG))
-        aggregates = [global_params] * len(runtimes)
-    for rt, agg in zip(runtimes, aggregates):
-        if strategy.deputy:
-            receive_deputy(rt.state, agg)
-        else:
-            rt.state.personalized = clone_params(agg)
+        global_params = fedavg_fuse(uploads)
+        aggregates = {k: np.broadcast_to(g, uploads[k].shape) for k, g in global_params.items()}
+    cohort.deliver(aggregates, strategy.deputy)
     if strategy.deploys_global:
-        # the deployed model is the global aggregate, scored on every client's split in one pass
-        k = len(runtimes)
-        broadcast = {name: np.broadcast_to(v, (k, *v.shape)) for name, v in global_params.items()}
-        scores = stacked_validation_f1(broadcast, spec, [rt.data.split_xy("val") for rt in runtimes])
-        for rt, score in zip(runtimes, scores):
-            _keep_if_best(rt, float(score), global_params, t)
+        # the deployed model is the global aggregate, scored on every client's split in one
+        # pass; every slot of the broadcast stack holds it, so slot and client order agree
+        cohort.keep_best(stacked_validation_f1(aggregates, spec, cohort.val), aggregates, t)
     return global_params
 
 
-def _finalize(cfg, rows, runtimes, spec, ood: ClientData) -> ExperimentResult:
+def _finalize(cfg, rows, cohort: Cohort, clients: list[ClientData], spec, ood: ClientData) -> ExperimentResult:
     ood_x, ood_y = ood.split_xy("test")
     outcomes = []
     best_params: dict[int, NamedTensorMap] = {}
-    for rt in runtimes:
-        params = best_params[rt.index] = rt.best_params
-        test_x, test_y = rt.data.split_xy("test")
+    for j, (cdata, s) in enumerate(zip(clients, cohort.slots)):
+        params = best_params[j] = {k: v[s] for k, v in cohort.best.items()}
+        test_x, test_y = cdata.split_xy("test")
         own = evaluate(predict_probs(params, spec, test_x), test_y, spec.classes)
         far = evaluate(predict_probs(params, spec, ood_x), ood_y, spec.classes)
         outcomes.append(
             ClientOutcome(
-                client=rt.index,
-                best_epoch=rt.best_epoch,
-                best_val_f1=rt.best_val,
+                client=j,
+                best_epoch=int(cohort.best_epoch[s]),
+                best_val_f1=float(cohort.best_f1[s]),
                 test_f1=own.macro_f1,
                 test_auc=own.macro_auc,
                 ood_f1=far.macro_f1,

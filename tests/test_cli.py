@@ -108,6 +108,28 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("seed = -1", "config error: seed must be >= 0, got -1"),
+        # FEDPROX once ran plain FEDAVG on a NaN pull, and an infinite pull or a NaN
+        # learning rate once exited 5 as a diverged run
+        ("prox_mu = nan", "config error: prox_mu must be finite, got nan"),
+        ("prox_mu = inf", "config error: prox_mu must be finite, got inf"),
+        ("base_lr = nan", "config error: base_lr must be finite, got nan"),
+        ("strategy = FEDAVG", "config error: line 2: config key 'strategy' repeats line 1"),
+    ],
+    ids=["negative_seed", "nan_prox_mu", "inf_prox_mu", "nan_base_lr", "repeated_key"],
+)
+def test_run_with_a_bad_config_value_exits_2_with_one_line(tmp_path, capsys, line, message):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"strategy = FEDPROX\n{line}\nlocal_epochs = 1\ntotal_epochs = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+    _single_error_line(capsys, message)
+    assert not out.exists()
+
+
 def test_exit_code_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.fsd"
     bad.write_bytes(b"JUNKJUNKJUNKJUNK" + b"\x00" * 32)

@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 
 from fedfreq.det import (
     ClientState,
+    Cohort,
     DetConfig,
     DetPhase,
     DivergenceError,
+    EpochLog,
     det_phase_transition,
     local_epoch,
+    pad_splits,
     receive_deputy,
     stacked_validation_f1,
     train_epoch,
@@ -47,6 +50,24 @@ def make_data(rng, n=40):
 
 def batches_of(x, y, size=8):
     return [(x[i : i + size], y[i : i + size]) for i in range(0, len(y), size)]
+
+
+def cohort_epoch(states, spec, train, vals, opt, prox=None):
+    """One :func:`train_epoch` over a cohort of ``states``; writes each client's models and
+    phase back to its state and returns its log, both by client index."""
+    deputies = None if states[0].deputy is None else [s.deputy for s in states]
+    cohort = Cohort([s.personalized for s in states], deputies, vals, [len(t) for t in train])
+    cohort.phases[cohort.slots] = [s.phase for s in states]
+    log = train_epoch(cohort, spec, [train[j] for j in cohort.clients], CFG, opt, prox)
+    logs = []
+    for state, s in zip(states, cohort.slots):
+        state.personalized = {k: v[s] for k, v in cohort.p.items()}
+        if deputies is not None:
+            state.deputy = {k: v[s] for k, v in cohort.d.items()}
+        state.phase = DetPhase(cohort.phases[s])
+        scores = (log.ce_loss[s], log.kl_loss[s], log.phi_d[s], log.phi_p[s])
+        logs.append(EpochLog(*map(float, scores), state.phase))
+    return logs
 
 
 # --- phase transition rule -------------------------------------------------------
@@ -412,7 +433,7 @@ def test_stacked_epoch_matches_a_per_client_loop_bit_for_bit(model_id, with_depu
     spec = MODEL_SPECS[model_id]
     rng = np.random.default_rng(11)
     # 3, 3, 4 and 2 batches of 16; clients 0, 1 and 3 end on a 1-row batch,
-    # 0 and 1 at the same batch index
+    # 0 and 1 at the same batch index.  The cohort trains them in slots 1, 2, 0, 3.
     sizes = [33, 33, 50, 17]
     phases = [DetPhase.RECOVER, DetPhase.EXCHANGE, DetPhase.SUBLIMATE, DetPhase.EXCHANGE]
     train = [_client_batches(rng, spec, n, 16) for n in sizes]
@@ -432,7 +453,7 @@ def test_stacked_epoch_matches_a_per_client_loop_bit_for_bit(model_id, with_depu
     ]
     opt = OptimizerState(base_lr=0.05, epoch=3)
 
-    logs = train_epoch(states, spec, train, vals, CFG, opt, (0.3, anchor))
+    logs = cohort_epoch(states, spec, train, vals, opt, (0.3, anchor))
 
     for j, (state, log, (p, d, ce, kl)) in enumerate(zip(states, logs, expected)):
         for k in p:
@@ -474,13 +495,12 @@ def test_permuting_the_clients_permutes_the_outputs(data):
         ]
 
     straight, shuffled = fresh_states(), fresh_states()
-    logs = train_epoch(straight, spec, train, vals, CFG, OptimizerState(base_lr=0.05))
-    moved = train_epoch(
+    logs = cohort_epoch(straight, spec, train, vals, OptimizerState(base_lr=0.05))
+    moved = cohort_epoch(
         [shuffled[j] for j in perm],
         spec,
         [train[j] for j in perm],
         [vals[j] for j in perm],
-        CFG,
         OptimizerState(base_lr=0.05),
     )
     for pos, j in enumerate(perm):
@@ -501,19 +521,11 @@ def test_train_epoch_names_the_diverged_client_epoch_and_tensor():
     # the NaN reaches every tensor of client 1; the first in name order is named
     states[1].personalized["dense2.weight"][0, 0] = np.nan
     rng = np.random.default_rng(12)
-    train = [batches_of(*make_data(rng)) for _ in states]
+    # 5, 5 and 8 batches: client 1 trains in slot 2, and the message names the client
+    train = [batches_of(*make_data(rng, n)) for n in (40, 40, 64)]
     match = "client 1 diverged in epoch 7: personalized tensor 'dense1.bias' is not finite"
     with pytest.raises(DivergenceError, match=match):
-        train_epoch(states, SPEC, train, [make_data(rng)] * 3, CFG, OptimizerState(epoch=6))
-
-
-def test_train_epoch_rejects_clients_it_cannot_stack():
-    rng = np.random.default_rng(13)
-    x, y = make_data(rng)
-    train = [[(x, y)], [(x, y)]]
-    mixed = [make_state(), ClientState(personalized=init_params(SPEC, 1), deputy=None)]
-    with pytest.raises(ValueError, match="deputy"):
-        train_epoch(mixed, SPEC, train, [(x, y)] * 2, CFG, OptimizerState())
+        cohort_epoch(states, SPEC, train, [make_data(rng)] * 3, OptimizerState(epoch=6))
 
 
 @pytest.mark.parametrize("call", ["train_epoch", "local_epoch"])
@@ -537,7 +549,7 @@ def test_epoch_names_a_bad_batch_before_training(call, bad_batch, problem):
     opt = OptimizerState()
     with pytest.raises(ValueError, match=f"client {bad}'s {problem}"):
         if call == "train_epoch":
-            train_epoch(states, SPEC, train, [make_data(rng)] * 3, CFG, opt)
+            cohort_epoch(states, SPEC, train, [make_data(rng)] * 3, opt)
         else:
             local_epoch(states[0], SPEC, train[0], make_data(rng), CFG, opt)
     # every batch is checked before the first step: nothing trained
@@ -577,10 +589,10 @@ def test_stacked_validation_equals_scoring_each_model_alone(model_id, sizes, see
     features = int(np.prod(spec.input_shape))
     vals = [(rng.standard_normal((n, features)), rng.choice(c, size=n)) for n, c in zip(sizes, held)]
 
-    scores = stacked_validation_f1(params, spec, vals)
+    scores = stacked_validation_f1(params, spec, pad_splits(vals))
     # one model broadcast over every split, as a global model is scored
     one = {key: np.broadcast_to(v[0], v.shape) for key, v in params.items()}
-    broadcast = stacked_validation_f1(one, spec, vals)
+    broadcast = stacked_validation_f1(one, spec, pad_splits(vals))
     for j, (x, y) in enumerate(vals):
         alone = {key: v[j] for key, v in params.items()}
         want = macro_f1(predict_probs(alone, spec, x).argmax(axis=1), y, spec.classes)
@@ -596,7 +608,7 @@ def test_epoch_scores_every_model_on_its_own_ragged_split():
         s.phase = phase
     train = [batches_of(*make_data(rng)) for _ in states]
     vals = [make_data(rng, n) for n in (7, 31, 18)]
-    logs = train_epoch(states, SPEC, train, vals, CFG, OptimizerState(base_lr=0.05))
+    logs = cohort_epoch(states, SPEC, train, vals, OptimizerState(base_lr=0.05))
     for state, log, (x, y) in zip(states, logs, vals):
         assert log.phi_p == validation_f1(state.personalized, SPEC, x, y)
         assert log.phi_d == validation_f1(state.deputy, SPEC, x, y)
@@ -606,4 +618,4 @@ def test_stacked_validation_rejects_an_empty_split():
     rng = np.random.default_rng(16)
     params = _random_stack(rng, SPEC, 2)
     with pytest.raises(ValueError, match="between 1 and n"):
-        stacked_validation_f1(params, SPEC, [make_data(rng, 5), make_data(rng, 0)])
+        stacked_validation_f1(params, SPEC, pad_splits([make_data(rng, 5), make_data(rng, 0)]))

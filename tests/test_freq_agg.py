@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedfreq.freq_agg import (
     FEDAVG,
@@ -326,6 +328,61 @@ def test_pfa_commutes_with_client_order():
         for i, j in enumerate(perm):
             for name in maps[0]:
                 np.testing.assert_allclose(permuted[i][name], outputs[j][name], rtol=0, atol=1e-12)
+
+
+# --- properties over K = 1..5 clients and both model specs ---------------------------
+
+
+@st.composite
+def _uploads(draw):
+    """(maps, r): K random client maps of one model spec and a threshold."""
+    spec = MODEL_SPECS[draw(st.sampled_from(["mlp32", "conv4x8"]))]
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 0.5, 30.0]))
+    template = init_params(spec, 0)
+    maps = [{name: rng.normal(0.0, scale, v.shape) for name, v in template.items()} for _ in range(k)]
+    return maps, draw(st.floats(0.01, 0.49))
+
+
+def _close(a, b, rel=1e-12):
+    """Equal to ``rel`` relative to the larger tensor's largest entry."""
+    return np.max(np.abs(a - b)) <= rel * max(np.max(np.abs(a)), np.max(np.abs(b)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(uploads=_uploads(), data=st.data())
+def test_pfa_permuting_the_clients_permutes_the_outputs(uploads, data):
+    maps, r = uploads
+    perm = data.draw(st.permutations(range(len(maps))))
+    outputs = pfa_aggregate(AggregationRequest(maps, r=r, strategy=PFA))
+    permuted = pfa_aggregate(AggregationRequest([maps[j] for j in perm], r=r, strategy=PFA))
+    for i, j in enumerate(perm):  # the amplitude mean sums in another order: equal to rounding
+        for name in maps[0]:
+            assert _close(permuted[i][name], outputs[j][name]), (i, j, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(uploads=_uploads())
+def test_pfa_of_identical_clients_returns_each_input(uploads):
+    maps, r = uploads
+    same = [maps[0]] * len(maps)
+    for out in pfa_aggregate(AggregationRequest(same, r=r, strategy=PFA)):
+        for name, v in maps[0].items():
+            assert _close(out[name], v), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(uploads=_uploads())
+def test_pfa_outputs_are_real_finite_and_fuse_biases_as_fedavg(uploads):
+    maps, r = uploads
+    merged = fedavg_aggregate(AggregationRequest(maps, strategy=FEDAVG))
+    for out in pfa_aggregate(AggregationRequest(maps, r=r, strategy=PFA)):
+        for name, v in out.items():
+            assert v.dtype == np.float64 and v.shape == maps[0][name].shape
+            assert np.isfinite(v).all(), name
+            if v.ndim == 1:
+                assert np.array_equal(v, merged[name]), name
 
 
 def _per_client_reference(maps, r):

@@ -8,6 +8,7 @@ import pytest
 from fedfreq import orchestrator
 from fedfreq.checkpoint import load_checkpoint_full
 from fedfreq.data import DataError, default_profiles, ood_client, synth
+from fedfreq.freq_agg import AggregationRequest, fedavg_aggregate, pfa_aggregate
 from fedfreq.metrics import evaluate, macro_f1
 from fedfreq.model import (
     MODEL_SPECS,
@@ -79,6 +80,12 @@ def test_parse_config_bad_value():
         parse_config_text("total_epochs = banana\n")
 
 
+def test_parse_config_repeated_key_names_both_lines():
+    text = "strategy = FEDAVG\nseed = 1\nstrategy = PFA_DET\n"
+    with pytest.raises(ConfigError, match="line 3: config key 'strategy' repeats line 1"):
+        parse_config_text(text)
+
+
 def test_parse_config_missing_equals():
     with pytest.raises(ConfigError):
         parse_config_text("strategy FEDAVG\n")
@@ -98,6 +105,11 @@ def test_parse_config_missing_equals():
         ("workers", 4),  # clients train serially
         ("num_clients", 0),
         ("lr_halving_period", 0),
+        ("seed", -1),
+        ("base_lr", float("nan")),
+        ("base_lr", float("inf")),
+        ("prox_mu", float("nan")),
+        ("prox_mu", float("inf")),
     ],
 )
 def test_config_validation_rejects(field, value):
@@ -183,25 +195,75 @@ def test_fedavg_symmetry_identical_clients():
 def test_strategy_uses_only_its_aggregator_and_delivery(monkeypatch, strategy, aggregator, deputy):
     calls = collections.Counter()
 
-    def counting(name):
-        original = getattr(orchestrator, name)
-
+    def counting(name, original):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
         return wrapper
 
-    for name in ("pfa_aggregate", "fedavg_aggregate", "receive_deputy"):
-        monkeypatch.setattr(orchestrator, name, counting(name))
+    # each stack-level fusion counts under the name of the list-of-maps aggregator it backs
+    for label, name in (("pfa_aggregate", "pfa_fuse"), ("fedavg_aggregate", "fedavg_fuse")):
+        monkeypatch.setattr(orchestrator, name, counting(label, getattr(orchestrator, name)))
+    deliver = orchestrator.Cohort.deliver
+
+    def counting_deliver(cohort, aggregates, into_deputy):
+        calls["deliver to deputy" if into_deputy else "deliver over p"] += 1
+        return deliver(cohort, aggregates, into_deputy)
+
+    monkeypatch.setattr(orchestrator.Cohort, "deliver", counting_deliver)
     run_experiment(small_cfg(strategy=strategy, total_epochs=10))
-    rounds, clients = 2, 4
+    rounds = 2
     expected = collections.Counter()
     if aggregator is not None:
         expected[aggregator] = rounds
-    if deputy:
-        expected["receive_deputy"] = rounds * clients
+        expected["deliver to deputy" if deputy else "deliver over p"] = rounds
     assert calls == expected
+
+
+# --- the cohort's slots and the clients they hold ------------------------------------
+
+
+def test_permuted_profiles_permute_a_local_only_run_bit_for_bit():
+    base = default_profiles(0.1)
+    # 14, 17, 8 and 14 batches: clients 0 and 3 tie, and the stable sort keeps them in order
+    twin = dataclasses.replace(base[0], seed=10)
+    profiles = [base[0], base[1], base[2], twin]
+    perm = [3, 2, 0, 1]  # the twin now comes first, so the tie breaks the other way
+    cfg = small_cfg(strategy="LOCAL_ONLY", total_epochs=10)
+    straight = run_experiment(cfg, profiles=profiles)
+    moved = run_experiment(cfg, profiles=[profiles[j] for j in perm])
+    for i, j in enumerate(perm):
+        rows = [dataclasses.replace(r, client=j) for r in moved.rows if r.client == i]
+        assert repr(rows) == repr([r for r in straight.rows if r.client == j]), (i, j)
+        for k, v in straight.best_params[j].items():
+            assert np.array_equal(moved.best_params[i][k], v), (i, j, k)
+
+
+@pytest.mark.parametrize("strategy", ["PFA_DET", "PFA_ONLY", "FEDAVG_DET", "FEDAVG"])
+def test_a_round_delivers_the_aggregate_of_the_uploads_in_client_order(monkeypatch, strategy):
+    rounds = []
+    communicate = orchestrator._communicate
+
+    def recording(cohort, spec, strat, r, t):
+        uploads = [{k: v[s].copy() for k, v in cohort.p.items()} for s in cohort.slots]
+        global_params = communicate(cohort, spec, strat, r, t)
+        target = cohort.d if strat.deputy else cohort.p
+        delivered = [{k: v[s].copy() for k, v in target.items()} for s in cohort.slots]
+        rounds.append((cohort.clients.tolist(), r, uploads, delivered))
+        return global_params
+
+    monkeypatch.setattr(orchestrator, "_communicate", recording)
+    run_experiment(small_cfg(strategy=strategy, total_epochs=5))
+    ((clients, r, uploads, delivered),) = rounds
+    assert clients == [1, 0, 3, 2]  # 17, 14, 9 and 8 batches: slot and client order differ
+    if orchestrator.STRATEGIES[strategy].aggregator == orchestrator.PFA:
+        expected = pfa_aggregate(AggregationRequest(uploads, r=r, strategy=orchestrator.PFA))
+    else:
+        expected = [fedavg_aggregate(AggregationRequest(uploads, strategy=orchestrator.FEDAVG))] * 4
+    for j, (got, want) in enumerate(zip(delivered, expected)):
+        for k in want:
+            assert np.array_equal(got[k], want[k]), (j, k)
 
 
 def test_fedprox_without_pull_matches_fedavg():
@@ -353,20 +415,20 @@ def test_fedprox_differs_from_fedavg_and_stays_finite():
 def test_fedprox_pulls_toward_the_init_then_the_latest_global_model(monkeypatch):
     cfg = small_cfg(strategy="FEDPROX", num_clients=4, total_epochs=15, local_epochs=5, prox_mu=0.1)
     pulls, global_models = [], []
-    train_epoch, fedavg_aggregate = orchestrator.train_epoch, orchestrator.fedavg_aggregate
+    train_epoch, fedavg_fuse = orchestrator.train_epoch, orchestrator.fedavg_fuse
 
     def recording_train_epoch(*args):
         mu, anchor = args[-1]  # prox, the last argument
         pulls.append((mu, clone_params(anchor)))
         return train_epoch(*args)
 
-    def recording_fedavg(req):
-        out = fedavg_aggregate(req)
+    def recording_fedavg(stacks):
+        out = fedavg_fuse(stacks)
         global_models.append(clone_params(out))
         return out
 
     monkeypatch.setattr(orchestrator, "train_epoch", recording_train_epoch)
-    monkeypatch.setattr(orchestrator, "fedavg_aggregate", recording_fedavg)
+    monkeypatch.setattr(orchestrator, "fedavg_fuse", recording_fedavg)
     run_experiment(cfg)
 
     init = init_params(MODEL_SPECS[cfg.model_id], [cfg.seed, 1])
