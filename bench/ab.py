@@ -17,6 +17,17 @@ The ``e2e`` section times the two perfbench training workloads; the
 ``acceptance`` section times one run per strategy (all six) at the
 acceptance setting (mlp32, E=5, T=100, data_scale 0.1, K=4).
 
+The ``server`` section times perfbench's ``server_round`` operation through
+each tree's own ``checkpoint`` and ``freq_agg``: per model (mlp32, conv4x8),
+load 4 client checkpoints, fuse them with PFA and with FEDAVG, and save the
+aggregates into a fresh folder.  One sample is one such round; the inputs
+are written once.  Sides pair and alternate as in ``e2e``, with
+``SERVER_PAIRS_PER_PAIR`` times ``--pairs`` pairs, since one round takes a
+few milliseconds.  Two trees may round PFA differently, so the section
+records the largest PFA difference relative to the largest aggregate entry;
+the FEDAVG aggregates' saved bytes, and each tree's saved bytes of the same
+inputs, are compared for identity.
+
 The ``layer`` section times each tree's own library functions the same way:
 ``forward`` and ``backward`` for mlp32 and conv4x8 at the training-group
 shape (4 clients x 16 rows, stacked) and the validation shape (1 client x
@@ -50,8 +61,10 @@ import importlib
 import importlib.util
 import io
 import json
+import operator
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -78,6 +91,12 @@ ARTIFACTS = ("curves.csv", "results.json", *(f"best_client_{i}.ckpt" for i in ra
 LAYER_SHAPES = {"train": (CLIENTS, 16), "val": (1, 19)}  # (clients, rows) of one call
 LAYER_SAMPLE_S = 0.02  # seconds of calls in one layer sample (one side of a pair)
 AUC_ROWS = 60  # a client's test split at data_scale 0.1
+# perfbench's server_round operation: per (model, aggregator), load the
+# CLIENTS checkpoints, fuse them and save the result
+SERVER_KINDS = (("mlp32", "PFA"), ("mlp32", "FEDAVG"), ("conv4x8", "PFA"), ("conv4x8", "FEDAVG"))
+SERVER_R = (0.35, 0.48)  # PFA threshold range; one draw per pair, the same on both sides
+SERVER_PAIRS_PER_PAIR = 20  # a round takes a few ms: the server section makes 20 x --pairs pairs
+SERVER_INPUT_SEED = 3
 
 
 def load_tree(src: Path, name: str):
@@ -190,27 +209,30 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def measure(clis: dict, config: dict, pairs: int, seed: int) -> dict:
-    for side in SIDES:  # warm-up: imports, caches, first-touch allocations
-        timed_run(clis[side], config, seed)
-    seconds: dict[str, list[float]] = {side: [] for side in SIDES}
-    first, identical = [], True
+def alternate(run, compare, pairs: int) -> tuple[list[str], dict, list]:
+    """Calls ``run(side, i)`` for both sides of pairs i = 0..pairs-1, the first side alternating.
+
+    ``run`` returns (seconds, output).  Returns the side that went first in
+    each pair, each side's seconds in pair order, and per pair
+    ``compare(base output, change output)``; no output is kept longer.
+    """
+    first, seconds, compared = [], {side: [] for side in SIDES}, []
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         first.append(order[0])
-        digests = {}
+        outputs = {}
         for side in order:
-            elapsed, digests[side] = timed_run(clis[side], config, seed + i)
+            elapsed, outputs[side] = run(side, i)
             seconds[side].append(elapsed)
-        identical &= digests["base"] == digests["change"]
+        compared.append(compare(outputs["base"], outputs["change"]))
+    return first, seconds, compared
+
+
+def paired_summary(seconds: dict, pairs: int) -> dict:
     ratios = [c / b for b, c in zip(seconds["base"], seconds["change"])]
     base, change = quartiles(seconds["base"]), quartiles(seconds["change"])
     faster = sum(r < 1.0 for r in ratios)
     return {
-        "config": config,
-        "first": first,
-        "base_s": seconds["base"],
-        "change_s": seconds["change"],
         "base_quartiles_s": base,
         "change_quartiles_s": change,
         "ratio_change_over_base": quartiles(ratios),
@@ -218,7 +240,107 @@ def measure(clis: dict, config: dict, pairs: int, seed: int) -> dict:
         # a gain counts when the change wins 9 pairs in 10 and its median is
         # lower by more than the spread (IQR) of the base's own runs
         "gain_shown": faster >= 0.9 * pairs and base["median"] - change["median"] > base["q3"] - base["q1"],
-        "identical_artifacts": identical,
+    }
+
+
+def measure(clis: dict, config: dict, pairs: int, seed: int) -> dict:
+    for side in SIDES:  # warm-up: imports, caches, first-touch allocations
+        timed_run(clis[side], config, seed)
+    first, seconds, same = alternate(
+        lambda side, i: timed_run(clis[side], config, seed + i), operator.eq, pairs
+    )
+    return {
+        "config": config,
+        "first": first,
+        "base_s": seconds["base"],
+        "change_s": seconds["change"],
+        **paired_summary(seconds, pairs),
+        "identical_artifacts": all(same),
+    }
+
+
+def write_server_inputs(pkg: str, folder: Path) -> dict[str, list[Path]]:
+    """Saves CLIENTS client maps per model through package ``pkg``; returns the paths by model id."""
+    model = importlib.import_module(f"{pkg}.model")
+    checkpoint = importlib.import_module(f"{pkg}.checkpoint")
+    folder.mkdir()
+    paths = {}
+    for model_id, spec in model.MODEL_SPECS.items():
+        paths[model_id] = [folder / f"{model_id}_client_{c}.ckpt" for c in range(CLIENTS)]
+        for c, path in enumerate(paths[model_id]):
+            params = model.init_params(spec, [c, SERVER_INPUT_SEED])
+            # the initial biases are 0: give them values, so that every tensor is fused from data
+            rng = np.random.default_rng([c, SERVER_INPUT_SEED])
+            params = {name: v if v.ndim > 1 else rng.normal(0.0, 0.1, v.shape) for name, v in params.items()}
+            checkpoint.save_checkpoint(params, path, model_id=model_id)
+    return paths
+
+
+def server_round(checkpoint, freq_agg, paths: dict, r: float, out: Path) -> list[list[dict]]:
+    """perfbench's ``server_round`` operation through one tree's modules; returns the fused maps per kind."""
+    fused = []
+    for model_id, strategy in SERVER_KINDS:
+        loaded = [checkpoint.load_checkpoint_full(path) for path in paths[model_id]]
+        maps = [params for _, _, params in loaded]
+        request = freq_agg.AggregationRequest(maps, r=r, strategy=strategy)
+        if strategy == "PFA":
+            maps = freq_agg.pfa_aggregate(request)
+        else:
+            maps = [freq_agg.fedavg_aggregate(request)]
+        for c, params in enumerate(maps):
+            checkpoint.save_checkpoint(params, out / f"{model_id}_{strategy}_{c}.ckpt", model_id=loaded[0][1])
+        fused.append(maps)
+    return fused
+
+
+def compare_rounds(base, change) -> tuple[float, bool]:
+    """(largest PFA |change - base| relative to the largest aggregate entry, FEDAVG bytes identical)."""
+    (fused_b, saved_b), (fused_c, saved_c) = base, change
+    rel = 0.0
+    for (_, strategy), maps_b, maps_c in zip(SERVER_KINDS, fused_b, fused_c):
+        if strategy == "PFA":
+            delta = max(float(np.max(np.abs(b[k] - c[k]))) for b, c in zip(maps_b, maps_c) for k in b)
+            rel = max(rel, delta / max(float(np.max(np.abs(v))) for b in maps_b for v in b.values()))
+    return rel, saved_b == saved_c
+
+
+def measure_server(pairs: int, seed: int) -> dict:
+    """Paired timings of one :func:`server_round` per side and pair; both trees must be loaded."""
+    modules = {
+        side: tuple(importlib.import_module(f"fedfreq_{side}.{m}") for m in ("checkpoint", "freq_agg"))
+        for side in SIDES
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = {side: write_server_inputs(f"fedfreq_{side}", Path(tmp, f"inputs_{side}")) for side in SIDES}
+        saved_alike = all(
+            p.read_bytes() == q.read_bytes()
+            for model_id in inputs["base"]
+            for p, q in zip(inputs["base"][model_id], inputs["change"][model_id])
+        )
+
+        def run(side: str, i: int):
+            out = Path(tmp, f"round_{side}_{i}")  # a fresh folder, as perfbench writes
+            out.mkdir()
+            r = float(np.random.default_rng([seed, i]).uniform(*SERVER_R))
+            start = time.perf_counter()
+            fused = server_round(*modules[side], inputs["base"], r, out)
+            elapsed = time.perf_counter() - start
+            saved = b"".join(p.read_bytes() for p in sorted(out.glob("*_FEDAVG_*.ckpt")))
+            shutil.rmtree(out)
+            return elapsed, (fused, saved)
+
+        for side in SIDES:  # warm-up, on a threshold no pair draws
+            run(side, pairs)
+        first, seconds, compared = alternate(run, compare_rounds, pairs)
+    return {
+        "kinds": [list(kind) for kind in SERVER_KINDS],
+        "first": first,
+        "base_s": seconds["base"],
+        "change_s": seconds["change"],
+        **paired_summary(seconds, pairs),
+        "pfa_max_rel_diff": max(rel for rel, _ in compared),
+        "fedavg_identical_bytes": all(same for _, same in compared),
+        "saved_inputs_identical_bytes": saved_alike,
     }
 
 
@@ -273,6 +395,15 @@ def main(argv=None) -> int:
                   f"gain shown: {row['gain_shown']}, "
                   f"identical artifacts: {row['identical_artifacts']}")
 
+    server_pairs = SERVER_PAIRS_PER_PAIR * pairs
+    runs["server"] = row = measure_server(server_pairs, args.seed)
+    r = row["ratio_change_over_base"]
+    print(f"{'server_round':<13} change/base {r['median']:.3f} (IQR {r['q1']:.3f}-{r['q3']:.3f}), "
+          f"faster in {row['change_faster_pairs']}/{server_pairs} pairs, "
+          f"gain shown: {row['gain_shown']}, "
+          f"PFA max rel diff: {row['pfa_max_rel_diff']:.1e}, "
+          f"FEDAVG identical bytes: {row['fedavg_identical_bytes']}")
+
     layer = measure_layers(pairs, LAYER_SAMPLE_S / 20 if args.quick else LAYER_SAMPLE_S)
     for name, row in layer.items():
         r = row["ratio_change_over_base"]
@@ -283,6 +414,7 @@ def main(argv=None) -> int:
         "tag": args.tag,
         "quick": args.quick,
         "clock": "e2e: time.perf_counter around cli.main, seconds per fedfreq run; "
+        "server: time.perf_counter around one server round, seconds; "
         "layer: timeit (garbage collection off), microseconds per call",
         "pairs": pairs,
         "first_seed": args.seed,

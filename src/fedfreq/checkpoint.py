@@ -18,6 +18,7 @@ truncation or flipped byte is rejected before the payload is trusted.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -26,6 +27,12 @@ import numpy as np
 from .model import NamedTensorMap
 
 FORMAT_VERSION = 1
+
+_U32 = struct.Struct("<I")
+_HEADER = struct.Struct("<II")  # format version, model id length
+_CHECKSUM = struct.Struct("<Q")
+# tensor dims by rank; the package's parameters have rank 1, 2 or 4
+_DIMS = {rank: struct.Struct(f"<{rank}I") for rank in range(5)}
 
 
 class CorruptCheckpointError(ValueError):
@@ -61,10 +68,11 @@ def load_checkpoint_full(path) -> tuple[int, str, NamedTensorMap]:
     raw = Path(path).read_bytes()
     if len(raw) < 12:
         raise CorruptCheckpointError(f"{path}: file too short")
-    payload, (stored,) = raw[:-8], struct.unpack("<Q", raw[-8:])
+    payload = memoryview(raw)[:-8]  # a view: the checksum and the decoder copy nothing
+    (stored,) = _CHECKSUM.unpack_from(raw, len(payload))
     if _checksum(payload) != stored:
         raise CorruptCheckpointError(f"{path}: checksum mismatch")
-    (version,) = struct.unpack_from("<I", payload)
+    (version,) = _U32.unpack_from(payload)
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(f"{path}: unsupported checkpoint version {version}")
     try:
@@ -79,36 +87,34 @@ def load_checkpoint(path) -> NamedTensorMap:
     return load_checkpoint_full(path)[2]
 
 
-def _decode(payload: bytes) -> tuple[int, str, NamedTensorMap]:
-    offset = 0
+def _read(fields: struct.Struct, payload: memoryview, offset: int) -> tuple[tuple, int]:
+    """The values of ``fields`` at ``offset`` and the offset after them."""
+    end = offset + fields.size
+    if end > len(payload):
+        raise CorruptCheckpointError("payload ends early")
+    return fields.unpack_from(payload, offset), end
 
-    def take(fmt: str):
-        nonlocal offset
-        out = struct.unpack_from(fmt, payload, offset)
-        offset += struct.calcsize(fmt)
-        return out
 
-    def take_bytes(n: int) -> bytes:
-        nonlocal offset
-        if offset + n > len(payload):
-            raise CorruptCheckpointError("payload ends early")
-        out = payload[offset : offset + n]
-        offset += n
-        return out
+def _take(payload: memoryview, offset: int, n: int) -> tuple[memoryview, int]:
+    """The ``n`` bytes at ``offset``, as a view, and the offset after them."""
+    end = offset + n
+    if end > len(payload):
+        raise CorruptCheckpointError("payload ends early")
+    return payload[offset:end], end
 
-    (version,) = take("<I")  # checked by the caller
-    (id_len,) = take("<I")
-    model_id = take_bytes(id_len).decode("utf-8")
-    (count,) = take("<I")
+
+def _decode(payload: memoryview) -> tuple[int, str, NamedTensorMap]:
+    (version, id_len), offset = _read(_HEADER, payload, 0)  # version checked by the caller
+    model_id, offset = _take(payload, offset, id_len)
+    (count,), offset = _read(_U32, payload, offset)
     params: NamedTensorMap = {}
     for _ in range(count):
-        (name_len,) = take("<I")
-        name = take_bytes(name_len).decode("utf-8")
-        (rank,) = take("<I")
-        dims = take(f"<{rank}I") if rank else ()
-        size = int(np.prod(dims)) if dims else 1
-        data = np.frombuffer(take_bytes(size * 8), dtype="<f8")
-        params[name] = data.reshape(dims).astype(np.float64)
+        (name_len,), offset = _read(_U32, payload, offset)
+        name, offset = _take(payload, offset, name_len)
+        (rank,), offset = _read(_U32, payload, offset)
+        dims, offset = _read(_DIMS.get(rank) or struct.Struct(f"<{rank}I"), payload, offset)
+        values, offset = _take(payload, offset, 8 * math.prod(dims))
+        params[str(name, "utf-8")] = np.frombuffer(values, dtype="<f8").reshape(dims).astype(np.float64)
     if offset != len(payload):
         raise CorruptCheckpointError("trailing bytes after last tensor")
-    return version, model_id, params
+    return version, str(model_id, "utf-8"), params

@@ -7,6 +7,14 @@ and its own high-frequency amplitudes.  The shared band is a centered
 rectangle whose half-widths are ``floor(r * dim)`` per axis; ``r`` grows
 linearly over training (see :func:`schedule_r`).
 
+Fusion never splits a spectrum into polar form.  Each band entry ``F`` is
+rescaled to the shared amplitude, ``F * (shared / |F|)``, which keeps its
+phase; a zero entry, whose phase is 0 by convention, becomes the real value
+``shared``; entries outside the band pass through unchanged.  That is the
+polar definition, ``recompose(AmpPhase(amp', phase))`` with the band's
+amplitudes replaced by their mean, up to rounding; ``numerics.amp_phase``
+and ``numerics.recompose`` remain its reference.
+
 Each parameter is fused as one client stack (:func:`pfa_fuse`): the K
 clients' tensors are stacked along a leading axis, and one transform, one
 amplitude mean over that axis and one inverse transform handle all K at
@@ -24,12 +32,14 @@ axis (:func:`fedavg_fuse`) and yields a single shared model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .model import NamedTensorMap, check_same_structure, stack_params
-from .numerics import AmpPhase, amp_phase, dft2, idft2, recompose
+from .numerics import dft2, idft2
 
 # epsilon keeping a scheduled threshold strictly inside (0, 0.5)
 R_EPS = 1e-6
@@ -114,24 +124,38 @@ def low_freq_mask(rows: int, cols: int, r: float) -> np.ndarray:
     ``|m| <= floor(r*rows)`` and ``|n| <= floor(r*cols)``.  Since r < 0.5
     the rectangle never reaches the Nyquist line, so the mask is symmetric
     under (m, n) -> (-m, -n) and aggregation preserves Hermitian symmetry.
+    Each mask is built once per shape and pair of half-widths and returned
+    read-only; copy it before writing to it.
     """
     if rows < 1 or cols < 1:
         raise ValueError("mask dimensions must be >= 1")
     check_threshold(r)
-    half_r = int(np.floor(r * rows))
-    half_c = int(np.floor(r * cols))
+    return _band(rows, cols, math.floor(r * rows), math.floor(r * cols))
+
+
+@lru_cache(maxsize=256)
+def _band(rows: int, cols: int, half_r: int, half_c: int) -> np.ndarray:
     # signed frequency index per axis in standard DFT order
     sr = np.fft.fftfreq(rows, d=1.0 / rows).round().astype(int)
     sc = np.fft.fftfreq(cols, d=1.0 / cols).round().astype(int)
-    return (np.abs(sr)[:, None] <= half_r) & (np.abs(sc)[None, :] <= half_c)
+    mask = (np.abs(sr)[:, None] <= half_r) & (np.abs(sc)[None, :] <= half_c)
+    mask.flags.writeable = False
+    return mask
 
 
 def _fuse(stack: np.ndarray, r: float) -> np.ndarray:
-    """Frequency-domain fusion of a ``(K, rows, cols)`` client stack."""
-    mask = low_freq_mask(*stack.shape[-2:], r)
-    spectrum = amp_phase(dft2(stack))
-    amp = np.where(mask, spectrum.amplitude.mean(axis=0), spectrum.amplitude)
-    fused, _ = idft2(recompose(AmpPhase(amp, spectrum.phase)))
+    """Frequency-domain fusion of a ``(K, rows, cols)`` client stack.
+
+    Band entries become ``F * (shared / |F|)``, or ``shared`` where ``|F|``
+    is 0; the rest of each spectrum is kept as it is.
+    """
+    band = low_freq_mask(*stack.shape[-2:], r)
+    spectrum = dft2(stack)
+    amp = np.abs(spectrum)
+    shared = amp.mean(axis=0)
+    nonzero = amp > 0
+    scale = np.divide(shared, amp, out=np.zeros_like(amp), where=nonzero)
+    fused, _ = idft2(np.where(band, np.where(nonzero, spectrum * scale, shared), spectrum))
     return fused
 
 

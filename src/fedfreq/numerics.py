@@ -12,6 +12,11 @@ matrices is transformed in one call, matrix by matrix; a 2-D input is the
 stack of one.  Transforms are evaluated with ``numpy.fft``; the algorithm is
 an implementation detail, the contract is the convention above.  All
 functions are pure.
+
+:func:`amp_phase` and :func:`recompose` are the reference definition of
+frequency-domain fusion: split, replace the band's amplitudes, rebuild.
+``freq_agg`` reaches the same spectrum without the round trip, by rescaling
+each band entry to the shared amplitude.
 """
 
 from __future__ import annotations

@@ -1,4 +1,6 @@
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,8 +72,6 @@ def test_unsupported_version_rejected(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[0:4] = struct.pack("<I", 2)
     # recompute the trailing checksum so only the version is wrong
-    import hashlib
-
     payload = bytes(raw[:-8])
     digest = int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
     raw[-8:] = struct.pack("<Q", digest)
@@ -93,3 +93,44 @@ def test_tensor_order_is_name_sorted(tmp_path):
     save_checkpoint(params, path)
     raw = path.read_bytes()
     assert raw.find(b"a") < raw.find(b"b")
+
+
+def _with_checksum(payload: bytes) -> bytes:
+    return payload + struct.pack("<Q", int.from_bytes(hashlib.sha256(payload).digest()[:8], "little"))
+
+
+def test_malformed_payloads_with_a_valid_checksum_are_corrupt(tmp_path):
+    # every payload below carries a correct checksum, so the decoder itself
+    # must catch it; a claimed size must be refused before it is allocated
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(sample_params(), path, model_id="mlp32")
+    payload = path.read_bytes()[:-8]
+    first = 4 + 4 + len(b"mlp32") + 4  # the first tensor's name length field
+    name_len = struct.unpack_from("<I", payload, first)[0]
+    rank_at = first + 4 + name_len
+    bad = [payload[:cut] for cut in range(len(payload))]
+    bad.append(payload + b"\0")  # one trailing byte
+    bad.append(payload[:rank_at] + struct.pack("<I", 2**31) + payload[rank_at + 4 :])  # rank
+    bad.append(payload[:first] + struct.pack("<I", len(payload)) + payload[first + 4 :])  # name
+    # the second dim of the first tensor claims 2**32 - 1 entries
+    bad.append(payload[: rank_at + 8] + struct.pack("<I", 2**32 - 1) + payload[rank_at + 12 :])
+    tracemalloc.start()
+    try:
+        for blob in bad:
+            path.write_bytes(_with_checksum(blob))
+            with pytest.raises(CorruptCheckpointError) as info:
+                load_checkpoint_full(path)
+            assert str(path) in str(info.value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_loaded_tensors_are_writable_float64_and_share_no_memory(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(sample_params(), path)
+    tensors = list(load_checkpoint(path).values())
+    for i, t in enumerate(tensors):
+        assert t.dtype == np.float64 and t.flags.writeable
+        assert not any(np.shares_memory(t, other) for other in tensors[i + 1 :])

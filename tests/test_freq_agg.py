@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -386,7 +388,11 @@ def test_pfa_outputs_are_real_finite_and_fuse_biases_as_fedavg(uploads):
 
 
 def _per_client_reference(maps, r):
-    """PFA written client by client with 2-D ``numerics`` calls."""
+    """PFA written client by client with 2-D ``numerics`` calls, band entry by band entry.
+
+    A band entry F becomes ``F * (shared / |F|)``, or the real ``shared`` where
+    ``|F|`` is 0; entries outside the band are kept.
+    """
     outputs = [{} for _ in maps]
     for name in maps[0]:
         tensors = [np.asarray(m[name], dtype=np.float64) for m in maps]
@@ -396,11 +402,15 @@ def _per_client_reference(maps, r):
                 out[name] = np.mean(tensors, axis=0)
             continue
         mats = [reshape_conv(t) if conv else t for t in tensors]
-        mask = low_freq_mask(*mats[0].shape, r)
-        spectra = [amp_phase(dft2(m)) for m in mats]
-        mean_amp = np.mean([s.amplitude for s in spectra], axis=0)
-        for out, s in zip(outputs, spectra):
-            fused, _ = idft2(recompose(AmpPhase(np.where(mask, mean_amp, s.amplitude), s.phase)))
+        band = np.argwhere(low_freq_mask(*mats[0].shape, r))
+        spectra = [dft2(m) for m in mats]
+        shared = np.mean([np.abs(f) for f in spectra], axis=0)
+        for out, f in zip(outputs, spectra):
+            moved = f.copy()
+            for i, j in band:
+                amp = np.abs(f[i, j])
+                moved[i, j] = f[i, j] * (shared[i, j] / amp) if amp > 0 else shared[i, j]
+            fused, _ = idft2(moved)
             out[name] = unreshape_conv(fused, tensors[0].shape) if conv else fused
     return outputs
 
@@ -415,6 +425,51 @@ def test_pfa_stack_matches_per_client_reference_bit_for_bit(model_id):
             assert sorted(out) == sorted(ref)
             for name in ref:
                 assert np.array_equal(out[name], ref[name]), (model_id, r, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(uploads=_uploads())
+def test_pfa_matches_the_polar_definition(uploads):
+    # the fused spectrum is the band's mean amplitude, or the client's own
+    # amplitude outside it, under the client's own phase: equal to rounding
+    maps, r = uploads
+    outputs = pfa_aggregate(AggregationRequest(maps, r=r, strategy=PFA))
+    for name, v in maps[0].items():
+        if v.ndim == 1:
+            continue
+        conv = v.ndim == 4
+        mats = [reshape_conv(m[name]) if conv else m[name] for m in maps]
+        mask = low_freq_mask(*mats[0].shape, r)
+        spectra = [amp_phase(dft2(m)) for m in mats]
+        mean_amp = np.mean([s.amplitude for s in spectra], axis=0)
+        for out, s in zip(outputs, spectra):
+            expected, _ = idft2(recompose(AmpPhase(np.where(mask, mean_amp, s.amplitude), s.phase)))
+            got = reshape_conv(out[name]) if conv else out[name]
+            assert _close(got, expected), name
+
+
+@pytest.mark.parametrize("model_id", ["mlp32", "conv4x8"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_pfa_gives_an_all_zero_client_the_shared_amplitude_without_warnings(model_id, k):
+    # a zero spectrum entry has phase 0, so the client receives the real shared amplitude
+    spec = MODEL_SPECS[model_id]
+    maps = [init_params(spec, [seed, 2]) for seed in range(k)]
+    maps[0] = {name: np.zeros_like(v) for name, v in maps[0].items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (0.05, 0.35, 0.48):
+            outputs = pfa_aggregate(AggregationRequest(maps, r=r, strategy=PFA))
+            for out in outputs:
+                assert all(np.isfinite(v).all() for v in out.values())
+            for name, v in maps[0].items():
+                if v.ndim == 1:
+                    continue
+                conv = v.ndim == 4
+                mats = [reshape_conv(m[name]) if conv else m[name] for m in maps]
+                mask = low_freq_mask(*mats[0].shape, r)
+                mean_amp = np.mean([np.abs(dft2(m)) for m in mats], axis=0)
+                got = dft2(reshape_conv(outputs[0][name]) if conv else outputs[0][name])
+                assert _close(got, np.where(mask, mean_amp, 0.0), rel=1e-9), (r, name)
 
 
 def test_pfa_outputs_are_real_float():
