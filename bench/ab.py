@@ -47,8 +47,8 @@ Usage, from the repository root::
 
 The file holds the machine facts (cores, BLAS, numpy, Python) and the git
 commit of each tree.  ``--quick`` shrinks every run to two rounds, every
-layer sample to a few calls, and makes two pairs: its numbers mean nothing,
-it only shows that the script works.
+layer sample to a few calls, and makes two pairs (40 in ``server``): its
+numbers mean nothing, it only shows that the script works.
 The script checks no timing; perfbench stays the regression gate.
 """
 
