@@ -35,6 +35,11 @@ _CHECKSUM = struct.Struct("<Q")
 _DIMS = {rank: struct.Struct(f"<{rank}I") for rank in range(5)}
 
 
+def _dims(rank: int) -> struct.Struct:
+    """The struct of a rank-``rank`` tensor's dims, for the encoder and the decoder alike."""
+    return _DIMS.get(rank) or struct.Struct(f"<{rank}I")
+
+
 class CorruptCheckpointError(ValueError):
     """Checkpoint file is truncated or fails its checksum."""
 
@@ -48,19 +53,15 @@ def _checksum(payload: bytes) -> int:
 
 
 def save_checkpoint(params: NamedTensorMap, path, model_id: str = "") -> None:
-    parts = [struct.pack("<I", FORMAT_VERSION)]
     ident = model_id.encode("utf-8")
-    parts.append(struct.pack("<I", len(ident)) + ident)
-    parts.append(struct.pack("<I", len(params)))
+    parts = [_HEADER.pack(FORMAT_VERSION, len(ident)), ident, _U32.pack(len(params))]
     for name in sorted(params):
         tensor = np.ascontiguousarray(params[name], dtype="<f8")
         encoded = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(encoded)) + encoded)
-        parts.append(struct.pack("<I", tensor.ndim))
-        parts.append(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-        parts.append(tensor.tobytes())
+        parts += [_U32.pack(len(encoded)), encoded, _U32.pack(tensor.ndim)]
+        parts += [_dims(tensor.ndim).pack(*tensor.shape), tensor.tobytes()]
     payload = b"".join(parts)
-    Path(path).write_bytes(payload + struct.pack("<Q", _checksum(payload)))
+    Path(path).write_bytes(payload + _CHECKSUM.pack(_checksum(payload)))
 
 
 def load_checkpoint_full(path) -> tuple[int, str, NamedTensorMap]:
@@ -112,7 +113,7 @@ def _decode(payload: memoryview) -> tuple[int, str, NamedTensorMap]:
         (name_len,), offset = _read(_U32, payload, offset)
         name, offset = _take(payload, offset, name_len)
         (rank,), offset = _read(_U32, payload, offset)
-        dims, offset = _read(_DIMS.get(rank) or struct.Struct(f"<{rank}I"), payload, offset)
+        dims, offset = _read(_dims(rank), payload, offset)
         values, offset = _take(payload, offset, 8 * math.prod(dims))
         params[str(name, "utf-8")] = np.frombuffer(values, dtype="<f8").reshape(dims).astype(np.float64)
     if offset != len(payload):

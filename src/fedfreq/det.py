@@ -37,13 +37,13 @@ never zero-padded to a common size, because padding changes the rounding:
 the 32->3 output matmul differs when the row count is not a multiple of 4,
 and a 1-row batch takes OpenBLAS's matrix-vector path.
 
-Validation is the exception: one forward pass scores every ``p`` and deputy
-(:func:`stacked_validation_f1`) on the validation splits, zero-padded once
-to the longest (:func:`pad_splits`).  Padding may change the last bits of a
-probability, but only each scored row's argmax is used and padded rows are
-never scored, so a score can differ from scoring the model alone only where
-two class probabilities lie within rounding of each other.  The property
-tests check that the two agree.
+Validation is the exception: one forward pass scores every ``p`` and one
+every deputy (:func:`stacked_validation_f1`) on the validation splits,
+zero-padded once per run to the longest (:func:`pad_splits`).  Padding may
+change the last bits of a probability, but only each scored row's argmax
+is used and padded rows are never scored, so a score can differ from
+scoring the model alone only where two class probabilities lie within
+rounding of each other.  The property tests check that the two agree.
 
 One client outside a run is a :class:`ClientState`; :func:`local_epoch`
 trains it as a cohort of one.
@@ -175,7 +175,7 @@ class Cohort:
         """Write a ``(K, ...)`` stack in client order into the deputies (phases back to RECOVER) or ``p``."""
         target = self.d if deputy else self.p
         for k, v in target.items():
-            v[...] = aggregates[k][self.clients]
+            v[self.slots] = aggregates[k]
         if deputy:
             self.phases[:] = DetPhase.RECOVER
 
@@ -302,15 +302,9 @@ def train_epoch(
                     f"{name} tensor {key!r} is not finite"
                 )
 
-    # one validation pass scores every p, then every deputy, each on its client's split
-    scored, val = p, cohort.val
+    phi_p, phi_d = stacked_validation_f1(p, spec, cohort.val), np.full(len(clients), np.nan)
     if d is not None:
-        scored = {k: np.concatenate([v, d[k]]) for k, v in p.items()}
-        val = tuple(np.concatenate([part, part]) for part in val)
-    scores = stacked_validation_f1(scored, spec, val).reshape(len(models), len(clients))
-    phi_p, phi_d = scores[0], np.full(len(clients), np.nan)
-    if d is not None:
-        phi_d = scores[1]
+        phi_d = stacked_validation_f1(d, spec, cohort.val)
         cohort.phases = det_phase_transition(phi_d, phi_p, cfg, cohort.phases)
     opt.epoch += 1
     return EpochLog(ce_sum / counts, kl_sum / counts, phi_d, phi_p, cohort.phases.copy())

@@ -147,15 +147,27 @@ def _fuse(stack: np.ndarray, r: float) -> np.ndarray:
     """Frequency-domain fusion of a ``(K, rows, cols)`` client stack.
 
     Band entries become ``F * (shared / |F|)``, or ``shared`` where ``|F|``
-    is 0; the rest of each spectrum is kept as it is.
+    is 0; the rest of each spectrum is kept as it is.  Where ``|F|`` is so
+    small (subnormal) that ``shared / |F|`` overflows, the entry becomes its
+    unit phasor, its real and imaginary parts each divided by ``|F|``, times
+    ``shared``.
     """
     band = low_freq_mask(*stack.shape[-2:], r)
     spectrum = dft2(stack)
     amp = np.abs(spectrum)
     shared = amp.mean(axis=0)
     nonzero = amp > 0
-    scale = np.divide(shared, amp, out=np.zeros_like(amp), where=nonzero)
-    fused, _ = idft2(np.where(band, np.where(nonzero, spectrum * scale, shared), spectrum))
+    with np.errstate(over="ignore"):  # an overflowing scale is never used
+        scale = np.divide(shared, amp, out=np.zeros_like(amp), where=nonzero)
+    overflow = np.isinf(scale)
+    scale[overflow] = 0.0
+    moved = np.where(nonzero, spectrum * scale, shared)
+    if overflow.any():
+        f, a = spectrum[overflow], amp[overflow]
+        unit = f.real / a + 1j * (f.imag / a)  # a complex f / a overflows too
+        moved[overflow] = unit * np.broadcast_to(shared, amp.shape)[overflow]
+    np.copyto(spectrum, moved, where=band)  # in place: one spectrum-sized array fewer to fault in
+    fused, _ = idft2(spectrum)
     return fused
 
 

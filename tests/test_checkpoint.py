@@ -134,3 +134,19 @@ def test_loaded_tensors_are_writable_float64_and_share_no_memory(tmp_path):
     for i, t in enumerate(tensors):
         assert t.dtype == np.float64 and t.flags.writeable
         assert not any(np.shares_memory(t, other) for other in tensors[i + 1 :])
+
+
+def test_saved_bytes_follow_the_documented_layout(tmp_path):
+    rng = np.random.default_rng(3)
+    params = {"b": rng.standard_normal(3), "w": rng.standard_normal((2, 3)), "k": rng.standard_normal((2, 1, 3, 2))}
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path, model_id="modèle-Δ")
+    ident = "modèle-Δ".encode("utf-8")
+    expected = (1).to_bytes(4, "little") + len(ident).to_bytes(4, "little") + ident + (3).to_bytes(4, "little")
+    for name in ("b", "k", "w"):  # lexicographic order
+        t = params[name]
+        expected += len(name).to_bytes(4, "little") + name.encode() + t.ndim.to_bytes(4, "little")
+        expected += b"".join(n.to_bytes(4, "little") for n in t.shape)
+        expected += b"".join(struct.pack("<d", v) for v in t.ravel())
+    expected += hashlib.sha256(expected).digest()[:8]
+    assert path.read_bytes() == expected

@@ -322,6 +322,22 @@ def test_aggregate_that_overflows_is_a_data_error(tmp_path, capsys, strategy):
     assert not out.exists()
 
 
+def test_aggregate_of_a_subnormal_checkpoint_writes_finite_aggregates(tmp_path, capsys):
+    # client 1's band amplitudes are subnormal, so shared / |F| overflows the float range
+    rng = np.random.default_rng(0)
+    inputs = []
+    for i in range(3):
+        w = rng.normal(size=(8, 6)) * (1e-310 if i == 1 else 1.0)
+        save_checkpoint({"w": w}, tmp_path / f"c{i}.ckpt")
+        inputs.append(str(tmp_path / f"c{i}.ckpt"))
+    out = tmp_path / "agg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["aggregate", *inputs, "--strategy", PFA, "--r", "0.4", "--out-dir", str(out)]) == 0
+    for i in range(3):
+        assert np.isfinite(load_checkpoint_full(out / f"c{i}.agg.ckpt")[2]["w"]).all()
+
+
 def test_eval_of_a_non_finite_checkpoint_is_a_data_error(tmp_path, capsys):
     # it once scored the NaN model (macro F1 0.254) and exited 0
     main(["synth-data", "--scale", "0.1", "--seed", "0", "--out-dir", str(tmp_path)])

@@ -472,6 +472,23 @@ def test_pfa_gives_an_all_zero_client_the_shared_amplitude_without_warnings(mode
                 assert _close(got, np.where(mask, mean_amp, 0.0), rel=1e-9), (r, name)
 
 
+def test_pfa_keeps_a_subnormal_client_finite_without_warnings():
+    # shared / |F| overflows for a subnormal |F|: the entry takes its unit phasor times shared
+    rng = np.random.default_rng(0)
+    mats = [rng.normal(size=(8, 6)) for _ in range(3)]
+    mats[1] = mats[1] * 1e-310
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outputs = pfa_aggregate(AggregationRequest([{"w": m} for m in mats], r=0.4, strategy=PFA))
+    mask = low_freq_mask(8, 6, 0.4)
+    spectra = [amp_phase(dft2(m)) for m in mats]
+    mean_amp = np.mean([s.amplitude for s in spectra], axis=0)
+    for out, s in zip(outputs, spectra):
+        assert np.isfinite(out["w"]).all()
+        expected, _ = idft2(recompose(AmpPhase(np.where(mask, mean_amp, s.amplitude), s.phase)))
+        assert _close(out["w"], expected)
+
+
 def test_pfa_outputs_are_real_float():
     rng = np.random.default_rng(12)
     maps = _random_maps(rng, 3)
