@@ -32,7 +32,11 @@ The ``layer`` section times each tree's own library functions the same way:
 ``forward`` and ``backward`` for mlp32 and conv4x8 at the training-group
 shape (4 clients x 16 rows, stacked) and the validation shape (1 client x
 19 rows), ``ce_loss``, ``kl_div`` and ``sgd_step`` at the training-group
-shape, ``validation_f1`` and ``pfa_aggregate`` (4 clients) for each model,
+shape, one training-group step per model at that shape (``group_step``:
+mlp32 with deputies in the phases ``GROUP_PHASES``, as ``det_mlp`` trains;
+conv4x8 without deputies and with a FedProx pull, as ``fedprox_conv``
+trains; a tree without ``det.group_step`` runs the separate calls of its
+own ``train_epoch`` loop), ``validation_f1`` and ``pfa_aggregate`` (4 clients) for each model,
 ``macro_auc`` on 60 rows (a client's test split at data_scale 0.1), and
 ``save_checkpoint`` / ``load_checkpoint_full`` of an mlp32 map.  Both
 sides get the same inputs.  One sample is a loop of calls sized on the base
@@ -91,6 +95,7 @@ ARTIFACTS = ("curves.csv", "results.json", *(f"best_client_{i}.ckpt" for i in ra
 LAYER_SHAPES = {"train": (CLIENTS, 16), "val": (1, 19)}  # (clients, rows) of one call
 LAYER_SAMPLE_S = 0.02  # seconds of calls in one layer sample (one side of a pair)
 AUC_ROWS = 60  # a client's test split at data_scale 0.1
+GROUP_PHASES = (0, 1, 2, 2)  # RECOVER, EXCHANGE, SUBLIMATE, SUBLIMATE: every distillation path
 # perfbench's server_round operation: per (model, aggregator), load the
 # CLIENTS checkpoints, fuse them and save the result
 SERVER_KINDS = (("mlp32", "PFA"), ("mlp32", "FEDAVG"), ("conv4x8", "PFA"), ("conv4x8", "FEDAVG"))
@@ -135,6 +140,10 @@ def layer_cases(pkg: str, tmp: Path) -> dict:
             cases[f"backward.{model_id}.{shape_name}"] = partial(
                 model.backward, cache, rng.standard_normal(probs.shape)
             )
+        k, n = LAYER_SHAPES["train"]
+        x, y = rng.standard_normal((k, n, features)), rng.integers(0, spec.classes, size=(k, n))
+        # in place, like sgd_step below: the models drift by 1e-3 of a gradient per call
+        cases[f"group_step.{model_id}"] = group_step_case(model, det, spec, x, y, model_id == "mlp32")
         val = rng.standard_normal((19, features)), rng.integers(0, spec.classes, 19)
         cases[f"validation_f1.{model_id}"] = partial(det.validation_f1, maps[0], spec, *val)
         request = freq_agg.AggregationRequest(maps, r=0.35, strategy=freq_agg.PFA)
@@ -157,6 +166,40 @@ def layer_cases(pkg: str, tmp: Path) -> dict:
     cases["save_checkpoint"]()
     cases["load_checkpoint_full"] = partial(checkpoint.load_checkpoint_full, path)
     return cases
+
+
+def group_step_case(model, det, spec, x: np.ndarray, y: np.ndarray, deputy: bool):
+    """A zero-argument training-group step of one tree on the batch ``(x, y)``, in place.
+
+    Client k's ``p`` starts from ``init_params`` seed k and its deputy from
+    seed K + k.  With ``deputy``, each client trains both in the phases
+    ``GROUP_PHASES``; without, ``p`` alone with a FedProx pull toward seed 0.  The step is ``det.group_step`` on a ``(M, K, ...)`` buffer
+    if the tree has it, else the forward passes and ``det._step`` calls of
+    that tree's ``train_epoch``.
+    """
+    phases = np.array(GROUP_PHASES[: len(x)])
+    deputy_distils, personal_distils = phases < 2, (phases > 0) & deputy
+    k = len(x)
+    stacks = [model.stack_params([model.init_params(spec, m * k + j) for j in range(k)]) for m in range(1 + deputy)]
+    prox = None if deputy else (0.1, model.init_params(spec, 0))
+    lr = 1e-3
+    if hasattr(det, "group_step"):
+        buffer = {key: np.stack([s[key] for s in stacks]) for key in stacks[0]}
+        dep, per = deputy_distils.tolist(), personal_distils.tolist()
+        return partial(det.group_step, buffer, spec, x, y, dep, per, lr, prox)
+    opt = model.OptimizerState(base_lr=lr)
+
+    def separate_calls():
+        p_probs, p_cache = model.forward(stacks[0], spec, x)
+        teacher_probs = None
+        if deputy:
+            d_probs, d_cache = model.forward(stacks[1], spec, x)
+            det._step(stacks[1], d_cache, d_probs, y, p_probs, deputy_distils, opt)
+            if personal_distils.any():
+                teacher_probs, _ = model.forward(stacks[1], spec, x)
+        return det._step(stacks[0], p_cache, p_probs, y, teacher_probs, personal_distils, opt, prox)
+
+    return separate_calls
 
 
 def git_facts(src: Path) -> dict:

@@ -24,22 +24,29 @@ Clients without a deputy run the baselines: aggregates replace ``p``, which
 trains on cross entropy alone (plus an optional FedProx pull); the phase
 stays RECOVER and ``phi(d)`` logs as NaN.
 
-A run's clients live in one :class:`Cohort`: each model is one ``(K, ...)``
-stack per parameter, with the clients in *slot* order, sorted once by batch
-count (descending, stable).  :func:`train_epoch` trains the stacks in
-place: at each batch index every slot with a batch left makes its deputy
-step, then its ``p`` step, in groups of neighbouring slots whose batches
-have the same row count; a group runs the same per-client BLAS calls as
-each client alone, 1-row batches included, so every client gets exactly the
-numbers it would get training alone.  ``p``'s forward pass on a batch
-serves both as the deputy's teacher and as ``p``'s own step.  Batches are
-never zero-padded to a common size, because padding changes the rounding:
-the 32->3 output matmul differs when the row count is not a multiple of 4,
-and a 1-row batch takes OpenBLAS's matrix-vector path.
+A run's clients live in one :class:`Cohort`.  Each parameter is one
+``(M, K, ...)`` buffer: M = 2 models per client with deputies, M = 1
+without, and the clients in *slot* order, sorted once by batch count
+(descending, stable).  ``Cohort.p`` and ``Cohort.d`` are views of the
+buffer's two contiguous halves, so aggregation, delivery and the best-model
+snapshots see plain ``(K, ...)`` stacks.  :func:`train_epoch` trains the
+buffer in place: at each batch index the slots with a batch left train in
+groups of neighbouring slots whose batches have the same row count, one
+:func:`group_step` per group.  A group step makes one forward pass and one
+cross entropy over both models of every client in the group, then the
+deputy's step, then ``p``'s; each step applies SGD inside its backward walk
+(:func:`model.descend`).  It runs the same per-(model, client) BLAS calls as
+each model of each client alone, 1-row batches included, so every client
+gets exactly the numbers it would get training alone (see the ``model``
+docstring for why merging the models changes no bit).  Batches are never
+zero-padded to a common size, because padding changes the rounding: the
+32->3 output matmul differs when the row count is not a multiple of 4, and
+a 1-row batch takes OpenBLAS's matrix-vector path.
 
-Validation is the exception: one forward pass scores every ``p`` and one
-every deputy (:func:`stacked_validation_f1`) on the validation splits,
-zero-padded once per run to the longest (:func:`pad_splits`).  Padding may
+Validation is the exception: one forward pass over the buffer scores every
+``p`` and every deputy (:func:`stacked_validation_f1`) on the validation
+splits, zero-padded once per run to the longest (:func:`pad_splits`), whose
+label checks and confusion-matrix bins are built once too.  Padding may
 change the last bits of a probability, but only each scored row's argmax
 is used and padded rows are never scored, so a score can differ from
 scoring the model alone only where two class probabilities lie within
@@ -57,19 +64,18 @@ from typing import Iterable
 
 import numpy as np
 
-from .metrics import stacked_macro_f1
+from .metrics import PaddedLabels
 from .model import (
     ModelSpec,
     NamedTensorMap,
     OptimizerState,
-    backward,
     ce_loss,
     check_same_structure,
     clone_params,
+    descend,
     forward,
     kl_div,
     predict_probs,
-    sgd_step,
     stack_params,
 )
 
@@ -122,8 +128,10 @@ class Cohort:
     """K clients' models and run state as stacks in slot order (see the module docstring).
 
     Holds copies of client j's ``p[j]`` and deputy ``d[j]`` (every client
-    has one or none does), its validation split ``vals[j]`` and, in a run,
-    its training split ``train[j]`` and shuffle stream ``rngs[j]``.  The
+    has one or none does) in the ``(M, K, ...)`` buffers ``models``, with
+    ``p`` and ``d`` as views of their halves.  It also holds the client's
+    validation split ``vals[j]`` and, in a run, its training split
+    ``train[j]`` and shuffle stream ``rngs[j]``.  The
     clients' ``batch_counts`` fix the order: slot s holds client
     ``clients[s]``, and client j sits in slot ``slots[j]``.  Phases start at
     RECOVER; ``best`` stacks each slot's best model so far, its validation
@@ -145,8 +153,10 @@ class Cohort:
         def in_slots(items):
             return [items[j] for j in self.clients] if items else []
 
-        self.p = stack_params(in_slots(p))
-        self.d = None if d is None else stack_params(in_slots(d))
+        maps = in_slots(p) + ([] if d is None else in_slots(d))
+        self.models = {k: v.reshape(-1, len(p), *v.shape[1:]) for k, v in stack_params(maps).items()}
+        self.p = {k: v[0] for k, v in self.models.items()}
+        self.d = None if d is None else {k: v[1] for k, v in self.models.items()}
         self.phases = np.full(len(p), DetPhase.RECOVER)
         self.val = pad_splits(in_slots(vals))
         self.train, self.rngs = in_slots(train), in_slots(rngs)
@@ -255,7 +265,7 @@ def train_epoch(
     batch list, an empty batch or a batch whose inputs and labels differ in
     row count raises ValueError naming the client (and the batch index).
     """
-    clients, p, d = cohort.clients, cohort.p, cohort.d
+    clients, p, d, models = cohort.clients, cohort.p, cohort.d, cohort.models
     if len(train) != len(clients):
         raise ValueError(f"need one batch list per slot ({len(clients)}), got {len(train)}")
     for j, batches in zip(clients, train):
@@ -269,9 +279,10 @@ def train_epoch(
     counts = np.array([len(batches) for batches in train])
 
     # RECOVER: d learns from p; EXCHANGE: each from the other; SUBLIMATE: p from d
-    deputy_distils = cohort.phases < DetPhase.SUBLIMATE
-    personal_distils = (cohort.phases > DetPhase.RECOVER) & (d is not None)
+    deputy_distils = (cohort.phases < DetPhase.SUBLIMATE).tolist()
+    personal_distils = ((cohort.phases > DetPhase.RECOVER) & (d is not None)).tolist()
     ce_sum, kl_sum = np.zeros(len(clients)), np.zeros(len(clients))
+    lr = opt.lr
     # an overflow shows up as a non-finite parameter, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(counts.max()):
@@ -279,32 +290,27 @@ def train_epoch(
             for a, b in _groups(sizes):
                 x = np.array([batches[i][0] for batches in train[a:b]])  # np.array: np.stack costs more
                 y = np.array([batches[i][1] for batches in train[a:b]])
-                pg = {k: v[a:b] for k, v in p.items()}
-                p_probs, p_cache = forward(pg, spec, x)
-                teacher_probs = None
-                if d is not None:
-                    dg = {k: v[a:b] for k, v in d.items()}
-                    d_probs, d_cache = forward(dg, spec, x)
-                    _step(dg, d_cache, d_probs, y, p_probs, deputy_distils[a:b], opt)
-                    if personal_distils[a:b].any():
-                        teacher_probs, _ = forward(dg, spec, x)
-                ce, kl = _step(pg, p_cache, p_probs, y, teacher_probs, personal_distils[a:b], opt, prox)
+                group = {k: v[:, a:b] for k, v in models.items()}
+                ce, kl = group_step(group, spec, x, y, deputy_distils[a:b], personal_distils[a:b], lr, prox)
                 ce_sum[a:b] += ce
-                kl_sum[a:b] += kl
+                if kl is not None:
+                    kl_sum[a:b] += kl
 
-    models = {"personalized": p} if d is None else {"personalized": p, "deputy": d}
-    for name, stack in models.items():
-        for key, v in stack.items():
-            finite = np.isfinite(v).reshape(len(v), -1).all(axis=1)
-            if not finite.all():
-                raise DivergenceError(
-                    f"client {clients[~finite].min()} diverged in epoch {opt.epoch + 1}: "
-                    f"{name} tensor {key!r} is not finite"
-                )
+    if not all(np.isfinite(v).all() for v in models.values()):
+        named = {"personalized": p} if d is None else {"personalized": p, "deputy": d}
+        for name, stack in named.items():
+            for key, v in stack.items():
+                finite = np.isfinite(v).reshape(len(v), -1).all(axis=1)
+                if not finite.all():
+                    raise DivergenceError(
+                        f"client {clients[~finite].min()} diverged in epoch {opt.epoch + 1}: "
+                        f"{name} tensor {key!r} is not finite"
+                    )
 
-    phi_p, phi_d = stacked_validation_f1(p, spec, cohort.val), np.full(len(clients), np.nan)
+    phi = stacked_validation_f1(models, spec, cohort.val)  # (M, K): p, then the deputies
+    phi_p, phi_d = phi[0], np.full(len(clients), np.nan)
     if d is not None:
-        phi_d = stacked_validation_f1(d, spec, cohort.val)
+        phi_d = phi[1]
         cohort.phases = det_phase_transition(phi_d, phi_p, cfg, cohort.phases)
     opt.epoch += 1
     return EpochLog(ce_sum / counts, kl_sum / counts, phi_d, phi_p, cohort.phases.copy())
@@ -320,27 +326,51 @@ def _groups(sizes: list[int]):
             a = b
 
 
-def _step(params, cache, probs, labels, teacher_probs, distils, opt, prox=None):
-    """One in-place SGD step on CE for a client stack; returns per-client (CE, KL).
+def group_step(
+    models: NamedTensorMap,
+    spec: ModelSpec,
+    x: np.ndarray,
+    y: np.ndarray,
+    deputy_distils: list[bool],
+    personal_distils: list[bool],
+    lr: float,
+    prox: tuple[float, NamedTensorMap] | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One SGD step of g clients' models on one batch each, in place; returns ``p``'s (CE, KL).
 
-    Clients flagged in ``distils`` add a distillation pull toward
-    ``teacher_probs``; the others log a KL of 0.0.  ``prox = (mu, anchor)``
-    adds the FedProx gradient ``mu * (w - anchor)``, the one anchor map
-    broadcast over the stack (the same bits as subtracting it per client).
+    ``models`` holds ``(M, g, ...)`` views: ``p``, then the deputy if M = 2.
+    ``x`` is ``(g, n, ...)`` and ``y`` ``(g, n)``.  One forward pass and
+    one CE serve both models.  The deputy steps first, on CE plus, where
+    ``deputy_distils``, a KL pull toward ``p``'s probabilities; then ``p``
+    steps on CE plus, where ``personal_distils``, a KL pull toward the
+    updated deputy's, which takes a second forward pass.  ``prox`` pulls
+    only ``p``.  The KL is per client, or None if no client distils.
     """
-    ce, dlogits = ce_loss(probs, labels)
-    kl = np.zeros(len(distils))
-    if distils.any():
-        kl_all, dkl = kl_div(probs, teacher_probs)
-        dlogits = np.where(distils[:, None, None], dlogits + dkl, dlogits)
-        kl = np.where(distils, kl_all, 0.0)
-    grads = backward(cache, dlogits)
-    if prox is not None:
-        mu, anchor = prox
-        for k, g in grads.items():  # in place, the same bits as g + mu * (w - anchor)
-            g += mu * (params[k] - anchor[k])
-    sgd_step(params, grads, opt)
-    return ce, kl
+    probs, cache = forward(models, spec, x)  # (M, g, n, classes)
+    ce, dlogits = ce_loss(probs, y)
+    teacher_probs = None
+    if len(probs) == 2:
+        _distil(dlogits[1], probs[1], probs[0], deputy_distils)
+        descend(cache, dlogits[1], lr, 1)
+        if any(personal_distils):
+            teacher_probs = forward({k: v[1] for k, v in models.items()}, spec, x)[0]  # cache freed now
+    kl = _distil(dlogits[0], probs[0], teacher_probs, personal_distils)
+    descend(cache, dlogits[0], lr, 0, prox)
+    return ce[0], kl
+
+
+def _distil(dlogits, probs, teacher_probs, distils: list[bool]):
+    """Adds to ``dlogits``, in place, a KL pull toward ``teacher_probs`` for the clients flagged in
+    ``distils``; returns their per-client KL, 0.0 for the others, or None if none is flagged."""
+    if not any(distils):
+        return None
+    kl, dkl = kl_div(probs, teacher_probs)
+    if all(distils):
+        dlogits += dkl
+        return kl
+    mask = np.array(distils)
+    np.add(dlogits, dkl, out=dlogits, where=mask[:, None, None])
+    return np.where(mask, kl, 0.0)
 
 
 def validation_f1(
@@ -351,28 +381,31 @@ def validation_f1(
     return float(stacked_validation_f1(stack, spec, pad_splits([(val_x, val_y)]))[0])
 
 
-def pad_splits(vals: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K splits ``(inputs, labels)`` as ``(x, y, counts)``: split j fills ``counts[j]`` rows of
-    ``x[j]`` and ``y[j]``, zero-padded to the longest split."""
+def pad_splits(vals: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, PaddedLabels]:
+    """K splits ``(inputs, labels)`` as ``(x, labels)``: split j fills ``counts[j]`` rows of
+    ``x[j]`` and of the label rows, zero-padded to the longest split.  Raises ValueError on an
+    empty split."""
     counts = np.array([len(y) for _, y in vals])
     x = np.zeros((len(vals), counts.max(), *np.shape(vals[0][0])[1:]))
     y = np.zeros(x.shape[:2], dtype=np.int64)
     for j, (val_x, val_y) in enumerate(vals):
         x[j, : len(val_y)] = val_x
         y[j, : len(val_y)] = val_y
-    return x, y, counts
+    return x, PaddedLabels(y, counts)
 
 
 def stacked_validation_f1(
-    params: NamedTensorMap, spec: ModelSpec, val: tuple[np.ndarray, np.ndarray, np.ndarray]
+    params: NamedTensorMap, spec: ModelSpec, val: tuple[np.ndarray, PaddedLabels]
 ) -> np.ndarray:
     """Macro F1 of each of K stacked models on its own split, in one forward pass.
 
     ``params`` holds ``(K, ...)`` tensors (a broadcast view scores one model
-    on K splits) and ``val`` is the K splits padded by :func:`pad_splits`;
-    padded rows are not scored (see the module docstring for why padding is
-    safe here).  Raises ValueError on an empty split.
+    on K splits), or an ``(M, K, ...)`` buffer whose M models per client are
+    all scored, as ``(M, K)``.  ``val`` is the K splits padded by
+    :func:`pad_splits`; padded rows are not scored (see the module docstring
+    for why padding is safe here).  Raises ValueError on a label or
+    prediction out of class range.
     """
-    x, y, counts = val
+    x, labels = val
     probs = predict_probs(params, spec, x)
-    return stacked_macro_f1(probs.argmax(axis=-1), y, counts, spec.classes)
+    return labels.macro_f1(probs.argmax(axis=-1), spec.classes)

@@ -66,31 +66,74 @@ def stacked_macro_f1(
 ) -> np.ndarray:
     """:func:`macro_f1` of every row of ``(K, n)`` predictions and labels, as ``(K,)``.
 
-    Row j scores its first ``counts[j]`` entries; the rest are padding.  One
-    ``np.bincount`` builds every confusion matrix, and padding entries go to
-    a spare bin past the last matrix.  Raises ValueError, like
-    :func:`macro_f1`, on an empty row or a scored value out of class range.
+    Row j scores its first ``counts[j]`` entries; the rest are padding.
+    Raises ValueError, like :func:`macro_f1`, on an empty row or a scored
+    value out of class range.  :class:`PaddedLabels` holds the label side
+    for repeated scoring.
     """
-    predictions = np.asarray(predictions, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    k, n = labels.shape
-    if predictions.shape != labels.shape or counts.shape != (k,):
-        raise ValueError(
-            f"need (K, n) predictions and labels and K counts, got "
-            f"{predictions.shape}, {labels.shape} and {counts.shape}"
-        )
-    if k < 1 or counts.min() < 1 or counts.max() > n:
-        raise ValueError("every row must score between 1 and n entries")
-    scored = np.arange(n) < counts[:, None]
-    for name, values in (("prediction", predictions), ("label", labels)):
-        if ((values < 0) | (values >= classes))[scored].any():
-            raise ValueError(f"{name} out of class range")
-    cells = classes * classes
-    bins = np.where(scored, np.arange(k)[:, None] * cells + labels * classes + predictions, k * cells)
-    cm = np.bincount(bins.ravel(), minlength=k * cells + 1)[:-1].reshape(k, classes, classes)
-    _, _, f1 = per_class_prf(cm)
-    return f1.sum(axis=-1) / classes
+    return PaddedLabels(labels, counts).macro_f1(predictions, classes)
+
+
+class PaddedLabels:
+    """K zero-padded label rows ``(K, n)``, of which row j scores its first ``counts[j]`` entries.
+
+    The label range check and the bins of the scored entries are built once
+    per class count and number of stacked models, so scoring model after
+    model on the same splits repeats none of it.  :meth:`macro_f1` builds
+    every confusion matrix with one ``np.bincount``; padding entries go to a
+    spare bin past the last matrix.  Raises ValueError on an empty row.
+    """
+
+    def __init__(self, labels: np.ndarray, counts: np.ndarray) -> None:
+        labels = np.asarray(labels, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        if labels.ndim != 2 or counts.shape != labels.shape[:1]:
+            raise ValueError(
+                f"need (K, n) labels and K counts, got {labels.shape} and {counts.shape}"
+            )
+        k, n = labels.shape
+        if k < 1 or counts.min() < 1 or counts.max() > n:
+            raise ValueError("every row must score between 1 and n entries")
+        self.labels = labels
+        self.scored = np.arange(n) < counts[:, None]
+        self._bins: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def bins(self, models: int, classes: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(scored, offsets)`` for ``models`` stacked copies of the rows, built on first use.
+
+        Row ``r = m * K + j`` of ``offsets`` is where confusion matrix r
+        starts plus ``label * classes``; a prediction adds its column.
+        Raises ValueError if a scored label is out of class range.
+        """
+        if (models, classes) not in self._bins:
+            if ((self.labels < 0) | (self.labels >= classes))[self.scored].any():
+                raise ValueError("label out of class range")
+            scored = np.tile(self.scored, (models, 1))
+            rows = np.arange(len(scored))[:, None]
+            offsets = rows * (classes * classes) + np.tile(self.labels, (models, 1)) * classes
+            self._bins[models, classes] = scored, offsets
+        return self._bins[models, classes]
+
+    def macro_f1(self, predictions: np.ndarray, classes: int) -> np.ndarray:
+        """Macro F1 of ``(..., K, n)`` predictions against these labels, as ``(..., K)``.
+
+        Leading axes hold further models scored on the same rows.  Raises
+        ValueError on a misshapen array or a scored value out of class range.
+        """
+        predictions = np.asarray(predictions, dtype=np.int64)
+        if predictions.shape[-2:] != self.labels.shape:
+            raise ValueError(
+                f"predictions {predictions.shape} do not end in the labels' shape {self.labels.shape}"
+            )
+        flat = predictions.reshape(-1, self.labels.shape[1])
+        scored, offsets = self.bins(len(flat) // len(self.labels), classes)
+        if ((flat < 0) | (flat >= classes)).any(where=scored):
+            raise ValueError("prediction out of class range")
+        spare = len(flat) * classes * classes
+        bins = np.where(scored, offsets + flat, spare)
+        cm = np.bincount(bins.ravel(), minlength=spare + 1)[:-1].reshape(-1, classes, classes)
+        _, _, f1 = per_class_prf(cm)
+        return (f1.sum(axis=-1) / classes).reshape(predictions.shape[:-1])
 
 
 def macro_auc(scores: np.ndarray, labels: np.ndarray, classes: int) -> float:

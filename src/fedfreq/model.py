@@ -14,6 +14,29 @@ stacks holds K clients' models (:func:`stack_params` builds one), and each
 client's numbers come out exactly as they would from that client alone.  A
 plain map is a stack of one.  Inputs and labels are plain arrays.
 
+A map may also hold an ``(M, K, ...)`` buffer: M models for each of K
+clients, such as a client's personalized model and its deputy, trained on
+the same batch.  :func:`forward` broadcasts the ``(K, n, ...)`` batch over
+the model axis, so one pass (and one :func:`ce_loss`) serves all M models.
+Training then walks back once per model with :func:`descend`, which applies
+each layer's SGD update in place as soon as the gradient for the layer
+below has been taken (the last use of that layer's weights); :func:`backward`
+is the same walk collecting the gradients instead.  None of this changes a
+bit: every (model, client) matmul is still one BLAS call on the same shapes
+and on contiguous operands laid out as before (``dx @ W.T`` on a transposed
+view rounds differently from the same product on a contiguous copy), every
+other operation is elementwise or reduces within one model's rows, and an
+update ``w -= lr * g`` is the same whether it runs inside the walk or after it.
+
+The training path also works in place where the bits allow it: the dense
+bias, a ReLU above the lowest layer with parameters, the softmax and the
+SGD scaling ``g *= lr`` write into arrays the pass has just made.  Each
+spare temporary of a step's size that is freed at the top of the heap can
+push it past glibc's trim threshold (128 KiB unless a freed mmap chunk has
+raised it), and the next step then faults those pages back in: before
+these writes, a fresh-process PFA_DET run took about 62,000 minor faults,
+against about 18,000 at the separate-stacks step it replaced.
+
 A convolution is unfolded and multiplied.  Each client's input is gathered
 into one row per (sample, output pixel) through a tap index that is built
 once per (input shape, kernel shape); one batched matmul with the flattened
@@ -61,6 +84,9 @@ def check_same_structure(maps: list[NamedTensorMap]) -> list[str]:
 
 
 PROB_FLOOR = 1e-12  # probabilities are clamped below this before any log
+# The hot path reduces with np.add.reduce / np.maximum.reduce, the ufunc reductions behind
+# ndarray.sum and .max: the same bits, without the ~1 us of Python wrapper per call.
+_sum, _max = np.add.reduce, np.maximum.reduce
 UNFOLD_BLOCK = 512  # samples a conv forward pass unfolds at a time (see the module docstring)
 
 
@@ -79,9 +105,14 @@ class ModelSpec:
     classes: int = 3
     # derived: per layer, the (weight key, bias key) of its parameters, or None
     param_keys: tuple[tuple[str, str] | None, ...] = field(init=False, repr=False, compare=False)
+    # derived: per layer, (index, kind, parameter keys or None, rank of one sample's input)
+    plan: tuple[tuple[int, str, tuple[str, str] | None, int], ...] = field(init=False, repr=False, compare=False)
+    # derived: index of the lowest layer with parameters (None if no layer has any)
+    lowest: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        infer_shapes(self)  # raises on incompatible adjacent layers
+        object.__setattr__(self, "input_shape", tuple(self.input_shape))
+        shapes = infer_shapes(self)  # raises on incompatible adjacent layers
         counts = {"dense": 0, "conv2d": 0}
         keys = []
         for layer in self.layers:
@@ -92,6 +123,10 @@ class ModelSpec:
             else:
                 keys.append(None)
         object.__setattr__(self, "param_keys", tuple(keys))
+        ranks = [len(s) for s in [self.input_shape, *shapes[:-1]]]
+        plan = zip(range(len(keys)), (layer.kind for layer in self.layers), keys, ranks)
+        object.__setattr__(self, "plan", tuple(plan))
+        object.__setattr__(self, "lowest", next((i for i, k in enumerate(keys) if k is not None), None))
 
 
 @dataclass
@@ -216,7 +251,14 @@ def stack_params(maps: list[NamedTensorMap]) -> NamedTensorMap:
 
 @dataclass
 class ForwardCache:
-    """Forward-pass record consumed by :func:`backward`; tensors carry the client axis."""
+    """Forward-pass record consumed by :func:`backward` and :func:`descend`.
+
+    ``inputs[i]`` is layer i's input.  Below and at ``spec.lowest`` it is
+    the batch, shared by the models of an ``(M, K, ...)`` buffer; above it,
+    it carries the buffer's model axis.  A ReLU above ``spec.lowest`` runs in
+    place, so its entry holds the rectified values; ``x > 0`` is the same
+    mask on either side of a ReLU.
+    """
 
     spec: ModelSpec
     params: NamedTensorMap
@@ -227,73 +269,74 @@ class ForwardCache:
     probs: np.ndarray | None = field(repr=False, default=None)
 
 
-def _stacked(params: NamedTensorMap, spec: ModelSpec) -> bool:
-    """Whether the tensors carry a leading client axis (read off the first weight)."""
-    for layer, keys in zip(spec.layers, spec.param_keys):
-        if keys is not None:
-            return params[keys[0]].ndim == len(layer.dims) + 1
-    return False
-
-
 def forward(params: NamedTensorMap, spec: ModelSpec, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on an input array; returns (probabilities, cache for backward).
 
-    Every layer works over a leading client axis: with stacked parameters
-    (each tensor ``(K, ...)``) ``x`` is ``(K, n, ...)`` and client k's rows
-    meet only client k's parameters.  A plain map with inputs ``(n, ...)``
-    runs as a one-client stack.
+    Every layer works over the parameters' leading axes.  With a client
+    stack (each tensor ``(K, ...)``) ``x`` is ``(K, n, ...)`` and client k's
+    rows meet only client k's parameters.  With an ``(M, K, ...)`` buffer of
+    M models per client, ``x`` is still ``(K, n, ...)``: the batch is
+    broadcast over the model axis (a conv unfolds it once for all M), and
+    the probabilities are ``(M, K, n, classes)``.  Each (model, client)
+    matmul is the same BLAS call on the same operands as for that client
+    alone, so the bits do not depend on what else is in the stack.  A plain
+    map with inputs ``(n, ...)`` runs as a one-client stack.
     """
-    lifted = not _stacked(params, spec)
+    lowest = spec.lowest
+    lifted = lowest is None or params[spec.param_keys[lowest][0]].ndim == len(spec.layers[lowest].dims)
     if lifted:
         params = {k: v[None] for k, v in params.items()}
         x = x[None]
-    if x.shape[2:] != tuple(spec.input_shape):
+    if x.shape[2:] != spec.input_shape:
         # math.prod, not np.prod: this runs once per batch, and np.prod of a tuple is slow
         if math.prod(x.shape[2:]) != math.prod(spec.input_shape):
             raise ValueError(
                 f"batch shape {x.shape[2:]} incompatible with input {spec.input_shape}"
             )
         x = x.reshape(*x.shape[:2], *spec.input_shape)
-    cache = ForwardCache(spec=spec, params=params, lifted=lifted)
-    for i, (layer, keys) in enumerate(zip(spec.layers, spec.param_keys)):
-        cache.inputs.append(x)
-        if layer.kind == "dense":
-            x = x @ params[keys[0]] + params[keys[1]][:, None, :]
-        elif layer.kind == "conv2d":
-            x, patches = _conv2d_forward(x, params[keys[0]], params[keys[1]])
-            if patches is not None:
-                cache.patches[i] = patches
-        elif layer.kind == "relu":
-            x = np.maximum(x, 0.0)
-        elif layer.kind == "flatten":
-            x = x.reshape(*x.shape[:2], -1)
+    inputs, patches = [], {}
+    for i, kind, keys, rank in spec.plan:
+        inputs.append(x)
+        if kind == "dense":
+            x = x @ params[keys[0]]
+            x += params[keys[1]][..., None, :]  # in place: one temporary fewer (see _backprop)
+        elif kind == "conv2d":
+            x, kept = _conv2d_forward(x, params[keys[0]], params[keys[1]])
+            if kept is not None:
+                patches[i] = kept
+        elif kind == "relu":
+            # above the lowest layer with parameters x is this pass's own array: rectify it in
+            # place, and backward reads the same mask x > 0 off the output
+            x = np.maximum(x, 0.0, out=x if i > lowest else None)
+        elif kind == "flatten":
+            x = x.reshape(*x.shape[: x.ndim - rank], -1)
         else:  # softmax_output
-            z = x - x.max(axis=-1, keepdims=True)
-            e = np.exp(z)
-            x = e / e.sum(axis=-1, keepdims=True)
-    cache.probs = x
-    return (x[0] if lifted else x), cache
+            x = x - _max(x, axis=-1, keepdims=True)
+            np.exp(x, out=x)
+            x /= _sum(x, axis=-1, keepdims=True)
+    return (x[0] if lifted else x), ForwardCache(spec, params, lifted, inputs, patches, x)
 
 
 def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Valid convolution, stride 1: one matmul per block of unfolded samples.
 
-    Returns ``(output, patches)``; ``patches`` is the unfolded input when one
-    block covered the batch, else None.
+    ``x`` is ``(..., n, C, H, W)`` and ``w`` ``(..., O, C, kh, kw)``, where
+    x's leading axes are w's or their tail.  Returns ``(output, patches)``;
+    ``patches`` is the unfolded input when one block covered the batch, else None.
     """
-    k, n = x.shape[:2]
-    o, kh, kw = w.shape[1], w.shape[3], w.shape[4]
-    idx = _tap_index(*x.shape[2:], kh, kw)
-    w_cols = w.reshape(k, o, -1).transpose(0, 2, 1)
-    out = np.empty((k, n, o, idx.shape[0]))
+    lead, (o, _, kh, kw) = w.shape[:-4], w.shape[-4:]
+    n = x.shape[-4]
+    idx = _tap_index(*x.shape[-3:], kh, kw)
+    w_cols = w.reshape(lead + (o, -1)).swapaxes(-1, -2)
+    out = np.empty(lead + (n, o, idx.shape[0]))
     patches = None
     for s in range(0, n, UNFOLD_BLOCK):
-        patches = _unfold(x[:, s : s + UNFOLD_BLOCK], idx)
-        rows = patches @ w_cols  # (K, m * pixels, O)
-        out[:, s : s + UNFOLD_BLOCK] = rows.reshape(k, -1, idx.shape[0], o).transpose(0, 1, 3, 2)
-    out += b[:, None, :, None]
+        patches = _unfold(x if n <= UNFOLD_BLOCK else x[..., s : s + UNFOLD_BLOCK, :, :, :], idx)
+        rows = patches @ w_cols  # (..., m * pixels, O)
+        out[..., s : s + UNFOLD_BLOCK, :, :] = rows.reshape(lead + (-1, idx.shape[0], o)).swapaxes(-1, -2)
+    out += b[..., None, :, None]
     patches = patches if n <= UNFOLD_BLOCK else None
-    return out.reshape(k, n, o, x.shape[3] - kh + 1, x.shape[4] - kw + 1), patches
+    return out.reshape(lead + (n, o, x.shape[-2] - kh + 1, x.shape[-1] - kw + 1)), patches
 
 
 def backward(cache: ForwardCache, dlogits: np.ndarray) -> NamedTensorMap:
@@ -303,41 +346,95 @@ def backward(cache: ForwardCache, dlogits: np.ndarray) -> NamedTensorMap:
     like the parameters the cache was made with.  Raises ValueError if the
     cache is incomplete or the gradient shape does not match the cached output.
     """
-    if cache.probs is None or len(cache.inputs) != len(cache.spec.layers):
-        raise ValueError("stale or incomplete forward cache")
-    dlogits = np.asarray(dlogits, dtype=np.float64)
-    if cache.lifted:
-        dlogits = dlogits[None]
-    if dlogits.shape != cache.probs.shape:
-        raise ValueError(
-            f"gradient shape {dlogits.shape} != output shape {cache.probs.shape}"
-        )
-    spec = cache.spec
-    grads: NamedTensorMap = {}
-    dx = dlogits
-    # no gradient is needed below the lowest layer with parameters
-    lowest = min(i for i, keys in enumerate(spec.param_keys) if keys is not None)
-    for i in range(len(spec.layers) - 1, lowest - 1, -1):
-        layer, keys, x = spec.layers[i], spec.param_keys[i], cache.inputs[i]
-        if layer.kind == "softmax_output":
-            continue  # losses already differentiate through the softmax
-        if layer.kind == "dense":
-            w_key, b_key = keys
-            grads[w_key] = x.transpose(0, 2, 1) @ dx
-            grads[b_key] = dx.sum(axis=1)
-            if i > lowest:
-                dx = dx @ cache.params[w_key].transpose(0, 2, 1)
-        elif layer.kind == "conv2d":
-            w_key, b_key = keys
-            grads[w_key], grads[b_key], dx = _conv2d_backward(
-                x, cache.params[w_key], dx, i > lowest, cache.patches.get(i)
-            )
-        elif layer.kind == "relu":
-            dx = dx * (x > 0.0)
-        else:  # flatten
-            dx = dx.reshape(x.shape)
+    grads = _backprop(cache, dlogits, None, None, None)
     if cache.lifted:
         return {k: g[0] for k, g in grads.items()}
+    return grads
+
+
+def descend(
+    cache: ForwardCache,
+    dlogits: np.ndarray,
+    lr: float,
+    m: int | None = None,
+    prox: tuple[float, NamedTensorMap] | None = None,
+) -> None:
+    """One SGD step on the parameters the cache was made with, in place, inside the backward walk.
+
+    The walk is :func:`backward`'s: each layer gets ``w -= lr * g`` as soon
+    as the gradient for the layer below it has been taken, which is the
+    last use of ``w``.  So the updated bits are those of :func:`backward`
+    followed by :func:`sgd_step`, with no gradient map kept.  ``m`` picks
+    model m of an ``(M, K, ...)`` buffer (``dlogits`` is then that model's
+    ``(K, n, classes)``); None updates every model.  ``prox = (mu, anchor)``
+    adds the FedProx gradient ``mu * (w - anchor)``, the one anchor map
+    broadcast over the clients (the same bits as subtracting it per client).
+    Raises ValueError like :func:`backward`, and if a gradient's shape is
+    not its tensor's.
+    """
+    _backprop(cache, dlogits, m, lr, prox)
+
+
+def _backprop(cache: ForwardCache, dlogits, m: int | None, lr: float | None, prox) -> NamedTensorMap:
+    """The backward walk of :func:`backward` and :func:`descend`, top layer first.
+
+    With ``lr`` None it returns every gradient in a map.  Otherwise each
+    layer's tensors get ``w -= lr * (g + prox)`` right after the gradient
+    for the layer below has been taken, and the map comes back empty.  ``m``
+    picks model m of an ``(M, K, ...)`` buffer.  No gradient is taken below
+    the lowest layer with parameters.
+    """
+    spec, params = cache.spec, cache.params
+    if cache.probs is None or len(cache.inputs) != len(spec.layers):
+        raise ValueError("stale or incomplete forward cache")
+    dx = np.asarray(dlogits, dtype=np.float64)
+    if cache.lifted:
+        dx = dx[None]
+    want = cache.probs.shape
+    if m is not None:
+        if cache.probs.ndim != 4:
+            raise ValueError("a model index needs a cache of an (M, K, ...) buffer")
+        want = want[1:]
+    if dx.shape != want:
+        raise ValueError(f"gradient shape {dx.shape} != output shape {want}")
+    lowest = spec.lowest
+    grads: NamedTensorMap = {}
+    for i, kind, keys, _ in reversed(spec.plan[lowest:]):
+        if kind == "softmax_output":
+            continue  # losses already differentiate through the softmax
+        x = cache.inputs[i]
+        if m is not None and i > lowest:
+            x = x[m]  # above the lowest layer with parameters, inputs carry the model axis
+        if kind == "relu":
+            dx = dx * (x > 0.0)
+            continue
+        if kind == "flatten":
+            dx = dx.reshape(x.shape)
+            continue
+        w_key, b_key = keys
+        w = params[w_key] if m is None else params[w_key][m]
+        if kind == "dense":
+            gw, gb = x.swapaxes(-1, -2) @ dx, _sum(dx, axis=-2)
+            if i > lowest:
+                dx = dx @ w.swapaxes(-1, -2)
+        else:  # conv2d
+            kept = cache.patches.get(i)
+            if kept is not None and m is not None and i > lowest:
+                kept = kept[m]
+            gw, gb, dx = _conv2d_backward(x, w, dx, i > lowest, kept)
+        if lr is None:
+            grads[w_key], grads[b_key] = gw, gb
+            continue
+        b = params[b_key] if m is None else params[b_key][m]
+        for key, t, g in ((w_key, w, gw), (b_key, b, gb)):
+            if g.shape != t.shape:
+                raise ValueError(f"shape mismatch for {key!r}")
+            if prox is not None:  # in place, the same bits as g + mu * (w - anchor)
+                g += prox[0] * (t - prox[1][key])
+            # g *= lr, not t -= lr * g: the same bits, and no step-sized temporary to
+            # free, which would let glibc trim the heap and fault the pages back in
+            g *= lr
+            t -= g
     return grads
 
 
@@ -345,19 +442,19 @@ def _conv2d_backward(
     x: np.ndarray, w: np.ndarray, dout: np.ndarray, want_dx: bool, patches: np.ndarray | None
 ):
     """Weight, bias and (if ``want_dx``) input gradients; ``patches`` is ``x`` unfolded, if kept."""
-    k, n, o = dout.shape[:3]
-    idx = _tap_index(*x.shape[2:], *w.shape[3:])
-    rows = dout.reshape(k, n, o, -1).transpose(0, 1, 3, 2).reshape(k, -1, o)  # (K, n * pixels, O)
+    lead, (n, o) = dout.shape[:-4], dout.shape[-4:-2]
+    idx = _tap_index(*x.shape[-3:], *w.shape[-2:])
+    rows = dout.reshape(lead + (n, o, -1)).swapaxes(-1, -2).reshape(lead + (-1, o))  # (..., n * pixels, O)
     if patches is None:
         patches = _unfold(x, idx)
-    dw = (rows.transpose(0, 2, 1) @ patches).reshape(w.shape)
-    db = rows.sum(axis=1)
+    dw = (rows.swapaxes(-1, -2) @ patches).reshape(w.shape)
+    db = _sum(rows, axis=-2)
     dx = None
     if want_dx:
         # each patch entry's gradient goes back to the input pixel it was gathered from
-        dpatches = (rows @ w.reshape(k, o, -1)).reshape(k, n, *idx.shape)
+        dpatches = (rows @ w.reshape(lead + (o, -1))).reshape(lead + (n, *idx.shape))
         dx = np.zeros(x.shape)
-        np.add.at(dx.reshape(k, n, -1), (slice(None), slice(None), idx), dpatches)
+        np.add.at(dx.reshape(x.shape[:-3] + (-1,)), (..., idx), dpatches)
     return dw, db, dx
 
 
@@ -376,9 +473,9 @@ def _tap_index(c: int, h: int, w: int, kh: int, kw: int) -> np.ndarray:
 
 
 def _unfold(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Patch rows ``(K, n * pixels, taps)`` of a ``(K, n, C, H, W)`` input."""
-    k, n = x.shape[:2]
-    return np.take(x.reshape(k, n, -1), idx, axis=2).reshape(k, n * idx.shape[0], idx.shape[1])
+    """Patch rows ``(..., n * pixels, taps)`` of a ``(..., n, C, H, W)`` input."""
+    # the take method, not np.take: this runs once per conv forward pass, and np.take's dispatch costs more
+    return x.reshape(x.shape[:-3] + (-1,)).take(idx, axis=-1).reshape(x.shape[:-4] + (-1, idx.shape[1]))
 
 
 def ce_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
@@ -386,18 +483,25 @@ def ce_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, 
 
     Takes ``(n, classes)`` probabilities with ``(n,)`` labels, or a client
     stack ``(K, n, classes)`` with ``(K, n)`` labels and then returns one
-    loss per client.  Probabilities are clamped below at ``PROB_FLOOR``
-    before the log.
+    loss per client.  Labels broadcast over any further leading axes: an
+    ``(M, K, n, classes)`` buffer's M models share the ``(K, n)`` labels and
+    get ``(M, K)`` losses.  Probabilities are clamped below at
+    ``PROB_FLOOR`` before the log.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    n = probs.shape[-2]
-    dlogits = probs.reshape(-1, probs.shape[-1]).copy()  # one row per (client, sample)
-    rows = np.arange(dlogits.shape[0])
-    picked = dlogits[rows, labels.ravel()]
-    loss = (-np.log(np.maximum(picked, PROB_FLOOR))).reshape(labels.shape).sum(axis=-1) / n
-    dlogits[rows, labels.ravel()] -= 1.0
-    return (float(loss) if loss.ndim == 0 else loss), dlogits.reshape(probs.shape) / n
+    lead = probs.shape[:-1]
+    if labels.ndim > len(lead) or lead[len(lead) - labels.ndim :] != labels.shape:
+        raise ValueError(f"labels {labels.shape} do not fit probabilities {probs.shape}")
+    dlogits = probs.reshape(-1, probs.shape[-1]).copy()  # one row per (model, client, sample)
+    rows = np.arange(len(dlogits))
+    flat = labels.ravel()
+    if flat.size != len(rows):  # the models share the labels
+        flat = np.concatenate([flat] * (len(rows) // flat.size))
+    picked = dlogits[rows, flat]
+    loss = _sum((-np.log(np.maximum(picked, PROB_FLOOR))).reshape(lead), axis=-1) / lead[-1]
+    dlogits[rows, flat] -= 1.0
+    return (float(loss) if loss.ndim == 0 else loss), dlogits.reshape(probs.shape) / lead[-1]
 
 
 def kl_div(p_probs: np.ndarray, q_probs: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
@@ -414,8 +518,8 @@ def kl_div(p_probs: np.ndarray, q_probs: np.ndarray) -> tuple[float | np.ndarray
     n = p.shape[-2]
     pc = np.maximum(p, PROB_FLOOR)
     log_ratio = np.log(pc / np.maximum(q, PROB_FLOOR))
-    row_kl = (pc * log_ratio).sum(axis=-1)
-    value = row_kl.sum(axis=-1) / n
+    row_kl = _sum(pc * log_ratio, axis=-1)
+    value = _sum(row_kl, axis=-1) / n
     dlogits_p = p * (log_ratio - row_kl[..., None]) / n
     return (float(value) if value.ndim == 0 else value), dlogits_p
 

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from fedfreq.det import (
     DivergenceError,
     EpochLog,
     det_phase_transition,
+    group_step,
     local_epoch,
     pad_splits,
     receive_deputy,
@@ -28,6 +31,7 @@ from fedfreq.model import (
     clone_params,
     forward,
     init_params,
+    kl_div,
     mlp_spec,
     predict_probs,
     sgd_step,
@@ -560,6 +564,113 @@ def test_epoch_names_a_bad_batch_before_training(call, bad_batch, problem):
 
 
 # --- stacked validation: padded splits score as each model alone ----------------------
+
+
+# --- the group step: p and the deputy as one (M, g, ...) buffer ---------------------
+#
+# The reference is the sequence of separate model calls that trains a group of
+# clients as two stacks: each model's own forward pass and CE, the deputy's
+# step, the teacher's forward pass, then p's step.
+
+
+def _separate_step(p, d, spec, x, y, deputy_distils, personal_distils, opt, prox):
+    """One step of the (g, ...) stacks ``p`` and ``d`` (None: no deputy), in place; returns p's (CE, KL)."""
+    p_probs, p_cache = forward(p, spec, x)
+    teacher = None
+    if d is not None:
+        d_probs, d_cache = forward(d, spec, x)
+        _, dlogits = ce_loss(d_probs, y)
+        if any(deputy_distils):
+            _, dkl = kl_div(d_probs, p_probs)
+            dlogits = np.where(np.array(deputy_distils)[:, None, None], dlogits + dkl, dlogits)
+        sgd_step(d, backward(d_cache, dlogits), opt)
+        if any(personal_distils):
+            teacher, _ = forward(d, spec, x)
+    ce, dlogits = ce_loss(p_probs, y)
+    kl = np.zeros(len(y))
+    if any(personal_distils):
+        mask = np.array(personal_distils)
+        kl_all, dkl = kl_div(p_probs, teacher)
+        dlogits = np.where(mask[:, None, None], dlogits + dkl, dlogits)
+        kl = np.where(mask, kl_all, 0.0)
+    grads = backward(p_cache, dlogits)
+    if prox is not None:
+        mu, anchor = prox
+        grads = {k: g + mu * (p[k] - anchor[k]) for k, g in grads.items()}
+    sgd_step(p, grads, opt)
+    return ce, kl
+
+
+_R, _E, _S = DetPhase.RECOVER, DetPhase.EXCHANGE, DetPhase.SUBLIMATE
+
+
+@pytest.mark.parametrize("phases", [[_R, _E, _S], [_R] * 3, [_E] * 3, [_S] * 3, [_S, _E, _E]])
+@pytest.mark.parametrize("rows", [1, 16])
+@pytest.mark.parametrize("with_prox", [False, True])
+@pytest.mark.parametrize("with_deputy", [True, False])
+@pytest.mark.parametrize("model_id", ["mlp32", "conv4x8"])
+def test_group_step_matches_separate_model_calls_bit_for_bit(model_id, with_deputy, with_prox, rows, phases):
+    spec = MODEL_SPECS[model_id]
+    rng = np.random.default_rng(zlib.crc32(f"{model_id}{with_deputy}{with_prox}{rows}".encode()))
+    g = len(phases)
+    maps = _random_stack(rng, spec, 2 * g)
+    buffer = {k: v.reshape(2, g, *v.shape[1:]) for k, v in maps.items()}
+    if not with_deputy:
+        buffer = {k: np.ascontiguousarray(v[:1]) for k, v in buffer.items()}
+    p = {k: v[0].copy() for k, v in buffer.items()}
+    d = {k: v[1].copy() for k, v in buffer.items()} if with_deputy else None
+    before = clone_params(p)
+    x = rng.standard_normal((g, rows, int(np.prod(spec.input_shape))))
+    y = rng.integers(0, spec.classes, size=(g, rows))
+    prox = (0.3, init_params(spec, 100)) if with_prox else None
+    phases = np.array(phases)
+    deputy_distils = (phases < DetPhase.SUBLIMATE).tolist()
+    personal_distils = ((phases > DetPhase.RECOVER) & with_deputy).tolist()
+    lr = 0.05
+
+    ce, kl = group_step(buffer, spec, x, y, deputy_distils, personal_distils, lr, prox)
+    want_ce, want_kl = _separate_step(
+        p, d, spec, x, y, deputy_distils, personal_distils, OptimizerState(base_lr=lr), prox
+    )
+
+    for k in p:
+        assert np.array_equal(buffer[k][0], p[k]), k
+        if with_deputy:
+            assert np.array_equal(buffer[k][1], d[k]), k
+    assert np.array_equal(ce, want_ce)
+    assert np.array_equal(np.zeros(g) if kl is None else kl, want_kl)
+    assert any(not np.array_equal(buffer[k][0], before[k]) for k in p)  # p did train
+
+
+@pytest.mark.parametrize("with_deputy", [True, False])
+def test_cohort_models_stay_views_of_one_buffer(with_deputy):
+    # p and the deputies are the two halves of one (M, K, ...) buffer per tensor,
+    # and nothing a run does to the cohort may replace a half with a copy
+    rng = np.random.default_rng(17)
+    states = [make_state(seed=j) for j in range(3)]
+    deputies = [s.deputy for s in states] if with_deputy else None
+    train = [batches_of(*make_data(rng, n)) for n in (40, 17, 25)]
+    cohort = Cohort([s.personalized for s in states], deputies, [make_data(rng) for _ in states], [len(t) for t in train])
+
+    def assert_views():
+        for k, v in cohort.models.items():
+            assert v.shape[:2] == ((2 if with_deputy else 1), 3)
+            assert np.shares_memory(cohort.p[k], v[0])
+            if with_deputy:
+                assert np.shares_memory(cohort.d[k], v[1])
+                assert not np.shares_memory(cohort.p[k], cohort.d[k])
+
+    assert_views()
+    log = train_epoch(cohort, SPEC, [train[j] for j in cohort.clients], CFG, OptimizerState(base_lr=0.05))
+    assert_views()
+    aggregates = {k: rng.standard_normal(v.shape) for k, v in cohort.p.items()}
+    cohort.deliver(aggregates, deputy=with_deputy)
+    assert_views()
+    target = cohort.d if with_deputy else cohort.p
+    for k, v in target.items():
+        assert np.array_equal(v, aggregates[k][cohort.clients])  # in slot order
+    cohort.keep_best(log.phi_p, cohort.p, 1)
+    assert_views()
 
 
 def _random_stack(rng, spec, k):

@@ -13,6 +13,7 @@ from fedfreq.model import (
     ce_loss,
     clone_params,
     conv_spec,
+    descend,
     forward,
     infer_shapes,
     init_params,
@@ -360,6 +361,36 @@ def test_backward_rejects_stale_cache():
     cache.inputs.pop()
     with pytest.raises(ValueError):
         backward(cache, np.zeros_like(probs))
+
+
+@pytest.mark.parametrize("with_prox", [False, True])
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("spec_builder", [small_mlp, two_conv])
+def test_descend_applies_exactly_what_backward_and_sgd_step_give(spec_builder, stacked, with_prox):
+    spec = spec_builder()
+    rng = np.random.default_rng(22)
+    maps = [init_params(spec, seed) for seed in (22, 23)]
+    if stacked:
+        params = {k: np.stack([m[k] for m in maps]) for k in maps[0]}
+        x = rng.standard_normal((2, 5, *spec.input_shape))
+    else:
+        params, x = maps[0], rng.standard_normal((5, *spec.input_shape))
+    anchor = init_params(spec, 24)
+    probs, cache = forward(params, spec, x)
+    dlogits = rng.standard_normal(probs.shape)
+    grads = backward(cache, dlogits)
+    if with_prox:
+        grads = {k: g + 0.3 * (params[k] - anchor[k]) for k, g in grads.items()}
+    want = sgd_step(clone_params(params), grads, OptimizerState(base_lr=0.05))
+
+    descend(cache, dlogits, 0.05, prox=(0.3, anchor) if with_prox else None)  # in place
+
+    for k in want:
+        assert np.array_equal(params[k], want[k]), k
+    with pytest.raises(ValueError, match="gradient shape"):
+        descend(cache, dlogits[..., :-1], 0.05)
+    with pytest.raises(ValueError, match="model index"):
+        descend(cache, dlogits, 0.05, m=0)  # no (M, K, ...) buffer here
 
 
 # --- optimizer ------------------------------------------------------------------
