@@ -35,13 +35,14 @@ shape (4 clients x 16 rows, stacked) and the validation shape (1 client x
 shape, one training-group step per model at that shape (``group_step``:
 mlp32 with deputies in the phases ``GROUP_PHASES``, as ``det_mlp`` trains;
 conv4x8 without deputies and with a FedProx pull, as ``fedprox_conv``
-trains; a tree without ``det.group_step`` runs the separate calls of its
-own ``train_epoch`` loop), ``validation_f1`` and ``pfa_aggregate`` (4 clients) for each model,
-``macro_auc`` on 60 rows (a client's test split at data_scale 0.1), and
-``save_checkpoint`` / ``load_checkpoint_full`` of an mlp32 map.  Both
-sides get the same inputs.  One sample is a loop of calls sized on the base
-side to take about ``LAYER_SAMPLE_S``; per function the file holds each
-side's median time per call and the quartiles of the paired ratios.
+trains), ``stacked_validation_f1`` of a run's cohort buffer on its padded
+validation splits (``VALIDATION``) and ``pfa_fuse`` of a 4-client stack
+for each model, ``macro_auc`` on 60 rows (a client's test split at
+data_scale 0.1), and ``save_checkpoint`` / ``load_checkpoint_full`` of an
+mlp32 map.  Both sides get the same inputs.  One sample is a loop of calls
+sized on the base side to take about ``LAYER_SAMPLE_S``; per function the
+file holds each side's median time per call and the quartiles of the
+paired ratios.
 
 Usage, from the repository root::
 
@@ -96,6 +97,9 @@ LAYER_SHAPES = {"train": (CLIENTS, 16), "val": (1, 19)}  # (clients, rows) of on
 LAYER_SAMPLE_S = 0.02  # seconds of calls in one layer sample (one side of a pair)
 AUC_ROWS = 60  # a client's test split at data_scale 0.1
 GROUP_PHASES = (0, 1, 2, 2)  # RECOVER, EXCHANGE, SUBLIMATE, SUBLIMATE: every distillation path
+# per model, a run's cohort buffer as validation scores it: models per client (2 with deputies,
+# as det_mlp trains; 1 as fedprox_conv trains) and the rows of the clients' validation splits
+VALIDATION = {"mlp32": (2, (30, 39, 16, 20)), "conv4x8": (1, (15, 19, 8, 10))}
 # perfbench's server_round operation: per (model, aggregator), load the
 # CLIENTS checkpoints, fuse them and save the result
 SERVER_KINDS = (("mlp32", "PFA"), ("mlp32", "FEDAVG"), ("conv4x8", "PFA"), ("conv4x8", "FEDAVG"))
@@ -144,10 +148,11 @@ def layer_cases(pkg: str, tmp: Path) -> dict:
         x, y = rng.standard_normal((k, n, features)), rng.integers(0, spec.classes, size=(k, n))
         # in place, like sgd_step below: the models drift by 1e-3 of a gradient per call
         cases[f"group_step.{model_id}"] = group_step_case(model, det, spec, x, y, model_id == "mlp32")
-        val = rng.standard_normal((19, features)), rng.integers(0, spec.classes, 19)
-        cases[f"validation_f1.{model_id}"] = partial(det.validation_f1, maps[0], spec, *val)
-        request = freq_agg.AggregationRequest(maps, r=0.35, strategy=freq_agg.PFA)
-        cases[f"pfa_aggregate.{model_id}"] = partial(freq_agg.pfa_aggregate, request)
+        models, rows = VALIDATION[model_id]
+        buffer = cohort_buffer(model, spec, models, CLIENTS)
+        splits = det.pad_splits([(rng.standard_normal((n, features)), rng.integers(0, spec.classes, n)) for n in rows])
+        cases[f"stacked_validation_f1.{model_id}"] = partial(det.stacked_validation_f1, buffer, spec, splits)
+        cases[f"pfa_fuse.{model_id}"] = partial(freq_agg.pfa_fuse, model.stack_params(maps), 0.35)
 
     k, n = LAYER_SHAPES["train"]
     probs, teacher = rng.dirichlet(np.ones(3), size=(2, k, n))
@@ -171,35 +176,21 @@ def layer_cases(pkg: str, tmp: Path) -> dict:
 def group_step_case(model, det, spec, x: np.ndarray, y: np.ndarray, deputy: bool):
     """A zero-argument training-group step of one tree on the batch ``(x, y)``, in place.
 
-    Client k's ``p`` starts from ``init_params`` seed k and its deputy from
-    seed K + k.  With ``deputy``, each client trains both in the phases
-    ``GROUP_PHASES``; without, ``p`` alone with a FedProx pull toward seed 0.  The step is ``det.group_step`` on a ``(M, K, ...)`` buffer
-    if the tree has it, else the forward passes and ``det._step`` calls of
-    that tree's ``train_epoch``.
+    The step is ``det.group_step`` on a :func:`cohort_buffer`.  With
+    ``deputy``, each client trains ``p`` and its deputy in the phases
+    ``GROUP_PHASES``; without, ``p`` alone with a FedProx pull toward seed 0.
     """
     phases = np.array(GROUP_PHASES[: len(x)])
-    deputy_distils, personal_distils = phases < 2, (phases > 0) & deputy
-    k = len(x)
-    stacks = [model.stack_params([model.init_params(spec, m * k + j) for j in range(k)]) for m in range(1 + deputy)]
+    deputy_distils, personal_distils = (phases < 2).tolist(), ((phases > 0) & deputy).tolist()
+    buffer = cohort_buffer(model, spec, 1 + deputy, len(x))
     prox = None if deputy else (0.1, model.init_params(spec, 0))
-    lr = 1e-3
-    if hasattr(det, "group_step"):
-        buffer = {key: np.stack([s[key] for s in stacks]) for key in stacks[0]}
-        dep, per = deputy_distils.tolist(), personal_distils.tolist()
-        return partial(det.group_step, buffer, spec, x, y, dep, per, lr, prox)
-    opt = model.OptimizerState(base_lr=lr)
+    return partial(det.group_step, buffer, spec, x, y, deputy_distils, personal_distils, 1e-3, prox)
 
-    def separate_calls():
-        p_probs, p_cache = model.forward(stacks[0], spec, x)
-        teacher_probs = None
-        if deputy:
-            d_probs, d_cache = model.forward(stacks[1], spec, x)
-            det._step(stacks[1], d_cache, d_probs, y, p_probs, deputy_distils, opt)
-            if personal_distils.any():
-                teacher_probs, _ = model.forward(stacks[1], spec, x)
-        return det._step(stacks[0], p_cache, p_probs, y, teacher_probs, personal_distils, opt, prox)
 
-    return separate_calls
+def cohort_buffer(model, spec, models: int, clients: int) -> dict:
+    """An ``(M, K, ...)`` buffer of one tree's ``init_params``: model m of client k from seed ``m * K + k``."""
+    stack = model.stack_params([model.init_params(spec, seed) for seed in range(models * clients)])
+    return {key: v.reshape(models, clients, *v.shape[1:]) for key, v in stack.items()}
 
 
 def git_facts(src: Path) -> dict:

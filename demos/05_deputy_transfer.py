@@ -10,8 +10,9 @@ Run: python demos/05_deputy_transfer.py
 import numpy as np
 
 from fedfreq import ClientState, DetConfig, OptimizerState, init_params, local_epoch
-from fedfreq.det import receive_deputy, upload_model, validation_f1
-from fedfreq.model import clone_params, mlp_spec
+from fedfreq.det import receive_deputy, upload_model
+from fedfreq.metrics import macro_f1
+from fedfreq.model import clone_params, mlp_spec, predict_probs
 
 rng = np.random.default_rng(3)
 spec = mlp_spec(input_dim=6, classes=3)
@@ -44,7 +45,8 @@ print("\nDeliver a damaged aggregate (heavy noise) as the new deputy:")
 noisy = {k: v + 4.0 * rng.standard_normal(v.shape) for k, v in upload_model(state).items()}
 receive_deputy(state, noisy)
 print(f"  phase reset to {state.phase.name}; phi(d) is rescored after the next epoch")
-print(f"  deputy validation F1 at delivery: {validation_f1(state.deputy, spec, val_x, val_y):.3f}")
+phi_d = macro_f1(predict_probs(state.deputy, spec, val_x).argmax(axis=1), val_y, spec.classes)
+print(f"  deputy validation F1 at delivery: {phi_d:.3f}")
 
 print("\nEach row: scores after that epoch and the phase the NEXT epoch will")
 print("use (gates at 0.7 and 0.9 of phi(p), never moving backward):")

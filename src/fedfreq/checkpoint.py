@@ -84,10 +84,6 @@ def load_checkpoint_full(path) -> tuple[int, str, NamedTensorMap]:
         raise CorruptCheckpointError(f"{path}: malformed payload ({exc})") from exc
 
 
-def load_checkpoint(path) -> NamedTensorMap:
-    return load_checkpoint_full(path)[2]
-
-
 def _read(fields: struct.Struct, payload: memoryview, offset: int) -> tuple[tuple, int]:
     """The values of ``fields`` at ``offset`` and the offset after them."""
     end = offset + fields.size

@@ -46,7 +46,9 @@ a 1-row batch takes OpenBLAS's matrix-vector path.
 Validation is the exception: one forward pass over the buffer scores every
 ``p`` and every deputy (:func:`stacked_validation_f1`) on the validation
 splits, zero-padded once per run to the longest (:func:`pad_splits`), whose
-label checks and confusion-matrix bins are built once too.  Padding may
+label checks and confusion-matrix bins (:class:`metrics.PaddedLabels`) are
+built once too.  Every validation pass of a run is this call on the
+buffer, the score of a delivered global model included.  Padding may
 change the last bits of a probability, but only each scored row's argmax
 is used and padded rows are never scored, so a score can differ from
 scoring the model alone only where two class probabilities lie within
@@ -173,16 +175,17 @@ class Cohort:
             batches.append([(x[i : i + batch_size], y[i : i + batch_size]) for i in range(0, len(y), batch_size)])
         return batches
 
-    def keep_best(self, f1: np.ndarray, params: NamedTensorMap, epoch: int) -> None:
-        """Snapshot slot s of the stack ``params`` wherever ``f1[s]`` beats the slot's best."""
+    def keep_best(self, f1: np.ndarray, epoch: int) -> None:
+        """Snapshot ``p`` in slot s wherever ``f1[s]`` beats the slot's best."""
         better = f1 > self.best_f1
         for k, v in self.best.items():
-            v[better] = params[k][better]
+            v[better] = self.p[k][better]
         self.best_f1[better] = f1[better]
         self.best_epoch[better] = epoch
 
     def deliver(self, aggregates: NamedTensorMap, deputy: bool) -> None:
-        """Write a ``(K, ...)`` stack in client order into the deputies (phases back to RECOVER) or ``p``."""
+        """Write a ``(K, ...)`` stack in client order, or one map for every client, into the
+        deputies (phases back to RECOVER) or ``p``."""
         target = self.d if deputy else self.p
         for k, v in target.items():
             v[self.slots] = aggregates[k]
@@ -373,14 +376,6 @@ def _distil(dlogits, probs, teacher_probs, distils: list[bool]):
     return np.where(mask, kl, 0.0)
 
 
-def validation_f1(
-    params: NamedTensorMap, spec: ModelSpec, val_x: np.ndarray, val_y: np.ndarray
-) -> float:
-    """Macro F1 of one model's argmax predictions on a validation split (a stack of one)."""
-    stack = {k: v[None] for k, v in params.items()}
-    return float(stacked_validation_f1(stack, spec, pad_splits([(val_x, val_y)]))[0])
-
-
 def pad_splits(vals: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, PaddedLabels]:
     """K splits ``(inputs, labels)`` as ``(x, labels)``: split j fills ``counts[j]`` rows of
     ``x[j]`` and of the label rows, zero-padded to the longest split.  Raises ValueError on an
@@ -399,9 +394,9 @@ def stacked_validation_f1(
 ) -> np.ndarray:
     """Macro F1 of each of K stacked models on its own split, in one forward pass.
 
-    ``params`` holds ``(K, ...)`` tensors (a broadcast view scores one model
-    on K splits), or an ``(M, K, ...)`` buffer whose M models per client are
-    all scored, as ``(M, K)``.  ``val`` is the K splits padded by
+    ``params`` holds ``(K, ...)`` tensors, or an ``(M, K, ...)`` buffer
+    whose M models per client are all scored, as ``(M, K)``; a run passes
+    its cohort's buffer.  ``val`` is the K splits padded by
     :func:`pad_splits`; padded rows are not scored (see the module docstring
     for why padding is safe here).  Raises ValueError on a label or
     prediction out of class range.

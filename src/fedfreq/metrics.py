@@ -5,6 +5,10 @@ classes count as much as common ones.  Degenerate cases follow fixed
 conventions: a class with zero precision+recall contributes F1 = 0, and AUC
 skips classes that have no positives or no negatives (ties count 0.5 via
 the Mann-Whitney rank statistic).
+
+Every confusion matrix is counted by :class:`PaddedLabels`, one
+``np.bincount`` over K zero-padded label rows; a single split, as
+:func:`confusion_matrix` and :func:`macro_f1` take it, is one such row.
 """
 
 from __future__ import annotations
@@ -25,18 +29,13 @@ class EvalResult:
 
 
 def confusion_matrix(predictions: np.ndarray, labels: np.ndarray, classes: int) -> np.ndarray:
-    """``classes x classes`` counts; rows are true classes, columns predicted."""
+    """``classes x classes`` counts, rows true classes and columns predicted: one :class:`PaddedLabels` row."""
     predictions = np.asarray(predictions, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if predictions.shape != labels.shape or predictions.size < 1:
         raise ValueError("predictions and labels must be equal-length and non-empty")
-    if predictions.min() < 0 or predictions.max() >= classes:
-        raise ValueError("prediction out of class range")
-    if labels.min() < 0 or labels.max() >= classes:
-        raise ValueError("label out of class range")
-    cm = np.zeros((classes, classes), dtype=np.int64)
-    np.add.at(cm, (labels, predictions), 1)
-    return cm
+    rows = PaddedLabels(labels.reshape(1, -1), [labels.size])
+    return rows.confusion(predictions.reshape(1, -1), classes)[0]
 
 
 def per_class_prf(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -61,25 +60,12 @@ def macro_f1(predictions: np.ndarray, labels: np.ndarray, classes: int) -> float
     return float(f1.sum() / classes)
 
 
-def stacked_macro_f1(
-    predictions: np.ndarray, labels: np.ndarray, counts: np.ndarray, classes: int
-) -> np.ndarray:
-    """:func:`macro_f1` of every row of ``(K, n)`` predictions and labels, as ``(K,)``.
-
-    Row j scores its first ``counts[j]`` entries; the rest are padding.
-    Raises ValueError, like :func:`macro_f1`, on an empty row or a scored
-    value out of class range.  :class:`PaddedLabels` holds the label side
-    for repeated scoring.
-    """
-    return PaddedLabels(labels, counts).macro_f1(predictions, classes)
-
-
 class PaddedLabels:
     """K zero-padded label rows ``(K, n)``, of which row j scores its first ``counts[j]`` entries.
 
     The label range check and the bins of the scored entries are built once
     per class count and number of stacked models, so scoring model after
-    model on the same splits repeats none of it.  :meth:`macro_f1` builds
+    model on the same splits repeats none of it.  :meth:`confusion` builds
     every confusion matrix with one ``np.bincount``; padding entries go to a
     spare bin past the last matrix.  Raises ValueError on an empty row.
     """
@@ -114,11 +100,13 @@ class PaddedLabels:
             self._bins[models, classes] = scored, offsets
         return self._bins[models, classes]
 
-    def macro_f1(self, predictions: np.ndarray, classes: int) -> np.ndarray:
-        """Macro F1 of ``(..., K, n)`` predictions against these labels, as ``(..., K)``.
+    def confusion(self, predictions: np.ndarray, classes: int) -> np.ndarray:
+        """Confusion matrices of ``(..., K, n)`` predictions against these labels.
 
-        Leading axes hold further models scored on the same rows.  Raises
-        ValueError on a misshapen array or a scored value out of class range.
+        Returns ``(..., K, classes, classes)`` counts, rows true classes and
+        columns predicted.  Leading axes hold further models scored on the
+        same rows.  Raises ValueError on a misshapen array or a scored value
+        out of class range.
         """
         predictions = np.asarray(predictions, dtype=np.int64)
         if predictions.shape[-2:] != self.labels.shape:
@@ -131,9 +119,13 @@ class PaddedLabels:
             raise ValueError("prediction out of class range")
         spare = len(flat) * classes * classes
         bins = np.where(scored, offsets + flat, spare)
-        cm = np.bincount(bins.ravel(), minlength=spare + 1)[:-1].reshape(-1, classes, classes)
-        _, _, f1 = per_class_prf(cm)
-        return (f1.sum(axis=-1) / classes).reshape(predictions.shape[:-1])
+        cm = np.bincount(bins.ravel(), minlength=spare + 1)[:-1]
+        return cm.reshape(*predictions.shape[:-1], classes, classes)
+
+    def macro_f1(self, predictions: np.ndarray, classes: int) -> np.ndarray:
+        """Macro F1 of ``(..., K, n)`` predictions, as ``(..., K)`` (see :meth:`confusion`)."""
+        _, _, f1 = per_class_prf(self.confusion(predictions, classes))
+        return f1.sum(axis=-1) / classes
 
 
 def macro_auc(scores: np.ndarray, labels: np.ndarray, classes: int) -> float:
@@ -162,17 +154,13 @@ def macro_auc(scores: np.ndarray, labels: np.ndarray, classes: int) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the mean rank of their group."""
+    """1-based ranks with ties assigned the mean rank of their group (each NaN its own group)."""
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
     sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends - 1) / 2.0 + 1.0, ends - starts)
     return ranks
 
 

@@ -33,25 +33,20 @@ bias, a ReLU above the lowest layer with parameters, the softmax and the
 SGD scaling ``g *= lr`` write into arrays the pass has just made.  Each
 spare temporary of a step's size that is freed at the top of the heap can
 push it past glibc's trim threshold (128 KiB unless a freed mmap chunk has
-raised it), and the next step then faults those pages back in: before
-these writes, a fresh-process PFA_DET run took about 62,000 minor faults,
-against about 18,000 at the separate-stacks step it replaced.
+raised it), and the next step then faults those pages back in.
 
 A convolution is unfolded and multiplied.  Each client's input is gathered
 into one row per (sample, output pixel) through a tap index that is built
 once per (input shape, kernel shape); one batched matmul with the flattened
 kernels gives the output, one more gives the weight gradient, and the input
-gradient is scattered back through the same index.  This rounds differently
-from summing one shifted product per kernel tap, the earlier formulation:
-a matmul adds a row's taps in BLAS order, not tap by tap, and none of the
-faster numpy formulations tried reproduced the per-tap weight-gradient
-bits.  The forward pass unfolds at most ``UNFOLD_BLOCK`` samples at a time,
-so scoring thousands of rows never holds all their patches at once (the
-patch array is ``kh * kw`` times the size of a one-channel input).  When
-one block covers the batch, as in every training step, :class:`ForwardCache`
-keeps the patches and :func:`backward` multiplies them again instead of
-unfolding the input a second time; a larger batch is unfolded again, with
-the same bits.
+gradient is scattered back through the same index.  The forward pass
+unfolds at most ``UNFOLD_BLOCK`` samples at a time, so scoring thousands of
+rows never holds all their patches at once (the patch array is
+``kh * kw`` times the size of a one-channel input).  When one block covers
+the batch, as in every training step, :class:`ForwardCache` keeps the
+patches and :func:`backward` multiplies them again instead of unfolding
+the input a second time; a larger batch is unfolded again, with the same
+bits.
 """
 
 from __future__ import annotations

@@ -301,7 +301,7 @@ def run_experiment(
         # a strategy deploying the global model snapshots it at communication
         # points instead (see _communicate)
         if not strategy.deploys_global:
-            cohort.keep_best(log.phi_p, cohort.p, epoch)
+            cohort.keep_best(log.phi_p, epoch)
         if comm_event:
             global_params = _communicate(cohort, spec, strategy, r, epoch)
             if prox is not None:
@@ -322,13 +322,10 @@ def _communicate(
     if strategy.aggregator == PFA:
         aggregates = pfa_fuse(uploads, r)
     else:
-        global_params = fedavg_fuse(uploads)
-        aggregates = {k: np.broadcast_to(g, uploads[k].shape) for k, g in global_params.items()}
+        aggregates = global_params = fedavg_fuse(uploads)
     cohort.deliver(aggregates, strategy.deputy)
-    if strategy.deploys_global:
-        # the deployed model is the global aggregate, scored on every client's split in one
-        # pass; every slot of the broadcast stack holds it, so slot and client order agree
-        cohort.keep_best(stacked_validation_f1(aggregates, spec, cohort.val), aggregates, t)
+    if strategy.deploys_global:  # the deployed model is the global one, now in every p
+        cohort.keep_best(stacked_validation_f1(cohort.models, spec, cohort.val)[0], t)
     return global_params
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from fedfreq.checkpoint import CorruptCheckpointError, load_checkpoint, save_checkpoint
+from fedfreq.checkpoint import CorruptCheckpointError, load_checkpoint_full, save_checkpoint
 from fedfreq.det import DetConfig, DetPhase, det_phase_transition
 from fedfreq.freq_agg import (
     PFA,
@@ -58,20 +58,26 @@ def report(criterion: int, elapsed: float, message: str) -> None:
 
 @pytest.fixture(scope="module")
 def experiment_cache():
-    """All experiment runs needed by criteria 7 and 8, plus build time."""
+    """All experiment runs needed by criteria 7 and 8, plus build time.
+
+    The runs share nothing, so two spawned processes split them; a run gives
+    the same numbers in a fresh interpreter (criterion 9).
+    """
     start = time.perf_counter()
-    runs = {}
-    for strategy in STRATEGIES:
-        for seed in SEEDS:
-            cfg = ExperimentConfig(
-                strategy=strategy,
-                num_clients=4,
-                local_epochs=5,
-                total_epochs=100,
-                data_scale=0.1,
-                seed=seed,
-            )
-            runs[(strategy, seed)] = run_experiment(cfg)
+    keys = [(strategy, seed) for strategy in STRATEGIES for seed in SEEDS]
+    configs = [
+        ExperimentConfig(
+            strategy=strategy,
+            num_clients=4,
+            local_epochs=5,
+            total_epochs=100,
+            data_scale=0.1,
+            seed=seed,
+        )
+        for strategy, seed in keys
+    ]
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        runs = dict(zip(keys, pool.map(run_experiment, configs)))
     return runs, time.perf_counter() - start
 
 
@@ -318,17 +324,17 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
     params = {"w": rng.standard_normal((4, 4)), "b": rng.standard_normal(4)}
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, path, model_id="mlp32")
-    loaded = load_checkpoint(path)
+    loaded = load_checkpoint_full(path)[2]
     for k in params:
         assert loaded[k].tobytes() == params[k].tobytes()
     raw = bytearray(path.read_bytes())
     raw[len(raw) // 2] ^= 0x01
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptCheckpointError):
-        load_checkpoint(path)
+        load_checkpoint_full(path)
     path.write_bytes(bytes(raw)[: len(raw) - 9])
     with pytest.raises(CorruptCheckpointError):
-        load_checkpoint(path)
+        load_checkpoint_full(path)
     elapsed = time.perf_counter() - start
     report(9, elapsed, "bit-identical results across reruns and a fresh interpreter; corrupt checkpoints rejected")
 

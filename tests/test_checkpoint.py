@@ -8,7 +8,6 @@ import pytest
 from fedfreq.checkpoint import (
     CorruptCheckpointError,
     UnsupportedVersionError,
-    load_checkpoint,
     load_checkpoint_full,
     save_checkpoint,
 )
@@ -37,15 +36,6 @@ def test_roundtrip_bit_exact(tmp_path):
         assert loaded[k].tobytes() == params[k].tobytes()
 
 
-def test_load_checkpoint_returns_map_only(tmp_path):
-    params = sample_params(1)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(params, path)
-    loaded = load_checkpoint(path)
-    for k in params:
-        assert np.array_equal(loaded[k], params[k])
-
-
 def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(sample_params(), path)
@@ -53,7 +43,7 @@ def test_truncated_file_rejected(tmp_path):
     for cut in (len(raw) - 1, len(raw) // 2, 5):
         path.write_bytes(raw[:cut])
         with pytest.raises(CorruptCheckpointError):
-            load_checkpoint(path)
+            load_checkpoint_full(path)
 
 
 def test_flipped_byte_rejected(tmp_path):
@@ -63,7 +53,7 @@ def test_flipped_byte_rejected(tmp_path):
     raw[len(raw) // 3] ^= 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptCheckpointError):
-        load_checkpoint(path)
+        load_checkpoint_full(path)
 
 
 def test_unsupported_version_rejected(tmp_path):
@@ -77,7 +67,7 @@ def test_unsupported_version_rejected(tmp_path):
     raw[-8:] = struct.pack("<Q", digest)
     path.write_bytes(bytes(raw))
     with pytest.raises(UnsupportedVersionError):
-        load_checkpoint(path)
+        load_checkpoint_full(path)
 
 
 def test_empty_model_id_and_map(tmp_path):
@@ -130,7 +120,7 @@ def test_malformed_payloads_with_a_valid_checksum_are_corrupt(tmp_path):
 def test_loaded_tensors_are_writable_float64_and_share_no_memory(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(sample_params(), path)
-    tensors = list(load_checkpoint(path).values())
+    tensors = list(load_checkpoint_full(path)[2].values())
     for i, t in enumerate(tensors):
         assert t.dtype == np.float64 and t.flags.writeable
         assert not any(np.shares_memory(t, other) for other in tensors[i + 1 :])

@@ -20,7 +20,6 @@ from fedfreq.det import (
     stacked_validation_f1,
     train_epoch,
     upload_model,
-    validation_f1,
 )
 from fedfreq.metrics import macro_f1
 from fedfreq.model import (
@@ -39,6 +38,11 @@ from fedfreq.model import (
 
 CFG = DetConfig(0.7, 0.9)
 SPEC = mlp_spec(input_dim=6)
+
+
+def alone_f1(params, spec, x, y):
+    """Macro F1 of one model scored alone, on its own unpadded split."""
+    return macro_f1(predict_probs(params, spec, x).argmax(axis=1), y, spec.classes)
 
 
 def make_state(seed=0):
@@ -315,7 +319,7 @@ def test_local_epoch_without_deputy_matches_manual_prox_loop():
     assert log.ce_loss == sum(ces) / len(ces)
     assert log.kl_loss == 0.0
     assert np.isnan(log.phi_d)
-    assert log.phi_p == validation_f1(expected, SPEC, x, y)
+    assert log.phi_p == alone_f1(expected, SPEC, x, y)
     assert log.phase is DetPhase.RECOVER and state.phase is DetPhase.RECOVER
     assert state.deputy is None
     assert state_opt.epoch == 1
@@ -465,7 +469,7 @@ def test_stacked_epoch_matches_a_per_client_loop_bit_for_bit(model_id, with_depu
             if with_deputy:
                 assert np.array_equal(state.deputy[k], d[k]), (j, k)
         assert log.ce_loss == ce and log.kl_loss == kl, j
-        assert log.phi_p == validation_f1(p, spec, *vals[j])
+        assert log.phi_p == alone_f1(p, spec, *vals[j])
     assert opt.epoch == 4  # one schedule, advanced once for all clients
     # p distils from its deputy outside RECOVER only; KL is exactly 0.0 otherwise
     distils = [log.kl_loss > 0.0 for log in logs]
@@ -669,7 +673,7 @@ def test_cohort_models_stay_views_of_one_buffer(with_deputy):
     target = cohort.d if with_deputy else cohort.p
     for k, v in target.items():
         assert np.array_equal(v, aggregates[k][cohort.clients])  # in slot order
-    cohort.keep_best(log.phi_p, cohort.p, 1)
+    cohort.keep_best(log.phi_p, 1)
     assert_views()
 
 
@@ -706,10 +710,9 @@ def test_stacked_validation_equals_scoring_each_model_alone(model_id, sizes, see
     broadcast = stacked_validation_f1(one, spec, pad_splits(vals))
     for j, (x, y) in enumerate(vals):
         alone = {key: v[j] for key, v in params.items()}
-        want = macro_f1(predict_probs(alone, spec, x).argmax(axis=1), y, spec.classes)
-        assert scores[j] == want == validation_f1(alone, spec, x, y), j
+        assert scores[j] == alone_f1(alone, spec, x, y), j
         first = {key: v[0] for key, v in params.items()}
-        assert broadcast[j] == validation_f1(first, spec, x, y), j
+        assert broadcast[j] == alone_f1(first, spec, x, y), j
 
 
 def test_epoch_scores_every_model_on_its_own_ragged_split():
@@ -721,8 +724,8 @@ def test_epoch_scores_every_model_on_its_own_ragged_split():
     vals = [make_data(rng, n) for n in (7, 31, 18)]
     logs = cohort_epoch(states, SPEC, train, vals, OptimizerState(base_lr=0.05))
     for state, log, (x, y) in zip(states, logs, vals):
-        assert log.phi_p == validation_f1(state.personalized, SPEC, x, y)
-        assert log.phi_d == validation_f1(state.deputy, SPEC, x, y)
+        assert log.phi_p == alone_f1(state.personalized, SPEC, x, y)
+        assert log.phi_d == alone_f1(state.deputy, SPEC, x, y)
 
 
 def test_stacked_validation_rejects_an_empty_split():

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedfreq.metrics import (
+    PaddedLabels,
+    _average_ranks,
     confusion_matrix,
     evaluate,
     macro_auc,
     macro_f1,
     per_class_prf,
-    stacked_macro_f1,
 )
 from helpers import brute_force_auc, brute_force_f1
 
@@ -62,7 +63,7 @@ def test_macro_f1_matches_brute_force():
         assert macro_f1(preds, labels, 3) == brute_force_f1(preds, labels, 3)
 
 
-# --- stacked macro F1 ------------------------------------------------------------
+# --- padded label rows: every confusion matrix --------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
@@ -71,7 +72,7 @@ def test_macro_f1_matches_brute_force():
     classes=st.integers(2, 5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stacked_macro_f1_is_macro_f1_of_every_row(counts, classes, seed):
+def test_padded_macro_f1_is_brute_force_f1_of_every_row(counts, classes, seed):
     rng = np.random.default_rng(seed)
     n = max(counts)
     # padding holds values no scored entry may take: it must not reach any matrix
@@ -82,10 +83,17 @@ def test_stacked_macro_f1_is_macro_f1_of_every_row(counts, classes, seed):
         present = rng.choice(classes, size=int(rng.integers(1, classes + 1)), replace=False)
         labels[j, :c] = rng.choice(present, size=c)
         preds[j, :c] = rng.integers(0, classes, size=c)
-    got = stacked_macro_f1(preds, labels, counts, classes)
+    rows = PaddedLabels(labels, counts)
+    got = rows.macro_f1(preds, classes)
     assert got.shape == (len(counts),)
     for j, c in enumerate(counts):
-        assert got[j] == macro_f1(preds[j, :c], labels[j, :c], classes), j
+        assert got[j] == brute_force_f1(preds[j, :c], labels[j, :c], classes), j
+    # two models on the same rows: one stack of matrices, model-major
+    both = rows.confusion(np.stack([preds, labels]), classes)
+    assert both.shape == (2, len(counts), classes, classes)
+    assert np.array_equal(both[0], rows.confusion(preds, classes))
+    for j, c in enumerate(counts):
+        assert np.trace(both[1, j]) == c, j  # labels predicting themselves
 
 
 def test_per_class_prf_of_a_stack_is_per_class_prf_of_each_matrix():
@@ -97,19 +105,24 @@ def test_per_class_prf_of_a_stack_is_per_class_prf_of_each_matrix():
             assert np.array_equal(got[j], want)
 
 
-def test_stacked_macro_f1_validation():
+def test_padded_labels_validation():
     preds = labels = np.zeros((2, 4), dtype=int)
     with pytest.raises(ValueError, match="between 1 and n"):
-        stacked_macro_f1(preds, labels, [4, 0], 3)  # an empty row
+        PaddedLabels(labels, [4, 0])  # an empty row
     with pytest.raises(ValueError, match="between 1 and n"):
-        stacked_macro_f1(preds, labels, [4, 5], 3)  # more entries than the row holds
+        PaddedLabels(labels, [4, 5])  # more entries than the row holds
     with pytest.raises(ValueError, match="K counts"):
-        stacked_macro_f1(preds, labels, [4], 3)
+        PaddedLabels(labels, [4])
+    with pytest.raises(ValueError, match="do not end in"):
+        PaddedLabels(labels, [4, 4]).macro_f1(preds[:1], 3)
     bad = labels.copy()
     bad[1, 2] = 3
     with pytest.raises(ValueError, match="label out of class range"):
-        stacked_macro_f1(preds, bad, [4, 4], 3)
-    assert stacked_macro_f1(preds, bad, [4, 2], 3).shape == (2,)  # the bad entry is padding
+        PaddedLabels(bad, [4, 4]).macro_f1(preds, 3)
+    assert PaddedLabels(bad, [4, 2]).macro_f1(preds, 3).shape == (2,)  # the bad entry is padding
+    with pytest.raises(ValueError, match="prediction out of class range"):
+        PaddedLabels(labels, [4, 4]).macro_f1(bad, 3)
+    assert PaddedLabels(labels, [4, 2]).macro_f1(bad, 3).shape == (2,)
 
 
 # --- macro AUC ------------------------------------------------------------------
@@ -167,6 +180,45 @@ def test_macro_auc_matches_brute_force():
         assert abs(macro_auc(scores, labels, 3) - expected) < 1e-12
 
 
+def walked_ranks(values):
+    """Tie-averaged 1-based ranks by a walk over the sorted values; each NaN, sorted last, stands alone."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, np.inf, np.nan]) | st.floats(), max_size=60))
+def test_average_ranks_equal_the_sorted_walk_bit_for_bit(values):
+    values = np.array(values, dtype=np.float64)
+    assert _average_ranks(values).tobytes() == walked_ranks(values).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_macro_auc_with_heavy_ties_matches_brute_force(data):
+    n = data.draw(st.integers(2, 40))
+    labels = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    # two or three distinct values per class: nearly every score shares its rank
+    levels = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=3, unique=True))
+    row = st.lists(st.sampled_from(levels), min_size=3, max_size=3)
+    scores = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+    try:
+        expected = brute_force_auc(scores, labels, 3)
+    except ValueError:
+        with pytest.raises(ValueError):
+            macro_auc(scores, labels, 3)
+        return
+    assert abs(macro_auc(scores, labels, 3) - expected) < 1e-12
+
+
 def test_macro_auc_invariant_under_monotone_transform():
     rng = np.random.default_rng(2)
     labels = rng.integers(0, 3, size=40)
@@ -199,6 +251,28 @@ def test_confusion_matrix_row_sums_are_true_counts():
     cm = confusion_matrix(preds, labels, 3)
     assert np.array_equal(cm.sum(axis=1), np.bincount(labels, minlength=3))
     assert cm.sum() == 100
+
+
+def test_confusion_matrix_counts_every_pair():
+    rng = np.random.default_rng(7)
+    labels = rng.integers(0, 4, size=(5, 9))  # any shape: every entry is one pair
+    preds = rng.integers(0, 4, size=(5, 9))
+    cm = confusion_matrix(preds, labels, 4)
+    for t in range(4):
+        for p in range(4):
+            assert cm[t, p] == sum(1 for a, b in zip(labels.flat, preds.flat) if (a, b) == (t, p))
+
+
+def test_confusion_matrix_validation():
+    with pytest.raises(ValueError, match="equal-length and non-empty"):
+        confusion_matrix([0, 1], [0], 3)
+    with pytest.raises(ValueError, match="equal-length and non-empty"):
+        confusion_matrix([], [], 3)
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="prediction out of class range"):
+            confusion_matrix([0, bad], [0, 1], 3)
+        with pytest.raises(ValueError, match="label out of class range"):
+            confusion_matrix([0, 1], [0, bad], 3)
 
 
 def test_per_class_prf_zero_division_convention():

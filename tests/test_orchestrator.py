@@ -442,6 +442,33 @@ def test_fedprox_pulls_toward_the_init_then_the_latest_global_model(monkeypatch)
     assert not np.array_equal(global_models[0]["dense1.weight"], init["dense1.weight"])
 
 
+@pytest.mark.parametrize("strategy", ["FEDAVG", "FEDPROX"])
+def test_a_global_strategy_keeps_the_best_global_model(monkeypatch, strategy):
+    cfg = small_cfg(strategy=strategy, num_clients=4, total_epochs=20, local_epochs=5)
+    global_models = []
+    fedavg_fuse = orchestrator.fedavg_fuse
+
+    def recording_fedavg(stacks):
+        out = fedavg_fuse(stacks)
+        global_models.append(clone_params(out))
+        return out
+
+    monkeypatch.setattr(orchestrator, "fedavg_fuse", recording_fedavg)
+    result = run_experiment(cfg)
+
+    spec = MODEL_SPECS[cfg.model_id]
+    dataset = synth(default_profiles(cfg.data_scale)[: cfg.num_clients], cfg.seed)
+    assert len(global_models) == 4
+    for j, outcome in enumerate(result.clients):
+        assert outcome.best_epoch % cfg.local_epochs == 0, j  # only delivered models are snapshot
+        deployed = global_models[outcome.best_epoch // cfg.local_epochs - 1]
+        for k, v in deployed.items():
+            assert result.best_params[j][k].tobytes() == v.tobytes(), (j, k)
+        val_x, val_y = dataset.clients[j].split_xy("val")
+        want = macro_f1(predict_probs(deployed, spec, val_x).argmax(axis=1), val_y, spec.classes)
+        assert outcome.best_val_f1 == want, j
+
+
 @pytest.mark.parametrize("aggregator", [orchestrator.PFA, None])
 def test_a_prox_strategy_without_a_global_model_is_rejected(aggregator):
     with pytest.raises(ValueError, match="only FEDAVG"):
