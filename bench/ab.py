@@ -14,8 +14,9 @@ and alternation cancel most of the drift of a shared host (Kalibera &
 Jones, "Rigorous Benchmarking in Reasonable Time", ISMM 2013).
 It also records whether the two sides wrote byte-identical artifacts.
 The ``e2e`` section times the two perfbench training workloads; the
-``acceptance`` section times one run per strategy (all six) at the
-acceptance setting (mlp32, E=5, T=100, data_scale 0.1, K=4).
+``acceptance`` section times one run per strategy at the acceptance setting
+(mlp32, E=5, T=100, data_scale 0.1, K=4): every name in the change tree's
+``orchestrator.STRATEGIES`` that the base tree also knows.
 
 The ``server`` section times perfbench's ``server_round`` operation through
 each tree's own ``checkpoint`` and ``freq_agg``: per model (mlp32, conv4x8),
@@ -29,10 +30,10 @@ the FEDAVG aggregates' saved bytes, and each tree's saved bytes of the same
 inputs, are compared for identity.
 
 The ``layer`` section times each tree's own library functions the same way:
-``forward`` and ``backward`` for mlp32 and conv4x8 at the training-group
-shape (4 clients x 16 rows, stacked) and the validation shape (1 client x
-19 rows), ``ce_loss``, ``kl_div`` and ``sgd_step`` at the training-group
-shape, one training-group step per model at that shape (``group_step``:
+``forward`` and ``backward`` for mlp32 and conv4x8, ``ce_loss``, ``kl_div``
+and ``sgd_step``, all at the training-group shape ``LAYER_SHAPE`` (4
+clients x 16 rows, stacked), one training-group step per model at that
+shape (``group_step``:
 mlp32 with deputies in the phases ``GROUP_PHASES``, as ``det_mlp`` trains;
 conv4x8 without deputies and with a FedProx pull, as ``fedprox_conv``
 trains), ``stacked_validation_f1`` of a run's cohort buffer on its padded
@@ -85,15 +86,12 @@ SETTINGS = {
     "det_mlp": dict(strategy="PFA_DET", model_id="mlp32", local_epochs=5, total_epochs=100, data_scale=0.1),
     "fedprox_conv": dict(strategy="FEDPROX", model_id="conv4x8", local_epochs=1, total_epochs=100, data_scale=0.05),
 }
-# the acceptance setting, one fedfreq run per strategy
-ACCEPTANCE = {
-    strategy: dict(strategy=strategy, model_id="mlp32", local_epochs=5, total_epochs=100, data_scale=0.1)
-    for strategy in ("PFA_DET", "FEDAVG", "FEDPROX", "LOCAL_ONLY", "PFA_ONLY", "FEDAVG_DET")
-}
+# the acceptance setting, one fedfreq run per strategy that both trees know
+ACCEPTANCE = dict(model_id="mlp32", local_epochs=5, total_epochs=100, data_scale=0.1)
 CLIENTS = 4
 SIDES = ("base", "change")
 ARTIFACTS = ("curves.csv", "results.json", *(f"best_client_{i}.ckpt" for i in range(CLIENTS)))
-LAYER_SHAPES = {"train": (CLIENTS, 16), "val": (1, 19)}  # (clients, rows) of one call
+LAYER_SHAPE = (CLIENTS, 16)  # (clients, rows) of one training-group call
 LAYER_SAMPLE_S = 0.02  # seconds of calls in one layer sample (one side of a pair)
 AUC_ROWS = 60  # a client's test split at data_scale 0.1
 GROUP_PHASES = (0, 1, 2, 2)  # RECOVER, EXCHANGE, SUBLIMATE, SUBLIMATE: every distillation path
@@ -131,20 +129,14 @@ def layer_cases(pkg: str, tmp: Path) -> dict:
     checkpoint = importlib.import_module(f"{pkg}.checkpoint")
     rng = np.random.default_rng(0)
     cases = {}
+    k, n = LAYER_SHAPE
     for model_id, spec in model.MODEL_SPECS.items():
-        maps = [model.init_params(spec, seed) for seed in range(CLIENTS)]
+        stack = model.stack_params([model.init_params(spec, seed) for seed in range(CLIENTS)])
         features = int(np.prod(spec.input_shape))
-        for shape_name, (k, n) in LAYER_SHAPES.items():
-            params = {key: np.stack([m[key] for m in maps[:k]]) for key in maps[0]}
-            x = rng.standard_normal((k, n, features))
-            if k == 1:  # a plain map, as validation passes it
-                params, x = maps[0], x[0]
-            probs, cache = model.forward(params, spec, x)
-            cases[f"forward.{model_id}.{shape_name}"] = partial(model.forward, params, spec, x)
-            cases[f"backward.{model_id}.{shape_name}"] = partial(
-                model.backward, cache, rng.standard_normal(probs.shape)
-            )
-        k, n = LAYER_SHAPES["train"]
+        x = rng.standard_normal((k, n, features))
+        probs, cache = model.forward(stack, spec, x)
+        cases[f"forward.{model_id}"] = partial(model.forward, stack, spec, x)
+        cases[f"backward.{model_id}"] = partial(model.backward, cache, rng.standard_normal(probs.shape))
         x, y = rng.standard_normal((k, n, features)), rng.integers(0, spec.classes, size=(k, n))
         # in place, like sgd_step below: the models drift by 1e-3 of a gradient per call
         cases[f"group_step.{model_id}"] = group_step_case(model, det, spec, x, y, model_id == "mlp32")
@@ -152,9 +144,8 @@ def layer_cases(pkg: str, tmp: Path) -> dict:
         buffer = cohort_buffer(model, spec, models, CLIENTS)
         splits = det.pad_splits([(rng.standard_normal((n, features)), rng.integers(0, spec.classes, n)) for n in rows])
         cases[f"stacked_validation_f1.{model_id}"] = partial(det.stacked_validation_f1, buffer, spec, splits)
-        cases[f"pfa_fuse.{model_id}"] = partial(freq_agg.pfa_fuse, model.stack_params(maps), 0.35)
+        cases[f"pfa_fuse.{model_id}"] = partial(freq_agg.pfa_fuse, stack, 0.35)
 
-    k, n = LAYER_SHAPES["train"]
     probs, teacher = rng.dirichlet(np.ones(3), size=(2, k, n))
     cases["ce_loss"] = partial(model.ce_loss, probs, rng.integers(0, 3, size=(k, n)))
     cases["kl_div"] = partial(model.kl_div, probs, teacher)
@@ -418,7 +409,9 @@ def main(argv=None) -> int:
     clis = {side: load_tree(getattr(args, side).resolve(), f"fedfreq_{side}") for side in SIDES}
     pairs = 2 if args.quick else args.pairs
     runs = {"e2e": {}, "acceptance": {}}
-    for section, settings in (("e2e", SETTINGS), ("acceptance", ACCEPTANCE)):
+    base, change = (importlib.import_module(f"fedfreq_{side}.orchestrator").STRATEGIES for side in SIDES)
+    acceptance = {s: dict(strategy=s, **ACCEPTANCE) for s in change if s in base}
+    for section, settings in (("e2e", SETTINGS), ("acceptance", acceptance)):
         for name, config in settings.items():
             if args.quick:
                 config = {**config, "total_epochs": 2 * config["local_epochs"]}

@@ -7,10 +7,11 @@ checkpoint files), ``eval`` (score a checkpoint on a dataset file) and
 
 Exit codes: 0 success, 2 configuration error, 3 data error (including a
 corrupt checkpoint or one of an unknown format version; a checkpoint, or an
-aggregate of checkpoints, holding a non-finite tensor; ``aggregate`` then
-writes nothing; and an ``eval`` checkpoint whose tensor names or shapes do
-not fit its model id), 4 I/O error, 5 training diverged (a parameter stopped
-being finite; ``run`` writes nothing).
+aggregate of checkpoints, holding a non-finite tensor, or checkpoints to
+aggregate whose model ids differ, on either of which ``aggregate`` writes
+nothing; and an ``eval`` checkpoint whose tensor names or shapes do not fit
+its model id), 4 I/O error, 5 training diverged (a parameter stopped being
+finite; ``run`` writes nothing).
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ def _cmd_aggregate(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--r: {exc}") from exc
     loaded = [load_checkpoint_full(p) for p in args.checkpoints]
+    for path, (_, model_id, _) in zip(args.checkpoints, loaded):
+        if model_id != loaded[0][1]:
+            first = f"{args.checkpoints[0]} holds model {loaded[0][1]!r}"
+            raise DataError(f"checkpoints do not match: {first}, {path} holds {model_id!r}")
     maps = [params for _, _, params in loaded]
     try:
         check_same_structure(maps)

@@ -183,14 +183,12 @@ class Cohort:
         self.best_f1[better] = f1[better]
         self.best_epoch[better] = epoch
 
-    def deliver(self, aggregates: NamedTensorMap, deputy: bool) -> None:
+    def deliver(self, aggregates: NamedTensorMap) -> None:
         """Write a ``(K, ...)`` stack in client order, or one map for every client, into the
-        deputies (phases back to RECOVER) or ``p``."""
-        target = self.d if deputy else self.p
-        for k, v in target.items():
+        deputies if the cohort has them, else into ``p``; phases go back to RECOVER."""
+        for k, v in (self.p if self.d is None else self.d).items():
             v[self.slots] = aggregates[k]
-        if deputy:
-            self.phases[:] = DetPhase.RECOVER
+        self.phases[:] = DetPhase.RECOVER
 
 
 def det_phase_transition(phi_d, phi_p, cfg: DetConfig, current):

@@ -20,16 +20,18 @@ All clients live in one ``det.Cohort`` for the whole run, next to one SGD
 schedule and one prox anchor.  Each epoch trains them together with one
 ``det.train_epoch`` call.  At a communication the server fuses the ``p``
 stack, read in client order (``freq_agg.pfa_fuse`` or ``fedavg_fuse``), and
-writes the result into the deputy or ``p`` stack.  Every client/epoch gives
-one log row (losses, validation scores, phase, communication flag), enough
-to plot the post-communication performance drop and its absence under the
-deputy scheme.  The deployed model is the one with the best validation
-macro F1: the personalized model for deputy strategies, the client's own
-model for LOCAL_ONLY/PFA_ONLY, and the global model for FEDAVG/FEDPROX.
+``Cohort.deliver`` writes the result into the deputies, if any, else ``p``.
+Every client/epoch gives one log row (losses, validation scores, phase,
+communication flag), enough to plot the post-communication performance
+drop and its absence under the deputy scheme.  The deployed model is the
+one with the best validation macro F1: the personalized model for deputy
+strategies, the client's own model for LOCAL_ONLY/PFA_ONLY, and the global
+model for FEDAVG/FEDPROX.
 
 Runs are deterministic for a fixed config: every client draws from RNG
 streams keyed by (experiment seed, profile seed), and each client's numbers
-are exactly those it would get training alone.
+are exactly those it would get training alone; ``tests/reference.py``
+replays the protocol client by client, and every strategy must match it.
 """
 
 from __future__ import annotations
@@ -46,15 +48,8 @@ from .data import ClientData, ClientProfile, DataError, default_profiles, ood_cl
 from .det import Cohort, DetConfig, DetPhase, stacked_validation_f1, train_epoch
 from .freq_agg import FEDAVG, PFA, ScheduleParams, fedavg_fuse, pfa_fuse, schedule_r
 from .metrics import evaluate
-from .model import (
-    MODEL_SPECS,
-    ModelSpec,
-    NamedTensorMap,
-    OptimizerState,
-    forward,  # unused here; perfbench's tracer test checks that it rebinds this name
-    init_params,
-    predict_probs,
-)
+from .model import MODEL_SPECS, NamedTensorMap, OptimizerState, init_params, predict_probs
+from .model import forward  # unused here; perfbench's tracer test checks that it rebinds this name
 
 
 @dataclass(frozen=True)
@@ -298,35 +293,19 @@ def run_experiment(
             phase = DetPhase(log.phase[s]).name if strategy.deputy else "-"
             logged = (float(log.ce_loss[s]), float(log.kl_loss[s]), float(log.phi_d[s]), float(log.phi_p[s]))
             rows.append(RoundRow(epoch, j, phase, *logged, r, comm_event))
-        # a strategy deploying the global model snapshots it at communication
-        # points instead (see _communicate)
-        if not strategy.deploys_global:
+        if not strategy.deploys_global:  # a global model is snapshot after its delivery instead
             cohort.keep_best(log.phi_p, epoch)
         if comm_event:
-            global_params = _communicate(cohort, spec, strategy, r, epoch)
-            if prox is not None:
-                prox = (cfg.prox_mu, global_params)
+            # both aggregators read the p stack in client order: a mean in slot order rounds differently
+            uploads = {k: v[cohort.slots] for k, v in cohort.p.items()}
+            aggregates = pfa_fuse(uploads, r) if strategy.aggregator == PFA else fedavg_fuse(uploads)
+            cohort.deliver(aggregates)
+            if prox is not None:  # a prox row aggregates with FEDAVG, so this is the global model
+                prox = (cfg.prox_mu, aggregates)
+            if strategy.deploys_global:  # the deployed model is the global one, now in every p
+                cohort.keep_best(stacked_validation_f1(cohort.models, spec, cohort.val)[0], epoch)
 
     return _finalize(cfg, rows, cohort, dataset.clients, spec, ood)
-
-
-def _communicate(
-    cohort: Cohort, spec: ModelSpec, strategy: Strategy, r: float, t: int
-) -> NamedTensorMap | None:
-    """Aggregate every ``p`` and deliver; returns the FEDAVG global model (None under PFA).
-
-    Both aggregators read the ``p`` stack in client order: a mean in slot order rounds differently.
-    """
-    uploads = {k: v[cohort.slots] for k, v in cohort.p.items()}
-    global_params = None
-    if strategy.aggregator == PFA:
-        aggregates = pfa_fuse(uploads, r)
-    else:
-        aggregates = global_params = fedavg_fuse(uploads)
-    cohort.deliver(aggregates, strategy.deputy)
-    if strategy.deploys_global:  # the deployed model is the global one, now in every p
-        cohort.keep_best(stacked_validation_f1(cohort.models, spec, cohort.val)[0], t)
-    return global_params
 
 
 def _finalize(cfg, rows, cohort: Cohort, clients: list[ClientData], spec, ood: ClientData) -> ExperimentResult:

@@ -267,6 +267,22 @@ def test_aggregate_mismatched_checkpoints_is_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_aggregate_of_checkpoints_with_different_model_ids_is_a_data_error(tmp_path, capsys):
+    # the same tensors under two model ids: the structures match, the models do not
+    params = init_params(MODEL_SPECS["mlp32"], 0)
+    inputs = []
+    for model_id in ("mlp32", "conv4x8"):
+        path = tmp_path / f"{model_id}.ckpt"
+        save_checkpoint(params, path, model_id=model_id)
+        inputs.append(str(path))
+    out = tmp_path / "agg"
+    assert main(["aggregate", *inputs, "--strategy", FEDAVG, "--out-dir", str(out)]) == 3
+    _single_error_line(
+        capsys, f"data error: checkpoints do not match: {inputs[0]} holds model 'mlp32', {inputs[1]} holds 'conv4x8'"
+    )
+    assert not out.exists()
+
+
 def test_aggregate_threshold_out_of_range_is_a_config_error(tmp_path, capsys):
     inputs = []
     for seed in (0, 1):

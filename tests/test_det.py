@@ -668,7 +668,7 @@ def test_cohort_models_stay_views_of_one_buffer(with_deputy):
     log = train_epoch(cohort, SPEC, [train[j] for j in cohort.clients], CFG, OptimizerState(base_lr=0.05))
     assert_views()
     aggregates = {k: rng.standard_normal(v.shape) for k, v in cohort.p.items()}
-    cohort.deliver(aggregates, deputy=with_deputy)
+    cohort.deliver(aggregates)
     assert_views()
     target = cohort.d if with_deputy else cohort.p
     for k, v in target.items():

@@ -25,9 +25,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from fedfreq import cli
+from fedfreq import cli, orchestrator
 
-STRATEGIES = ("PFA_DET", "FEDAVG", "FEDPROX", "LOCAL_ONLY", "PFA_ONLY", "FEDAVG_DET")
+STRATEGIES = tuple(orchestrator.STRATEGIES)
 # (strategy, model_id, local_epochs, total_epochs); the conv runs cover the
 # conv layers' training path, which the mlp32 runs never reach
 RUNS = (
