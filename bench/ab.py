@@ -30,10 +30,10 @@ the FEDAVG aggregates' saved bytes, and each tree's saved bytes of the same
 inputs, are compared for identity.
 
 The ``layer`` section times each tree's own library functions the same way:
-``forward`` and ``backward`` for mlp32 and conv4x8, ``ce_loss``, ``kl_div``
-and ``sgd_step``, all at the training-group shape ``LAYER_SHAPE`` (4
-clients x 16 rows, stacked), one training-group step per model at that
-shape (``group_step``:
+``forward`` and ``descend`` (the backward walk that applies SGD, in place)
+for mlp32 and conv4x8, ``ce_loss`` and ``kl_div``, all at the
+training-group shape ``LAYER_SHAPE`` (4 clients x 16 rows, stacked), one
+training-group step per model at that shape (``group_step``:
 mlp32 with deputies in the phases ``GROUP_PHASES``, as ``det_mlp`` trains;
 conv4x8 without deputies and with a FedProx pull, as ``fedprox_conv``
 trains), ``stacked_validation_f1`` of a run's cohort buffer on its padded
@@ -134,11 +134,12 @@ def layer_cases(pkg: str, tmp: Path) -> dict:
         stack = model.stack_params([model.init_params(spec, seed) for seed in range(CLIENTS)])
         features = int(np.prod(spec.input_shape))
         x = rng.standard_normal((k, n, features))
-        probs, cache = model.forward(stack, spec, x)
         cases[f"forward.{model_id}"] = partial(model.forward, stack, spec, x)
-        cases[f"backward.{model_id}"] = partial(model.backward, cache, rng.standard_normal(probs.shape))
+        probs, cache = model.forward(model.clone_params(stack), spec, x)
+        # in place: the models drift by 1e-3 of a gradient per call
+        cases[f"descend.{model_id}"] = partial(model.descend, cache, rng.standard_normal(probs.shape), 1e-3)
         x, y = rng.standard_normal((k, n, features)), rng.integers(0, spec.classes, size=(k, n))
-        # in place, like sgd_step below: the models drift by 1e-3 of a gradient per call
+        # in place, like descend above
         cases[f"group_step.{model_id}"] = group_step_case(model, det, spec, x, y, model_id == "mlp32")
         models, rows = VALIDATION[model_id]
         buffer = cohort_buffer(model, spec, models, CLIENTS)
@@ -149,16 +150,12 @@ def layer_cases(pkg: str, tmp: Path) -> dict:
     probs, teacher = rng.dirichlet(np.ones(3), size=(2, k, n))
     cases["ce_loss"] = partial(model.ce_loss, probs, rng.integers(0, 3, size=(k, n)))
     cases["kl_div"] = partial(model.kl_div, probs, teacher)
-    mlp = [model.init_params(model.MODEL_SPECS["mlp32"], seed) for seed in range(k)]
-    stacked = {key: np.stack([m[key] for m in mlp]) for key in mlp[0]}
-    grads = {key: rng.standard_normal(v.shape) for key, v in stacked.items()}
-    # in place: the parameters drift by 1e-3 of a gradient per call
-    cases["sgd_step"] = partial(model.sgd_step, stacked, grads, model.OptimizerState(base_lr=1e-3))
+    mlp32 = model.init_params(model.MODEL_SPECS["mlp32"], 0)
     metrics = importlib.import_module(f"{pkg}.metrics")
     scores = rng.dirichlet(np.ones(3), size=AUC_ROWS)
     cases["macro_auc"] = partial(metrics.macro_auc, scores, rng.integers(0, 3, size=AUC_ROWS), 3)
     path = tmp / f"{pkg}.ckpt"
-    cases["save_checkpoint"] = partial(checkpoint.save_checkpoint, mlp[0], path, model_id="mlp32")
+    cases["save_checkpoint"] = partial(checkpoint.save_checkpoint, mlp32, path, model_id="mlp32")
     cases["save_checkpoint"]()
     cases["load_checkpoint_full"] = partial(checkpoint.load_checkpoint_full, path)
     return cases

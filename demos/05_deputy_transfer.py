@@ -24,12 +24,9 @@ inputs = centers[labels] + 1.1 * rng.standard_normal((400, 6))
 train_x, train_y, val_x, val_y = inputs[:300], labels[:300], inputs[300:], labels[300:]
 
 
-def batches():
+def shuffled():
     order = rng.permutation(len(train_y))
-    return [
-        (train_x[order[i : i + 16]], train_y[order[i : i + 16]])
-        for i in range(0, len(train_y), 16)
-    ]
+    return train_x[order], train_y[order]
 
 
 init = init_params(spec, 3)
@@ -38,7 +35,7 @@ opt = OptimizerState(base_lr=0.01)  # one schedule for both models
 
 print("Warm up the personalized model for 8 epochs:")
 for _ in range(8):
-    log = local_epoch(state, spec, batches(), (val_x, val_y), cfg, opt)
+    log = local_epoch(state, spec, shuffled(), 16, (val_x, val_y), cfg, opt)
 print(f"  phi(p) = {log.phi_p:.3f}, phase = {log.phase.name}")
 
 print("\nDeliver a damaged aggregate (heavy noise) as the new deputy:")
@@ -52,7 +49,7 @@ print("\nEach row: scores after that epoch and the phase the NEXT epoch will")
 print("use (gates at 0.7 and 0.9 of phi(p), never moving backward):")
 print(f"  {'epoch':>5} {'phi(d)':>7} {'phi(p)':>7} {'next phase':>11}")
 for epoch in range(8):
-    log = local_epoch(state, spec, batches(), (val_x, val_y), cfg, opt)
+    log = local_epoch(state, spec, shuffled(), 16, (val_x, val_y), cfg, opt)
     print(f"  {epoch + 1:>5} {log.phi_d:>7.3f} {log.phi_p:>7.3f} {log.phase.name:>11}")
 
 print("\nThe upload is always the personalized model, never the deputy:")

@@ -5,13 +5,14 @@ experiment from a config file), ``aggregate`` (offline aggregation over
 checkpoint files), ``eval`` (score a checkpoint on a dataset file) and
 ``report`` (summarize a curves.csv log).
 
-Exit codes: 0 success, 2 configuration error, 3 data error (including a
-corrupt checkpoint or one of an unknown format version; a checkpoint, or an
-aggregate of checkpoints, holding a non-finite tensor, or checkpoints to
+Exit codes: 0 success, 2 configuration error (including a ``synth-data``
+``--seed`` below 0 or ``--scale`` outside (0, 1]), 3 data error (including
+a corrupt checkpoint or one of an unknown format version; a checkpoint, or
+an aggregate of checkpoints, holding a non-finite tensor, or checkpoints to
 aggregate whose model ids differ, on either of which ``aggregate`` writes
-nothing; and an ``eval`` checkpoint whose tensor names or shapes do not fit
-its model id), 4 I/O error, 5 training diverged (a parameter stopped being
-finite; ``run`` writes nothing).
+nothing; and an ``eval`` checkpoint of an unknown model id, or whose
+tensor names or shapes do not fit it), 4 I/O error, 5 training diverged (a
+parameter stopped being finite; ``run`` writes nothing).
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ EXIT_DIVERGED = 5
 
 
 def _cmd_synth_data(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if not 0.0 < args.scale <= 1.0:
+        raise ConfigError(f"--scale must lie in (0, 1], got {args.scale}")
     profiles = default_profiles(args.scale)
     dataset = synth(profiles, args.seed)
     out = Path(args.out_dir)
@@ -135,7 +140,7 @@ def _cmd_eval(args) -> int:
     _, model_id, params = load_checkpoint_full(args.checkpoint)
     _check_finite(params, args.checkpoint)
     if model_id not in MODEL_SPECS:
-        raise ConfigError(f"checkpoint has unknown model id {model_id!r}")
+        raise DataError(f"{args.checkpoint}: unknown model id {model_id!r}")
     spec = MODEL_SPECS[model_id]
     try:
         check_same_structure([init_params(spec, 0), params])

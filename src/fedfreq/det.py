@@ -24,12 +24,12 @@ Clients without a deputy run the baselines: aggregates replace ``p``, which
 trains on cross entropy alone (plus an optional FedProx pull); the phase
 stays RECOVER and ``phi(d)`` logs as NaN.
 
-A run's clients live in one :class:`Cohort`.  Each parameter is one
-``(M, K, ...)`` buffer: M = 2 models per client with deputies, M = 1
-without, and the clients in *slot* order, sorted once by batch count
-(descending, stable).  ``Cohort.p`` and ``Cohort.d`` are views of the
-buffer's two contiguous halves, so aggregation, delivery and the best-model
-snapshots see plain ``(K, ...)`` stacks.  :func:`train_epoch` trains the
+A run's clients live in one :class:`Cohort`, which takes and returns
+everything by client.  Inside, each parameter is one ``(M, K, ...)``
+buffer: M = 2 models per client with deputies, M = 1 without, and the
+clients in *slot* order, sorted once by training rows (descending,
+stable), an order only this module knows.  :func:`train_epoch` takes each
+client's whole training split, in the order to batch it, and trains the
 buffer in place: at each batch index the slots with a batch left train in
 groups of neighbouring slots whose batches have the same row count, one
 :func:`group_step` per group.  A group step makes one forward pass and one
@@ -48,11 +48,11 @@ Validation is the exception: one forward pass over the buffer scores every
 splits, zero-padded once per run to the longest (:func:`pad_splits`), whose
 label checks and confusion-matrix bins (:class:`metrics.PaddedLabels`) are
 built once too.  Every validation pass of a run is this call on the
-buffer, the score of a delivered global model included.  Padding may
-change the last bits of a probability, but only each scored row's argmax
-is used and padded rows are never scored, so a score can differ from
-scoring the model alone only where two class probabilities lie within
-rounding of each other.  The property tests check that the two agree.
+buffer (:meth:`Cohort.validation_f1`), the score of a delivered global
+model included.  Padding may change the last bits of a probability, but
+only each scored row's argmax is used and padded rows are never scored, so
+a score can differ from scoring the model alone only where two class
+probabilities lie within rounding of each other.  The property tests check that the two agree.
 
 One client outside a run is a :class:`ClientState`; :func:`local_epoch`
 trains it as a cohort of one.
@@ -62,7 +62,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable
 
 import numpy as np
 
@@ -127,17 +126,17 @@ class EpochLog:
 
 
 class Cohort:
-    """K clients' models and run state as stacks in slot order (see the module docstring).
+    """K clients' models and run state, taken and returned by client (see the module docstring).
 
     Holds copies of client j's ``p[j]`` and deputy ``d[j]`` (every client
-    has one or none does) in the ``(M, K, ...)`` buffers ``models``, with
-    ``p`` and ``d`` as views of their halves.  It also holds the client's
-    validation split ``vals[j]`` and, in a run, its training split
-    ``train[j]`` and shuffle stream ``rngs[j]``.  The
-    clients' ``batch_counts`` fix the order: slot s holds client
-    ``clients[s]``, and client j sits in slot ``slots[j]``.  Phases start at
-    RECOVER; ``best`` stacks each slot's best model so far, its validation
-    F1 in ``best_f1`` (-1.0 before the first snapshot), its epoch in ``best_epoch``.
+    has one or none does) and its validation split ``vals[j]``.  Inside,
+    the models are the ``(M, K, ...)`` buffers ``models``, with ``p`` and
+    ``d`` as views of their halves, and the validation splits are padded,
+    all in slot order: the clients' training ``rows`` fix it, slot s holds
+    client ``clients[s]``, and client j sits in slot ``slots[j]``.  By
+    client: ``phases`` (RECOVER at first), ``best``, each client's best
+    ``p`` so far, its validation F1 in ``best_f1`` (-1.0 before the first
+    snapshot) and its epoch in ``best_epoch``.
     """
 
     def __init__(
@@ -145,41 +144,33 @@ class Cohort:
         p: list[NamedTensorMap],
         d: list[NamedTensorMap] | None,
         vals: list[tuple[np.ndarray, np.ndarray]],
-        batch_counts: list[int],
-        train: list[tuple[np.ndarray, np.ndarray]] = (),
-        rngs: list[np.random.Generator] = (),
+        rows: list[int],
     ) -> None:
-        self.clients = np.array(sorted(range(len(p)), key=lambda j: -batch_counts[j]))  # stable
+        self.clients = np.array(sorted(range(len(p)), key=lambda j: -rows[j]))  # stable
         self.slots = np.argsort(self.clients)
-
-        def in_slots(items):
-            return [items[j] for j in self.clients] if items else []
-
-        maps = in_slots(p) + ([] if d is None else in_slots(d))
+        maps = [p[j] for j in self.clients] + ([] if d is None else [d[j] for j in self.clients])
         self.models = {k: v.reshape(-1, len(p), *v.shape[1:]) for k, v in stack_params(maps).items()}
         self.p = {k: v[0] for k, v in self.models.items()}
         self.d = None if d is None else {k: v[1] for k, v in self.models.items()}
         self.phases = np.full(len(p), DetPhase.RECOVER)
-        self.val = pad_splits(in_slots(vals))
-        self.train, self.rngs = in_slots(train), in_slots(rngs)
-        self.best = clone_params(self.p)
+        self.val = pad_splits([vals[j] for j in self.clients])
+        self.best = self.uploads()
         self.best_f1 = np.full(len(p), -1.0)
         self.best_epoch = np.zeros(len(p), dtype=np.int64)
 
-    def shuffled_batches(self, batch_size: int) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-        """One epoch's ``(inputs, labels)`` batches per slot, each split in a fresh order from its stream."""
-        batches = []
-        for (x, y), rng in zip(self.train, self.rngs):
-            perm = rng.permutation(len(y))
-            x, y = x[perm], y[perm]
-            batches.append([(x[i : i + batch_size], y[i : i + batch_size]) for i in range(0, len(y), batch_size)])
-        return batches
+    def uploads(self) -> NamedTensorMap:
+        """A copy of the ``p`` stack in client order."""
+        return {k: v[self.slots] for k, v in self.p.items()}
+
+    def validation_f1(self, spec: ModelSpec) -> np.ndarray:
+        """``(M, K)`` macro F1 of every ``p`` (row 0) and deputy (row 1) on its client's split, by client."""
+        return stacked_validation_f1(self.models, spec, self.val)[:, self.slots]
 
     def keep_best(self, f1: np.ndarray, epoch: int) -> None:
-        """Snapshot ``p`` in slot s wherever ``f1[s]`` beats the slot's best."""
+        """Snapshot client j's ``p`` wherever ``f1[j]`` beats its best; copies only those rows."""
         better = f1 > self.best_f1
         for k, v in self.best.items():
-            v[better] = self.p[k][better]
+            v[better] = self.p[k][self.slots[better]]
         self.best_f1[better] = f1[better]
         self.best_epoch[better] = epoch
 
@@ -224,18 +215,18 @@ def upload_model(state: ClientState) -> NamedTensorMap:
 def local_epoch(
     state: ClientState,
     spec: ModelSpec,
-    train: Iterable[tuple[np.ndarray, np.ndarray]],
+    train: tuple[np.ndarray, np.ndarray],
+    batch_size: int,
     val: tuple[np.ndarray, np.ndarray],
     cfg: DetConfig,
     opt: OptimizerState,
     prox: tuple[float, NamedTensorMap] | None = None,
 ) -> EpochLog:
     """One client's epoch: :func:`train_epoch` over a cohort of one; updates ``state``."""
-    train = list(train)
     deputy = None if state.deputy is None else [state.deputy]
-    cohort = Cohort([state.personalized], deputy, [val], [len(train)])
+    cohort = Cohort([state.personalized], deputy, [val], [len(train[1])])
     cohort.phases[0] = state.phase
-    log = train_epoch(cohort, spec, [train], cfg, opt, prox)
+    log = train_epoch(cohort, spec, [train], batch_size, cfg, opt, prox)
     state.personalized = {k: v[0] for k, v in cohort.p.items()}
     if cohort.d is not None:
         state.deputy = {k: v[0] for k, v in cohort.d.items()}
@@ -247,50 +238,51 @@ def local_epoch(
 def train_epoch(
     cohort: Cohort,
     spec: ModelSpec,
-    train: list[list[tuple[np.ndarray, np.ndarray]]],
+    train: list[tuple[np.ndarray, np.ndarray]],
+    batch_size: int,
     cfg: DetConfig,
     opt: OptimizerState,
     prox: tuple[float, NamedTensorMap] | None = None,
 ) -> EpochLog:
-    """One local epoch for every slot of ``cohort`` at once, then re-evaluate each.
+    """One local epoch for every client of ``cohort`` at once, then re-evaluate each.
 
-    ``train[s]`` is slot s's list of ``(inputs, labels)`` batches.  Every
-    step uses ``opt``'s learning rate; ``opt.epoch`` advances by one at the
-    end.  ``prox = (mu, anchor)`` pulls every ``p`` toward the one anchor
-    map.  Each slot's phase decides its distillation (see the module
-    docstring).  After the pass every parameter must be finite, else
+    ``train[j]`` is client j's training split ``(inputs, labels)`` in the
+    order to batch it: batch i is ``batch_size`` rows from ``i * batch_size``.
+    Every step uses ``opt``'s learning rate; ``opt.epoch`` advances by one
+    at the end.  ``prox = (mu, anchor)`` pulls every ``p`` toward the one
+    anchor map.  Each client's phase decides its distillation (see the
+    module docstring).  After the pass every parameter must be finite, else
     :class:`DivergenceError` names the client, epoch and tensor; then every
     model is scored on its client's validation split and the transition
-    rule updates ``cohort.phases``.  Returns an :class:`EpochLog` of
-    per-slot arrays.  Every batch is checked before any training: an empty
-    batch list, an empty batch or a batch whose inputs and labels differ in
-    row count raises ValueError naming the client (and the batch index).
+    rule updates ``cohort.phases``.  Returns an :class:`EpochLog` of arrays
+    by client.  Before any training, an empty split, or one whose inputs
+    and labels differ in row count, raises ValueError naming the client.
     """
     clients, p, d, models = cohort.clients, cohort.p, cohort.d, cohort.models
     if len(train) != len(clients):
-        raise ValueError(f"need one batch list per slot ({len(clients)}), got {len(train)}")
-    for j, batches in zip(clients, train):
-        if not batches:
-            raise ValueError(f"client {j}'s training set is empty")
-        for i, (x, y) in enumerate(batches):
-            if len(y) == 0:
-                raise ValueError(f"client {j}'s batch {i} is empty")
-            if len(x) != len(y):
-                raise ValueError(f"client {j}'s batch {i} has {len(x)} inputs but {len(y)} labels")
-    counts = np.array([len(batches) for batches in train])
+        raise ValueError(f"need one training split per client ({len(clients)}), got {len(train)}")
+    for j, (x, y) in enumerate(train):
+        if len(y) == 0:
+            raise ValueError(f"client {j}'s training split is empty")
+        if len(x) != len(y):
+            raise ValueError(f"client {j}'s training split has {len(x)} inputs but {len(y)} labels")
+    train = [train[j] for j in clients]  # slot order
+    rows = [len(y) for _, y in train]
+    counts = -(-np.array(rows) // batch_size)
 
     # RECOVER: d learns from p; EXCHANGE: each from the other; SUBLIMATE: p from d
-    deputy_distils = (cohort.phases < DetPhase.SUBLIMATE).tolist()
-    personal_distils = ((cohort.phases > DetPhase.RECOVER) & (d is not None)).tolist()
+    phases = cohort.phases[clients]
+    deputy_distils = (phases < DetPhase.SUBLIMATE).tolist()
+    personal_distils = ((phases > DetPhase.RECOVER) & (d is not None)).tolist()
     ce_sum, kl_sum = np.zeros(len(clients)), np.zeros(len(clients))
     lr = opt.lr
     # an overflow shows up as a non-finite parameter, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(counts.max()):
-            sizes = [len(batches[i][1]) if len(batches) > i else 0 for batches in train]
+        for i in range(0, max(rows), batch_size):
+            sizes = [min(max(n - i, 0), batch_size) for n in rows]
             for a, b in _groups(sizes):
-                x = np.array([batches[i][0] for batches in train[a:b]])  # np.array: np.stack costs more
-                y = np.array([batches[i][1] for batches in train[a:b]])
+                x = np.array([inputs[i : i + batch_size] for inputs, _ in train[a:b]])  # np.stack costs more
+                y = np.array([labels[i : i + batch_size] for _, labels in train[a:b]])
                 group = {k: v[:, a:b] for k, v in models.items()}
                 ce, kl = group_step(group, spec, x, y, deputy_distils[a:b], personal_distils[a:b], lr, prox)
                 ce_sum[a:b] += ce
@@ -308,13 +300,14 @@ def train_epoch(
                         f"{name} tensor {key!r} is not finite"
                     )
 
-    phi = stacked_validation_f1(models, spec, cohort.val)  # (M, K): p, then the deputies
+    phi = cohort.validation_f1(spec)  # (M, K): p, then the deputies
     phi_p, phi_d = phi[0], np.full(len(clients), np.nan)
     if d is not None:
         phi_d = phi[1]
         cohort.phases = det_phase_transition(phi_d, phi_p, cfg, cohort.phases)
     opt.epoch += 1
-    return EpochLog(ce_sum / counts, kl_sum / counts, phi_d, phi_p, cohort.phases.copy())
+    slots = cohort.slots
+    return EpochLog((ce_sum / counts)[slots], (kl_sum / counts)[slots], phi_d, phi_p, cohort.phases.copy())
 
 
 def _groups(sizes: list[int]):

@@ -16,11 +16,11 @@ and pushes the result back down.  Each strategy name is a row of
   toward one anchor shared by all clients: the common init until the first
   communication, then the last global model (``FEDPROX``, a FEDAVG row).
 
-All clients live in one ``det.Cohort`` for the whole run, next to one SGD
-schedule and one prox anchor.  Each epoch trains them together with one
-``det.train_epoch`` call.  At a communication the server fuses the ``p``
-stack, read in client order (``freq_agg.pfa_fuse`` or ``fedavg_fuse``), and
-``Cohort.deliver`` writes the result into the deputies, if any, else ``p``.
+All clients live in one ``det.Cohort``, addressed by client, next to one
+SGD schedule and one prox anchor.  Each epoch every client shuffles its
+training split from its own stream and one ``det.train_epoch`` call trains
+them all.  A communication fuses ``Cohort.uploads()`` with the aggregator,
+and ``Cohort.deliver`` puts the result in the deputies, if any, else in ``p``.
 Every client/epoch gives one log row (losses, validation scores, phase,
 communication flag), enough to plot the post-communication performance
 drop and its absence under the deputy scheme.  The deployed model is the
@@ -45,7 +45,7 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .data import ClientData, ClientProfile, DataError, default_profiles, ood_client, synth
-from .det import Cohort, DetConfig, DetPhase, stacked_validation_f1, train_epoch
+from .det import Cohort, DetConfig, DetPhase, train_epoch
 from .freq_agg import FEDAVG, PFA, ScheduleParams, fedavg_fuse, pfa_fuse, schedule_r
 from .metrics import evaluate
 from .model import MODEL_SPECS, NamedTensorMap, OptimizerState, init_params, predict_probs
@@ -276,34 +276,35 @@ def run_experiment(
         [common_init] * cfg.num_clients,
         [common_init] * cfg.num_clients if strategy.deputy else None,
         [cdata.split_xy("val") for cdata in dataset.clients],
-        [-(-len(y) // cfg.batch_size) for _, y in train],
-        train=train,
-        rngs=[np.random.default_rng([cfg.seed, profile.seed, _SHUFFLE_STREAM]) for profile in profiles],
+        [len(y) for _, y in train],
     )
+    rngs = [np.random.default_rng([cfg.seed, profile.seed, _SHUFFLE_STREAM]) for profile in profiles]
     opt = OptimizerState(cfg.base_lr, halving_period=cfg.lr_halving_period)
     # one anchor for every client: the common init, then each round's global model
     prox = (cfg.prox_mu, common_init) if strategy.prox and cfg.prox_mu > 0.0 else None
 
     rows: list[RoundRow] = []
     for epoch in range(1, cfg.total_epochs + 1):
-        log = train_epoch(cohort, spec, cohort.shuffled_batches(cfg.batch_size), det_cfg, opt, prox)
+        orders = [rng.permutation(len(y)) for (_, y), rng in zip(train, rngs)]
+        shuffled = [(x[order], y[order]) for (x, y), order in zip(train, orders)]
+        log = train_epoch(cohort, spec, shuffled, cfg.batch_size, det_cfg, opt, prox)
         r = schedule_r(epoch, schedule)
         comm_event = int(strategy.aggregator is not None and epoch % cfg.local_epochs == 0)
-        for j, s in enumerate(cohort.slots):  # curves.csv rows, in client order
-            phase = DetPhase(log.phase[s]).name if strategy.deputy else "-"
-            logged = (float(log.ce_loss[s]), float(log.kl_loss[s]), float(log.phi_d[s]), float(log.phi_p[s]))
+        for j in range(cfg.num_clients):  # curves.csv rows
+            phase = DetPhase(log.phase[j]).name if strategy.deputy else "-"
+            logged = (float(log.ce_loss[j]), float(log.kl_loss[j]), float(log.phi_d[j]), float(log.phi_p[j]))
             rows.append(RoundRow(epoch, j, phase, *logged, r, comm_event))
         if not strategy.deploys_global:  # a global model is snapshot after its delivery instead
             cohort.keep_best(log.phi_p, epoch)
         if comm_event:
-            # both aggregators read the p stack in client order: a mean in slot order rounds differently
-            uploads = {k: v[cohort.slots] for k, v in cohort.p.items()}
+            # both aggregators read the p stack in client order: a mean in another order rounds differently
+            uploads = cohort.uploads()
             aggregates = pfa_fuse(uploads, r) if strategy.aggregator == PFA else fedavg_fuse(uploads)
             cohort.deliver(aggregates)
             if prox is not None:  # a prox row aggregates with FEDAVG, so this is the global model
                 prox = (cfg.prox_mu, aggregates)
             if strategy.deploys_global:  # the deployed model is the global one, now in every p
-                cohort.keep_best(stacked_validation_f1(cohort.models, spec, cohort.val)[0], epoch)
+                cohort.keep_best(cohort.validation_f1(spec)[0], epoch)
 
     return _finalize(cfg, rows, cohort, dataset.clients, spec, ood)
 
@@ -312,16 +313,16 @@ def _finalize(cfg, rows, cohort: Cohort, clients: list[ClientData], spec, ood: C
     ood_x, ood_y = ood.split_xy("test")
     outcomes = []
     best_params: dict[int, NamedTensorMap] = {}
-    for j, (cdata, s) in enumerate(zip(clients, cohort.slots)):
-        params = best_params[j] = {k: v[s] for k, v in cohort.best.items()}
+    for j, cdata in enumerate(clients):
+        params = best_params[j] = {k: v[j] for k, v in cohort.best.items()}
         test_x, test_y = cdata.split_xy("test")
         own = evaluate(predict_probs(params, spec, test_x), test_y, spec.classes)
         far = evaluate(predict_probs(params, spec, ood_x), ood_y, spec.classes)
         outcomes.append(
             ClientOutcome(
                 client=j,
-                best_epoch=int(cohort.best_epoch[s]),
-                best_val_f1=float(cohort.best_f1[s]),
+                best_epoch=int(cohort.best_epoch[j]),
+                best_val_f1=float(cohort.best_f1[j]),
                 test_f1=own.macro_f1,
                 test_auc=own.macro_auc,
                 ood_f1=far.macro_f1,

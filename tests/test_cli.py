@@ -25,6 +25,26 @@ def test_synth_data_writes_client_files(tmp_path, capsys):
     assert len(ood.test_idx) == len(ood.labels)
 
 
+@pytest.mark.parametrize(
+    "option, value, code, message",
+    [
+        # once a raw numpy ValueError, exit 1
+        ("--seed", "-1", 2, "config error: --seed must be >= 0, got -1"),
+        # these two once exited 3, where the same data_scale in a run config exits 2
+        ("--scale", "2", 2, "config error: --scale must lie in (0, 1], got 2.0"),
+        ("--scale", "0", 2, "config error: --scale must lie in (0, 1], got 0.0"),
+        # a valid scale that leaves a client too few samples is a data error, as in a run
+        ("--scale", "0.01", 3, "data error: scale 0.01 gives client"),
+    ],
+    ids=["negative_seed", "scale_above_1", "zero_scale", "scale_too_small"],
+)
+def test_synth_data_with_a_bad_option_writes_nothing(tmp_path, capsys, option, value, code, message):
+    out = tmp_path / "data"
+    assert main(["synth-data", option, value, "--out-dir", str(out)]) == code
+    _single_error_line(capsys, message)
+    assert not out.exists()
+
+
 def test_run_from_config_file(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(
@@ -401,6 +421,18 @@ def test_eval_of_a_checkpoint_that_does_not_fit_its_model_is_a_data_error(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"data error: {ckpt}: tensors do not fit model 'mlp32': {problem}\n"
+
+
+def test_eval_of_a_checkpoint_with_an_unknown_model_id_is_a_data_error(tmp_path, capsys):
+    # it once printed "config error" and exited 2, though no config is involved
+    main(["synth-data", "--scale", "0.1", "--seed", "0", "--out-dir", str(tmp_path)])
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(MODEL_SPECS["mlp32"], 0), ckpt, model_id="resnet")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "client_0.fsd")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"data error: {ckpt}: unknown model id 'resnet'\n"
 
 
 def _as_version_2(path):

@@ -60,20 +60,20 @@ def batches_of(x, y, size=8):
     return [(x[i : i + size], y[i : i + size]) for i in range(0, len(y), size)]
 
 
-def cohort_epoch(states, spec, train, vals, opt, prox=None):
-    """One :func:`train_epoch` over a cohort of ``states``; writes each client's models and
-    phase back to its state and returns its log, both by client index."""
+def cohort_epoch(states, spec, train, batch_size, vals, opt, prox=None):
+    """One :func:`train_epoch` over a cohort of ``states`` on the splits ``train``; writes each
+    client's models (read from the buffer's slots) and phase back to its state and returns its log."""
     deputies = None if states[0].deputy is None else [s.deputy for s in states]
-    cohort = Cohort([s.personalized for s in states], deputies, vals, [len(t) for t in train])
-    cohort.phases[cohort.slots] = [s.phase for s in states]
-    log = train_epoch(cohort, spec, [train[j] for j in cohort.clients], CFG, opt, prox)
+    cohort = Cohort([s.personalized for s in states], deputies, vals, [len(y) for _, y in train])
+    cohort.phases[:] = [s.phase for s in states]
+    log = train_epoch(cohort, spec, train, batch_size, CFG, opt, prox)
     logs = []
-    for state, s in zip(states, cohort.slots):
+    for j, (state, s) in enumerate(zip(states, cohort.slots)):
         state.personalized = {k: v[s] for k, v in cohort.p.items()}
         if deputies is not None:
             state.deputy = {k: v[s] for k, v in cohort.d.items()}
-        state.phase = DetPhase(cohort.phases[s])
-        scores = (log.ce_loss[s], log.kl_loss[s], log.phi_d[s], log.phi_p[s])
+        state.phase = DetPhase(cohort.phases[j])
+        scores = (log.ce_loss[j], log.kl_loss[j], log.phi_d[j], log.phi_p[j])
         logs.append(EpochLog(*map(float, scores), state.phase))
     return logs
 
@@ -211,15 +211,9 @@ def test_kl_is_zero_when_deputy_equals_p():
     state.phase = DetPhase.EXCHANGE
     rng = np.random.default_rng(0)
     x, y = make_data(rng)
-    log = local_epoch(state, SPEC, batches_of(x, y), (x, y), CFG, OptimizerState(base_lr=0.0))
+    log = local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, OptimizerState(base_lr=0.0))
     assert log.kl_loss == 0.0
     assert log.ce_loss > 0.0
-
-
-def test_local_epoch_empty_stream_raises():
-    state = make_state()
-    with pytest.raises(ValueError):
-        local_epoch(state, SPEC, [], make_data(np.random.default_rng(0), n=10), CFG, OptimizerState())
 
 
 def test_local_epoch_zero_lr_freezes_p():
@@ -229,7 +223,7 @@ def test_local_epoch_zero_lr_freezes_p():
     x, y = make_data(rng)
     before = clone_params(state.personalized)
     for _ in range(3):  # covers RECOVER plus post-transition phases
-        local_epoch(state, SPEC, batches_of(x, y), (x, y), CFG, opt)
+        local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, opt)
     for k in before:
         assert np.array_equal(state.personalized[k], before[k])
 
@@ -239,7 +233,7 @@ def test_local_epoch_trains_and_logs():
     opt = OptimizerState()
     rng = np.random.default_rng(2)
     x, y = make_data(rng, n=48)
-    log = local_epoch(state, SPEC, batches_of(x, y), (x, y), CFG, opt)
+    log = local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, opt)
     assert log.ce_loss > 0.0
     assert 0.0 <= log.phi_d <= 1.0
     assert 0.0 <= log.phi_p <= 1.0
@@ -251,7 +245,7 @@ def test_recover_epoch_logs_no_kl_for_p():
     state = make_state()
     rng = np.random.default_rng(3)
     x, y = make_data(rng)
-    log = local_epoch(state, SPEC, batches_of(x, y), (x, y), CFG, OptimizerState())
+    log = local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, OptimizerState())
     # the first epoch runs entirely in RECOVER: p sees cross entropy only
     assert log.kl_loss == 0.0
 
@@ -263,7 +257,7 @@ def test_phase_monotone_within_window_and_resets_on_receive():
     x, y = make_data(rng, n=64)
     phases = []
     for _ in range(4):
-        log = local_epoch(state, SPEC, batches_of(x, y), (x, y), CFG, opt)
+        log = local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, opt)
         phases.append(log.phase)
     assert all(b >= a for a, b in zip(phases, phases[1:]))
     receive_deputy(state, init_params(SPEC, 5))
@@ -285,7 +279,7 @@ def test_sublimate_trains_deputy_with_ce_only():
         _, dlogits = ce_loss(probs, by)
         expected = sgd_step(expected, backward(cache, dlogits), expected_opt)
 
-    local_epoch(state, SPEC, batches, (x, y), CFG, OptimizerState(base_lr=1e-2))
+    local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, OptimizerState(base_lr=1e-2))
     for k in expected:
         assert np.array_equal(state.deputy[k], expected[k])
 
@@ -312,7 +306,7 @@ def test_local_epoch_without_deputy_matches_manual_prox_loop():
             sgd_step(model, grads, opt)
         ces.append(ce)  # the pulled model's, stepped last
 
-    log = local_epoch(state, SPEC, batches, (x, y), CFG, state_opt, prox)
+    log = local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, state_opt, prox)
     for k in expected:
         assert np.array_equal(state.personalized[k], expected[k])
     assert any(not np.array_equal(expected[k], unpulled[k]) for k in expected)  # the pull acts
@@ -429,10 +423,10 @@ def _ref_epoch(p, d, phase, spec, batches, lr, prox):
     return p, d, ce_sum / len(batches), kl_sum / len(batches)
 
 
-def _client_batches(rng, spec, n, size):
+def _client_split(rng, spec, n):
     x = rng.standard_normal((n, int(np.prod(spec.input_shape))))
     y = rng.integers(0, spec.classes, size=n)
-    return [(x[i : i + size], y[i : i + size]) for i in range(0, n, size)]
+    return x, y
 
 
 @pytest.mark.parametrize("with_deputy", [True, False])
@@ -444,8 +438,8 @@ def test_stacked_epoch_matches_a_per_client_loop_bit_for_bit(model_id, with_depu
     # 0 and 1 at the same batch index.  The cohort trains them in slots 1, 2, 0, 3.
     sizes = [33, 33, 50, 17]
     phases = [DetPhase.RECOVER, DetPhase.EXCHANGE, DetPhase.SUBLIMATE, DetPhase.EXCHANGE]
-    train = [_client_batches(rng, spec, n, 16) for n in sizes]
-    vals = [(x, y) for x, y in (_client_batches(rng, spec, 30, 30)[0] for _ in sizes)]
+    train = [_client_split(rng, spec, n) for n in sizes]
+    vals = [_client_split(rng, spec, 30) for _ in sizes]
     anchor = init_params(spec, 100)  # one map for every client, broadcast over the stack
     states = [
         ClientState(
@@ -456,12 +450,12 @@ def test_stacked_epoch_matches_a_per_client_loop_bit_for_bit(model_id, with_depu
         for j in range(len(sizes))
     ]
     expected = [
-        _ref_epoch(s.personalized, s.deputy, s.phase, spec, train[j], 0.05, (0.3, anchor))
+        _ref_epoch(s.personalized, s.deputy, s.phase, spec, batches_of(*train[j], 16), 0.05, (0.3, anchor))
         for j, s in enumerate(states)
     ]
     opt = OptimizerState(base_lr=0.05, epoch=3)
 
-    logs = cohort_epoch(states, spec, train, vals, opt, (0.3, anchor))
+    logs = cohort_epoch(states, spec, train, 16, vals, opt, (0.3, anchor))
 
     for j, (state, log, (p, d, ce, kl)) in enumerate(zip(states, logs, expected)):
         for k in p:
@@ -489,8 +483,8 @@ def test_permuting_the_clients_permutes_the_outputs(data):
     perm = data.draw(st.permutations(range(k)))
     spec = MODEL_SPECS[model_id]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    train = [_client_batches(rng, spec, n, size) for n in sizes]
-    vals = [_client_batches(rng, spec, 12, 12)[0] for _ in sizes]
+    train = [_client_split(rng, spec, n) for n in sizes]
+    vals = [_client_split(rng, spec, 12) for _ in sizes]
 
     def fresh_states():
         return [
@@ -503,11 +497,12 @@ def test_permuting_the_clients_permutes_the_outputs(data):
         ]
 
     straight, shuffled = fresh_states(), fresh_states()
-    logs = cohort_epoch(straight, spec, train, vals, OptimizerState(base_lr=0.05))
+    logs = cohort_epoch(straight, spec, train, size, vals, OptimizerState(base_lr=0.05))
     moved = cohort_epoch(
         [shuffled[j] for j in perm],
         spec,
         [train[j] for j in perm],
+        size,
         [vals[j] for j in perm],
         OptimizerState(base_lr=0.05),
     )
@@ -529,38 +524,38 @@ def test_train_epoch_names_the_diverged_client_epoch_and_tensor():
     # the NaN reaches every tensor of client 1; the first in name order is named
     states[1].personalized["dense2.weight"][0, 0] = np.nan
     rng = np.random.default_rng(12)
-    # 5, 5 and 8 batches: client 1 trains in slot 2, and the message names the client
-    train = [batches_of(*make_data(rng, n)) for n in (40, 40, 64)]
+    # 40, 40 and 64 rows: client 1 trains in slot 2, and the message names the client
+    train = [make_data(rng, n) for n in (40, 40, 64)]
     match = "client 1 diverged in epoch 7: personalized tensor 'dense1.bias' is not finite"
     with pytest.raises(DivergenceError, match=match):
-        cohort_epoch(states, SPEC, train, [make_data(rng)] * 3, OptimizerState(epoch=6))
+        cohort_epoch(states, SPEC, train, 8, [make_data(rng)] * 3, OptimizerState(epoch=6))
 
 
 @pytest.mark.parametrize("call", ["train_epoch", "local_epoch"])
 @pytest.mark.parametrize(
-    "bad_batch, problem",
+    "bad_split, problem",
     [
         # once a raw IndexError from ce_loss
-        (lambda x, y: (x, y[:-1]), "batch 2 has 8 inputs but 7 labels"),
+        (lambda x, y: (x, y[:-1]), "training split has 40 inputs but 39 labels"),
         # once a raw ValueError from a reshape
-        (lambda x, y: (x[:0], y[:0]), "batch 2 is empty"),
+        (lambda x, y: (x[:0], y[:0]), "training split is empty"),
     ],
     ids=["row_count_mismatch", "empty"],
 )
-def test_epoch_names_a_bad_batch_before_training(call, bad_batch, problem):
+def test_epoch_names_a_bad_split_before_training(call, bad_split, problem):
     rng = np.random.default_rng(14)
     states = [make_state(seed=j) for j in range(3)]
-    train = [batches_of(*make_data(rng)) for _ in states]
+    train = [make_data(rng) for _ in states]
     bad = 1 if call == "train_epoch" else 0
-    train[bad][2] = bad_batch(*train[bad][2])
+    train[bad] = bad_split(*train[bad])
     before = [clone_params(s.personalized) for s in states]
     opt = OptimizerState()
     with pytest.raises(ValueError, match=f"client {bad}'s {problem}"):
         if call == "train_epoch":
-            cohort_epoch(states, SPEC, train, [make_data(rng)] * 3, opt)
+            cohort_epoch(states, SPEC, train, 8, [make_data(rng)] * 3, opt)
         else:
-            local_epoch(states[0], SPEC, train[0], make_data(rng), CFG, opt)
-    # every batch is checked before the first step: nothing trained
+            local_epoch(states[0], SPEC, train[0], 8, make_data(rng), CFG, opt)
+    # every split is checked before the first step: nothing trained
     for state, params in zip(states, before):
         for k in params:
             assert np.array_equal(state.personalized[k], params[k])
@@ -653,8 +648,8 @@ def test_cohort_models_stay_views_of_one_buffer(with_deputy):
     rng = np.random.default_rng(17)
     states = [make_state(seed=j) for j in range(3)]
     deputies = [s.deputy for s in states] if with_deputy else None
-    train = [batches_of(*make_data(rng, n)) for n in (40, 17, 25)]
-    cohort = Cohort([s.personalized for s in states], deputies, [make_data(rng) for _ in states], [len(t) for t in train])
+    train = [make_data(rng, n) for n in (40, 17, 25)]
+    cohort = Cohort([s.personalized for s in states], deputies, [make_data(rng) for _ in states], [len(y) for _, y in train])
 
     def assert_views():
         for k, v in cohort.models.items():
@@ -665,7 +660,7 @@ def test_cohort_models_stay_views_of_one_buffer(with_deputy):
                 assert not np.shares_memory(cohort.p[k], cohort.d[k])
 
     assert_views()
-    log = train_epoch(cohort, SPEC, [train[j] for j in cohort.clients], CFG, OptimizerState(base_lr=0.05))
+    log = train_epoch(cohort, SPEC, train, 8, CFG, OptimizerState(base_lr=0.05))
     assert_views()
     aggregates = {k: rng.standard_normal(v.shape) for k, v in cohort.p.items()}
     cohort.deliver(aggregates)
@@ -675,6 +670,44 @@ def test_cohort_models_stay_views_of_one_buffer(with_deputy):
         assert np.array_equal(v, aggregates[k][cohort.clients])  # in slot order
     cohort.keep_best(log.phi_p, 1)
     assert_views()
+
+
+def test_cohort_speaks_client_order():
+    # 17, 40 and 25 rows put clients 0, 1 and 2 in slots 2, 0 and 1: none in its own
+    rng = np.random.default_rng(18)
+    states = [make_state(seed=j) for j in range(3)]
+    for state, phase in zip(states, DetPhase):
+        state.phase = phase
+    train = [make_data(rng, n) for n in (17, 40, 25)]
+    vals = [make_data(rng, n) for n in (9, 30, 14)]
+    cohort = Cohort([s.personalized for s in states], [s.deputy for s in states], vals, [17, 40, 25])
+    cohort.phases[:] = [s.phase for s in states]
+    assert cohort.slots.tolist() == [2, 0, 1]
+
+    scores = cohort.validation_f1(SPEC)
+    for j, (state, (x, y)) in enumerate(zip(states, vals)):
+        assert scores[0, j] == alone_f1(state.personalized, SPEC, x, y), j
+        assert scores[1, j] == alone_f1(state.deputy, SPEC, x, y), j
+    cohort.keep_best(np.full(3, 0.5), 1)  # every client's initial p
+
+    log = train_epoch(cohort, SPEC, train, 8, CFG, OptimizerState(base_lr=0.05))
+    uploads = cohort.uploads()
+    for j, state in enumerate(states):
+        alone = local_epoch(state, SPEC, train[j], 8, vals[j], CFG, OptimizerState(base_lr=0.05))
+        assert (log.ce_loss[j], log.kl_loss[j], log.phi_d[j], log.phi_p[j], log.phase[j]) == (
+            alone.ce_loss, alone.kl_loss, alone.phi_d, alone.phi_p, alone.phase
+        ), j
+        for k, v in state.personalized.items():
+            assert np.array_equal(uploads[k][j], v), (j, k)
+
+    # clients 0 and 2 improve: only their rows take the trained p
+    cohort.keep_best(np.array([0.9, 0.1, 0.6]), 2)
+    assert cohort.best_epoch.tolist() == [2, 1, 2]
+    assert cohort.best_f1.tolist() == [0.9, 0.5, 0.6]
+    for k in uploads:
+        assert np.array_equal(cohort.best[k][0], uploads[k][0])
+        assert np.array_equal(cohort.best[k][1], make_state(seed=1).personalized[k])
+        assert np.array_equal(cohort.best[k][2], uploads[k][2])
 
 
 def _random_stack(rng, spec, k):
@@ -720,9 +753,9 @@ def test_epoch_scores_every_model_on_its_own_ragged_split():
     states = [make_state(seed=j) for j in range(3)]
     for s, phase in zip(states, DetPhase):
         s.phase = phase
-    train = [batches_of(*make_data(rng)) for _ in states]
+    train = [make_data(rng) for _ in states]
     vals = [make_data(rng, n) for n in (7, 31, 18)]
-    logs = cohort_epoch(states, SPEC, train, vals, OptimizerState(base_lr=0.05))
+    logs = cohort_epoch(states, SPEC, train, 8, vals, OptimizerState(base_lr=0.05))
     for state, log, (x, y) in zip(states, logs, vals):
         assert log.phi_p == alone_f1(state.personalized, SPEC, x, y)
         assert log.phi_d == alone_f1(state.deputy, SPEC, x, y)
