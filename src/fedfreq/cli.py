@@ -3,16 +3,20 @@
 Subcommands: ``synth-data`` (write client dataset files), ``run`` (full
 experiment from a config file), ``aggregate`` (offline aggregation over
 checkpoint files), ``eval`` (score a checkpoint on a dataset file) and
-``report`` (summarize a curves.csv log).
+``report`` (summarize a curves.csv log).  A dataset file is a
+checkpoint-format file with model id ``fedfreq-dataset``.
 
 Exit codes: 0 success, 2 configuration error (including a ``synth-data``
 ``--seed`` below 0 or ``--scale`` outside (0, 1]), 3 data error (including
-a corrupt checkpoint or one of an unknown format version; a checkpoint, or
-an aggregate of checkpoints, holding a non-finite tensor, or checkpoints to
-aggregate whose model ids differ, on either of which ``aggregate`` writes
-nothing; and an ``eval`` checkpoint of an unknown model id, or whose
-tensor names or shapes do not fit it), 4 I/O error, 5 training diverged (a
-parameter stopped being finite; ``run`` writes nothing).
+a corrupt checkpoint or dataset file, or one of an unknown format version;
+a checkpoint, or an aggregate of checkpoints, holding a non-finite tensor,
+checkpoints to aggregate whose model ids differ, a dataset file or a
+tensor with no entries among them, on any of which ``aggregate`` writes
+nothing; an ``eval`` checkpoint of an unknown model id, or whose tensor
+names or shapes do not fit it; and an ``eval`` dataset file with a
+non-finite feature, or whose scored split holds fewer than two classes),
+4 I/O error, 5 training diverged (a parameter stopped being finite; ``run``
+writes nothing).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .checkpoint import (
     load_checkpoint_full,
     save_checkpoint,
 )
-from .data import DataError, default_profiles, load_client, ood_client, save_client, synth
+from .data import DATASET_ID, DataError, default_profiles, load_client, ood_client, save_client, synth
 from .det import DivergenceError
 from .freq_agg import (
     FEDAVG,
@@ -101,6 +105,8 @@ def _cmd_aggregate(args) -> int:
         raise ConfigError(f"--r: {exc}") from exc
     loaded = [load_checkpoint_full(p) for p in args.checkpoints]
     for path, (_, model_id, _) in zip(args.checkpoints, loaded):
+        if model_id == DATASET_ID:
+            raise DataError(f"{path}: a dataset file, not a model checkpoint")
         if model_id != loaded[0][1]:
             first = f"{args.checkpoints[0]} holds model {loaded[0][1]!r}"
             raise DataError(f"checkpoints do not match: {first}, {path} holds {model_id!r}")
@@ -111,6 +117,9 @@ def _cmd_aggregate(args) -> int:
         raise DataError(f"checkpoints do not match: {exc}") from exc
     for path, params in zip(args.checkpoints, maps):
         _check_finite(params, path)
+    empty = [name for name in sorted(maps[0]) if maps[0][name].size == 0]  # the maps share shapes
+    if empty:
+        raise DataError(f"{args.checkpoints[0]}: tensor {empty[0]!r} has no entries")
     # an overflow shows up as a non-finite aggregate, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
         if args.strategy == PFA:
@@ -147,12 +156,17 @@ def _cmd_eval(args) -> int:
     except ValueError as exc:
         raise DataError(f"{args.checkpoint}: tensors do not fit model {model_id!r}: {exc}") from exc
     client = load_client(args.data)
+    _check_finite({"features": client.features}, args.data)
     features, inputs = client.features.shape[1], int(np.prod(spec.input_shape))
     if features != inputs:
         raise DataError(f"{args.data}: {features} features, model {model_id!r} takes {inputs}")
     x, y = client.split_xy(args.split)
-    if len(y) == 0:
-        raise DataError(f"{args.data}: split {args.split!r} is empty")
+    held = len(set(y.tolist()))  # the rule run applies to test splits
+    if held < 2:
+        raise DataError(
+            f"{args.data}: split {args.split!r} holds {held} of {spec.classes} classes; "
+            "macro AUC needs at least two"
+        )
     result = evaluate(predict_probs(params, spec, x), y, spec.classes)
     print(
         json.dumps(

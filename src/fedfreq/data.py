@@ -1,10 +1,11 @@
 """Synthetic heterogeneous clients for federated experiments.
 
 Each client draws class-conditional Gaussian features and passes them
-through a client-specific affine transform (plane rotation, per-dimension
-scale, mean shift).  The default profiles copy the size and class-ratio
-structure of a 4-site, 3-class benchmark (totals 2987 / 3868 / 1635 / 2000,
-scaled down) so one site is heavily imbalanced and sites differ in volume.
+through a client-specific affine transform (plane rotation, one gain, a
+mean shift in the two noise dims).  The default profiles copy the size and
+class-ratio structure of a 4-site, 3-class benchmark (totals 2987 / 3868 /
+1635 / 2000, scaled down) so one site is heavily imbalanced and sites
+differ in volume.
 
 Feature layout (``FEATURE_DIM = 32``):
 
@@ -24,16 +25,20 @@ is what makes element-wise parameter averaging miscalibrated per client.
 
 Splits are 7:1:2 (largest-remainder on the totals) and stratified so that
 every per-split class count is within one sample of exact proportionality.
+
+A dataset file is a checkpoint file with model id ``DATASET_ID`` and the
+tensors ``features`` (n, d), ``labels`` (n,) and ``splits`` (the train, val
+and test row counts), rows stored train block first.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from itertools import combinations, product
-from pathlib import Path
 
 import numpy as np
+
+from .checkpoint import CorruptCheckpointError, UnsupportedVersionError, load_checkpoint_full, save_checkpoint
 
 FEATURE_DIM = 32
 CLASSES = 3
@@ -65,6 +70,9 @@ DEFAULT_TRANSFORMS = (
 OOD_TRANSFORM = (110.0, 1.05, 2.0, 45.0)
 OOD_REFERENCE_COUNT = 427  # unseen-cohort size at scale 1.0
 
+DATASET_ID = "fedfreq-dataset"  # the model id of a dataset file
+_DATASET_TENSORS = ["features", "labels", "splits"]
+
 
 class DataError(ValueError):
     """Invalid dataset file or generation profile."""
@@ -72,13 +80,14 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class ClientProfile:
-    """Generator settings for one client's data."""
+    """Generator settings for one client's data: dims 0..1 rotate by ``rotation_deg``,
+    every dim is multiplied by ``gain``, and ``shift`` is added to the noise dims 30..31."""
 
     n_samples: int
     class_proportions: tuple[float, float, float]
     rotation_deg: float
-    scale: tuple[float, ...]  # per-dimension gain, length FEATURE_DIM
-    shift: tuple[float, ...]  # additive offset, length FEATURE_DIM
+    gain: float
+    shift: tuple[float, float]
     seed: int
 
     def __post_init__(self) -> None:
@@ -88,8 +97,6 @@ class ClientProfile:
             raise DataError("class proportions must sum to 1")
         if any(p < 0 for p in self.class_proportions):
             raise DataError("class proportions must be non-negative")
-        if len(self.scale) != FEATURE_DIM or len(self.shift) != FEATURE_DIM:
-            raise DataError(f"scale/shift must have length {FEATURE_DIM}")
 
 
 @dataclass
@@ -124,13 +131,12 @@ def _largest_remainder(total: int, weights: tuple[float, ...]) -> list[int]:
     return alloc
 
 
-def _transform_vectors(gain: float, shift_mag: float, shift_deg: float):
-    scale = tuple(float(gain) for _ in range(FEATURE_DIM))
-    shift = [0.0] * FEATURE_DIM
+def _profile(n_samples: int, class_proportions, transform, seed: int) -> ClientProfile:
+    """The profile of one transform row: (rotation deg, gain, shift magnitude, shift angle)."""
+    rotation, gain, shift_mag, shift_deg = transform
     theta = np.deg2rad(shift_deg)
-    shift[FEATURE_DIM - 2] = shift_mag * float(np.cos(theta))  # offsets live in noise dims
-    shift[FEATURE_DIM - 1] = shift_mag * float(np.sin(theta))
-    return scale, tuple(shift)
+    shift = (shift_mag * float(np.cos(theta)), shift_mag * float(np.sin(theta)))
+    return ClientProfile(n_samples, class_proportions, rotation, gain, shift, seed)
 
 
 def default_profiles(scale: float) -> list[ClientProfile]:
@@ -148,18 +154,7 @@ def default_profiles(scale: float) -> list[ClientProfile]:
         n = _round_half_up(scale * total)
         if n < 30:
             raise DataError(f"scale {scale} gives client {i} only {n} samples (< 30)")
-        rotation, gain, shift_mag, shift_deg = DEFAULT_TRANSFORMS[i]
-        scale_vec, shift_vec = _transform_vectors(gain, shift_mag, shift_deg)
-        profiles.append(
-            ClientProfile(
-                n_samples=n,
-                class_proportions=tuple(c / total for c in counts),
-                rotation_deg=rotation,
-                scale=scale_vec,
-                shift=shift_vec,
-                seed=i,
-            )
-        )
+        profiles.append(_profile(n, tuple(c / total for c in counts), DEFAULT_TRANSFORMS[i], i))
     return profiles
 
 
@@ -225,7 +220,8 @@ def _generate_client(profile: ClientProfile, global_seed: int) -> ClientData:
     means = class_means()
     z = means[labels] + NOISE_SIGMA * rng.standard_normal((profile.n_samples, FEATURE_DIM))
     x = z @ _rotation_matrix(profile.rotation_deg).T
-    x = x * np.asarray(profile.scale) + np.asarray(profile.shift)
+    x = x * profile.gain
+    x[:, -2:] += profile.shift
     perm = rng.permutation(profile.n_samples)
     x, labels = x[perm], labels[perm]
 
@@ -259,15 +255,11 @@ def ood_profile(profiles: list[ClientProfile]) -> ClientProfile:
     """Held-out evaluation profile with a rotation outside the training range."""
     scale = sum(p.n_samples for p in profiles) / sum(sum(c) for c in TABLE_COUNTS[: len(profiles)])
     pooled = np.sum(TABLE_COUNTS, axis=0)
-    rotation, gain, shift_mag, shift_deg = OOD_TRANSFORM
-    scale_vec, shift_vec = _transform_vectors(gain, shift_mag, shift_deg)
-    return ClientProfile(
-        n_samples=max(30, _round_half_up(scale * OOD_REFERENCE_COUNT)),
-        class_proportions=tuple(float(c) / float(pooled.sum()) for c in pooled),
-        rotation_deg=rotation,
-        scale=scale_vec,
-        shift=shift_vec,
-        seed=9999,
+    return _profile(
+        max(30, _round_half_up(scale * OOD_REFERENCE_COUNT)),
+        tuple(float(c) / float(pooled.sum()) for c in pooled),
+        OOD_TRANSFORM,
+        9999,
     )
 
 
@@ -281,53 +273,38 @@ def ood_client(profiles: list[ClientProfile], seed: int) -> ClientData:
     return client
 
 
-# --- flat binary dataset files (FSD1) ---------------------------------------
-#
-# header: magic "FSD1", then uint32 feature_dim, classes, n_train, n_val,
-# n_test (little-endian); body: all features as little-endian float64 rows
-# (train block, then val, then test), then all labels as little-endian int32.
-
-_MAGIC = b"FSD1"
-_HEADER = struct.Struct("<4sIIIII")
-
-
 def save_client(client: ClientData, path) -> None:
-    order = np.concatenate([client.train_idx, client.val_idx, client.test_idx])
-    feats = np.ascontiguousarray(client.features[order], dtype="<f8")
-    labels = np.ascontiguousarray(client.labels[order], dtype="<i4")
-    header = _HEADER.pack(
-        _MAGIC,
-        client.features.shape[1],
-        CLASSES,
-        len(client.train_idx),
-        len(client.val_idx),
-        len(client.test_idx),
-    )
-    Path(path).write_bytes(header + feats.tobytes() + labels.tobytes())
+    """Write ``client`` as a dataset file (see the module docstring)."""
+    blocks = [client.train_idx, client.val_idx, client.test_idx]
+    order = np.concatenate(blocks)
+    splits = np.array([len(b) for b in blocks])
+    tensors = {"features": client.features[order], "labels": client.labels[order], "splits": splits}
+    save_checkpoint(tensors, path, model_id=DATASET_ID)
 
 
 def load_client(path) -> ClientData:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise DataError(f"{path}: truncated dataset file")
-    magic, dim, classes, n_train, n_val, n_test = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise DataError(f"{path}: bad magic {magic!r}")
-    if classes != CLASSES:
-        raise DataError(f"{path}: expected {CLASSES} classes, got {classes}")
-    n = n_train + n_val + n_test
-    expect = _HEADER.size + n * dim * 8 + n * 4
-    if len(raw) != expect:
-        raise DataError(f"{path}: expected {expect} bytes, got {len(raw)}")
-    feats = np.frombuffer(raw, dtype="<f8", count=n * dim, offset=_HEADER.size)
-    labels = np.frombuffer(raw, dtype="<i4", count=n, offset=_HEADER.size + n * dim * 8)
-    bad = labels[(labels < 0) | (labels >= CLASSES)]
+    """Read a dataset file; DataError if it fails the checksum, is not a dataset file or is misshapen."""
+    try:
+        _, model_id, tensors = load_checkpoint_full(path)
+    except (CorruptCheckpointError, UnsupportedVersionError) as exc:
+        raise DataError(str(exc)) from None
+    if model_id != DATASET_ID or sorted(tensors) != _DATASET_TENSORS:
+        raise DataError(f"{path}: not a dataset file")
+    features, labels, splits = (tensors[name] for name in _DATASET_TENSORS)
+    if features.ndim != 2 or labels.shape != features.shape[:1] or splits.shape != (3,):
+        shapes = f"features {features.shape}, labels {labels.shape}, splits {splits.shape}"
+        raise DataError(f"{path}: misshapen dataset file ({shapes})")
+    counts = splits.tolist()  # Python floats: a NaN or an infinity fails below without a warning
+    if any(c < 0 or c % 1 for c in counts) or sum(counts) != len(labels):
+        raise DataError(f"{path}: split row counts {counts} do not partition {len(labels)} rows")
+    bad = labels[~np.isin(labels, range(CLASSES))]
     if bad.size:
-        raise DataError(f"{path}: label {bad[0]} outside [0, {CLASSES})")
+        raise DataError(f"{path}: label {bad[0]:g} outside [0, {CLASSES})")
+    n_train, n_val, _ = (int(c) for c in counts)
     return ClientData(
-        features=feats.reshape(n, dim).astype(np.float64),
+        features=features,
         labels=labels.astype(np.int64),
         train_idx=np.arange(0, n_train),
         val_idx=np.arange(n_train, n_train + n_val),
-        test_idx=np.arange(n_train + n_val, n),
+        test_idx=np.arange(n_train + n_val, len(labels)),
     )

@@ -462,3 +462,63 @@ def test_aggregate_of_an_unknown_checkpoint_version_is_a_data_error(tmp_path, ca
     assert main(["aggregate", *inputs, "--out-dir", str(out)]) == 3
     _single_error_line(capsys, f"data error: {inputs[2]}: unsupported checkpoint version 2")
     assert not out.exists()
+
+
+def test_eval_of_a_single_class_split_is_a_data_error(tmp_path, capsys):
+    # it once exited 1 with a raw "AUC undefined" traceback
+    rc, data = _eval_file(tmp_path, np.zeros((6, 32)), [0] * 6)
+    assert rc == 3
+    _single_error_line(capsys, f"data error: {data}: split 'test' holds 1 of 3 classes; macro AUC needs at least two")
+
+
+def test_eval_of_non_finite_features_is_a_data_error(tmp_path, capsys):
+    # it once scored the NaN row and exited 0
+    features = np.zeros((6, 32))
+    features[4, 7] = np.nan
+    rc, data = _eval_file(tmp_path, features, [0, 1, 2, 0, 1, 2])
+    assert rc == 3
+    _single_error_line(capsys, f"data error: {data}: tensor 'features' is not finite")
+
+
+def test_eval_of_a_dataset_file_with_a_flipped_byte_is_a_data_error(tmp_path, capsys):
+    # the old dataset codec had no checksum: it scored the flipped feature and exited 0
+    main(["synth-data", "--scale", "0.1", "--seed", "0", "--out-dir", str(tmp_path)])
+    data = tmp_path / "client_0.fsd"
+    raw = bytearray(data.read_bytes())
+    raw[len(raw) // 3] ^= 0x01
+    data.write_bytes(bytes(raw))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(mlp_spec(32), 0), ckpt, model_id="mlp32")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"data error: {data}: checksum mismatch\n"
+
+
+@pytest.mark.parametrize("strategy", [PFA, FEDAVG])
+def test_aggregate_of_dataset_files_is_a_data_error(tmp_path, capsys, strategy):
+    # two dataset files of the same row count have the same structure, but they are not models
+    inputs = []
+    for seed in (0, 1):
+        main(["synth-data", "--scale", "0.1", "--seed", str(seed), "--out-dir", str(tmp_path / str(seed))])
+        inputs.append(str(tmp_path / str(seed) / "client_0.fsd"))
+    capsys.readouterr()
+    out = tmp_path / "agg"
+    assert main(["aggregate", *inputs, "--strategy", strategy, "--out-dir", str(out)]) == 3
+    _single_error_line(capsys, f"data error: {inputs[0]}: a dataset file, not a model checkpoint")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy", [PFA, FEDAVG])
+def test_aggregate_of_an_empty_tensor_is_a_data_error(tmp_path, capsys, strategy):
+    # PFA once died in low_freq_mask with a raw traceback; FEDAVG wrote an empty mean
+    inputs = []
+    for i in range(2):
+        path = tmp_path / f"c{i}.ckpt"
+        save_checkpoint({"b": np.full(3, float(i)), "w": np.zeros((0, 5))}, path)
+        inputs.append(str(path))
+    out = tmp_path / "agg"
+    assert main(["aggregate", *inputs, "--strategy", strategy, "--out-dir", str(out)]) == 3
+    _single_error_line(capsys, f"data error: {inputs[0]}: tensor 'w' has no entries")
+    assert not out.exists()

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from fedfreq.checkpoint import save_checkpoint
 from fedfreq.data import (
     CLASSES,
+    DATASET_ID,
     FEATURE_DIM,
     ClientProfile,
     DataError,
-    _transform_vectors,
     default_profiles,
     load_client,
     ood_client,
@@ -49,11 +50,10 @@ def test_default_profiles_scale_validation():
 
 
 def test_profile_validation():
-    scale, shift = _transform_vectors(1.0, 0.0, 0.0)
     with pytest.raises(DataError):
-        ClientProfile(20, (0.5, 0.3, 0.2), 0.0, scale, shift, 0)
+        ClientProfile(20, (0.5, 0.3, 0.2), 0.0, 1.0, (0.0, 0.0), 0)
     with pytest.raises(DataError):
-        ClientProfile(100, (0.6, 0.3, 0.2), 0.0, scale, shift, 0)
+        ClientProfile(100, (0.6, 0.3, 0.2), 0.0, 1.0, (0.0, 0.0), 0)
 
 
 def test_synth_deterministic():
@@ -83,12 +83,11 @@ def test_splits_disjoint_and_exhaustive():
 
 def test_stratification_within_one_of_ideal():
     rng = np.random.default_rng(0)
-    scale, shift = _transform_vectors(1.0, 0.0, 0.0)
     for trial in range(30):
         props = rng.dirichlet(np.ones(3) * rng.uniform(0.5, 4.0))
         props = props / props.sum()
         profile = ClientProfile(
-            int(rng.integers(40, 500)), tuple(props), 0.0, scale, shift, trial
+            int(rng.integers(40, 500)), tuple(props), 0.0, 1.0, (0.0, 0.0), trial
         )
         client = synth([profile], 11).clients[0]
         for idx, ratio in ((client.train_idx, 0.7), (client.val_idx, 0.1), (client.test_idx, 0.2)):
@@ -100,10 +99,9 @@ def test_stratification_within_one_of_ideal():
 
 def test_split_ratio_totals_largest_remainder():
     rng = np.random.default_rng(1)
-    scale, shift = _transform_vectors(1.0, 0.0, 0.0)
     for trial in range(20):
         n = int(rng.integers(40, 400))
-        profile = ClientProfile(n, (0.5, 0.3, 0.2), 0.0, scale, shift, trial)
+        profile = ClientProfile(n, (0.5, 0.3, 0.2), 0.0, 1.0, (0.0, 0.0), trial)
         client = synth([profile], 5).clients[0]
         ideal = [0.7 * n, 0.1 * n, 0.2 * n]
         sizes = [len(client.train_idx), len(client.val_idx), len(client.test_idx)]
@@ -203,4 +201,42 @@ def test_dataset_file_truncated(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(DataError):
+        load_client(path)
+
+
+def test_a_flipped_byte_in_a_dataset_file_is_a_data_error(tmp_path):
+    # the old codec had no checksum and scored a file with a flipped feature byte
+    client = synth(default_profiles(0.1), 2).clients[0]
+    path = tmp_path / "client.fsd"
+    save_client(client, path)
+    raw = path.read_bytes()
+    second_label = raw.index(b"labels") + len("labels") + 8 + 8  # past the rank, the dim and one value
+    for where in (1, len(raw) // 3, second_label):  # the format version, a feature, a label
+        flipped = bytearray(raw)
+        flipped[where] ^= 0x01
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(DataError, match="checksum mismatch"):
+            load_client(path)
+
+
+_DATASET = {"features": np.zeros((4, 2)), "labels": np.zeros(4), "splits": np.array([2, 1, 1])}
+
+
+@pytest.mark.parametrize(
+    "model_id, edit, problem",
+    [
+        ("mlp32", {}, "not a dataset file"),
+        (DATASET_ID, {"extra": np.zeros(1)}, "not a dataset file"),
+        (DATASET_ID, {"labels": np.zeros(3)}, "misshapen dataset file"),
+        (DATASET_ID, {"splits": np.array([2, 1, 2])}, "do not partition 4 rows"),
+        (DATASET_ID, {"splits": np.array([2.5, 0.5, 1])}, "do not partition 4 rows"),
+        (DATASET_ID, {"splits": np.array([np.nan, 1, 1])}, "do not partition 4 rows"),
+        (DATASET_ID, {"labels": np.array([0, 1, 1.5, 2])}, r"label 1.5 outside \[0, 3\)"),
+    ],
+    ids=["model_id", "extra_tensor", "row_counts", "split_sum", "fractional_split", "nan_split", "fractional_label"],
+)
+def test_a_checkpoint_that_is_not_a_dataset_is_a_data_error(tmp_path, model_id, edit, problem):
+    path = tmp_path / "client.fsd"
+    save_checkpoint({**_DATASET, **edit}, path, model_id=model_id)
+    with pytest.raises(DataError, match=problem):
         load_client(path)

@@ -47,9 +47,9 @@ def test_one_client_matches_the_reference(strategy):
 
 @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 2, 0, 1]])
 @pytest.mark.parametrize("strategy", ["FEDPROX", "PFA_DET"])
-def test_a_tie_in_the_batch_count_sort_matches_the_reference(strategy, order):
+def test_a_tie_in_the_training_row_sort_matches_the_reference(strategy, order):
     base = default_profiles(0.1)
-    # 14, 17, 8 and 14 batches: clients 0 and the twin tie, in either order
+    # 209, 271, 115 and 209 training rows: clients 0 and the twin tie, in either order
     profiles = [base[0], base[1], base[2], dataclasses.replace(base[0], seed=10)]
     assert_matches_reference([profiles[j] for j in order], strategy=strategy, data_scale=0.1, total_epochs=10)
 
