@@ -45,6 +45,10 @@ sized on the base side to take about ``LAYER_SAMPLE_S``; per function the
 file holds each side's median time per call and the quartiles of the
 paired ratios.
 
+The ``memory`` section holds, per model and row count in ``MEMORY_ROWS``,
+each tree's tracemalloc peak over one ``predict_probs`` call on that many
+random rows.  The count is exact, so one sample per side is taken.
+
 Usage, from the repository root::
 
     python bench/ab.py --base ../parent/src --change src --tag stacked_training
@@ -52,9 +56,12 @@ Usage, from the repository root::
     python bench/ab.py --base src --change src --quick --out ab.json
 
 The file holds the machine facts (cores, BLAS, numpy, Python) and the git
-commit of each tree.  ``--quick`` shrinks every run to two rounds, every
-layer sample to a few calls, and makes two pairs (40 in ``server``): its
-numbers mean nothing, it only shows that the script works.
+commit of each tree.  A base tree outside a git checkout (one exported with
+``git archive``) needs ``--base-commit``, which must name a commit of this
+repository; it is recorded with ``"dirty": null``.  ``--quick`` shrinks
+every run to two rounds, every layer sample to a few calls, and makes two
+pairs (40 in ``server``): its numbers mean nothing, it only shows that the
+script works.
 The script checks no timing; perfbench stays the regression gate.
 """
 
@@ -76,6 +83,7 @@ import sys
 import tempfile
 import time
 import timeit
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -104,6 +112,8 @@ SERVER_KINDS = (("mlp32", "PFA"), ("mlp32", "FEDAVG"), ("conv4x8", "PFA"), ("con
 SERVER_R = (0.35, 0.48)  # PFA threshold range; one draw per pair, the same on both sides
 SERVER_PAIRS_PER_PAIR = 20  # a round takes a few ms: the server section makes 20 x --pairs pairs
 SERVER_INPUT_SEED = 3
+# predict_probs rows: one block, client 1 at data_scale 1.0, and a large split
+MEMORY_ROWS = (512, 3868, 20000)
 
 
 def load_tree(src: Path, name: str):
@@ -181,18 +191,33 @@ def cohort_buffer(model, spec, models: int, clients: int) -> dict:
     return {key: v.reshape(models, clients, *v.shape[1:]) for key, v in stack.items()}
 
 
-def git_facts(src: Path) -> dict:
-    """The commit checked out where ``src`` lives, and whether ``src`` differs from it."""
+def git(where: Path, *args: str) -> str | None:
+    """``git -C where args``'s stripped output, or None if git fails or is missing."""
+    try:
+        done = subprocess.run(["git", "-C", str(where), *args], capture_output=True, text=True, timeout=30)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
 
-    def git(*args: str) -> str | None:
-        try:
-            done = subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True, timeout=30)
-        except OSError:
-            return None
-        return done.stdout.strip() if done.returncode == 0 else None
 
-    status = git("status", "--porcelain", "--", ".")
-    return {"commit": git("rev-parse", "HEAD"), "dirty": None if status is None else bool(status)}
+def git_facts(src: Path, given: str | None = None) -> dict:
+    """The commit checked out where ``src`` lives, and whether ``src`` differs from it.
+
+    Outside a git checkout the commit is ``given``, resolved in this
+    repository.  Exits if the commit is unknown, or ``given`` is not the
+    checked-out one.
+    """
+    commit = git(src, "rev-parse", "HEAD")
+    if given is not None:
+        here = Path(__file__).resolve().parent
+        resolved = git(here, "rev-parse", "--verify", "--quiet", f"{given}^{{commit}}")
+        if resolved is None or commit not in (None, resolved):
+            raise SystemExit(f"{src}: --base-commit {given} is not a commit of this repository or not {src}'s")
+        commit = resolved
+    if commit is None:
+        raise SystemExit(f"{src} is not in a git checkout: name its commit with --base-commit")
+    status = git(src, "status", "--porcelain", "--", ".")
+    return {"commit": commit, "dirty": None if status is None else bool(status)}
 
 
 def machine_facts() -> dict:
@@ -392,6 +417,29 @@ def measure_layers(pairs: int, sample_s: float) -> dict:
     return layer
 
 
+def measure_memory() -> dict:
+    """Each tree's tracemalloc peak over one ``predict_probs`` call, per model and ``MEMORY_ROWS`` count."""
+    memory = {}
+    models = {side: importlib.import_module(f"fedfreq_{side}.model") for side in SIDES}
+    for model_id in models["base"].MODEL_SPECS:
+        for n in MEMORY_ROWS:
+            row = {}
+            for side, model in models.items():
+                spec = model.MODEL_SPECS[model_id]
+                params = model.init_params(spec, 0)
+                x = np.random.default_rng(n).standard_normal((n, int(np.prod(spec.input_shape))))
+                model.predict_probs(params, spec, x[:1])  # caches (the conv tap index) outside the count
+                tracemalloc.start()
+                try:
+                    model.predict_probs(params, spec, x)
+                    row[f"{side}_peak_bytes"] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            row["ratio_change_over_base"] = row["change_peak_bytes"] / row["base_peak_bytes"]
+            memory[f"predict_probs.{model_id}.{n}"] = row
+    return memory
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, type=Path, help="src/ directory of the reference tree")
@@ -401,7 +449,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="experiment seed of the first pair")
     parser.add_argument("--quick", action="store_true", help="smoke test: tiny runs, two pairs")
     parser.add_argument("--out", type=Path, help="output path (default: BENCH_<tag>.json at the repo root)")
+    parser.add_argument("--base-commit", help="commit of a base tree that is not a git checkout")
     args = parser.parse_args(argv)
+    # before any timing: a tree of unknown commit ends the run here
+    trees = {"base": git_facts(args.base.resolve(), args.base_commit), "change": git_facts(args.change.resolve())}
 
     clis = {side: load_tree(getattr(args, side).resolve(), f"fedfreq_{side}") for side in SIDES}
     pairs = 2 if args.quick else args.pairs
@@ -434,18 +485,25 @@ def main(argv=None) -> int:
         print(f"{name:<26} {row['base_us']:9.1f} -> {row['change_us']:9.1f} us/call, "
               f"change/base {r['median']:.3f} (IQR {r['q1']:.3f}-{r['q3']:.3f})")
 
+    memory = measure_memory()
+    for name, row in memory.items():
+        base, change = row["base_peak_bytes"] / 2**20, row["change_peak_bytes"] / 2**20
+        print(f"{name:<26} {base:9.2f} -> {change:9.2f} MiB peak, change/base {row['ratio_change_over_base']:.3f}")
+
     report = {
         "tag": args.tag,
         "quick": args.quick,
         "clock": "e2e: time.perf_counter around cli.main, seconds per fedfreq run; "
         "server: time.perf_counter around one server round, seconds; "
-        "layer: timeit (garbage collection off), microseconds per call",
+        "layer: timeit (garbage collection off), microseconds per call; "
+        "memory: tracemalloc peak of one call, bytes",
         "pairs": pairs,
         "first_seed": args.seed,
         "machine": machine_facts(),
-        "trees": {side: git_facts(getattr(args, side).resolve()) for side in SIDES},
+        "trees": trees,
         **runs,
         "layer": layer,
+        "memory": memory,
     }
     out = args.out or Path(__file__).resolve().parent.parent / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")

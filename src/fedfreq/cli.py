@@ -34,7 +34,9 @@ from .checkpoint import (
     load_checkpoint_full,
     save_checkpoint,
 )
-from .data import DATASET_ID, DataError, default_profiles, load_client, ood_client, save_client, synth
+from .data import (
+    DATASET_ID, DataError, check_scale, default_profiles, load_client, ood_client, save_client, synth
+)
 from .det import DivergenceError
 from .freq_agg import (
     FEDAVG,
@@ -44,7 +46,7 @@ from .freq_agg import (
     fedavg_aggregate,
     pfa_aggregate,
 )
-from .metrics import evaluate
+from .metrics import check_two_classes, evaluate
 from .model import MODEL_SPECS, check_same_structure, init_params, predict_probs
 from .orchestrator import (
     ConfigError,
@@ -65,8 +67,7 @@ EXIT_DIVERGED = 5
 def _cmd_synth_data(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    if not 0.0 < args.scale <= 1.0:
-        raise ConfigError(f"--scale must lie in (0, 1], got {args.scale}")
+    check_scale(args.scale, "--scale", ConfigError)
     profiles = default_profiles(args.scale)
     dataset = synth(profiles, args.seed)
     out = Path(args.out_dir)
@@ -161,12 +162,7 @@ def _cmd_eval(args) -> int:
     if features != inputs:
         raise DataError(f"{args.data}: {features} features, model {model_id!r} takes {inputs}")
     x, y = client.split_xy(args.split)
-    held = len(set(y.tolist()))  # the rule run applies to test splits
-    if held < 2:
-        raise DataError(
-            f"{args.data}: split {args.split!r} holds {held} of {spec.classes} classes; "
-            "macro AUC needs at least two"
-        )
+    check_two_classes(y, spec.classes, f"{args.data}: split {args.split!r}", DataError)
     result = evaluate(predict_probs(params, spec, x), y, spec.classes)
     print(
         json.dumps(

@@ -139,6 +139,12 @@ def _profile(n_samples: int, class_proportions, transform, seed: int) -> ClientP
     return ClientProfile(n_samples, class_proportions, rotation, gain, shift, seed)
 
 
+def check_scale(scale: float, name: str = "scale", error: type = DataError) -> None:
+    """Raises ``error``, naming the value ``name``, unless ``scale`` lies in (0, 1]."""
+    if not 0.0 < scale <= 1.0:
+        raise error(f"{name} must lie in (0, 1], got {scale}")
+
+
 def default_profiles(scale: float) -> list[ClientProfile]:
     """Four clients mirroring the reference benchmark, scaled by ``scale``.
 
@@ -146,8 +152,7 @@ def default_profiles(scale: float) -> list[ClientProfile]:
     class proportions keep the reference ratios.  Raises DataError when the
     scale is outside (0, 1] or any scaled count drops below 30.
     """
-    if not 0.0 < scale <= 1.0:
-        raise DataError(f"scale must lie in (0, 1], got {scale}")
+    check_scale(scale)
     profiles = []
     for i, counts in enumerate(TABLE_COUNTS):
         total = sum(counts)

@@ -128,6 +128,13 @@ class PaddedLabels:
         return f1.sum(axis=-1) / classes
 
 
+def check_two_classes(labels: np.ndarray, classes: int, what: str, error: type) -> None:
+    """Raises ``error`` about ``what`` unless ``labels`` hold two classes or more, as macro AUC needs."""
+    held = len(set(np.asarray(labels).tolist()))  # a set: np.unique would import numpy.ma (1.7 MB)
+    if held < 2:
+        raise error(f"{what} holds {held} of {classes} classes; macro AUC needs at least two")
+
+
 def macro_auc(scores: np.ndarray, labels: np.ndarray, classes: int) -> float:
     """One-vs-rest AUC per class via the rank statistic, macro averaged.
 

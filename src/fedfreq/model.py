@@ -39,14 +39,10 @@ A convolution is unfolded and multiplied.  Each client's input is gathered
 into one row per (sample, output pixel) through a tap index that is built
 once per (input shape, kernel shape); one batched matmul with the flattened
 kernels gives the output, one more gives the weight gradient, and the input
-gradient is scattered back through the same index.  The forward pass
-unfolds at most ``UNFOLD_BLOCK`` samples at a time, so scoring thousands of
-rows never holds all their patches at once (the patch array is
-``kh * kw`` times the size of a one-channel input).  When one block covers
-the batch, as in every training step, :class:`ForwardCache` keeps the
-patches and :func:`backward` multiplies them again instead of unfolding
-the input a second time; a larger batch is unfolded again, with the same
-bits.
+gradient is scattered back through the same index; :func:`backward` reuses
+the patches that :class:`ForwardCache` keeps.  :func:`predict_probs` passes
+at most ``PREDICT_BLOCK`` samples to one :func:`forward`, so scoring a split
+holds one block's activations and patches, not the whole split's.
 """
 
 from __future__ import annotations
@@ -82,7 +78,7 @@ PROB_FLOOR = 1e-12  # probabilities are clamped below this before any log
 # The hot path reduces with np.add.reduce / np.maximum.reduce, the ufunc reductions behind
 # ndarray.sum and .max: the same bits, without the ~1 us of Python wrapper per call.
 _sum, _max = np.add.reduce, np.maximum.reduce
-UNFOLD_BLOCK = 512  # samples a conv forward pass unfolds at a time (see the module docstring)
+PREDICT_BLOCK = 512  # samples predict_probs passes to one forward call (see the module docstring)
 
 
 @dataclass(frozen=True)
@@ -259,7 +255,7 @@ class ForwardCache:
     params: NamedTensorMap
     lifted: bool  # a plain map run as a one-client stack; backward drops the axis again
     inputs: list[np.ndarray] = field(repr=False, default_factory=list)
-    # by layer index: a conv layer's unfolded input, kept when one UNFOLD_BLOCK covered the batch
+    # by layer index: a conv layer's unfolded input
     patches: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
     probs: np.ndarray | None = field(repr=False, default=None)
 
@@ -277,8 +273,7 @@ def forward(params: NamedTensorMap, spec: ModelSpec, x: np.ndarray) -> tuple[np.
     alone, so the bits do not depend on what else is in the stack.  A plain
     map with inputs ``(n, ...)`` runs as a one-client stack.
     """
-    lowest = spec.lowest
-    lifted = lowest is None or params[spec.param_keys[lowest][0]].ndim == len(spec.layers[lowest].dims)
+    lowest, lifted = spec.lowest, not _lead(params, spec)
     if lifted:
         params = {k: v[None] for k, v in params.items()}
         x = x[None]
@@ -296,9 +291,7 @@ def forward(params: NamedTensorMap, spec: ModelSpec, x: np.ndarray) -> tuple[np.
             x = x @ params[keys[0]]
             x += params[keys[1]][..., None, :]  # in place: one temporary fewer (see _backprop)
         elif kind == "conv2d":
-            x, kept = _conv2d_forward(x, params[keys[0]], params[keys[1]])
-            if kept is not None:
-                patches[i] = kept
+            x, patches[i] = _conv2d_forward(x, params[keys[0]], params[keys[1]])
         elif kind == "relu":
             # above the lowest layer with parameters x is this pass's own array: rectify it in
             # place, and backward reads the same mask x > 0 off the output
@@ -313,24 +306,19 @@ def forward(params: NamedTensorMap, spec: ModelSpec, x: np.ndarray) -> tuple[np.
 
 
 def _conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Valid convolution, stride 1: one matmul per block of unfolded samples.
+    """Valid convolution, stride 1, as one matmul; returns ``(output, patches)``, the unfolded input.
 
     ``x`` is ``(..., n, C, H, W)`` and ``w`` ``(..., O, C, kh, kw)``, where
-    x's leading axes are w's or their tail.  Returns ``(output, patches)``;
-    ``patches`` is the unfolded input when one block covered the batch, else None.
+    x's leading axes are w's or their tail.
     """
     lead, (o, _, kh, kw) = w.shape[:-4], w.shape[-4:]
     n = x.shape[-4]
     idx = _tap_index(*x.shape[-3:], kh, kw)
-    w_cols = w.reshape(lead + (o, -1)).swapaxes(-1, -2)
+    patches = _unfold(x, idx)
+    rows = patches @ w.reshape(lead + (o, -1)).swapaxes(-1, -2)  # (..., n * pixels, O)
     out = np.empty(lead + (n, o, idx.shape[0]))
-    patches = None
-    for s in range(0, n, UNFOLD_BLOCK):
-        patches = _unfold(x if n <= UNFOLD_BLOCK else x[..., s : s + UNFOLD_BLOCK, :, :, :], idx)
-        rows = patches @ w_cols  # (..., m * pixels, O)
-        out[..., s : s + UNFOLD_BLOCK, :, :] = rows.reshape(lead + (-1, idx.shape[0], o)).swapaxes(-1, -2)
+    out[...] = rows.reshape(lead + (n, idx.shape[0], o)).swapaxes(-1, -2)
     out += b[..., None, :, None]
-    patches = patches if n <= UNFOLD_BLOCK else None
     return out.reshape(lead + (n, o, x.shape[-2] - kh + 1, x.shape[-1] - kw + 1)), patches
 
 
@@ -413,10 +401,10 @@ def _backprop(cache: ForwardCache, dlogits, m: int | None, lr: float | None, pro
             if i > lowest:
                 dx = dx @ w.swapaxes(-1, -2)
         else:  # conv2d
-            kept = cache.patches.get(i)
-            if kept is not None and m is not None and i > lowest:
-                kept = kept[m]
-            gw, gb, dx = _conv2d_backward(x, w, dx, i > lowest, kept)
+            patches = cache.patches[i]
+            if m is not None and i > lowest:
+                patches = patches[m]
+            gw, gb, dx = _conv2d_backward(x, w, dx, i > lowest, patches)
         if lr is None:
             grads[w_key], grads[b_key] = gw, gb
             continue
@@ -433,20 +421,16 @@ def _backprop(cache: ForwardCache, dlogits, m: int | None, lr: float | None, pro
     return grads
 
 
-def _conv2d_backward(
-    x: np.ndarray, w: np.ndarray, dout: np.ndarray, want_dx: bool, patches: np.ndarray | None
-):
-    """Weight, bias and (if ``want_dx``) input gradients; ``patches`` is ``x`` unfolded, if kept."""
+def _conv2d_backward(x: np.ndarray, w: np.ndarray, dout: np.ndarray, want_dx: bool, patches: np.ndarray):
+    """Weight, bias and (if ``want_dx``) input gradients; ``patches`` is ``x`` unfolded."""
     lead, (n, o) = dout.shape[:-4], dout.shape[-4:-2]
-    idx = _tap_index(*x.shape[-3:], *w.shape[-2:])
     rows = dout.reshape(lead + (n, o, -1)).swapaxes(-1, -2).reshape(lead + (-1, o))  # (..., n * pixels, O)
-    if patches is None:
-        patches = _unfold(x, idx)
     dw = (rows.swapaxes(-1, -2) @ patches).reshape(w.shape)
     db = _sum(rows, axis=-2)
     dx = None
     if want_dx:
         # each patch entry's gradient goes back to the input pixel it was gathered from
+        idx = _tap_index(*x.shape[-3:], *w.shape[-2:])
         dpatches = (rows @ w.reshape(lead + (o, -1))).reshape(lead + (n, *idx.shape))
         dx = np.zeros(x.shape)
         np.add.at(dx.reshape(x.shape[:-3] + (-1,)), (..., idx), dpatches)
@@ -536,5 +520,20 @@ def sgd_step(params: NamedTensorMap, grads: NamedTensorMap, opt: OptimizerState)
 
 
 def predict_probs(params: NamedTensorMap, spec: ModelSpec, inputs: np.ndarray) -> np.ndarray:
-    """Class probabilities for a full array of inputs."""
-    return forward(params, spec, np.asarray(inputs, dtype=np.float64))[0]
+    """:func:`forward`'s probabilities, computed ``PREDICT_BLOCK`` samples at a time into one output."""
+    x = np.asarray(inputs, dtype=np.float64)
+    lead = _lead(params, spec)
+    before = (slice(None),) * min(len(lead), 1)  # the axes before the sample axis: (n, ...) or (K, n, ...)
+    n = x.shape[len(before)]
+    if n <= PREDICT_BLOCK:
+        return forward(params, spec, x)[0]
+    out = np.empty(lead + (n, spec.classes))
+    for s in range(0, n, PREDICT_BLOCK):
+        out[..., s : s + PREDICT_BLOCK, :] = forward(params, spec, x[before + (slice(s, s + PREDICT_BLOCK),)])[0]
+    return out
+
+
+def _lead(params: NamedTensorMap, spec: ModelSpec) -> tuple[int, ...]:
+    """The leading axes of ``params``: () for one model's map, (K,) for a stack, (M, K) for a buffer."""
+    lowest = spec.lowest
+    return () if lowest is None else params[spec.param_keys[lowest][0]].shape[: -len(spec.layers[lowest].dims)]

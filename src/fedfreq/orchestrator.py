@@ -44,10 +44,10 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .data import ClientData, ClientProfile, DataError, default_profiles, ood_client, synth
+from .data import ClientData, ClientProfile, DataError, check_scale, default_profiles, ood_client, synth
 from .det import Cohort, DetConfig, DetPhase, train_epoch
 from .freq_agg import FEDAVG, PFA, ScheduleParams, fedavg_fuse, pfa_fuse, schedule_r
-from .metrics import evaluate
+from .metrics import check_two_classes, evaluate
 from .model import MODEL_SPECS, NamedTensorMap, OptimizerState, init_params, predict_probs
 from .model import forward  # unused here; perfbench's tracer test checks that it rebinds this name
 
@@ -145,8 +145,7 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if not 0.0 < self.data_scale <= 1.0:
-            raise ConfigError("data_scale must lie in (0, 1]")
+        check_scale(self.data_scale, "data_scale", ConfigError)
         if self.workers != 1:
             raise ConfigError(f"workers must be 1 (one process trains every client), got {self.workers}")
 
@@ -251,16 +250,10 @@ def run_experiment(
     spec = MODEL_SPECS[cfg.model_id]
     dataset = synth(profiles, cfg.seed)
     ood = ood_client(profiles, cfg.seed)
-    # macro AUC is undefined on a test split with one class; fail before any training.
-    # A set counts the classes because np.unique would import numpy.ma (1.7 MB).
+    # macro AUC is undefined on a test split with one class; fail before any training
     scored = {f"client {i}": c for i, c in enumerate(dataset.clients)}
     for who, cdata in {**scored, "the held-out cohort": ood}.items():
-        held = len(set(cdata.labels[cdata.test_idx].tolist()))
-        if held < 2:
-            raise DataError(
-                f"{who}'s test split holds {held} of {spec.classes} classes; "
-                "macro AUC needs at least two"
-            )
+        check_two_classes(cdata.labels[cdata.test_idx], spec.classes, f"{who}'s test split", DataError)
     schedule = ScheduleParams(cfg.r0, cfg.r1, cfg.total_epochs)
     det_cfg = DetConfig(cfg.lambda1, cfg.lambda2)
 

@@ -1,11 +1,12 @@
-import dataclasses
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 from fedfreq.model import (
-    UNFOLD_BLOCK,
+    MODEL_SPECS,
+    PREDICT_BLOCK,
     Layer,
     ModelSpec,
     OptimizerState,
@@ -127,7 +128,7 @@ def test_conv_forward_beyond_one_unfold_block_matches_a_loop_convolution():
         classes=3,
     )
     rng = np.random.default_rng(17)
-    n = 2 * UNFOLD_BLOCK + 37  # two full blocks and a partial one
+    n = 2 * PREDICT_BLOCK + 37  # predict_probs scores it in two full blocks and a partial one
     x = rng.standard_normal((n, 2, 5, 6))
     params = init_params(spec, 5)
     params["conv1.bias"] = rng.standard_normal(3)
@@ -282,46 +283,68 @@ def test_backward_matches_finite_differences(spec_builder, composition):
 
 @pytest.mark.parametrize("stacked", [False, True])
 @pytest.mark.parametrize("spec_builder", [lambda: conv_spec((1, 4, 8)), two_conv])
-def test_conv_backward_from_cached_patches_matches_unfolding_again(spec_builder, stacked):
+def test_conv_backward_from_kept_patches_sums_the_parts_gradients(spec_builder, stacked):
+    # forward keeps every conv layer's patches, for a batch past PREDICT_BLOCK samples
+    # too; the gradient of a batch is the sum of the gradients of its parts
     spec = spec_builder()
     rng = np.random.default_rng(18)
     maps = [init_params(spec, seed) for seed in (18, 19, 20)]
+    n = PREDICT_BLOCK + 37
     if stacked:
         params = {k: np.stack([m[k] for m in maps]) for k in maps[0]}
-        x = rng.standard_normal((3, 16, *spec.input_shape))
+        x = rng.standard_normal((3, n, *spec.input_shape))
     else:
-        params, x = maps[0], rng.standard_normal((16, *spec.input_shape))
+        params, x = maps[0], rng.standard_normal((n, *spec.input_shape))
     probs, cache = forward(params, spec, x)
     convs = [i for i, layer in enumerate(spec.layers) if layer.kind == "conv2d"]
-    assert sorted(cache.patches) == convs  # one UNFOLD_BLOCK covered the batch
+    assert sorted(cache.patches) == convs
     dlogits = rng.standard_normal(probs.shape)
-    got = backward(cache, dlogits)
-    want = backward(dataclasses.replace(cache, patches={}), dlogits)  # unfolds again
-    assert sorted(got) == sorted(want)
-    for k in want:
-        assert np.array_equal(got[k], want[k]), k
-
-
-def test_conv_backward_beyond_one_unfold_block_sums_the_blocks_gradients():
-    # no patches are kept for a batch larger than one block; the gradient of a
-    # batch is still the sum of the gradients of its parts
-    spec = two_conv()
-    rng = np.random.default_rng(21)
-    params = init_params(spec, 21)
-    n = UNFOLD_BLOCK + 37
-    x, y = random_batch(rng, spec, n=n)
-    probs, cache = forward(params, spec, x)
-    assert cache.patches == {}
-    _, dlogits = ce_loss(probs, y)
     whole = backward(cache, dlogits)
     parts = []
-    for rows in (slice(0, UNFOLD_BLOCK), slice(UNFOLD_BLOCK, n)):
-        _, part_cache = forward(params, spec, x[rows])
-        assert part_cache.patches  # each part fits in one block
-        parts.append(backward(part_cache, dlogits[rows]))
+    for rows in (slice(0, 16), slice(16, n)):
+        _, part_cache = forward(params, spec, x[..., rows, :, :, :])
+        parts.append(backward(part_cache, dlogits[..., rows, :]))
     for k in params:
         assert np.allclose(whole[k], parts[0][k] + parts[1][k], rtol=1e-9, atol=1e-12), k
     assert any(np.abs(g).max() > 1e-3 for g in whole.values())
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("n", [PREDICT_BLOCK, PREDICT_BLOCK + 1, PREDICT_BLOCK + 37])
+@pytest.mark.parametrize("model_id", ["mlp32", "conv4x8"])
+def test_predict_probs_equals_forward_block_by_block(model_id, n, stacked):
+    # flat rows as a run scores them; stacked, an (M, K, ...) buffer on (K, n, ...) splits
+    spec = MODEL_SPECS[model_id]
+    rng = np.random.default_rng(n)
+    maps = [init_params(spec, seed) for seed in range(6)]
+    if stacked:
+        params = {k: np.stack([m[k] for m in maps]).reshape(2, 3, *maps[0][k].shape) for k in maps[0]}
+        x = rng.standard_normal((3, n, 32))
+    else:
+        params, x = maps[0], rng.standard_normal((n, 32))
+    got = predict_probs(params, spec, x)
+    blocks = [
+        forward(params, spec, x[..., s : s + PREDICT_BLOCK, :])[0] for s in range(0, n, PREDICT_BLOCK)
+    ]
+    assert np.array_equal(got, np.concatenate(blocks, axis=-2))
+    whole, _ = forward(params, spec, x)
+    assert got.shape == whole.shape
+    assert np.array_equal(got.argmax(axis=-1), whole.argmax(axis=-1))
+
+
+@pytest.mark.parametrize("model_id", ["mlp32", "conv4x8"])
+def test_predict_probs_memory_is_bounded_by_one_block(model_id):
+    spec = MODEL_SPECS[model_id]
+    params = init_params(spec, 0)
+    x = np.random.default_rng(0).standard_normal((20_000, 32))
+    predict_probs(params, spec, x[:PREDICT_BLOCK])  # builds the conv tap index outside the count
+    tracemalloc.start()
+    try:
+        predict_probs(params, spec, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # one unblocked pass peaks near 16 MiB
 
 
 def test_backward_zero_upstream_gives_zero_gradients():
