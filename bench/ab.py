@@ -58,7 +58,8 @@ Usage, from the repository root::
 The file holds the machine facts (cores, BLAS, numpy, Python) and the git
 commit of each tree.  A base tree outside a git checkout (one exported with
 ``git archive``) needs ``--base-commit``, which must name a commit of this
-repository; it is recorded with ``"dirty": null``.  ``--quick`` shrinks
+repository; it is recorded with ``"dirty": null``.  A change tree outside
+git is recorded with ``"commit": null``.  ``--quick`` shrinks
 every run to two rounds, every layer sample to a few calls, and makes two
 pairs (40 in ``server``): its numbers mean nothing, it only shows that the
 script works.
@@ -204,7 +205,7 @@ def git_facts(src: Path, given: str | None = None) -> dict:
     """The commit checked out where ``src`` lives, and whether ``src`` differs from it.
 
     Outside a git checkout the commit is ``given``, resolved in this
-    repository.  Exits if the commit is unknown, or ``given`` is not the
+    repository, or None.  Exits if ``given`` is unknown or not the
     checked-out one.
     """
     commit = git(src, "rev-parse", "HEAD")
@@ -214,8 +215,6 @@ def git_facts(src: Path, given: str | None = None) -> dict:
         if resolved is None or commit not in (None, resolved):
             raise SystemExit(f"{src}: --base-commit {given} is not a commit of this repository or not {src}'s")
         commit = resolved
-    if commit is None:
-        raise SystemExit(f"{src} is not in a git checkout: name its commit with --base-commit")
     status = git(src, "status", "--porcelain", "--", ".")
     return {"commit": commit, "dirty": None if status is None else bool(status)}
 
@@ -451,8 +450,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="output path (default: BENCH_<tag>.json at the repo root)")
     parser.add_argument("--base-commit", help="commit of a base tree that is not a git checkout")
     args = parser.parse_args(argv)
-    # before any timing: a tree of unknown commit ends the run here
+    # before any timing: a base tree of unknown commit ends the run here
     trees = {"base": git_facts(args.base.resolve(), args.base_commit), "change": git_facts(args.change.resolve())}
+    if trees["base"]["commit"] is None:
+        raise SystemExit(f"base tree {args.base} is not in a git checkout: name its commit with --base-commit")
 
     clis = {side: load_tree(getattr(args, side).resolve(), f"fedfreq_{side}") for side in SIDES}
     pairs = 2 if args.quick else args.pairs

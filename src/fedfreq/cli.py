@@ -162,7 +162,7 @@ def _cmd_eval(args) -> int:
     if features != inputs:
         raise DataError(f"{args.data}: {features} features, model {model_id!r} takes {inputs}")
     x, y = client.split_xy(args.split)
-    check_two_classes(y, spec.classes, f"{args.data}: split {args.split!r}", DataError)
+    check_two_classes(y, spec.classes, f"{args.data}: split {args.split!r}")
     result = evaluate(predict_probs(params, spec, x), y, spec.classes)
     print(
         json.dumps(

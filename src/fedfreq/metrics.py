@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import DataError
+
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -128,11 +130,11 @@ class PaddedLabels:
         return f1.sum(axis=-1) / classes
 
 
-def check_two_classes(labels: np.ndarray, classes: int, what: str, error: type) -> None:
-    """Raises ``error`` about ``what`` unless ``labels`` hold two classes or more, as macro AUC needs."""
+def check_two_classes(labels: np.ndarray, classes: int, what: str) -> None:
+    """Raises DataError about ``what`` unless ``labels`` hold two classes or more, as macro AUC needs."""
     held = len(set(np.asarray(labels).tolist()))  # a set: np.unique would import numpy.ma (1.7 MB)
     if held < 2:
-        raise error(f"{what} holds {held} of {classes} classes; macro AUC needs at least two")
+        raise DataError(f"{what} holds {held} of {classes} classes; macro AUC needs at least two")
 
 
 def macro_auc(scores: np.ndarray, labels: np.ndarray, classes: int) -> float:

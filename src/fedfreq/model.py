@@ -525,8 +525,6 @@ def predict_probs(params: NamedTensorMap, spec: ModelSpec, inputs: np.ndarray) -
     lead = _lead(params, spec)
     before = (slice(None),) * min(len(lead), 1)  # the axes before the sample axis: (n, ...) or (K, n, ...)
     n = x.shape[len(before)]
-    if n <= PREDICT_BLOCK:
-        return forward(params, spec, x)[0]
     out = np.empty(lead + (n, spec.classes))
     for s in range(0, n, PREDICT_BLOCK):
         out[..., s : s + PREDICT_BLOCK, :] = forward(params, spec, x[before + (slice(s, s + PREDICT_BLOCK),)])[0]

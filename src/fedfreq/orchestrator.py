@@ -253,7 +253,7 @@ def run_experiment(
     # macro AUC is undefined on a test split with one class; fail before any training
     scored = {f"client {i}": c for i, c in enumerate(dataset.clients)}
     for who, cdata in {**scored, "the held-out cohort": ood}.items():
-        check_two_classes(cdata.labels[cdata.test_idx], spec.classes, f"{who}'s test split", DataError)
+        check_two_classes(cdata.labels[cdata.test_idx], spec.classes, f"{who}'s test split")
     schedule = ScheduleParams(cfg.r0, cfg.r1, cfg.total_epochs)
     det_cfg = DetConfig(cfg.lambda1, cfg.lambda2)
 
