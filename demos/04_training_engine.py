@@ -1,12 +1,12 @@
-"""The numpy training engine: forward, losses, manual backprop, SGD.
+"""The numpy training engine: forward, losses, manual backprop, SGD inside the backward walk.
 
 Run: python demos/04_training_engine.py
 """
 
 import numpy as np
 
-from fedfreq import OptimizerState, backward, ce_loss, forward, init_params, kl_div, sgd_step
-from fedfreq.model import mlp_spec
+from fedfreq import OptimizerState, backward, ce_loss, forward, init_params, kl_div
+from fedfreq.model import descend, mlp_spec
 
 rng = np.random.default_rng(1)
 spec = mlp_spec(input_dim=2, classes=3)
@@ -39,7 +39,7 @@ for epoch in range(40):
         sel = order[i : i + 16]
         probs, cache = forward(params, spec, inputs[sel])
         _, dlogits = ce_loss(probs, labels[sel])
-        params = sgd_step(params, backward(cache, dlogits), opt)
+        descend(cache, dlogits, opt.lr)  # updates params in place
     opt.epoch += 1
     if epoch % 10 == 9 or epoch == 0:
         probs, _ = forward(params, spec, inputs)

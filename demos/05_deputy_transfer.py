@@ -3,16 +3,17 @@
 A deputy model absorbs each incoming aggregate so the personalized model is
 never overwritten.  This demo delivers a deliberately damaged aggregate and
 logs the deputy's validation score climbing back through the phase gates.
+The client is a cohort of one, trained and served through the calls a run
+makes: ``train_epoch``, ``Cohort.uploads`` and ``Cohort.deliver``.
 
 Run: python demos/05_deputy_transfer.py
 """
 
 import numpy as np
 
-from fedfreq import ClientState, DetConfig, OptimizerState, init_params, local_epoch
-from fedfreq.det import receive_deputy, upload_model
-from fedfreq.metrics import macro_f1
-from fedfreq.model import clone_params, mlp_spec, predict_probs
+from fedfreq import DetConfig, DetPhase, OptimizerState, init_params
+from fedfreq.det import Cohort, train_epoch
+from fedfreq.model import mlp_spec
 
 rng = np.random.default_rng(3)
 spec = mlp_spec(input_dim=6, classes=3)
@@ -30,29 +31,30 @@ def shuffled():
 
 
 init = init_params(spec, 3)
-state = ClientState(personalized=clone_params(init), deputy=clone_params(init))
+# a cohort of one client; p and its deputy both start from init
+cohort = Cohort([init], [init], [(val_x, val_y)], [len(train_y)])
 opt = OptimizerState(base_lr=0.01)  # one schedule for both models
 
 print("Warm up the personalized model for 8 epochs:")
 for _ in range(8):
-    log = local_epoch(state, spec, shuffled(), 16, (val_x, val_y), cfg, opt)
-print(f"  phi(p) = {log.phi_p:.3f}, phase = {log.phase.name}")
+    log = train_epoch(cohort, spec, [shuffled()], 16, cfg, opt)
+print(f"  phi(p) = {log.phi_p[0]:.3f}, phase = {DetPhase(log.phase[0]).name}")
 
 print("\nDeliver a damaged aggregate (heavy noise) as the new deputy:")
-noisy = {k: v + 4.0 * rng.standard_normal(v.shape) for k, v in upload_model(state).items()}
-receive_deputy(state, noisy)
-print(f"  phase reset to {state.phase.name}; phi(d) is rescored after the next epoch")
-phi_d = macro_f1(predict_probs(state.deputy, spec, val_x).argmax(axis=1), val_y, spec.classes)
+noisy = {k: v + 4.0 * rng.standard_normal(v.shape) for k, v in cohort.uploads().items()}
+cohort.deliver(noisy)
+print(f"  phase reset to {DetPhase(cohort.phases[0]).name}; phi(d) is rescored after the next epoch")
+phi_d = cohort.validation_f1(spec)[1, 0]  # row 1 scores the deputies
 print(f"  deputy validation F1 at delivery: {phi_d:.3f}")
 
 print("\nEach row: scores after that epoch and the phase the NEXT epoch will")
 print("use (gates at 0.7 and 0.9 of phi(p), never moving backward):")
 print(f"  {'epoch':>5} {'phi(d)':>7} {'phi(p)':>7} {'next phase':>11}")
 for epoch in range(8):
-    log = local_epoch(state, spec, shuffled(), 16, (val_x, val_y), cfg, opt)
-    print(f"  {epoch + 1:>5} {log.phi_d:>7.3f} {log.phi_p:>7.3f} {log.phase.name:>11}")
+    log = train_epoch(cohort, spec, [shuffled()], 16, cfg, opt)
+    print(f"  {epoch + 1:>5} {log.phi_d[0]:>7.3f} {log.phi_p[0]:>7.3f} {DetPhase(log.phase[0]).name:>11}")
 
 print("\nThe upload is always the personalized model, never the deputy:")
-up = upload_model(state)
-same = all(np.array_equal(up[k], state.personalized[k]) for k in up)
+up = cohort.uploads()
+same = all(np.array_equal(up[k], cohort.p[k]) for k in up)
 print(f"  upload == personalized: {same}")

@@ -11,7 +11,7 @@ experiment harness.
 """
 
 from .data import ClientProfile, FederatedDataset, default_profiles, ood_client, synth
-from .det import ClientState, DetConfig, DetPhase, det_phase_transition, local_epoch
+from .det import DetConfig, DetPhase, det_phase_transition
 from .freq_agg import (
     AggregationRequest,
     ScheduleParams,
@@ -32,7 +32,6 @@ from .model import (
     forward,
     init_params,
     kl_div,
-    sgd_step,
 )
 from .numerics import AmpPhase, SymmetryViolationError, amp_phase, dft2, idft2, recompose
 from .orchestrator import (

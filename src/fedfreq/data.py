@@ -26,9 +26,11 @@ is what makes element-wise parameter averaging miscalibrated per client.
 Splits are 7:1:2 (largest-remainder on the totals) and stratified so that
 every per-split class count is within one sample of exact proportionality.
 
-A dataset file is a checkpoint file with model id ``DATASET_ID`` and the
-tensors ``features`` (n, d), ``labels`` (n,) and ``splits`` (the train, val
-and test row counts), rows stored train block first.
+A client in memory is its dataset file: ``features`` (n, d) and ``labels``
+(n,) with the rows stored split by split, train block first, and
+``splits``, the train, val and test row counts.  A dataset file is a
+checkpoint file with model id ``DATASET_ID`` and these three tensors, and
+``ClientData.split_xy`` returns one split's rows as views.
 """
 
 from __future__ import annotations
@@ -101,15 +103,18 @@ class ClientProfile:
 
 @dataclass
 class ClientData:
+    """One client's rows in the layout of its dataset file: ``features`` and ``labels`` stored
+    split by split, train block first, and ``splits``, the train, val and test row counts."""
+
     features: np.ndarray
     labels: np.ndarray
-    train_idx: np.ndarray
-    val_idx: np.ndarray
-    test_idx: np.ndarray
+    splits: tuple[int, int, int]
 
     def split_xy(self, split: str) -> tuple[np.ndarray, np.ndarray]:
-        idx = {"train": self.train_idx, "val": self.val_idx, "test": self.test_idx}[split]
-        return self.features[idx], self.labels[idx]
+        """The rows of split ``"train"``, ``"val"`` or ``"test"`` as ``(features, labels)`` views."""
+        s = SPLIT_NAMES.index(split)
+        rows = slice(sum(self.splits[:s]), sum(self.splits[: s + 1]))
+        return self.features[rows], self.labels[rows]
 
 
 @dataclass
@@ -218,33 +223,29 @@ def _stratified_split(class_counts: list[int], total: int) -> list[list[int]]:
     ]
 
 
-def _generate_client(profile: ClientProfile, global_seed: int) -> ClientData:
+def _draw(profile: ClientProfile, global_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A profile's ``(features, labels)`` rows in drawing order."""
     rng = np.random.default_rng([int(global_seed), int(profile.seed)])
     counts = _largest_remainder(profile.n_samples, profile.class_proportions)
     labels = np.repeat(np.arange(CLASSES), counts)
-    means = class_means()
-    z = means[labels] + NOISE_SIGMA * rng.standard_normal((profile.n_samples, FEATURE_DIM))
+    z = class_means()[labels] + NOISE_SIGMA * rng.standard_normal((profile.n_samples, FEATURE_DIM))
     x = z @ _rotation_matrix(profile.rotation_deg).T
     x = x * profile.gain
     x[:, -2:] += profile.shift
     perm = rng.permutation(profile.n_samples)
-    x, labels = x[perm], labels[perm]
+    return x[perm], labels[perm]
 
-    alloc = _stratified_split(counts, profile.n_samples)
-    split_idx: dict[str, list[np.ndarray]] = {name: [] for name in SPLIT_NAMES}
+
+def _generate_client(profile: ClientProfile, global_seed: int) -> ClientData:
+    """Each class's first rows go to train, the next to val, the rest to test; every split
+    keeps the drawing order."""
+    x, labels = _draw(profile, global_seed)
+    alloc = _stratified_split(np.bincount(labels, minlength=CLASSES).tolist(), profile.n_samples)
+    split_of = np.empty(len(labels), dtype=np.int64)
     for c in range(CLASSES):
-        members = np.flatnonzero(labels == c)
-        start = 0
-        for s, name in enumerate(SPLIT_NAMES):
-            split_idx[name].append(members[start : start + alloc[c][s]])
-            start += alloc[c][s]
-    return ClientData(
-        features=x,
-        labels=labels,
-        train_idx=np.sort(np.concatenate(split_idx["train"])),
-        val_idx=np.sort(np.concatenate(split_idx["val"])),
-        test_idx=np.sort(np.concatenate(split_idx["test"])),
-    )
+        split_of[labels == c] = np.repeat(np.arange(len(SPLIT_NAMES)), alloc[c])
+    order = np.argsort(split_of, kind="stable")
+    return ClientData(x[order], labels[order], tuple(np.sum(alloc, axis=0).tolist()))
 
 
 def synth(profiles: list[ClientProfile], global_seed: int) -> FederatedDataset:
@@ -270,20 +271,13 @@ def ood_profile(profiles: list[ClientProfile]) -> ClientProfile:
 
 def ood_client(profiles: list[ClientProfile], seed: int) -> ClientData:
     """Out-of-distribution client used only for evaluation (everything is test)."""
-    client = _generate_client(ood_profile(profiles), seed)
-    n = len(client.labels)
-    client.train_idx = np.empty(0, dtype=np.int64)
-    client.val_idx = np.empty(0, dtype=np.int64)
-    client.test_idx = np.arange(n)
-    return client
+    x, labels = _draw(ood_profile(profiles), seed)
+    return ClientData(x, labels, (0, 0, len(labels)))
 
 
 def save_client(client: ClientData, path) -> None:
     """Write ``client`` as a dataset file (see the module docstring)."""
-    blocks = [client.train_idx, client.val_idx, client.test_idx]
-    order = np.concatenate(blocks)
-    splits = np.array([len(b) for b in blocks])
-    tensors = {"features": client.features[order], "labels": client.labels[order], "splits": splits}
+    tensors = {"features": client.features, "labels": client.labels, "splits": np.array(client.splits)}
     save_checkpoint(tensors, path, model_id=DATASET_ID)
 
 
@@ -305,11 +299,4 @@ def load_client(path) -> ClientData:
     bad = labels[~np.isin(labels, range(CLASSES))]
     if bad.size:
         raise DataError(f"{path}: label {bad[0]:g} outside [0, {CLASSES})")
-    n_train, n_val, _ = (int(c) for c in counts)
-    return ClientData(
-        features=features,
-        labels=labels.astype(np.int64),
-        train_idx=np.arange(0, n_train),
-        val_idx=np.arange(n_train, n_train + n_val),
-        test_idx=np.arange(n_train + n_val, len(labels)),
-    )
+    return ClientData(features, labels.astype(np.int64), tuple(int(c) for c in counts))

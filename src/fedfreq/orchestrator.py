@@ -253,7 +253,7 @@ def run_experiment(
     # macro AUC is undefined on a test split with one class; fail before any training
     scored = {f"client {i}": c for i, c in enumerate(dataset.clients)}
     for who, cdata in {**scored, "the held-out cohort": ood}.items():
-        check_two_classes(cdata.labels[cdata.test_idx], spec.classes, f"{who}'s test split")
+        check_two_classes(cdata.split_xy("test")[1], spec.classes, f"{who}'s test split")
     schedule = ScheduleParams(cfg.r0, cfg.r1, cfg.total_epochs)
     det_cfg = DetConfig(cfg.lambda1, cfg.lambda2)
 
@@ -262,9 +262,6 @@ def run_experiment(
     common_init = init_params(spec, [cfg.seed, _INIT_STREAM])
 
     train = [cdata.split_xy("train") for cdata in dataset.clients]
-    for i, (_, y) in enumerate(train):
-        if len(y) == 0:
-            raise DataError(f"client {i} has an empty training split")
     cohort = Cohort(
         [common_init] * cfg.num_clients,
         [common_init] * cfg.num_clients if strategy.deputy else None,

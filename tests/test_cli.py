@@ -22,7 +22,7 @@ def test_synth_data_writes_client_files(tmp_path, capsys):
     client = load_client(tmp_path / "client_0.fsd")
     assert len(client.labels) == 299
     ood = load_client(tmp_path / "ood.fsd")
-    assert len(ood.test_idx) == len(ood.labels)
+    assert ood.splits == (0, 0, len(ood.labels))
 
 
 @pytest.mark.parametrize(
@@ -248,14 +248,7 @@ def test_run_writes_the_same_bytes_in_any_directory(tmp_path, capsys):
 
 
 def _eval_file(tmp_path, features, labels):
-    n = len(labels)
-    client = ClientData(
-        features=features,
-        labels=np.asarray(labels),
-        train_idx=np.arange(0),
-        val_idx=np.arange(0),
-        test_idx=np.arange(n),
-    )
+    client = ClientData(features, np.asarray(labels), (0, 0, len(labels)))
     data = tmp_path / "client.fsd"
     save_client(client, data)
     ckpt = tmp_path / "model.ckpt"

@@ -6,6 +6,7 @@ from fedfreq.data import (
     CLASSES,
     DATASET_ID,
     FEATURE_DIM,
+    SPLIT_NAMES,
     ClientProfile,
     DataError,
     default_profiles,
@@ -63,22 +64,24 @@ def test_synth_deterministic():
     for ca, cb in zip(a.clients, b.clients):
         assert np.array_equal(ca.features, cb.features)
         assert np.array_equal(ca.labels, cb.labels)
-        assert np.array_equal(ca.train_idx, cb.train_idx)
+        assert ca.splits == cb.splits
 
 
 def test_split_sizes_for_200_samples():
     client = synth(default_profiles(0.1), 0).clients[3]  # 200 samples
-    assert len(client.train_idx) == 140
-    assert len(client.val_idx) == 20
-    assert len(client.test_idx) == 40
+    assert client.splits == (140, 20, 40)
+    assert [len(client.split_xy(name)[1]) for name in SPLIT_NAMES] == [140, 20, 40]
 
 
 def test_splits_disjoint_and_exhaustive():
     for client in synth(default_profiles(0.1), 3).clients:
-        n = len(client.labels)
-        combined = np.concatenate([client.train_idx, client.val_idx, client.test_idx])
-        assert len(combined) == n
-        assert len(np.unique(combined)) == n
+        # the split blocks tile the rows, in order, as views, and no drawn row appears twice
+        blocks = [client.split_xy(name) for name in SPLIT_NAMES]
+        assert sum(client.splits) == len(client.labels) == len(client.features)
+        assert np.array_equal(np.concatenate([x for x, _ in blocks]), client.features)
+        assert np.array_equal(np.concatenate([y for _, y in blocks]), client.labels)
+        assert all(np.shares_memory(x, client.features) for x, y in blocks if len(y))
+        assert len(np.unique(client.features, axis=0)) == len(client.labels)
 
 
 def test_stratification_within_one_of_ideal():
@@ -90,8 +93,8 @@ def test_stratification_within_one_of_ideal():
             int(rng.integers(40, 500)), tuple(props), 0.0, 1.0, (0.0, 0.0), trial
         )
         client = synth([profile], 11).clients[0]
-        for idx, ratio in ((client.train_idx, 0.7), (client.val_idx, 0.1), (client.test_idx, 0.2)):
-            got = np.bincount(client.labels[idx], minlength=3)
+        for name, ratio in zip(SPLIT_NAMES, (0.7, 0.1, 0.2)):
+            got = np.bincount(client.split_xy(name)[1], minlength=3)
             for c in range(3):
                 ideal = np.count_nonzero(client.labels == c) * ratio
                 assert abs(got[c] - ideal) <= 1.0
@@ -104,10 +107,12 @@ def test_split_ratio_totals_largest_remainder():
         profile = ClientProfile(n, (0.5, 0.3, 0.2), 0.0, 1.0, (0.0, 0.0), trial)
         client = synth([profile], 5).clients[0]
         ideal = [0.7 * n, 0.1 * n, 0.2 * n]
-        sizes = [len(client.train_idx), len(client.val_idx), len(client.test_idx)]
-        assert sum(sizes) == n
-        for size, want in zip(sizes, ideal):
+        assert sum(client.splits) == n
+        for size, want in zip(client.splits, ideal):
             assert abs(size - want) < 1.0
+    # the smallest client a profile allows still trains on 21 rows
+    smallest = ClientProfile(30, (0.5, 0.3, 0.2), 0.0, 1.0, (0.0, 0.0), 0)
+    assert synth([smallest], 5).clients[0].splits == (21, 3, 6)
 
 
 def test_seed_isolation():
@@ -158,9 +163,11 @@ def test_ood_profile_outside_training_range():
 def test_ood_client_is_evaluation_only():
     profiles = default_profiles(0.1)
     client = ood_client(profiles, 4)
-    assert len(client.train_idx) == 0
-    assert len(client.val_idx) == 0
-    assert len(client.test_idx) == len(client.labels)
+    assert client.splits == (0, 0, len(client.labels))
+    assert len(client.split_xy("train")[1]) == len(client.split_xy("val")[1]) == 0
+    test_x, test_y = client.split_xy("test")
+    assert np.array_equal(test_x, client.features)
+    assert np.array_equal(test_y, client.labels)
 
 
 def test_ood_client_deterministic():
@@ -185,6 +192,21 @@ def test_dataset_file_roundtrip(tmp_path):
         lx, ly = loaded.split_xy(split)
         assert np.array_equal(ox, lx)
         assert np.array_equal(oy, ly)
+
+
+@pytest.mark.parametrize("scale", [0.05, 0.1, 1.0])
+def test_every_field_of_a_client_survives_its_dataset_file(tmp_path, scale):
+    profiles = default_profiles(scale)
+    for i, client in enumerate([*synth(profiles, 6).clients, ood_client(profiles, 6)]):
+        path = tmp_path / f"client_{i}.fsd"
+        save_client(client, path)
+        loaded = load_client(path)
+        assert np.array_equal(loaded.features, client.features)
+        assert np.array_equal(loaded.labels, client.labels)
+        assert loaded.splits == client.splits
+        for split in SPLIT_NAMES:
+            for got, want in zip(loaded.split_xy(split), client.split_xy(split)):
+                assert np.array_equal(got, want)
 
 
 def test_dataset_file_bad_magic(tmp_path):

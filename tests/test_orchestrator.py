@@ -261,4 +261,4 @@ def test_ood_evaluation_present():
     result = run_experiment(small_cfg(total_epochs=10))
     assert 0.0 <= result.ood_macro_f1 <= 1.0
     ood = ood_client(default_profiles(0.1), 3)
-    assert len(ood.test_idx) == len(ood.labels)
+    assert ood.splits == (0, 0, len(ood.labels))
