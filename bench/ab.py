@@ -13,6 +13,10 @@ of each side's wall times and of the per-pair ratios change/base.  Pairing
 and alternation cancel most of the drift of a shared host (Kalibera &
 Jones, "Rigorous Benchmarking in Reasonable Time", ISMM 2013).
 It also records whether the two sides wrote byte-identical artifacts.
+Sharing the process, the two sides also share every per-process setting,
+such as the BLAS thread count that importing either tree sets, so a change
+to such a setting cannot show here: ``bench/fresh_pairs.py`` runs each
+side's perfbench in a fresh process instead.
 The ``e2e`` section times the two perfbench training workloads; the
 ``acceptance`` section times one run per strategy at the acceptance setting
 (mlp32, E=5, T=100, data_scale 0.1, K=4): every name in the change tree's

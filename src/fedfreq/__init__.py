@@ -7,7 +7,8 @@ deputy scheme that absorbs each aggregate and transfers its knowledge into
 an untouched personalized model through recover/exchange/sublimate phases.
 Plain-averaging and proximal baselines, a small numpy neural network,
 synthetic heterogeneous clients and macro F1/AUC metrics round out the
-experiment harness.
+experiment harness.  Importing the package sets numpy's bundled OpenBLAS
+to one thread (``model._set_blas_threads``); no result depends on it.
 """
 
 from .data import ClientProfile, FederatedDataset, default_profiles, ood_client, synth

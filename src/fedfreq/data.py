@@ -228,9 +228,12 @@ def _draw(profile: ClientProfile, global_seed: int) -> tuple[np.ndarray, np.ndar
     rng = np.random.default_rng([int(global_seed), int(profile.seed)])
     counts = _largest_remainder(profile.n_samples, profile.class_proportions)
     labels = np.repeat(np.arange(CLASSES), counts)
-    z = class_means()[labels] + NOISE_SIGMA * rng.standard_normal((profile.n_samples, FEATURE_DIM))
+    z = rng.standard_normal((profile.n_samples, FEATURE_DIM))
+    z *= NOISE_SIGMA  # in place: the same bits as class_means()[labels] + NOISE_SIGMA * noise
+    z += class_means()[labels]
     x = z @ _rotation_matrix(profile.rotation_deg).T
-    x = x * profile.gain
+    del z
+    x *= profile.gain
     x[:, -2:] += profile.shift
     perm = rng.permutation(profile.n_samples)
     return x[perm], labels[perm]

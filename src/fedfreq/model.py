@@ -47,9 +47,11 @@ holds one block's activations and patches, not the whole split's.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -79,6 +81,41 @@ PROB_FLOOR = 1e-12  # probabilities are clamped below this before any log
 # ndarray.sum and .max: the same bits, without the ~1 us of Python wrapper per call.
 _sum, _max = np.add.reduce, np.maximum.reduce
 PREDICT_BLOCK = 512  # samples predict_probs passes to one forward call (see the module docstring)
+
+# OpenBLAS's thread setter and getter: scipy-openblas wheels, then 64-bit-integer and plain builds
+_BLAS_THREAD_CALLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+@functools.cache
+def _blas_thread_calls():
+    """The ``(set, get)`` thread-count functions of the OpenBLAS in numpy's bundled-library
+    folder (``numpy.libs`` next to the package, or ``numpy/.dylibs``), or None."""
+    package = Path(np.__file__).parent
+    for path in sorted([*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))  # the copy numpy loaded: one path is opened once
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_CALLS:
+            setter, getter = getattr(lib, name.format("set"), None), getattr(lib, name.format("get"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+def _set_blas_threads(n: int) -> bool:
+    """Sets numpy's bundled OpenBLAS to ``n`` threads; False, changing nothing, where there is none."""
+    calls = _blas_thread_calls()
+    if calls is not None:
+        calls[0](n)
+    return calls is not None
+
+
+# Every product runs on the calling thread: at fedfreq's sizes a second thread gains nothing and
+# can cost milliseconds, and OpenBLAS splits a product's output, never an inner sum, between threads.
+_set_blas_threads(1)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ from fedfreq.checkpoint import save_checkpoint
 from fedfreq.data import (
     CLASSES,
     DATASET_ID,
-    FEATURE_DIM,
     SPLIT_NAMES,
     ClientProfile,
     DataError,
@@ -179,19 +178,6 @@ def test_ood_client_deterministic():
 
 
 # --- dataset files ---------------------------------------------------------------
-
-
-def test_dataset_file_roundtrip(tmp_path):
-    client = synth(default_profiles(0.1), 2).clients[1]
-    path = tmp_path / "client.fsd"
-    save_client(client, path)
-    loaded = load_client(path)
-    assert loaded.features.shape == (len(client.labels), FEATURE_DIM)
-    for split in ("train", "val", "test"):
-        ox, oy = client.split_xy(split)
-        lx, ly = loaded.split_xy(split)
-        assert np.array_equal(ox, lx)
-        assert np.array_equal(oy, ly)
 
 
 @pytest.mark.parametrize("scale", [0.05, 0.1, 1.0])
