@@ -40,11 +40,15 @@ def _dims(rank: int) -> struct.Struct:
     return _DIMS.get(rank) or struct.Struct(f"<{rank}I")
 
 
-class CorruptCheckpointError(ValueError):
+class DataError(ValueError):
+    """Invalid input data, such as a bad checkpoint, dataset or curves file; every checkpoint error is one."""
+
+
+class CorruptCheckpointError(DataError):
     """Checkpoint file is truncated or fails its checksum."""
 
 
-class UnsupportedVersionError(ValueError):
+class UnsupportedVersionError(DataError):
     """Checkpoint was written with an unknown format version."""
 
 

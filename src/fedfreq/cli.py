@@ -6,17 +6,19 @@ checkpoint files), ``eval`` (score a checkpoint on a dataset file) and
 ``report`` (summarize a curves.csv log).  A dataset file is a
 checkpoint-format file with model id ``fedfreq-dataset``.
 
-Exit codes: 0 success, 2 configuration error (including a ``synth-data``
-``--seed`` below 0 or ``--scale`` outside (0, 1]), 3 data error (including
-a corrupt checkpoint or dataset file, or one of an unknown format version;
-a checkpoint, or an aggregate of checkpoints, holding a non-finite tensor,
-checkpoints to aggregate whose model ids differ, a dataset file or a
-tensor with no entries among them, on any of which ``aggregate`` writes
-nothing; an ``eval`` checkpoint of an unknown model id, or whose tensor
-names or shapes do not fit it; and an ``eval`` dataset file with a
-non-finite feature, or whose scored split holds fewer than two classes),
-4 I/O error, 5 training diverged (a parameter stopped being finite; ``run``
-writes nothing).
+Exit codes, one exception type each: 0 success; 2 ``ConfigError`` (including a
+config file that is not UTF-8, a ``synth-data`` ``--seed`` below 0 or
+``--scale`` outside (0, 1]); 3 ``DataError`` (including a corrupt checkpoint
+or dataset file, or one of an unknown format version, raised as its subclasses
+``CorruptCheckpointError`` and ``UnsupportedVersionError``; a file given as a
+curves.csv that is not one; a checkpoint, or an aggregate of checkpoints,
+holding a non-finite tensor, checkpoints to aggregate whose model ids differ,
+a dataset file or a tensor with no entries among them, on any of which
+``aggregate`` writes nothing; an ``eval`` checkpoint of an unknown model id,
+or whose tensor names or shapes do not fit it; and an ``eval`` dataset file
+with a non-finite feature, or whose scored split holds fewer than two
+classes); 4 ``OSError``, an I/O error; 5 ``DivergenceError``, training
+diverged (a parameter stopped being finite; ``run`` writes nothing).
 """
 
 from __future__ import annotations
@@ -28,15 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (
-    CorruptCheckpointError,
-    UnsupportedVersionError,
-    load_checkpoint_full,
-    save_checkpoint,
-)
-from .data import (
-    DATASET_ID, DataError, check_scale, default_profiles, load_client, ood_client, save_client, synth
-)
+from .checkpoint import DataError, load_checkpoint_full, save_checkpoint
+from .data import DATASET_ID, check_scale, default_profiles, load_client, ood_client, save_client, synth
 from .det import DivergenceError
 from .freq_agg import (
     FEDAVG,
@@ -237,7 +232,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, CorruptCheckpointError, UnsupportedVersionError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

@@ -40,7 +40,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .checkpoint import CorruptCheckpointError, UnsupportedVersionError, load_checkpoint_full, save_checkpoint
+from .checkpoint import DataError, load_checkpoint_full, save_checkpoint
 
 FEATURE_DIM = 32
 CLASSES = 3
@@ -74,10 +74,6 @@ OOD_REFERENCE_COUNT = 427  # unseen-cohort size at scale 1.0
 
 DATASET_ID = "fedfreq-dataset"  # the model id of a dataset file
 _DATASET_TENSORS = ["features", "labels", "splits"]
-
-
-class DataError(ValueError):
-    """Invalid dataset file or generation profile."""
 
 
 @dataclass(frozen=True)
@@ -286,10 +282,7 @@ def save_client(client: ClientData, path) -> None:
 
 def load_client(path) -> ClientData:
     """Read a dataset file; DataError if it fails the checksum, is not a dataset file or is misshapen."""
-    try:
-        _, model_id, tensors = load_checkpoint_full(path)
-    except (CorruptCheckpointError, UnsupportedVersionError) as exc:
-        raise DataError(str(exc)) from None
+    _, model_id, tensors = load_checkpoint_full(path)
     if model_id != DATASET_ID or sorted(tensors) != _DATASET_TENSORS:
         raise DataError(f"{path}: not a dataset file")
     features, labels, splits = (tensors[name] for name in _DATASET_TENSORS)

@@ -180,7 +180,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not a UTF-8 text file") from None
+    return parse_config_text(text)
 
 
 def config_echo(cfg: ExperimentConfig) -> str:
@@ -390,7 +394,10 @@ def read_curves(path) -> list[RoundRow]:
     Raises DataError, naming the file and line, on a wrong header, a row with
     the wrong field count or a value that does not parse.
     """
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        lines = []  # not text, so not a curves.csv file
     if not lines or lines[0] != CURVES_HEADER:
         raise DataError(f"{path}: not a curves.csv file")
     rows = []

@@ -7,11 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedfreq.checkpoint import load_checkpoint_full, save_checkpoint
+from fedfreq import cli
+from fedfreq.checkpoint import CorruptCheckpointError, UnsupportedVersionError, load_checkpoint_full, save_checkpoint
 from fedfreq.cli import main
-from fedfreq.data import ClientData, load_client, save_client
+from fedfreq.data import ClientData, DataError, load_client, save_client
+from fedfreq.det import DivergenceError
 from fedfreq.freq_agg import FEDAVG, PFA, AggregationRequest, fedavg_aggregate, pfa_aggregate
 from fedfreq.model import MODEL_SPECS, init_params, mlp_spec
+from fedfreq.orchestrator import ConfigError
 
 
 def test_synth_data_writes_client_files(tmp_path, capsys):
@@ -174,6 +177,45 @@ def test_exit_code_io_error(tmp_path, capsys):
 def _single_error_line(capsys, prefix):
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1, err  # one line, no traceback
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (ConfigError, 2, "config error: "),
+        (DataError, 3, "data error: "),
+        (CorruptCheckpointError, 3, "data error: "),
+        (UnsupportedVersionError, 3, "data error: "),
+        (OSError, 4, "io error: "),
+        (DivergenceError, 5, "training diverged: "),
+    ],
+    ids=["ConfigError", "DataError", "CorruptCheckpointError", "UnsupportedVersionError", "OSError", "DivergenceError"],
+)
+def test_each_exception_type_exits_with_its_code(monkeypatch, capsys, error, code, prefix):
+    def fail(args):
+        raise error("some problem")
+
+    monkeypatch.setattr(cli, "_cmd_run", fail)
+    assert main(["run", "--config", "exp.cfg"]) == code
+    _single_error_line(capsys, f"{prefix}some problem\n")
+
+
+def test_run_with_a_config_file_that_is_not_utf8_exits_2_and_writes_nothing(tmp_path, capsys):
+    # a checkpoint given as the config once raised a raw UnicodeDecodeError, exit 1
+    cfg_path = tmp_path / "best_client_0.ckpt"
+    save_checkpoint(init_params(mlp_spec(32), 0), cfg_path, model_id="mlp32")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+    _single_error_line(capsys, f"config error: {cfg_path}: not a UTF-8 text file\n")
+    assert not out.exists()
+
+
+def test_report_of_a_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    # a checkpoint given as the curves once raised a raw UnicodeDecodeError, exit 1
+    ckpt = tmp_path / "best_client_0.ckpt"
+    save_checkpoint(init_params(mlp_spec(32), 0), ckpt, model_id="mlp32")
+    assert main(["report", "--curves", str(ckpt)]) == 3
+    _single_error_line(capsys, f"data error: {ckpt}: not a curves.csv file\n")
 
 
 def test_report_truncated_row_is_a_data_error(tmp_path, capsys):
