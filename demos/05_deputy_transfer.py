@@ -25,19 +25,19 @@ inputs = centers[labels] + 1.1 * rng.standard_normal((400, 6))
 train_x, train_y, val_x, val_y = inputs[:300], labels[:300], inputs[300:], labels[300:]
 
 
-def shuffled():
-    order = rng.permutation(len(train_y))
-    return train_x[order], train_y[order]
+def orders():
+    """This epoch's permutation of each client's training rows (one client here)."""
+    return [rng.permutation(len(train_y))]
 
 
 init = init_params(spec, 3)
-# a cohort of one client; p and its deputy both start from init
-cohort = Cohort([init], [init], [(val_x, val_y)], [len(train_y)])
+# a cohort of one client, batched 16 rows at a time; p and its deputy both start from init
+cohort = Cohort([init], [init], [(train_x, train_y)], [(val_x, val_y)], 16)
 opt = OptimizerState(base_lr=0.01)  # one schedule for both models
 
 print("Warm up the personalized model for 8 epochs:")
 for _ in range(8):
-    log = train_epoch(cohort, spec, [shuffled()], 16, cfg, opt)
+    log = train_epoch(cohort, spec, orders(), cfg, opt)
 print(f"  phi(p) = {log.phi_p[0]:.3f}, phase = {DetPhase(log.phase[0]).name}")
 
 print("\nDeliver a damaged aggregate (heavy noise) as the new deputy:")
@@ -51,7 +51,7 @@ print("\nEach row: scores after that epoch and the phase the NEXT epoch will")
 print("use (gates at 0.7 and 0.9 of phi(p), never moving backward):")
 print(f"  {'epoch':>5} {'phi(d)':>7} {'phi(p)':>7} {'next phase':>11}")
 for epoch in range(8):
-    log = train_epoch(cohort, spec, [shuffled()], 16, cfg, opt)
+    log = train_epoch(cohort, spec, orders(), cfg, opt)
     print(f"  {epoch + 1:>5} {log.phi_d[0]:>7.3f} {log.phi_p[0]:>7.3f} {DetPhase(log.phase[0]).name:>11}")
 
 print("\nThe upload is always the personalized model, never the deputy:")

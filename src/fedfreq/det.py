@@ -28,13 +28,15 @@ A run's clients live in one :class:`Cohort`, which takes and returns
 everything by client.  Inside, each parameter is one ``(M, K, ...)``
 buffer: M = 2 models per client with deputies, M = 1 without, and the
 clients in *slot* order, sorted once by training rows (descending,
-stable), an order only this module knows.  :func:`train_epoch` takes each
-client's whole training split, in the order to batch it, and trains the
-buffer in place: at each batch index the slots with a batch left train in
-groups of neighbouring slots whose batches have the same row count, one
-:func:`group_step` per group.  A group step makes one forward pass and one
-cross entropy over both models of every client in the group, then the
-deputy's step, then ``p``'s; each step applies SGD inside its backward walk
+stable), an order only this module knows.  The cohort holds each client's
+training split and fixes the batch layout once, at construction: its
+``plan`` lists, batch index by batch index, the groups of neighbouring
+slots whose batches have the same row count, each with its views of the
+buffer.  :func:`train_epoch` takes each client's permutation of its split
+for the epoch and trains the buffer in place, one :func:`group_step` per
+group of the plan.  A group step makes one forward pass and one cross
+entropy over both models of every client in the group, then the deputy's
+step, then ``p``'s; each step applies SGD inside its backward walk
 (:func:`model.descend`).  It runs the same per-(model, client) BLAS calls as
 each model of each client alone, 1-row batches included, so every client
 gets exactly the numbers it would get training alone (see the ``model``
@@ -46,10 +48,10 @@ a 1-row batch takes OpenBLAS's matrix-vector path.
 Validation is the exception: one forward pass over the buffer scores every
 ``p`` and every deputy (:func:`stacked_validation_f1`) on the validation
 splits, zero-padded once per run to the longest (:func:`pad_splits`), whose
-label checks and confusion-matrix bins (:class:`metrics.PaddedLabels`) are
-built once too.  Every validation pass of a run is this call on the
-buffer (:meth:`Cohort.validation_f1`), the score of a delivered global
-model included.  Padding may change the last bits of a probability, but
+label range (:class:`metrics.PaddedLabels`) is taken once too.  Every
+validation pass of a run is this call on the buffer
+(:meth:`Cohort.validation_f1`), the score of a delivered global model
+included.  Padding may change the last bits of a probability, but
 only each scored row's argmax is used and padded rows are never scored, so
 a score can differ from scoring the model alone only where two class
 probabilities lie within rounding of each other.  The property tests check that the two agree.
@@ -62,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import pairwise
 
 import numpy as np
 
@@ -129,31 +132,55 @@ class Cohort:
     """K clients' models and run state, taken and returned by client (see the module docstring).
 
     Holds copies of client j's ``p[j]`` and deputy ``d[j]`` (every client
-    has one or none does) and its validation split ``vals[j]``.  Inside,
-    the models are the ``(M, K, ...)`` buffers ``models``, with ``p`` and
-    ``d`` as views of their halves, and the validation splits are padded,
-    all in slot order: the clients' training ``rows`` fix it, slot s holds
-    client ``clients[s]``, and client j sits in slot ``slots[j]``.  By
-    client: ``phases`` (RECOVER at first), ``best``, each client's best
-    ``p`` so far, its validation F1 in ``best_f1`` (-1.0 before the first
-    snapshot) and its epoch in ``best_epoch``.
+    has one or none does) and its splits ``train[j]`` and ``val[j]``.
+    Inside, the models are the ``(M, K, ...)`` buffers ``models``, with
+    ``p`` and ``d`` as views of their halves, and the splits (validation
+    ones padded) are in slot order: the training rows fix it, slot s holds
+    client ``clients[s]``, and client j sits in slot ``slots[j]``.
+    ``plan`` holds an epoch's ``(i, a, b, group)`` group steps: slots
+    ``a:b`` train their batch i, rows from ``i * batch_size``, on the
+    ``models`` views ``group``, valid as long as nothing replaces a buffer;
+    slot s has ``batches[s]`` batches.  By client: ``phases`` (RECOVER at
+    first), ``best``, each client's best ``p`` so far, its validation F1 in
+    ``best_f1`` (-1.0 before the first snapshot) and its epoch in
+    ``best_epoch``.  An empty training split, or one whose inputs and
+    labels differ in row count, raises ValueError naming the client.
     """
 
     def __init__(
         self,
         p: list[NamedTensorMap],
         d: list[NamedTensorMap] | None,
-        vals: list[tuple[np.ndarray, np.ndarray]],
-        rows: list[int],
+        train: list[tuple[np.ndarray, np.ndarray]],
+        val: list[tuple[np.ndarray, np.ndarray]],
+        batch_size: int,
     ) -> None:
-        self.clients = np.array(sorted(range(len(p)), key=lambda j: -rows[j]))  # stable
+        if len(train) != len(p):
+            raise ValueError(f"need one training split per client ({len(p)}), got {len(train)}")
+        for j, (x, y) in enumerate(train):
+            if len(y) == 0:
+                raise ValueError(f"client {j}'s training split is empty")
+            if len(x) != len(y):
+                raise ValueError(f"client {j}'s training split has {len(x)} inputs but {len(y)} labels")
+        self.clients = np.array(sorted(range(len(p)), key=lambda j: -len(train[j][1])))  # stable
         self.slots = np.argsort(self.clients)
+        self.train = [train[j] for j in self.clients]
         maps = [p[j] for j in self.clients] + ([] if d is None else [d[j] for j in self.clients])
         self.models = {k: v.reshape(-1, len(p), *v.shape[1:]) for k, v in stack_params(maps).items()}
         self.p = {k: v[0] for k, v in self.models.items()}
         self.d = None if d is None else {k: v[1] for k, v in self.models.items()}
+        rows = np.array([len(y) for _, y in self.train])
+        self.batch_size, self.batches = batch_size, -(-rows // batch_size)
+        # each batch index's row count per slot (0: no batch); a group is a run of one nonzero count
+        sizes = np.clip(rows - batch_size * np.arange(self.batches[0])[:, None], 0, batch_size)
+        self.plan = [
+            (i, a, b, {k: v[:, a:b] for k, v in self.models.items()})
+            for i, size in enumerate(sizes)
+            for a, b in pairwise([0, *np.flatnonzero(np.diff(size)) + 1, len(size)])
+            if size[a]
+        ]
         self.phases = np.full(len(p), DetPhase.RECOVER)
-        self.val = pad_splits([vals[j] for j in self.clients])
+        self.val = pad_splits([val[j] for j in self.clients])
         self.best = self.uploads()
         self.best_f1 = np.full(len(p), -1.0)
         self.best_epoch = np.zeros(len(p), dtype=np.int64)
@@ -224,51 +251,46 @@ def local_epoch(
 ) -> EpochLog:
     """One client's epoch: :func:`train_epoch` over a cohort of one; updates ``state``."""
     deputy = None if state.deputy is None else [state.deputy]
-    cohort = Cohort([state.personalized], deputy, [val], [len(train[1])])
+    cohort = Cohort([state.personalized], deputy, [train], [val], batch_size)
     cohort.phases[0] = state.phase
-    log = train_epoch(cohort, spec, [train], batch_size, cfg, opt, prox)
+    log = train_epoch(cohort, spec, [np.arange(len(train[1]))], cfg, opt, prox)
     state.personalized = {k: v[0] for k, v in cohort.p.items()}
     if cohort.d is not None:
         state.deputy = {k: v[0] for k, v in cohort.d.items()}
     state.phase = DetPhase(int(cohort.phases[0]))
-    scores = (float(log.ce_loss[0]), float(log.kl_loss[0]), float(log.phi_d[0]), float(log.phi_p[0]))
-    return EpochLog(*scores, state.phase)
+    return EpochLog(*(float(v[0]) for v in (log.ce_loss, log.kl_loss, log.phi_d, log.phi_p)), state.phase)
 
 
 def train_epoch(
     cohort: Cohort,
     spec: ModelSpec,
-    train: list[tuple[np.ndarray, np.ndarray]],
-    batch_size: int,
+    orders: list[np.ndarray],
     cfg: DetConfig,
     opt: OptimizerState,
     prox: tuple[float, NamedTensorMap] | None = None,
 ) -> EpochLog:
     """One local epoch for every client of ``cohort`` at once, then re-evaluate each.
 
-    ``train[j]`` is client j's training split ``(inputs, labels)`` in the
-    order to batch it: batch i is ``batch_size`` rows from ``i * batch_size``.
-    Every step uses ``opt``'s learning rate; ``opt.epoch`` advances by one
-    at the end.  ``prox = (mu, anchor)`` pulls every ``p`` toward the one
-    anchor map.  Each client's phase decides its distillation (see the
-    module docstring).  After the pass every parameter must be finite, else
-    :class:`DivergenceError` names the client, epoch and tensor; then every
-    model is scored on its client's validation split and the transition
-    rule updates ``cohort.phases``.  Returns an :class:`EpochLog` of arrays
-    by client.  Before any training, an empty split, or one whose inputs
-    and labels differ in row count, raises ValueError naming the client.
+    ``orders[j]`` is client j's permutation of its training split for this
+    epoch: the epoch trains on ``(x[orders[j]], y[orders[j]])``, batched by
+    ``cohort.plan``.  Every step uses ``opt``'s learning rate; ``opt.epoch``
+    advances by one at the end.  ``prox = (mu, anchor)`` pulls every ``p``
+    toward the one anchor map.  Each client's phase decides its
+    distillation (see the module docstring).  After the pass every
+    parameter must be finite, else :class:`DivergenceError` names the
+    client, epoch and tensor; then every model is scored on its client's
+    validation split and the transition rule updates ``cohort.phases``.
+    Returns an :class:`EpochLog` of arrays by client.  Before any training,
+    a wrong number of permutations, or one whose length is not its split's
+    row count, raises ValueError (naming the client).
     """
     clients, p, d, models = cohort.clients, cohort.p, cohort.d, cohort.models
-    if len(train) != len(clients):
-        raise ValueError(f"need one training split per client ({len(clients)}), got {len(train)}")
-    for j, (x, y) in enumerate(train):
-        if len(y) == 0:
-            raise ValueError(f"client {j}'s training split is empty")
-        if len(x) != len(y):
-            raise ValueError(f"client {j}'s training split has {len(x)} inputs but {len(y)} labels")
-    train = [train[j] for j in clients]  # slot order
-    rows = [len(y) for _, y in train]
-    counts = -(-np.array(rows) // batch_size)
+    if len(orders) != len(clients):
+        raise ValueError(f"need one permutation per client ({len(clients)}), got {len(orders)}")
+    for j, (_, y) in zip(clients, cohort.train):
+        if len(orders[j]) != len(y):
+            raise ValueError(f"client {j}'s permutation has {len(orders[j])} entries for {len(y)} rows")
+    train = [(x[orders[j]], y[orders[j]]) for j, (x, y) in zip(clients, cohort.train)]  # slot order
 
     # RECOVER: d learns from p; EXCHANGE: each from the other; SUBLIMATE: p from d
     phases = cohort.phases[clients]
@@ -278,16 +300,14 @@ def train_epoch(
     lr = opt.lr
     # an overflow shows up as a non-finite parameter, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, max(rows), batch_size):
-            sizes = [min(max(n - i, 0), batch_size) for n in rows]
-            for a, b in _groups(sizes):
-                x = np.array([inputs[i : i + batch_size] for inputs, _ in train[a:b]])  # np.stack costs more
-                y = np.array([labels[i : i + batch_size] for _, labels in train[a:b]])
-                group = {k: v[:, a:b] for k, v in models.items()}
-                ce, kl = group_step(group, spec, x, y, deputy_distils[a:b], personal_distils[a:b], lr, prox)
-                ce_sum[a:b] += ce
-                if kl is not None:
-                    kl_sum[a:b] += kl
+        for i, a, b, group in cohort.plan:
+            rows = slice(i * cohort.batch_size, (i + 1) * cohort.batch_size)
+            x = np.array([inputs[rows] for inputs, _ in train[a:b]])  # np.stack costs more
+            y = np.array([labels[rows] for _, labels in train[a:b]])
+            ce, kl = group_step(group, spec, x, y, deputy_distils[a:b], personal_distils[a:b], lr, prox)
+            ce_sum[a:b] += ce
+            if kl is not None:
+                kl_sum[a:b] += kl
 
     if not all(np.isfinite(v).all() for v in models.values()):
         named = {"personalized": p} if d is None else {"personalized": p, "deputy": d}
@@ -306,18 +326,8 @@ def train_epoch(
         phi_d = phi[1]
         cohort.phases = det_phase_transition(phi_d, phi_p, cfg, cohort.phases)
     opt.epoch += 1
-    slots = cohort.slots
-    return EpochLog((ce_sum / counts)[slots], (kl_sum / counts)[slots], phi_d, phi_p, cohort.phases.copy())
-
-
-def _groups(sizes: list[int]):
-    """Slices ``(a, b)`` of neighbouring slots whose batches share a row count (0: no batch)."""
-    a = 0
-    for b in range(1, len(sizes) + 1):
-        if b == len(sizes) or sizes[b] != sizes[a]:
-            if sizes[a]:
-                yield a, b
-            a = b
+    ce, kl = ce_sum / cohort.batches, kl_sum / cohort.batches
+    return EpochLog(ce[cohort.slots], kl[cohort.slots], phi_d, phi_p, cohort.phases.copy())
 
 
 def group_step(

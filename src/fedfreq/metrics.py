@@ -65,11 +65,11 @@ def macro_f1(predictions: np.ndarray, labels: np.ndarray, classes: int) -> float
 class PaddedLabels:
     """K zero-padded label rows ``(K, n)``, of which row j scores its first ``counts[j]`` entries.
 
-    The label range check and the bins of the scored entries are built once
-    per class count and number of stacked models, so scoring model after
-    model on the same splits repeats none of it.  :meth:`confusion` builds
-    every confusion matrix with one ``np.bincount``; padding entries go to a
-    spare bin past the last matrix.  Raises ValueError on an empty row.
+    The range of the scored labels is taken once, at construction, so
+    scoring model after model on the same splits repeats no label check.
+    :meth:`confusion` builds every confusion matrix with one
+    ``np.bincount``; padding entries go to a spare bin past the last
+    matrix.  Raises ValueError on an empty row.
     """
 
     def __init__(self, labels: np.ndarray, counts: np.ndarray) -> None:
@@ -84,23 +84,8 @@ class PaddedLabels:
             raise ValueError("every row must score between 1 and n entries")
         self.labels = labels
         self.scored = np.arange(n) < counts[:, None]
-        self._bins: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-    def bins(self, models: int, classes: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(scored, offsets)`` for ``models`` stacked copies of the rows, built on first use.
-
-        Row ``r = m * K + j`` of ``offsets`` is where confusion matrix r
-        starts plus ``label * classes``; a prediction adds its column.
-        Raises ValueError if a scored label is out of class range.
-        """
-        if (models, classes) not in self._bins:
-            if ((self.labels < 0) | (self.labels >= classes))[self.scored].any():
-                raise ValueError("label out of class range")
-            scored = np.tile(self.scored, (models, 1))
-            rows = np.arange(len(scored))[:, None]
-            offsets = rows * (classes * classes) + np.tile(self.labels, (models, 1)) * classes
-            self._bins[models, classes] = scored, offsets
-        return self._bins[models, classes]
+        scored = labels[self.scored]
+        self.low, self.high = scored.min(), scored.max()
 
     def confusion(self, predictions: np.ndarray, classes: int) -> np.ndarray:
         """Confusion matrices of ``(..., K, n)`` predictions against these labels.
@@ -115,12 +100,15 @@ class PaddedLabels:
             raise ValueError(
                 f"predictions {predictions.shape} do not end in the labels' shape {self.labels.shape}"
             )
-        flat = predictions.reshape(-1, self.labels.shape[1])
-        scored, offsets = self.bins(len(flat) // len(self.labels), classes)
-        if ((flat < 0) | (flat >= classes)).any(where=scored):
+        if self.low < 0 or self.high >= classes:
+            raise ValueError("label out of class range")
+        flat = predictions.reshape(-1, *self.labels.shape)  # (models, K, n)
+        if ((flat < 0) | (flat >= classes)).any(where=self.scored):
             raise ValueError("prediction out of class range")
-        spare = len(flat) * classes * classes
-        bins = np.where(scored, offsets + flat, spare)
+        # matrix r = m * K + j starts at bin r * classes**2; the label adds its row, the prediction its column
+        starts = np.arange(len(flat) * len(self.labels)).reshape(len(flat), -1, 1) * (classes * classes)
+        spare = starts.size * classes * classes
+        bins = np.where(self.scored, starts + self.labels * classes + flat, spare)
         cm = np.bincount(bins.ravel(), minlength=spare + 1)[:-1]
         return cm.reshape(*predictions.shape[:-1], classes, classes)
 

@@ -17,10 +17,12 @@ and pushes the result back down.  Each strategy name is a row of
   communication, then the last global model (``FEDPROX``, a FEDAVG row).
 
 All clients live in one ``det.Cohort``, addressed by client, next to one
-SGD schedule and one prox anchor.  Each epoch every client shuffles its
-training split from its own stream and one ``det.train_epoch`` call trains
-them all.  A communication fuses ``Cohort.uploads()`` with the aggregator,
-and ``Cohort.deliver`` puts the result in the deputies, if any, else in ``p``.
+SGD schedule and one prox anchor.  The cohort holds the clients' training
+splits and their batch layout; each epoch every client draws a permutation
+of its split from its own stream, and one ``det.train_epoch`` call trains
+them all on their permuted splits.  A communication fuses
+``Cohort.uploads()`` with the aggregator, and ``Cohort.deliver`` puts the
+result in the deputies, if any, else in ``p``.
 Every client/epoch gives one log row (losses, validation scores, phase,
 communication flag), enough to plot the post-communication performance
 drop and its absence under the deputy scheme.  The deployed model is the
@@ -265,12 +267,12 @@ def run_experiment(
     # makes sense when client weight matrices start out aligned
     common_init = init_params(spec, [cfg.seed, _INIT_STREAM])
 
-    train = [cdata.split_xy("train") for cdata in dataset.clients]
     cohort = Cohort(
         [common_init] * cfg.num_clients,
         [common_init] * cfg.num_clients if strategy.deputy else None,
+        [cdata.split_xy("train") for cdata in dataset.clients],
         [cdata.split_xy("val") for cdata in dataset.clients],
-        [len(y) for _, y in train],
+        cfg.batch_size,
     )
     rngs = [np.random.default_rng([cfg.seed, profile.seed, _SHUFFLE_STREAM]) for profile in profiles]
     opt = OptimizerState(cfg.base_lr, halving_period=cfg.lr_halving_period)
@@ -279,9 +281,8 @@ def run_experiment(
 
     rows: list[RoundRow] = []
     for epoch in range(1, cfg.total_epochs + 1):
-        orders = [rng.permutation(len(y)) for (_, y), rng in zip(train, rngs)]
-        shuffled = [(x[order], y[order]) for (x, y), order in zip(train, orders)]
-        log = train_epoch(cohort, spec, shuffled, cfg.batch_size, det_cfg, opt, prox)
+        orders = [rng.permutation(cdata.splits[0]) for cdata, rng in zip(dataset.clients, rngs)]
+        log = train_epoch(cohort, spec, orders, det_cfg, opt, prox)
         r = schedule_r(epoch, schedule)
         comm_event = int(strategy.aggregator is not None and epoch % cfg.local_epochs == 0)
         for j in range(cfg.num_clients):  # curves.csv rows

@@ -279,6 +279,19 @@ def test_run_that_diverges_exits_5_and_writes_nothing(tmp_path, capsys, strategy
     assert not out.exists()
 
 
+def test_local_only_at_the_same_learning_rate_exits_0_and_predicts_badly(tmp_path, capsys):
+    # documented in README: the weights stay finite, so nothing diverged and the
+    # run succeeds, but its models predict badly (macro F1 about 0.27)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("strategy = LOCAL_ONLY\nlocal_epochs = 5\ntotal_epochs = 20\nbase_lr = 1000\nseed = 0\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    for i in range(4):
+        _, _, params = load_checkpoint_full(out / f"best_client_{i}.ckpt")
+        assert all(np.isfinite(v).all() for v in params.values()), i
+    assert json.loads((out / "results.json").read_text())["macro_f1"] < 0.4
+
+
 def test_run_writes_the_same_bytes_in_any_directory(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("strategy = PFA_DET\nlocal_epochs = 1\ntotal_epochs = 2\nseed = 4\n")

@@ -60,13 +60,18 @@ def batches_of(x, y, size=8):
     return [(x[i : i + size], y[i : i + size]) for i in range(0, len(y), size)]
 
 
+def in_order(train):
+    """Each split's identity permutation: an epoch that batches every split as given."""
+    return [np.arange(len(y)) for _, y in train]
+
+
 def cohort_epoch(states, spec, train, batch_size, vals, opt, prox=None):
-    """One :func:`train_epoch` over a cohort of ``states`` on the splits ``train``; writes each
-    client's models (read from the buffer's slots) and phase back to its state and returns its log."""
+    """One :func:`train_epoch` over a cohort of ``states`` on the splits ``train`` as given; writes
+    each client's models (read from the buffer's slots) and phase back to its state and returns its log."""
     deputies = None if states[0].deputy is None else [s.deputy for s in states]
-    cohort = Cohort([s.personalized for s in states], deputies, vals, [len(y) for _, y in train])
+    cohort = Cohort([s.personalized for s in states], deputies, train, vals, batch_size)
     cohort.phases[:] = [s.phase for s in states]
-    log = train_epoch(cohort, spec, train, batch_size, CFG, opt, prox)
+    log = train_epoch(cohort, spec, in_order(train), CFG, opt, prox)
     logs = []
     for j, (state, s) in enumerate(zip(states, cohort.slots)):
         state.personalized = {k: v[s] for k, v in cohort.p.items()}
@@ -531,7 +536,7 @@ def test_train_epoch_names_the_diverged_client_epoch_and_tensor():
         cohort_epoch(states, SPEC, train, 8, [make_data(rng)] * 3, OptimizerState(epoch=6))
 
 
-@pytest.mark.parametrize("call", ["train_epoch", "local_epoch"])
+@pytest.mark.parametrize("call", ["Cohort", "local_epoch"])
 @pytest.mark.parametrize(
     "bad_split, problem",
     [
@@ -546,19 +551,38 @@ def test_epoch_names_a_bad_split_before_training(call, bad_split, problem):
     rng = np.random.default_rng(14)
     states = [make_state(seed=j) for j in range(3)]
     train = [make_data(rng) for _ in states]
-    bad = 1 if call == "train_epoch" else 0
+    bad = 1 if call == "Cohort" else 0
     train[bad] = bad_split(*train[bad])
     before = [clone_params(s.personalized) for s in states]
     opt = OptimizerState()
     with pytest.raises(ValueError, match=f"client {bad}'s {problem}"):
-        if call == "train_epoch":
-            cohort_epoch(states, SPEC, train, 8, [make_data(rng)] * 3, opt)
+        if call == "Cohort":  # a cohort checks its splits once, when it is built
+            Cohort([s.personalized for s in states], None, train, [make_data(rng)] * 3, 8)
         else:
             local_epoch(states[0], SPEC, train[0], 8, make_data(rng), CFG, opt)
     # every split is checked before the first step: nothing trained
     for state, params in zip(states, before):
         for k in params:
             assert np.array_equal(state.personalized[k], params[k])
+    assert opt.epoch == 0
+
+
+def test_train_epoch_names_a_bad_permutation_before_training():
+    rng = np.random.default_rng(19)
+    states = [make_state(seed=j) for j in range(3)]
+    # 17, 40 and 25 rows: client 2 trains in slot 1, and the message names the client
+    train = [make_data(rng, n) for n in (17, 40, 25)]
+    cohort = Cohort([s.personalized for s in states], [s.deputy for s in states], train, [make_data(rng)] * 3, 8)
+    before = clone_params(cohort.models)
+    opt = OptimizerState()
+    orders = in_order(train)
+    with pytest.raises(ValueError, match=r"need one permutation per client \(3\), got 2"):
+        train_epoch(cohort, SPEC, orders[:2], CFG, opt)
+    orders[2] = orders[2][:-1]
+    with pytest.raises(ValueError, match="client 2's permutation has 24 entries for 25 rows"):
+        train_epoch(cohort, SPEC, orders, CFG, opt)
+    for k, v in before.items():
+        assert np.array_equal(cohort.models[k], v), k
     assert opt.epoch == 0
 
 
@@ -649,7 +673,10 @@ def test_cohort_models_stay_views_of_one_buffer(with_deputy):
     states = [make_state(seed=j) for j in range(3)]
     deputies = [s.deputy for s in states] if with_deputy else None
     train = [make_data(rng, n) for n in (40, 17, 25)]
-    cohort = Cohort([s.personalized for s in states], deputies, [make_data(rng) for _ in states], [len(y) for _, y in train])
+    cohort = Cohort([s.personalized for s in states], deputies, train, [make_data(rng) for _ in states], 8)
+    # the plan trains every batch of every slot once: 5, 4 and 3 batches in slots 0, 1 and 2
+    steps = sorted((s, i) for i, a, b, _ in cohort.plan for s in range(a, b))
+    assert steps == [(s, i) for s, n in enumerate([5, 4, 3]) for i in range(n)]
 
     def assert_views():
         for k, v in cohort.models.items():
@@ -658,9 +685,13 @@ def test_cohort_models_stay_views_of_one_buffer(with_deputy):
             if with_deputy:
                 assert np.shares_memory(cohort.d[k], v[1])
                 assert not np.shares_memory(cohort.p[k], cohort.d[k])
+        # the plan's views are built once, so they too must still see the buffer
+        for _, a, b, group in cohort.plan:
+            for k, v in group.items():
+                assert np.shares_memory(v, cohort.models[k]), (a, b, k)
 
     assert_views()
-    log = train_epoch(cohort, SPEC, train, 8, CFG, OptimizerState(base_lr=0.05))
+    log = train_epoch(cohort, SPEC, in_order(train), CFG, OptimizerState(base_lr=0.05))
     assert_views()
     aggregates = {k: rng.standard_normal(v.shape) for k, v in cohort.p.items()}
     cohort.deliver(aggregates)
@@ -680,7 +711,7 @@ def test_cohort_speaks_client_order():
         state.phase = phase
     train = [make_data(rng, n) for n in (17, 40, 25)]
     vals = [make_data(rng, n) for n in (9, 30, 14)]
-    cohort = Cohort([s.personalized for s in states], [s.deputy for s in states], vals, [17, 40, 25])
+    cohort = Cohort([s.personalized for s in states], [s.deputy for s in states], train, vals, 8)
     cohort.phases[:] = [s.phase for s in states]
     assert cohort.slots.tolist() == [2, 0, 1]
 
@@ -690,7 +721,7 @@ def test_cohort_speaks_client_order():
         assert scores[1, j] == alone_f1(state.deputy, SPEC, x, y), j
     cohort.keep_best(np.full(3, 0.5), 1)  # every client's initial p
 
-    log = train_epoch(cohort, SPEC, train, 8, CFG, OptimizerState(base_lr=0.05))
+    log = train_epoch(cohort, SPEC, in_order(train), CFG, OptimizerState(base_lr=0.05))
     uploads = cohort.uploads()
     for j, state in enumerate(states):
         alone = local_epoch(state, SPEC, train[j], 8, vals[j], CFG, OptimizerState(base_lr=0.05))
