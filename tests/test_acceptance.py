@@ -46,6 +46,7 @@ from helpers import (
     oracle_mask,
     relative_error,
 )
+from pins import run_digest
 from test_model import small_mlp, random_batch
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -307,6 +308,11 @@ def test_ood_generalization_trend(experiment_cache):
     far = np.mean([runs[("PFA_DET", seed)].ood_macro_f1 for seed in SEEDS])
     assert own > far
     print(f"\nsupplementary PASS: own-test F1 {own:.4f} > out-of-distribution {far:.4f}")
+
+
+def test_the_acceptance_runs_keep_their_pinned_bytes(experiment_cache, pinned):
+    runs, _ = experiment_cache
+    pinned.check({f"acceptance {strategy} seed={seed}": run_digest(result) for (strategy, seed), result in runs.items()})
 
 
 def test_criterion_9_determinism_and_persistence(tmp_path):

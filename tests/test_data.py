@@ -15,6 +15,7 @@ from fedfreq.data import (
     save_client,
     synth,
 )
+from pins import clients_digest
 
 
 def test_default_profiles_full_scale_totals():
@@ -64,6 +65,12 @@ def test_synth_deterministic():
         assert np.array_equal(ca.features, cb.features)
         assert np.array_equal(ca.labels, cb.labels)
         assert ca.splits == cb.splits
+
+
+def test_the_desk_scale_data_keeps_its_pinned_bytes(pinned):
+    profiles = default_profiles(0.1)
+    clients = [*synth(profiles, 7).clients, ood_client(profiles, 7)]
+    pinned.check({"synth scale=0.1 seed=7 with the ood client": clients_digest(clients)})
 
 
 def test_split_sizes_for_200_samples():

@@ -4,10 +4,14 @@ import dataclasses
 
 import pytest
 import reference
+from pins import run_digest
 
 from fedfreq import orchestrator
 from fedfreq.data import default_profiles
 from fedfreq.orchestrator import ExperimentConfig, run_experiment
+
+# each case's run digest, keyed by its config, for the pinned-bytes check at the end of this module
+_DIGESTS = {}
 
 
 def assert_matches_reference(profiles=None, **kw):
@@ -21,6 +25,8 @@ def assert_matches_reference(profiles=None, **kw):
         for k, v in params.items():
             assert result.best_params[j][k].tobytes() == v.tobytes(), (j, k)
     assert [repr(dataclasses.astuple(c)[1:]) for c in result.clients] == [repr(o) for o in outcomes]
+    key = " ".join(["reference", *(f"{k}={v}" for k, v in sorted(kw.items()))])
+    _DIGESTS[key if profiles is None else f"{key} profile_seeds={[p.seed for p in profiles]}"] = run_digest(result)
 
 
 def test_the_reference_states_every_strategy():
@@ -57,3 +63,10 @@ def test_a_tie_in_the_training_row_sort_matches_the_reference(strategy, order):
 def test_the_halved_learning_rate_matches_the_reference():
     # every other case ends before the default halving period of 25 epochs
     assert_matches_reference(strategy="FEDAVG_DET", local_epochs=3, total_epochs=12, lr_halving_period=4)
+
+
+def test_the_reference_runs_keep_their_pinned_bytes(pinned):
+    # runs last in this module: every case above has recorded its digest by now
+    if not _DIGESTS:
+        pytest.skip("no reference case ran in this session")
+    pinned.check(_DIGESTS)

@@ -16,6 +16,13 @@ Usage, comparing two checkouts::
     diff before.txt after.txt
 
 Each command writes into a scratch directory that is deleted afterwards.
+
+``artifact_digest.txt`` beside this file is the expected output under the
+numpy and BLAS that ``tests/pinned_digests.json`` records; CI compares
+against it where ``python tests/pins.py`` says the environment matches.  A
+change that means to move bits rewrites both files in that environment::
+
+    PYTHONPATH=src python tools/artifact_digest.py > tools/artifact_digest.txt
 """
 
 from __future__ import annotations
