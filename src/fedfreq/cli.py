@@ -24,6 +24,7 @@ diverged (a parameter stopped being finite; ``run`` writes nothing).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -50,7 +51,6 @@ from .orchestrator import (
     mean_boundary_change,
     read_curves,
     run_experiment,
-    save_run_checkpoints,
 )
 
 EXIT_CONFIG = 2
@@ -82,13 +82,11 @@ def _cmd_synth_data(args) -> int:
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.out_dir:
-        cfg.out_dir = args.out_dir
+        cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
     if not cfg.out_dir:
         raise ConfigError("no output directory: set out_dir in the config or pass --out-dir")
     result = run_experiment(cfg)
-    files = emit_report(result, cfg.out_dir)
-    files += save_run_checkpoints(result, cfg.out_dir)
-    for path in files:
+    for path in emit_report(result, cfg.out_dir):
         print(f"wrote {path}")
     print(f"macro F1 {result.macro_f1:.4f}  macro AUC {result.macro_auc:.4f}")
     return 0

@@ -95,8 +95,10 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings, checked at construction; change one with ``dataclasses.replace``."""
+
     strategy: str = "PFA_DET"
     num_clients: int = 4
     local_epochs: int = 5
@@ -115,7 +117,7 @@ class ExperimentConfig:
     out_dir: str = ""
     workers: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; choose from {list(STRATEGIES)}")
         if self.model_id not in MODEL_SPECS:
@@ -152,7 +154,7 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be 1 (one process trains every client), got {self.workers}")
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -166,19 +168,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: config key {key!r} repeats line {values[key][0]}")
         values[key] = lineno, value
-    cfg = ExperimentConfig()
+    parsed = {}
     for key, (_, value) in values.items():
         try:  # every field is an int, a float or a str, so its default's type parses it
-            setattr(cfg, key, type(getattr(cfg, key))(value))
+            parsed[key] = type(_DEFAULTS[key])(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**parsed)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -240,7 +241,6 @@ def run_experiment(
     cfg: ExperimentConfig, profiles: list[ClientProfile] | None = None
 ) -> ExperimentResult:
     """Run the full protocol and return the report, log rows and best models."""
-    cfg.validate()
     if profiles is None:
         base = default_profiles(cfg.data_scale)
         if cfg.num_clients > len(base):
@@ -374,7 +374,8 @@ def results_payload(result: ExperimentResult) -> dict:
 
 
 def emit_report(result: ExperimentResult, out_dir) -> list[Path]:
-    """Write curves.csv, results.json and config.echo under ``out_dir``."""
+    """Write curves.csv, config.echo, each ``best_client_j.ckpt`` and, last, results.json
+    under ``out_dir``, so a directory that holds results.json holds the whole run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     curves = out / "curves.csv"
@@ -382,11 +383,12 @@ def emit_report(result: ExperimentResult, out_dir) -> list[Path]:
         fh.write(CURVES_HEADER + "\n")
         for row in result.rows:  # str of a float is its repr, which reads back exactly
             fh.write(",".join(str(getattr(row, f.name)) for f in _CURVES_FIELDS) + "\n")
-    results = out / "results.json"
-    results.write_text(json.dumps(results_payload(result), indent=2) + "\n")
     echo = out / "config.echo"
     echo.write_text(config_echo(result.config))
-    return [curves, results, echo]
+    checkpoints = save_run_checkpoints(result, out)
+    results = out / "results.json"
+    results.write_text(json.dumps(results_payload(result), indent=2) + "\n")
+    return [curves, echo, *checkpoints, results]
 
 
 def read_curves(path) -> list[RoundRow]:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedfreq import cli
+from fedfreq import cli, orchestrator
 from fedfreq.checkpoint import CorruptCheckpointError, UnsupportedVersionError, load_checkpoint_full, save_checkpoint
 from fedfreq.cli import main
 from fedfreq.data import ClientData, DataError, load_client, save_client
@@ -290,6 +290,20 @@ def test_local_only_at_the_same_learning_rate_exits_0_and_predicts_badly(tmp_pat
         _, _, params = load_checkpoint_full(out / f"best_client_{i}.ckpt")
         assert all(np.isfinite(v).all() for v in params.values()), i
     assert json.loads((out / "results.json").read_text())["macro_f1"] < 0.4
+
+
+def test_run_whose_checkpoint_write_fails_exits_4_without_results_json(tmp_path, capsys, monkeypatch):
+    def full_disk(params, path, model_id):
+        raise OSError(f"{path}: no space left on device")
+
+    # results.json once came before the checkpoints, so a failed run looked complete
+    monkeypatch.setattr(orchestrator, "save_checkpoint", full_disk)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("strategy = FEDAVG\nlocal_epochs = 1\ntotal_epochs = 2\nseed = 4\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 4
+    _single_error_line(capsys, f"io error: {out / 'best_client_0.ckpt'}: no space left on device\n")
+    assert not (out / "results.json").exists()
 
 
 def test_run_writes_the_same_bytes_in_any_directory(tmp_path, capsys):

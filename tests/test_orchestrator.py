@@ -99,9 +99,8 @@ def test_parse_config_missing_equals():
     ],
 )
 def test_config_validation_rejects(field, value):
-    cfg = ExperimentConfig(**{field: value})
     with pytest.raises(ConfigError, match=field):
-        cfg.validate()
+        ExperimentConfig(**{field: value})
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -180,7 +179,10 @@ def test_emit_report_files(tmp_path):
     cfg = small_cfg(total_epochs=10)
     result = run_experiment(cfg)
     files = emit_report(result, tmp_path)
-    assert sorted(f.name for f in files) == ["config.echo", "curves.csv", "results.json"]
+    # results.json last: a directory that holds it holds the whole run
+    checkpoints = [f"best_client_{j}.ckpt" for j in range(4)]
+    assert [f.name for f in files] == ["curves.csv", "config.echo", *checkpoints, "results.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f.name for f in files)
 
     lines = (tmp_path / "curves.csv").read_text().splitlines()
     assert lines[0] == "epoch,client,phase,ce_loss,kl_loss,phi_d,phi_p,r,comm_event"
