@@ -122,10 +122,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}; choose from {list(STRATEGIES)}")
         if self.model_id not in MODEL_SPECS:
             raise ConfigError(f"unknown model_id {self.model_id!r}; choose from {sorted(MODEL_SPECS)}")
-        if self.num_clients < 1:
-            raise ConfigError("num_clients must be >= 1")
-        if self.local_epochs < 1 or self.total_epochs < 1:
-            raise ConfigError("epoch counts must be >= 1")
+        for key in ("num_clients", "local_epochs", "total_epochs"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
         if self.total_epochs % self.local_epochs != 0:
             raise ConfigError(
                 f"total_epochs ({self.total_epochs}) must be divisible by "

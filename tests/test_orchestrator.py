@@ -90,6 +90,9 @@ def test_parse_config_missing_equals():
         ("workers", 0),
         ("workers", 4),  # clients train serially
         ("num_clients", 0),
+        ("local_epochs", 0),  # both once read "epoch counts must be >= 1"
+        ("total_epochs", 0),
+        ("prox_mu", -0.1),
         ("lr_halving_period", 0),
         ("seed", -1),
         ("base_lr", float("nan")),
