@@ -292,6 +292,14 @@ def test_local_only_at_the_same_learning_rate_exits_0_and_predicts_badly(tmp_pat
     assert json.loads((out / "results.json").read_text())["macro_f1"] < 0.4
 
 
+def test_run_without_an_output_directory_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text("strategy = FEDAVG\nlocal_epochs = 1\ntotal_epochs = 2\n")
+    assert main(["run", "--config", "exp.cfg"]) == 2
+    _single_error_line(capsys, "config error: no output directory: set out_dir in the config or pass --out-dir\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
 def test_run_whose_checkpoint_write_fails_exits_4_without_results_json(tmp_path, capsys, monkeypatch):
     def full_disk(params, path, model_id):
         raise OSError(f"{path}: no space left on device")
@@ -337,15 +345,23 @@ def test_eval_label_out_of_range_is_a_data_error(tmp_path, capsys):
     _single_error_line(capsys, f"data error: {data}: label 7 outside [0, 3)")
 
 
-def test_aggregate_mismatched_checkpoints_is_a_data_error(tmp_path, capsys):
-    inputs = []
-    for model_id in ("mlp32", "conv4x8"):
-        path = tmp_path / f"{model_id}.ckpt"
-        save_checkpoint(init_params(MODEL_SPECS[model_id], 0), path, model_id=model_id)
-        inputs.append(str(path))
+@pytest.mark.parametrize(
+    "spec, model_id, problem",
+    [
+        (MODEL_SPECS["conv4x8"], "conv4x8", "client_1.ckpt holds 'conv4x8'"),
+        (mlp_spec(8), "mlp32", "parameter map 1 shape mismatch for 'dense1.weight': (8, 64) vs (32, 64)"),
+    ],
+    ids=["another_model", "same_model_id_other_shapes"],
+)
+def test_aggregate_mismatched_checkpoints_is_a_data_error(tmp_path, capsys, spec, model_id, problem):
+    inputs = [tmp_path / "client_0.ckpt", tmp_path / "client_1.ckpt"]
+    save_checkpoint(init_params(MODEL_SPECS["mlp32"], 0), inputs[0], model_id="mlp32")
+    save_checkpoint(init_params(spec, 0), inputs[1], model_id=model_id)
     out = tmp_path / "agg"
-    assert main(["aggregate", *inputs, "--out-dir", str(out)]) == 3
-    _single_error_line(capsys, "data error: checkpoints do not match: ")
+    assert main(["aggregate", *map(str, inputs), "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: checkpoints do not match: ") and err.count("\n") == 1, err
+    assert problem in err, err
     assert not out.exists()
 
 
@@ -497,11 +513,27 @@ def test_eval_of_a_checkpoint_with_an_unknown_model_id_is_a_data_error(tmp_path,
     assert err == f"data error: {ckpt}: unknown model id 'resnet'\n"
 
 
-def _as_version_2(path):
-    """Rewrite a checkpoint's format version to 2, with a valid checksum."""
-    payload = struct.pack("<I", 2) + path.read_bytes()[4:-8]
+def _rewrite_payload(path, edit):
+    """Replace a checkpoint's payload with ``edit(payload)``, under a valid checksum."""
+    payload = edit(path.read_bytes()[:-8])
     digest = int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
     path.write_bytes(payload + struct.pack("<Q", digest))
+
+
+def _as_version_2(path):
+    """Rewrite a checkpoint's format version to 2, with a valid checksum."""
+    _rewrite_payload(path, lambda payload: struct.pack("<I", 2) + payload[4:])
+
+
+def test_eval_of_a_checkpoint_with_a_tensor_name_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    # the checksum holds, so only the decoder can tell
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(MODEL_SPECS["mlp32"], 0), ckpt, model_id="mlp32")
+    _rewrite_payload(ckpt, lambda payload: payload.replace(b"dense1.bias", b"\xff" * len(b"dense1.bias"), 1))
+    with pytest.raises(CorruptCheckpointError, match="malformed payload"):
+        load_checkpoint_full(ckpt)
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "x.fsd")]) == 3
+    _single_error_line(capsys, f"data error: {ckpt}: malformed payload (")
 
 
 def test_eval_of_an_unknown_checkpoint_version_is_a_data_error(tmp_path, capsys):

@@ -113,11 +113,17 @@ def test_config_file_roundtrip(tmp_path):
     assert load_config(path) == cfg
 
 
-def test_run_rejects_bad_config_before_work():
+def test_run_rejects_bad_config_before_work(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the config check")
+
+    monkeypatch.setattr(orchestrator, "train_epoch", no_training)
     with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig(strategy="BOGUS"))
     with pytest.raises(ConfigError):
         run_experiment(small_cfg(num_clients=9))
+    with pytest.raises(ConfigError, match="num_clients does not match the supplied profiles"):
+        run_experiment(small_cfg(num_clients=3), default_profiles(0.1))
 
 
 # --- degenerate protocol equivalence ------------------------------------------------
