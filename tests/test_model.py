@@ -22,6 +22,7 @@ from fedfreq.model import (
     mlp_spec,
     predict_probs,
     sgd_step,
+    stack_params,
 )
 from helpers import fd_gradient, relative_error
 
@@ -414,6 +415,29 @@ def test_descend_applies_exactly_what_backward_and_sgd_step_give(spec_builder, s
         descend(cache, dlogits[..., :-1], 0.05)
     with pytest.raises(ValueError, match="model index"):
         descend(cache, dlogits, 0.05, m=0)  # no (M, K, ...) buffer here
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_descend_on_one_model_of_a_buffer_is_that_model_trained_alone(m):
+    # two_conv's upper conv takes its input gradient from model m's own patches,
+    # which no shipped spec reaches: both put their only conv lowest
+    spec = two_conv()
+    rng = np.random.default_rng(31)
+    models = [stack_params([init_params(spec, seed), init_params(spec, seed + 1)]) for seed in (31, 33)]
+    buffer = {k: np.stack([model[k] for model in models]) for k in models[0]}  # (M=2, K=2, ...)
+    x = rng.standard_normal((2, 5, *spec.input_shape))
+    probs, cache = forward(buffer, spec, x)
+    dlogits = rng.standard_normal(probs.shape[1:])
+
+    alone = clone_params(models[m])
+    grads = backward(forward(alone, spec, x)[1], dlogits)
+    for k, g in grads.items():
+        alone[k] -= 0.05 * g
+    descend(cache, dlogits, 0.05, m)  # in place
+
+    for k in buffer:
+        assert buffer[k][m].tobytes() == alone[k].tobytes(), k
+        assert buffer[k][1 - m].tobytes() == models[1 - m][k].tobytes(), k
 
 
 # --- optimizer ------------------------------------------------------------------
