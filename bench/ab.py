@@ -59,7 +59,9 @@ Usage, from the repository root::
     python bench/ab.py --base src --change src --tag aa      # A/A: ratio near 1
     python bench/ab.py --base src --change src --quick --out ab.json
 
-The file holds the machine facts (cores, BLAS, numpy, Python) and the git
+The file holds the machine facts (cores, BLAS, numpy, Python, and the BLAS
+thread count in effect once both trees are loaded, read through each tree's
+``model._blas_thread_calls``, null for a tree without it) and the git
 commit of each tree.  A base tree outside a git checkout (one exported with
 ``git archive``) needs ``--base-commit``, which must name a commit of this
 repository; it is recorded with ``"dirty": null``.  A change tree outside
@@ -223,12 +225,22 @@ def git_facts(src: Path, given: str | None = None) -> dict:
     return {"commit": commit, "dirty": None if status is None else bool(status)}
 
 
+def blas_threads(side: str) -> int | None:
+    """The BLAS thread count in effect, read through tree ``side``'s ``model._blas_thread_calls``;
+    None where that tree has no such reader or it finds no OpenBLAS."""
+    reader = getattr(importlib.import_module(f"fedfreq_{side}.model"), "_blas_thread_calls", None)
+    calls = reader() if reader is not None else None
+    return calls[1]() if calls is not None else None
+
+
 def machine_facts() -> dict:
+    """The machine, and the BLAS thread count that both loaded trees run with."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "nproc": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
+        "blas_threads": {side: blas_threads(side) for side in SIDES},
         "numpy": np.__version__,
         "python": platform.python_version(),
         "platform": platform.platform(),

@@ -11,8 +11,11 @@ holds each side's values, median and quartiles, the per-pair change/base
 ratios, the pairs the change wins (ties count for neither side) and whether
 a gain is shown: wins in at least 9 of 10 pairs, and medians apart, in the
 better direction, by more than the base's quartile spread.  It also holds
-the machine facts and the commit that each side's runs printed, and whether
-each checkout differs from its commit.  Only the standard library is used.
+the machine facts and the commit that each side's runs printed, whether
+each checkout differs from its commit, and the BLAS thread count that a
+fresh interpreter reads after importing the checkout's ``src/fedfreq``
+(through ``model._blas_thread_calls``; null where the checkout has none).
+Only the standard library is used.
 
 Usage, from the repository root::
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -32,6 +36,14 @@ from pathlib import Path
 SIDES = ("base", "change")
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900  # one perfbench run: its set-up probes, its set-up and --seconds of operations
+# prints, as JSON, the BLAS thread count in effect once fedfreq is imported, or null
+BLAS_THREADS_PROBE = """
+import json
+from fedfreq import model
+reader = getattr(model, "_blas_thread_calls", None)
+calls = reader() if reader is not None else None
+print(json.dumps(calls[1]() if calls is not None else None))
+"""
 
 
 def perfbench(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -43,6 +55,16 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float) -> tuple[dic
         raise SystemExit(f"{root} {workload} seed {seed}: exit code {done.returncode}\n{done.stderr[-2000:]}")
     *_, machine, result = done.stdout.strip().splitlines()
     return json.loads(machine)["machine"], json.loads(result)
+
+
+def blas_threads(root: Path) -> int | None:
+    """The BLAS thread count a fresh interpreter runs with after importing checkout ``root``'s fedfreq."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if done.returncode != 0:
+        raise SystemExit(f"{root}: the BLAS thread probe exited {done.returncode}\n{done.stderr[-2000:]}")
+    return json.loads(done.stdout)
 
 
 def quartiles(values: list[float]) -> dict:
@@ -133,6 +155,7 @@ def main(argv=None) -> int:
             "root": str(roots[side]),
             "commits_printed": sorted({m["git_commit"] for m in machines[side]}),
             "dirty": git_dirty(roots[side]),
+            "blas_threads": blas_threads(roots[side]),
             "machine": facts,
         }
     report = {
