@@ -1,24 +1,25 @@
 """Command line entry points.
 
 Subcommands: ``synth-data`` (write client dataset files), ``run`` (full
-experiment from a config file), ``aggregate`` (offline aggregation over
-checkpoint files), ``eval`` (score a checkpoint on a dataset file) and
-``report`` (summarize a curves.csv log).  A dataset file is a
-checkpoint-format file with model id ``fedfreq-dataset``.
+experiment from a config file; results.json is its last file), ``aggregate``
+(offline aggregation over checkpoints), ``eval`` (score a checkpoint on a
+dataset file) and ``report`` (summarize a curves.csv log).  A dataset file
+is a checkpoint-format file with model id ``fedfreq-dataset``.
 
 Exit codes, one exception type each: 0 success; 2 ``ConfigError`` (including a
-config file that is not UTF-8, a ``synth-data`` ``--seed`` below 0 or
-``--scale`` outside (0, 1]); 3 ``DataError`` (including a corrupt checkpoint
-or dataset file, or one of an unknown format version, raised as its subclasses
-``CorruptCheckpointError`` and ``UnsupportedVersionError``; a file given as a
-curves.csv that is not one; a checkpoint, or an aggregate of checkpoints,
-holding a non-finite tensor, checkpoints to aggregate whose model ids differ,
-a dataset file or a tensor with no entries among them, on any of which
-``aggregate`` writes nothing; an ``eval`` checkpoint of an unknown model id,
-or whose tensor names or shapes do not fit it; and an ``eval`` dataset file
-with a non-finite feature, or whose scored split holds fewer than two
-classes); 4 ``OSError``, an I/O error; 5 ``DivergenceError``, training
-diverged (a parameter stopped being finite; ``run`` writes nothing).
+config file that is not UTF-8, a ``run`` with no output directory, a
+``synth-data`` ``--seed`` below 0 or ``--scale`` outside (0, 1]); 3
+``DataError`` (including a corrupt checkpoint or dataset file, or one of an
+unknown format version, raised as its subclasses ``CorruptCheckpointError`` and
+``UnsupportedVersionError``; a file given as a curves.csv that is not one; a
+checkpoint, or an aggregate of checkpoints, holding a non-finite tensor,
+checkpoints to aggregate whose model ids or tensor shapes differ, a dataset file
+or a tensor with no entries among them, on any of which ``aggregate`` writes
+nothing; an ``eval`` checkpoint of an unknown model id, or whose tensor names or
+shapes do not fit it; and an ``eval`` dataset file with a non-finite feature, or
+whose scored split holds fewer than two classes); 4 ``OSError``, an I/O error (a
+``run`` that fails to write leaves no results.json); 5 ``DivergenceError``,
+training diverged (a parameter stopped being finite; ``run`` writes nothing).
 """
 
 from __future__ import annotations

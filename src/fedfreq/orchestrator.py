@@ -28,7 +28,8 @@ communication flag), enough to plot the post-communication performance
 drop and its absence under the deputy scheme.  The deployed model is the
 one with the best validation macro F1: the personalized model for deputy
 strategies, the client's own model for LOCAL_ONLY/PFA_ONLY, and the global
-model for FEDAVG/FEDPROX.
+model for FEDAVG/FEDPROX.  A config is checked once, when it is built, and
+is frozen; :func:`emit_report` writes the run directory, results.json last.
 
 Runs are deterministic for a fixed config: every client draws from RNG
 streams keyed by (experiment seed, profile seed), and each client's numbers
@@ -122,7 +123,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}; choose from {list(STRATEGIES)}")
         if self.model_id not in MODEL_SPECS:
             raise ConfigError(f"unknown model_id {self.model_id!r}; choose from {sorted(MODEL_SPECS)}")
-        for key in ("num_clients", "local_epochs", "total_epochs"):
+        for key in ("num_clients", "local_epochs", "total_epochs", "batch_size"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         if self.total_epochs % self.local_epochs != 0:
@@ -146,8 +147,6 @@ class ExperimentConfig:
             raise ConfigError("prox_mu must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         check_scale(self.data_scale, "data_scale", ConfigError)
         if self.workers != 1:
             raise ConfigError(f"workers must be 1 (one process trains every client), got {self.workers}")
