@@ -53,7 +53,7 @@ def environment() -> dict[str, str]:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         name = f"{blas['name']} {blas['version']}"
-    except (TypeError, KeyError):  # numpy before 1.26 prints its config and returns None
+    except (TypeError, KeyError):  # numpy before 1.26 takes no mode argument
         name = "unknown"
     kernels = _blas_kernels()
     return {"numpy": np.__version__, "blas": name if kernels is None else f"{name} ({kernels} kernels)"}
