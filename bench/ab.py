@@ -1,74 +1,76 @@
-"""Paired A/B timing of two fedfreq source trees, written to ``BENCH_<tag>.json``.
+"""Paired A/B measurement of two fedfreq checkouts, written to ``BENCH_<tag>.json``.
 
-Each side is a ``src/`` directory holding a ``fedfreq`` package.  Both are
-imported into one interpreter under different names (``fedfreq_base`` and
-``fedfreq_change``; the package uses only relative imports), so the two runs
-of a pair share the process, its heap and the machine's state at that
-moment.  For every setting the script makes one warm-up run per side, then
-``--pairs`` pairs of ``fedfreq run`` calls (in-process through
-``cli.main``, into a temporary directory that is deleted afterwards).  Pair i
-uses experiment seed ``--seed`` + i on both sides, and the side that runs
-first alternates from pair to pair.  Per setting it reports the quartiles
-of each side's wall times and of the per-pair ratios change/base.  Pairing
-and alternation cancel most of the drift of a shared host (Kalibera &
-Jones, "Rigorous Benchmarking in Reasonable Time", ISMM 2013).
-It also records whether the two sides wrote byte-identical artifacts.
-Sharing the process, the two sides also share every per-process setting,
-such as the BLAS thread count that importing either tree sets, so a change
-to such a setting cannot show here: ``bench/fresh_pairs.py`` runs each
-side's perfbench in a fresh process instead.
-The ``e2e`` section times the two perfbench training workloads; the
-``acceptance`` section times one run per strategy at the acceptance setting
-(mlp32, E=5, T=100, data_scale 0.1, K=4): every name in the change tree's
-``orchestrator.STRATEGIES`` that the base tree also knows.
+``--base`` and ``--change`` are checkout roots.  Every timed section runs
+the two sides in ``--pairs`` alternating pairs (:func:`alternate`): the
+base runs first in even pairs, the change in odd ones, so drift of a shared
+host falls on both sides alike (Kalibera & Jones, "Rigorous Benchmarking in
+Reasonable Time", ISMM 2013).  Every timed metric is summarised by one rule
+(:func:`compare`): each side's values and quartiles, the quartiles of the
+per-pair ratios change/base, the pairs the change wins (ties count for
+neither side) and whether a gain is shown: wins in at least 9 pairs in 10,
+and medians apart, in the better direction, by more than the base's
+interquartile range.  In-process timings are better lower.
 
-The ``server`` section times perfbench's ``server_round`` operation through
-each tree's own ``checkpoint`` and ``freq_agg``: per model (mlp32, conv4x8),
-load 4 client checkpoints, fuse them with PFA and with FEDAVG, and save the
-aggregates into a fresh folder.  One sample is one such round; the inputs
-are written once.  Sides pair and alternate as in ``e2e``, with
-``SERVER_PAIRS_PER_PAIR`` times ``--pairs`` pairs, since one round takes a
-few milliseconds.  Two trees may round PFA differently, so the section
-records the largest PFA difference relative to the largest aggregate entry;
-the FEDAVG aggregates' saved bytes, and each tree's saved bytes of the same
-inputs, are compared for identity.
+The ``perfbench`` section holds one entry per ``--workload``: pair i runs
+``perfbench/run.py --trace 0 --seed <--seed + i>`` of each root in a fresh
+interpreter, as the benchmark does, for ``BENCHMARK.json``'s
+``run_seconds``.  Per end-to-end metric of ``BENCHMARK.json``, in its order
+and with its better direction, the file holds the summary above, and per
+workload the failed operations of each run.  These runs go first, while
+this process is small: Linux counts a parent's resident set into a child's
+``ru_maxrss``, which perfbench reports as ``peak_rss_mb``.
 
-The ``layer`` section times each tree's own library functions the same way:
-``forward`` and ``descend`` (the backward walk that applies SGD, in place)
-for mlp32 and conv4x8, ``ce_loss`` and ``kl_div``, all at the
-training-group shape ``LAYER_SHAPE`` (4 clients x 16 rows, stacked), one
-training-group step per model at that shape (``group_step``:
-mlp32 with deputies in the phases ``GROUP_PHASES``, as ``det_mlp`` trains;
-conv4x8 without deputies and with a FedProx pull, as ``fedprox_conv``
-trains), ``stacked_validation_f1`` of a run's cohort buffer on its padded
-validation splits (``VALIDATION``) and ``pfa_fuse`` of a 4-client stack
-for each model, ``macro_auc`` on 60 rows (a client's test split at
-data_scale 0.1), and ``save_checkpoint`` / ``load_checkpoint_full`` of an
-mlp32 map.  Both sides get the same inputs.  One sample is a loop of calls
-sized on the base side to take about ``LAYER_SAMPLE_S``; per function the
-file holds each side's median time per call and the quartiles of the
-paired ratios.
+The other sections time what perfbench cannot: a root's ``src/fedfreq`` is
+imported into this interpreter as ``fedfreq_base`` or ``fedfreq_change``
+(the package uses only relative imports), so the two sides of a pair share
+the process and its heap, and with them every per-process setting, such
+as the BLAS thread count.
 
-The ``memory`` section holds, per model and row count in ``MEMORY_ROWS``,
-each tree's tracemalloc peak over one ``predict_probs`` call on that many
-random rows.  The count is exact, so one sample per side is taken.
+- ``acceptance``: one ``fedfreq run`` per strategy at the acceptance
+  setting (mlp32, E=5, T=100, data_scale 0.1, K=4), in-process through
+  ``cli.main`` into a temporary directory, for every name in the change
+  tree's ``orchestrator.STRATEGIES`` that the base tree also knows.  One
+  warm-up run per side, then pair i runs experiment seed ``--seed`` + i
+  on both sides; the file records whether the two sides wrote
+  byte-identical artifacts.
+- ``layer``: each tree's own library functions at the training-group shape
+  ``LAYER_SHAPE`` (4 clients x 16 rows, stacked): ``forward`` and
+  ``descend`` (the backward walk that applies SGD, in place) per model,
+  one training-group step per model (``group_step``: mlp32 with deputies
+  in the phases ``GROUP_PHASES``, as ``det_mlp`` trains; conv4x8 without
+  deputies and with a FedProx pull, as ``fedprox_conv`` trains),
+  ``stacked_validation_f1`` of a run's cohort buffer on its padded
+  validation splits (``VALIDATION``) and ``pfa_fuse`` of a 4-client stack
+  per model, ``ce_loss``, ``kl_div``, ``macro_auc`` on 60 rows (a client's
+  test split at data_scale 0.1), and ``save_checkpoint`` /
+  ``load_checkpoint_full`` of an mlp32 map.  Both sides get the same
+  inputs.  One sample is a loop of calls sized on the base side to take
+  about ``LAYER_SAMPLE_S``, in microseconds per call.
+- ``memory``: per model and row count in ``MEMORY_ROWS``, each tree's
+  tracemalloc peak over one ``predict_probs`` call on that many random
+  rows.  The count is exact, so one sample per side is taken.
 
 Usage, from the repository root::
 
-    python bench/ab.py --base ../parent/src --change src --tag stacked_training
-    python bench/ab.py --base src --change src --tag aa      # A/A: ratio near 1
-    python bench/ab.py --base src --change src --quick --out ab.json
+    python bench/ab.py --base ../parent --change . --tag stacked_training \\
+        --workload det_mlp --workload fedprox_conv --workload server_round --seed 7000
+    python bench/ab.py --base . --change . --tag aa      # A/A: ratios near 1
+    python bench/ab.py --base . --change . --quick --workload server_round --out ab.json
 
-The file holds the machine facts (cores, BLAS, numpy, Python, and the BLAS
-thread count in effect once both trees are loaded, read through each tree's
-``model._blas_thread_calls``, null for a tree without it) and the git
-commit of each tree.  A base tree outside a git checkout (one exported with
-``git archive``) needs ``--base-commit``, which must name a commit of this
-repository; it is recorded with ``"dirty": null``.  A change tree outside
-git is recorded with ``"commit": null``.  ``--quick`` shrinks
-every run to two rounds, every layer sample to a few calls, and makes two
-pairs (40 in ``server``): its numbers mean nothing, it only shows that the
-script works.
+``trees`` records per side the root, its git commit, whether it is dirty,
+and the BLAS thread count that a fresh interpreter reads after importing
+the root's fedfreq (through ``model._blas_thread_calls``; null where the
+tree has none).  A root is dirty when ``git status --porcelain -- src
+perfbench`` lists anything there: the code that runs on that side differs
+from its commit, untracked files included.  A base root outside a git
+checkout (one exported with ``git archive``) needs ``--base-commit``, which
+must name a commit of this repository and is checked before any run; its
+``dirty`` is null.  A change root outside git is recorded with a null
+commit.  The machine facts hold cores, BLAS, numpy, Python, and the BLAS
+thread count in effect in this process once both trees are loaded.
+``--quick`` makes two pairs unless ``--pairs`` is given, 1-s perfbench
+runs, two-round acceptance runs and few-call layer samples: its numbers
+mean nothing, it only shows that the script works.
 The script checks no timing; perfbench stays the regression gate.
 """
 
@@ -81,10 +83,8 @@ import importlib
 import importlib.util
 import io
 import json
-import operator
 import os
 import platform
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -96,11 +96,17 @@ from pathlib import Path
 
 import numpy as np
 
-# the two perfbench training workloads, one fedfreq run each
-SETTINGS = {
-    "det_mlp": dict(strategy="PFA_DET", model_id="mlp32", local_epochs=5, total_epochs=100, data_scale=0.1),
-    "fedprox_conv": dict(strategy="FEDPROX", model_id="conv4x8", local_epochs=1, total_epochs=100, data_scale=0.05),
-}
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+RUN_TIMEOUT_S = 900  # one perfbench run: its set-up probes, its set-up and run_seconds of operations
+# prints, as JSON, the BLAS thread count in effect once fedfreq is imported, or null
+BLAS_THREADS_PROBE = """
+import json
+from fedfreq import model
+reader = getattr(model, "_blas_thread_calls", None)
+calls = reader() if reader is not None else None
+print(json.dumps(calls[1]() if calls is not None else None))
+"""
 # the acceptance setting, one fedfreq run per strategy that both trees know
 ACCEPTANCE = dict(model_id="mlp32", local_epochs=5, total_epochs=100, data_scale=0.1)
 CLIENTS = 4
@@ -113,12 +119,6 @@ GROUP_PHASES = (0, 1, 2, 2)  # RECOVER, EXCHANGE, SUBLIMATE, SUBLIMATE: every di
 # per model, a run's cohort buffer as validation scores it: models per client (2 with deputies,
 # as det_mlp trains; 1 as fedprox_conv trains) and the rows of the clients' validation splits
 VALIDATION = {"mlp32": (2, (30, 39, 16, 20)), "conv4x8": (1, (15, 19, 8, 10))}
-# perfbench's server_round operation: per (model, aggregator), load the
-# CLIENTS checkpoints, fuse them and save the result
-SERVER_KINDS = (("mlp32", "PFA"), ("mlp32", "FEDAVG"), ("conv4x8", "PFA"), ("conv4x8", "FEDAVG"))
-SERVER_R = (0.35, 0.48)  # PFA threshold range; one draw per pair, the same on both sides
-SERVER_PAIRS_PER_PAIR = 20  # a round takes a few ms: the server section makes 20 x --pairs pairs
-SERVER_INPUT_SEED = 3
 # predict_probs rows: one block, client 1 at data_scale 1.0, and a large split
 MEMORY_ROWS = (512, 3868, 20000)
 
@@ -207,22 +207,31 @@ def git(where: Path, *args: str) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def git_facts(src: Path, given: str | None = None) -> dict:
-    """The commit checked out where ``src`` lives, and whether ``src`` differs from it.
+def git_facts(root: Path, given: str | None = None) -> dict:
+    """The commit checked out at ``root``, and whether the code that runs there differs from it.
 
     Outside a git checkout the commit is ``given``, resolved in this
     repository, or None.  Exits if ``given`` is unknown or not the
     checked-out one.
     """
-    commit = git(src, "rev-parse", "HEAD")
+    commit = git(root, "rev-parse", "HEAD")
     if given is not None:
-        here = Path(__file__).resolve().parent
-        resolved = git(here, "rev-parse", "--verify", "--quiet", f"{given}^{{commit}}")
+        resolved = git(ROOT, "rev-parse", "--verify", "--quiet", f"{given}^{{commit}}")
         if resolved is None or commit not in (None, resolved):
-            raise SystemExit(f"{src}: --base-commit {given} is not a commit of this repository or not {src}'s")
+            raise SystemExit(f"{root}: --base-commit {given} is not a commit of this repository or not {root}'s")
         commit = resolved
-    status = git(src, "status", "--porcelain", "--", ".")
-    return {"commit": commit, "dirty": None if status is None else bool(status)}
+    status = git(root, "status", "--porcelain", "--", "src", "perfbench")
+    return {"root": str(root), "commit": commit, "dirty": None if status is None else bool(status)}
+
+
+def fresh_blas_threads(root: Path) -> int | None:
+    """The BLAS thread count a fresh interpreter runs with after importing checkout ``root``'s fedfreq."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if done.returncode != 0:
+        raise SystemExit(f"{root}: the BLAS thread probe exited {done.returncode}\n{done.stderr[-2000:]}")
+    return json.loads(done.stdout)
 
 
 def blas_threads(side: str) -> int | None:
@@ -247,6 +256,86 @@ def machine_facts() -> dict:
     }
 
 
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = (float(v) for v in np.percentile(values, [25, 50, 75]))
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def alternate(run, pairs: int) -> tuple[list[str], dict]:
+    """Calls ``run(side, i)`` for both sides of pairs i = 0..pairs-1, the base first in even pairs.
+
+    Returns the side that went first in each pair, and each side's
+    results in pair order.
+    """
+    first, results = [], {side: [] for side in SIDES}
+    for i in range(pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        first.append(order[0])
+        for side in order:
+            results[side].append(run(side, i))
+    return first, results
+
+
+def compare(base: list[float], change: list[float], better: str = "lower", unit: str = "s") -> dict:
+    """One metric's paired summary, and whether it shows a gain of the change.
+
+    A gain is shown when the change is better in at least 9 pairs in 10
+    (ties count for neither side) and the medians are apart, in the better
+    direction, by more than the base's interquartile range.
+    """
+    sign = 1.0 if better == "lower" else -1.0  # sign * (base - change) > 0: the change is better
+    qb, qc = quartiles(base), quartiles(change)
+    wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+    ratios = [c / b if b else None for b, c in zip(base, change)]
+    defined = [r for r in ratios if r is not None]
+    return {
+        "unit": unit,
+        "better": better,
+        "base_values": base,
+        "change_values": change,
+        "base_quartiles": qb,
+        "change_quartiles": qc,
+        "ratios_change_over_base": ratios,
+        "ratio_quartiles": quartiles(defined) if defined else None,
+        "change_wins": wins,
+        "gain_shown": wins >= 0.9 * len(base) and sign * (qb["median"] - qc["median"]) > qb["q3"] - qb["q1"],
+    }
+
+
+def show(name: str, row: dict, extra: str = "") -> None:
+    """Prints one line of a :func:`compare` summary."""
+    r = row["ratio_quartiles"] or {"median": float("nan"), "q1": float("nan"), "q3": float("nan")}
+    print(f"{name:<34} {row['base_quartiles']['median']:10.4g} -> {row['change_quartiles']['median']:10.4g} "
+          f"{row['unit']:<5} change/base {r['median']:.3f} (IQR {r['q1']:.3f}-{r['q3']:.3f}), "
+          f"better in {row['change_wins']}/{len(row['base_values'])}, gain shown: {row['gain_shown']}{extra}")
+
+
+def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py --trace 0`` run of checkout ``root`` in a fresh interpreter; returns its result."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if done.returncode != 0:
+        raise SystemExit(f"{root} {workload} seed {seed}: exit code {done.returncode}\n{done.stderr[-2000:]}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def measure_perfbench(roots: dict, workload: str, pairs: int, seed: int, seconds: float) -> dict:
+    """Paired perfbench runs of one workload, one summary per end-to-end metric of ``BENCHMARK.json``."""
+    first, results = alternate(lambda side, i: perfbench(roots[side], workload, seed + i, seconds), pairs)
+    metrics = {}
+    for metric in BENCHMARK["end_to_end"]:
+        name = metric["name"]
+        values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
+        metrics[name] = compare(values["base"], values["change"], metric["better"], metric["unit"])
+    return {
+        "seeds": [seed + i for i in range(pairs)],
+        "first": first,
+        "failed_ops": {side: [r["failed"] for r in results[side]] for side in SIDES},
+        "metrics": metrics,
+    }
+
+
 def timed_run(cli, config: dict, seed: int) -> tuple[float, str]:
     """One ``fedfreq run``; returns (wall seconds, digest of its artifacts)."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -266,143 +355,17 @@ def timed_run(cli, config: dict, seed: int) -> tuple[float, str]:
         return elapsed, h.hexdigest()
 
 
-def quartiles(values: list[float]) -> dict:
-    q1, median, q3 = (float(v) for v in np.percentile(values, [25, 50, 75]))
-    return {"median": median, "q1": q1, "q3": q3}
-
-
-def alternate(run, compare, pairs: int) -> tuple[list[str], dict, list]:
-    """Calls ``run(side, i)`` for both sides of pairs i = 0..pairs-1, the first side alternating.
-
-    ``run`` returns (seconds, output).  Returns the side that went first in
-    each pair, each side's seconds in pair order, and per pair
-    ``compare(base output, change output)``; no output is kept longer.
-    """
-    first, seconds, compared = [], {side: [] for side in SIDES}, []
-    for i in range(pairs):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        first.append(order[0])
-        outputs = {}
-        for side in order:
-            elapsed, outputs[side] = run(side, i)
-            seconds[side].append(elapsed)
-        compared.append(compare(outputs["base"], outputs["change"]))
-    return first, seconds, compared
-
-
-def paired_summary(seconds: dict, pairs: int) -> dict:
-    ratios = [c / b for b, c in zip(seconds["base"], seconds["change"])]
-    base, change = quartiles(seconds["base"]), quartiles(seconds["change"])
-    faster = sum(r < 1.0 for r in ratios)
-    return {
-        "base_quartiles_s": base,
-        "change_quartiles_s": change,
-        "ratio_change_over_base": quartiles(ratios),
-        "change_faster_pairs": faster,
-        # a gain counts when the change wins 9 pairs in 10 and its median is
-        # lower by more than the spread (IQR) of the base's own runs
-        "gain_shown": faster >= 0.9 * pairs and base["median"] - change["median"] > base["q3"] - base["q1"],
-    }
-
-
-def measure(clis: dict, config: dict, pairs: int, seed: int) -> dict:
+def measure_run(clis: dict, config: dict, pairs: int, seed: int) -> dict:
+    """Paired wall times of one ``fedfreq run`` config; pair i runs experiment seed ``seed + i``."""
     for side in SIDES:  # warm-up: imports, caches, first-touch allocations
         timed_run(clis[side], config, seed)
-    first, seconds, same = alternate(
-        lambda side, i: timed_run(clis[side], config, seed + i), operator.eq, pairs
-    )
+    first, runs = alternate(lambda side, i: timed_run(clis[side], config, seed + i), pairs)
+    (base, base_digests), (change, change_digests) = (zip(*runs[side]) for side in SIDES)
     return {
         "config": config,
         "first": first,
-        "base_s": seconds["base"],
-        "change_s": seconds["change"],
-        **paired_summary(seconds, pairs),
-        "identical_artifacts": all(same),
-    }
-
-
-def write_server_inputs(pkg: str, folder: Path) -> dict[str, list[Path]]:
-    """Saves CLIENTS client maps per model through package ``pkg``; returns the paths by model id."""
-    model = importlib.import_module(f"{pkg}.model")
-    checkpoint = importlib.import_module(f"{pkg}.checkpoint")
-    folder.mkdir()
-    paths = {}
-    for model_id, spec in model.MODEL_SPECS.items():
-        paths[model_id] = [folder / f"{model_id}_client_{c}.ckpt" for c in range(CLIENTS)]
-        for c, path in enumerate(paths[model_id]):
-            params = model.init_params(spec, [c, SERVER_INPUT_SEED])
-            # the initial biases are 0: give them values, so that every tensor is fused from data
-            rng = np.random.default_rng([c, SERVER_INPUT_SEED])
-            params = {name: v if v.ndim > 1 else rng.normal(0.0, 0.1, v.shape) for name, v in params.items()}
-            checkpoint.save_checkpoint(params, path, model_id=model_id)
-    return paths
-
-
-def server_round(checkpoint, freq_agg, paths: dict, r: float, out: Path) -> list[list[dict]]:
-    """perfbench's ``server_round`` operation through one tree's modules; returns the fused maps per kind."""
-    fused = []
-    for model_id, strategy in SERVER_KINDS:
-        loaded = [checkpoint.load_checkpoint_full(path) for path in paths[model_id]]
-        maps = [params for _, _, params in loaded]
-        request = freq_agg.AggregationRequest(maps, r=r, strategy=strategy)
-        if strategy == "PFA":
-            maps = freq_agg.pfa_aggregate(request)
-        else:
-            maps = [freq_agg.fedavg_aggregate(request)]
-        for c, params in enumerate(maps):
-            checkpoint.save_checkpoint(params, out / f"{model_id}_{strategy}_{c}.ckpt", model_id=loaded[0][1])
-        fused.append(maps)
-    return fused
-
-
-def compare_rounds(base, change) -> tuple[float, bool]:
-    """(largest PFA |change - base| relative to the largest aggregate entry, FEDAVG bytes identical)."""
-    (fused_b, saved_b), (fused_c, saved_c) = base, change
-    rel = 0.0
-    for (_, strategy), maps_b, maps_c in zip(SERVER_KINDS, fused_b, fused_c):
-        if strategy == "PFA":
-            delta = max(float(np.max(np.abs(b[k] - c[k]))) for b, c in zip(maps_b, maps_c) for k in b)
-            rel = max(rel, delta / max(float(np.max(np.abs(v))) for b in maps_b for v in b.values()))
-    return rel, saved_b == saved_c
-
-
-def measure_server(pairs: int, seed: int) -> dict:
-    """Paired timings of one :func:`server_round` per side and pair; both trees must be loaded."""
-    modules = {
-        side: tuple(importlib.import_module(f"fedfreq_{side}.{m}") for m in ("checkpoint", "freq_agg"))
-        for side in SIDES
-    }
-    with tempfile.TemporaryDirectory() as tmp:
-        inputs = {side: write_server_inputs(f"fedfreq_{side}", Path(tmp, f"inputs_{side}")) for side in SIDES}
-        saved_alike = all(
-            p.read_bytes() == q.read_bytes()
-            for model_id in inputs["base"]
-            for p, q in zip(inputs["base"][model_id], inputs["change"][model_id])
-        )
-
-        def run(side: str, i: int):
-            out = Path(tmp, f"round_{side}_{i}")  # a fresh folder, as perfbench writes
-            out.mkdir()
-            r = float(np.random.default_rng([seed, i]).uniform(*SERVER_R))
-            start = time.perf_counter()
-            fused = server_round(*modules[side], inputs["base"], r, out)
-            elapsed = time.perf_counter() - start
-            saved = b"".join(p.read_bytes() for p in sorted(out.glob("*_FEDAVG_*.ckpt")))
-            shutil.rmtree(out)
-            return elapsed, (fused, saved)
-
-        for side in SIDES:  # warm-up, on a threshold no pair draws
-            run(side, pairs)
-        first, seconds, compared = alternate(run, compare_rounds, pairs)
-    return {
-        "kinds": [list(kind) for kind in SERVER_KINDS],
-        "first": first,
-        "base_s": seconds["base"],
-        "change_s": seconds["change"],
-        **paired_summary(seconds, pairs),
-        "pfa_max_rel_diff": max(rel for rel, _ in compared),
-        "fedavg_identical_bytes": all(same for _, same in compared),
-        "saved_inputs_identical_bytes": saved_alike,
+        **compare(list(base), list(change)),
+        "identical_artifacts": base_digests == change_digests,
     }
 
 
@@ -417,18 +380,8 @@ def measure_layers(pairs: int, sample_s: float) -> dict:
                 timers[side].timeit(3)
             count, seconds = timers["base"].autorange()
             number = max(1, round(sample_s * count / seconds))
-            per_call: dict[str, list[float]] = {side: [] for side in SIDES}
-            for i in range(pairs):
-                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    per_call[side].append(timers[side].timeit(number) / number)
-            ratios = [c / b for b, c in zip(per_call["base"], per_call["change"])]
-            layer[name] = {
-                "calls_per_sample": number,
-                "base_us": 1e6 * quartiles(per_call["base"])["median"],
-                "change_us": 1e6 * quartiles(per_call["change"])["median"],
-                "ratio_change_over_base": quartiles(ratios),
-                "change_faster_pairs": sum(r < 1.0 for r in ratios),
-            }
+            _, per_call = alternate(lambda side, i: 1e6 * timers[side].timeit(number) / number, pairs)
+            layer[name] = {"calls_per_sample": number, **compare(per_call["base"], per_call["change"], unit="us")}
     return layer
 
 
@@ -457,72 +410,68 @@ def measure_memory() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, type=Path, help="src/ directory of the reference tree")
-    parser.add_argument("--change", required=True, type=Path, help="src/ directory of the changed tree")
+    parser.add_argument("--base", required=True, type=Path, help="root of the reference checkout")
+    parser.add_argument("--change", required=True, type=Path, help="root of the changed checkout")
     parser.add_argument("--tag", default="ab", help="names the output file BENCH_<tag>.json")
-    parser.add_argument("--pairs", type=int, default=15)
-    parser.add_argument("--seed", type=int, default=0, help="experiment seed of the first pair")
-    parser.add_argument("--quick", action="store_true", help="smoke test: tiny runs, two pairs")
+    parser.add_argument("--seed", type=int, default=0, help="seed of each section's first pair")
     parser.add_argument("--out", type=Path, help="output path (default: BENCH_<tag>.json at the repo root)")
-    parser.add_argument("--base-commit", help="commit of a base tree that is not a git checkout")
+    parser.add_argument("--base-commit", help="commit of a base root that is not a git checkout")
+    parser.add_argument("--pairs", type=int, help="pairs per measurement (default 10, or 2 with --quick)")
+    parser.add_argument("--quick", action="store_true", help="smoke test: tiny runs, two pairs")
+    parser.add_argument("--workload", action="append", default=[], choices=[w["name"] for w in BENCHMARK["workloads"]],
+                        help="a perfbench workload to run in fresh-process pairs; repeat for several")
     args = parser.parse_args(argv)
-    # before any timing: a base tree of unknown commit ends the run here
-    trees = {"base": git_facts(args.base.resolve(), args.base_commit), "change": git_facts(args.change.resolve())}
+    pairs = args.pairs or (2 if args.quick else 10)
+    if pairs < 2:
+        parser.error("--pairs must be at least 2")
+    roots = {side: getattr(args, side).resolve() for side in SIDES}
+    # before any run: a base root of unknown commit ends the script here
+    trees = {"base": git_facts(roots["base"], args.base_commit), "change": git_facts(roots["change"])}
     if trees["base"]["commit"] is None:
-        raise SystemExit(f"base tree {args.base} is not in a git checkout: name its commit with --base-commit")
+        raise SystemExit(f"base root {args.base} is not a git checkout: name its commit with --base-commit")
+    for side in SIDES:
+        trees[side]["blas_threads"] = fresh_blas_threads(roots[side])
 
-    clis = {side: load_tree(getattr(args, side).resolve(), f"fedfreq_{side}") for side in SIDES}
-    pairs = 2 if args.quick else args.pairs
-    runs = {"e2e": {}, "acceptance": {}}
+    seconds = 1.0 if args.quick else BENCHMARK["run_seconds"]
+    runs = {"perfbench": {}, "acceptance": {}}
+    for workload in args.workload:
+        row = runs["perfbench"][workload] = measure_perfbench(roots, workload, pairs, args.seed, seconds)
+        for name, summary in row["metrics"].items():
+            show(f"{workload} {name}", summary)
+
+    clis = {side: load_tree(roots[side] / "src", f"fedfreq_{side}") for side in SIDES}
     base, change = (importlib.import_module(f"fedfreq_{side}.orchestrator").STRATEGIES for side in SIDES)
-    acceptance = {s: dict(strategy=s, **ACCEPTANCE) for s in change if s in base}
-    for section, settings in (("e2e", SETTINGS), ("acceptance", acceptance)):
-        for name, config in settings.items():
-            if args.quick:
-                config = {**config, "total_epochs": 2 * config["local_epochs"]}
-            row = runs[section][name] = measure(clis, config, pairs, args.seed)
-            r = row["ratio_change_over_base"]
-            print(f"{name:<13} change/base {r['median']:.3f} (IQR {r['q1']:.3f}-{r['q3']:.3f}), "
-                  f"faster in {row['change_faster_pairs']}/{pairs} pairs, "
-                  f"gain shown: {row['gain_shown']}, "
-                  f"identical artifacts: {row['identical_artifacts']}")
+    for strategy in (s for s in change if s in base):
+        config = dict(strategy=strategy, **ACCEPTANCE)
+        if args.quick:
+            config["total_epochs"] = 2 * config["local_epochs"]
+        row = runs["acceptance"][strategy] = measure_run(clis, config, pairs, args.seed)
+        show(strategy, row, f", identical artifacts: {row['identical_artifacts']}")
 
-    server_pairs = SERVER_PAIRS_PER_PAIR * pairs
-    runs["server"] = row = measure_server(server_pairs, args.seed)
-    r = row["ratio_change_over_base"]
-    print(f"{'server_round':<13} change/base {r['median']:.3f} (IQR {r['q1']:.3f}-{r['q3']:.3f}), "
-          f"faster in {row['change_faster_pairs']}/{server_pairs} pairs, "
-          f"gain shown: {row['gain_shown']}, "
-          f"PFA max rel diff: {row['pfa_max_rel_diff']:.1e}, "
-          f"FEDAVG identical bytes: {row['fedavg_identical_bytes']}")
+    runs["layer"] = measure_layers(pairs, LAYER_SAMPLE_S / 20 if args.quick else LAYER_SAMPLE_S)
+    for name, row in runs["layer"].items():
+        show(name, row)
 
-    layer = measure_layers(pairs, LAYER_SAMPLE_S / 20 if args.quick else LAYER_SAMPLE_S)
-    for name, row in layer.items():
-        r = row["ratio_change_over_base"]
-        print(f"{name:<26} {row['base_us']:9.1f} -> {row['change_us']:9.1f} us/call, "
-              f"change/base {r['median']:.3f} (IQR {r['q1']:.3f}-{r['q3']:.3f})")
-
-    memory = measure_memory()
-    for name, row in memory.items():
+    runs["memory"] = measure_memory()
+    for name, row in runs["memory"].items():
         base, change = row["base_peak_bytes"] / 2**20, row["change_peak_bytes"] / 2**20
-        print(f"{name:<26} {base:9.2f} -> {change:9.2f} MiB peak, change/base {row['ratio_change_over_base']:.3f}")
+        print(f"{name:<34} {base:10.4g} -> {change:10.4g} MiB   peak, change/base {row['ratio_change_over_base']:.3f}")
 
     report = {
         "tag": args.tag,
         "quick": args.quick,
-        "clock": "e2e: time.perf_counter around cli.main, seconds per fedfreq run; "
-        "server: time.perf_counter around one server round, seconds; "
+        "clock": "perfbench: perfbench/run.py --trace 0, one fresh process per run, its end-to-end metrics; "
+        "acceptance: time.perf_counter around cli.main, seconds per fedfreq run; "
         "layer: timeit (garbage collection off), microseconds per call; "
         "memory: tracemalloc peak of one call, bytes",
         "pairs": pairs,
         "first_seed": args.seed,
+        "run_seconds": seconds,
         "machine": machine_facts(),
         "trees": trees,
         **runs,
-        "layer": layer,
-        "memory": memory,
     }
-    out = args.out or Path(__file__).resolve().parent.parent / f"BENCH_{args.tag}.json"
+    out = args.out or ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
     return 0
