@@ -20,11 +20,11 @@ workload the failed operations of each run.  These runs go first, while
 this process is small: Linux counts a parent's resident set into a child's
 ``ru_maxrss``, which perfbench reports as ``peak_rss_mb``.
 
-The other sections time what perfbench cannot: a root's ``src/fedfreq`` is
-imported into this interpreter as ``fedfreq_base`` or ``fedfreq_change``
-(the package uses only relative imports), so the two sides of a pair share
-the process and its heap, and with them every per-process setting, such
-as the BLAS thread count.
+The other sections measure what perfbench cannot: a root's
+``src/fedfreq`` is imported into this interpreter as ``fedfreq_base`` or
+``fedfreq_change`` (the package uses only relative imports), so the two
+sides of a pair share the process and its heap, and with them every
+per-process setting, such as the BLAS thread count.
 
 - ``acceptance``: one ``fedfreq run`` per strategy at the acceptance
   setting (mlp32, E=5, T=100, data_scale 0.1, K=4), in-process through
@@ -304,7 +304,7 @@ def compare(base: list[float], change: list[float], better: str = "lower", unit:
 
 def show(name: str, row: dict, extra: str = "") -> None:
     """Prints one line of a :func:`compare` summary."""
-    r = row["ratio_quartiles"] or {"median": float("nan"), "q1": float("nan"), "q3": float("nan")}
+    r = row["ratio_quartiles"] or dict.fromkeys(("median", "q1", "q3"), float("nan"))
     print(f"{name:<34} {row['base_quartiles']['median']:10.4g} -> {row['change_quartiles']['median']:10.4g} "
           f"{row['unit']:<5} change/base {r['median']:.3f} (IQR {r['q1']:.3f}-{r['q3']:.3f}), "
           f"better in {row['change_wins']}/{len(row['base_values'])}, gain shown: {row['gain_shown']}{extra}")
