@@ -3,17 +3,32 @@
 ``tests/reference.py`` shares the forward pass, the aggregators, the losses
 and the data draw with the package, so a rounding change in any of them
 moves both sides of a reference comparison alike.  These digests catch it:
-``pinned_digests.json`` holds, for every run or dataset tier-1 builds anyway,
-the first 16 hex digits of a SHA-256 over its bytes, next to the numpy
-version and the BLAS (name, version and the kernels it picked for this CPU)
-they were recorded with.  Bits depend on that build, so where this
-environment differs the check skips and names both; ``python tests/pins.py``
-exits 0 only where they match.
+``pinned_digests.json`` holds one for every run or dataset tier-1 builds
+anyway, next to the numpy version and the BLAS (name, version and the
+kernels it picked for this CPU) they were recorded with.  Bits depend on
+that build, so where this environment differs the check skips and names both.
+
+A digest is the first 16 hex digits of a SHA-256 over the files a user
+gets.  A run's is two of them, ``"<artifacts> <results>"``: curves.csv then
+each ``best_client_j.ckpt`` in client order, as ``orchestrator.emit_report``
+writes them, and results.json.  config.echo is left out: its ``out_dir``
+line differs with where a run is written, and results.json records the rest
+of the config.  A dataset's is one, over the file ``data.save_client``
+writes for each client, in order.
 
 A change that means to move bits regenerates the file with the whole
 tier-1 run (the file's own ``regenerate`` entry), and its diff is the record::
 
     PYTHONPATH=src python -m pytest -q --pin-digests
+
+A session that selects tests (a file, ``-k`` or a node id) rewrites only the
+keys it recorded; the whole suite writes exactly its own, so the key of a
+deleted case goes.  To compare two trees in an environment other than the
+pinned one, regenerate the file in both checkouts and diff the two::
+
+    (cd parent && PYTHONPATH=src python -m pytest -q --pin-digests)
+    (cd change && PYTHONPATH=src python -m pytest -q --pin-digests)
+    diff parent/tests/pinned_digests.json change/tests/pinned_digests.json
 """
 
 from __future__ import annotations
@@ -21,11 +36,14 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
-import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from fedfreq.data import save_client
+from fedfreq.orchestrator import emit_report
 
 PIN_FILE = Path(__file__).with_name("pinned_digests.json")
 REGENERATE = "PYTHONPATH=src python -m pytest -q --pin-digests"
@@ -59,13 +77,6 @@ def environment() -> dict[str, str]:
     return {"numpy": np.__version__, "blas": name if kernels is None else f"{name} ({kernels} kernels)"}
 
 
-def environments() -> tuple[dict[str, str], dict[str, str]]:
-    """The environment the pinned digests were recorded in, and this one."""
-    here = environment()
-    pinned = json.loads(PIN_FILE.read_text())
-    return {key: pinned[key] for key in here}, here
-
-
 def _digest(blobs) -> str:
     h = hashlib.sha256()
     for blob in blobs:
@@ -74,28 +85,19 @@ def _digest(blobs) -> str:
 
 
 def run_digest(result) -> str:
-    """A run's log rows, best models and outcomes; repr tells every float bit apart."""
-
-    def blobs():
-        for row in result.rows:  # vars, not dataclasses.astuple, which deep-copies every field
-            yield repr(tuple(vars(row).values())).encode()
-        for client, params in sorted(result.best_params.items()):
-            for name, value in sorted(params.items()):
-                yield f"{client} {name} {value.dtype} {value.shape}".encode()
-                yield value.tobytes()
-        for outcome in result.clients:
-            yield repr(tuple(vars(outcome).values())).encode()
-
-    return _digest(blobs())
+    """``"<artifacts> <results>"`` over the files ``emit_report`` writes for the run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        curves, _echo, *checkpoints, results = emit_report(result, tmp)
+        return f"{_digest(p.read_bytes() for p in [curves, *checkpoints])} {_digest([results.read_bytes()])}"
 
 
 def clients_digest(clients) -> str:
-    """Every client's features, labels and split sizes, in order."""
-    return _digest(
-        blob
-        for c in clients
-        for blob in (c.features.tobytes(), c.labels.tobytes(), repr(tuple(c.splits)).encode())
-    )
+    """Over the file ``save_client`` writes for each client, in order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, f"client_{j}.fsd") for j in range(len(clients))]
+        for client, path in zip(clients, paths):
+            save_client(client, path)
+        return _digest(path.read_bytes() for path in paths)
 
 
 class Pins:
@@ -114,23 +116,21 @@ class Pins:
         if self.regenerate:
             self.recorded.update(digests)
             return
-        recorded_under, here = environments()
+        pinned, here = json.loads(PIN_FILE.read_text()), environment()
+        recorded_under = {key: pinned[key] for key in here}
         if recorded_under != here:
             pytest.skip(f"digests pinned under {recorded_under}; this environment is {here}")
-        pinned = json.loads(PIN_FILE.read_text())["digests"]
-        moved = {key: (pinned.get(key), got) for key, got in digests.items()}
+        moved = {key: (pinned["digests"].get(key), got) for key, got in digests.items()}
         moved = {key: pair for key, pair in moved.items() if pair[0] != pair[1]}
         assert not moved, (
             f"bytes moved (key: (pinned, now)): {moved}; "
             f"a change that means to move them regenerates {PIN_FILE.name} with `{REGENERATE}`"
         )
 
-    def write(self) -> None:
-        payload = {**environment(), "regenerate": REGENERATE, "digests": dict(sorted(self.recorded.items()))}
+    def write(self, whole_suite: bool) -> None:
+        """Write the recorded digests; a session that selected tests keeps every pinned key it did not record."""
+        kept = {} if whole_suite else json.loads(PIN_FILE.read_text())["digests"]
+        digests = dict(sorted({**kept, **self.recorded}.items()))
+        payload = {**environment(), "regenerate": REGENERATE, "digests": digests}
         PIN_FILE.write_text(json.dumps(payload, indent=1) + "\n")
 
-
-if __name__ == "__main__":  # exit 0 where this is the environment the digests were recorded in
-    recorded_under, here = environments()
-    print(f"digests pinned under {recorded_under}; this environment is {here}")
-    sys.exit(recorded_under != here)
