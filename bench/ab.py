@@ -97,7 +97,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 RUN_TIMEOUT_S = 900  # one perfbench run: its set-up probes, its set-up and run_seconds of operations
 # prints, as JSON, the BLAS thread count in effect once fedfreq is imported, or null
 BLAS_THREADS_PROBE = """
@@ -121,6 +120,11 @@ GROUP_PHASES = (0, 1, 2, 2)  # RECOVER, EXCHANGE, SUBLIMATE, SUBLIMATE: every di
 VALIDATION = {"mlp32": (2, (30, 39, 16, 20)), "conv4x8": (1, (15, 19, 8, 10))}
 # predict_probs rows: one block, client 1 at data_scale 1.0, and a large split
 MEMORY_ROWS = (512, 3868, 20000)
+
+
+def benchmark() -> dict:
+    """The repository's ``BENCHMARK.json``, read when a run needs it, so importing this module needs no such file."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def load_tree(src: Path, name: str):
@@ -324,7 +328,7 @@ def measure_perfbench(roots: dict, workload: str, pairs: int, seed: int, seconds
     """Paired perfbench runs of one workload, one summary per end-to-end metric of ``BENCHMARK.json``."""
     first, results = alternate(lambda side, i: perfbench(roots[side], workload, seed + i, seconds), pairs)
     metrics = {}
-    for metric in BENCHMARK["end_to_end"]:
+    for metric in benchmark()["end_to_end"]:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
         metrics[name] = compare(values["base"], values["change"], metric["better"], metric["unit"])
@@ -409,6 +413,7 @@ def measure_memory() -> dict:
 
 
 def main(argv=None) -> int:
+    bench = benchmark()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, type=Path, help="root of the reference checkout")
     parser.add_argument("--change", required=True, type=Path, help="root of the changed checkout")
@@ -418,7 +423,7 @@ def main(argv=None) -> int:
     parser.add_argument("--base-commit", help="commit of a base root that is not a git checkout")
     parser.add_argument("--pairs", type=int, help="pairs per measurement (default 10, or 2 with --quick)")
     parser.add_argument("--quick", action="store_true", help="smoke test: tiny runs, two pairs")
-    parser.add_argument("--workload", action="append", default=[], choices=[w["name"] for w in BENCHMARK["workloads"]],
+    parser.add_argument("--workload", action="append", default=[], choices=[w["name"] for w in bench["workloads"]],
                         help="a perfbench workload to run in fresh-process pairs; repeat for several")
     args = parser.parse_args(argv)
     pairs = args.pairs or (2 if args.quick else 10)
@@ -432,7 +437,7 @@ def main(argv=None) -> int:
     for side in SIDES:
         trees[side]["blas_threads"] = fresh_blas_threads(roots[side])
 
-    seconds = 1.0 if args.quick else BENCHMARK["run_seconds"]
+    seconds = 1.0 if args.quick else bench["run_seconds"]
     runs = {"perfbench": {}, "acceptance": {}}
     for workload in args.workload:
         row = runs["perfbench"][workload] = measure_perfbench(roots, workload, pairs, args.seed, seconds)

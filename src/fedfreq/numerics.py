@@ -13,10 +13,10 @@ stack of one.  Transforms are evaluated with ``numpy.fft``; the algorithm is
 an implementation detail, the contract is the convention above.  All
 functions are pure.
 
-:func:`amp_phase` and :func:`recompose` are the reference definition of
-frequency-domain fusion: split, replace the band's amplitudes, rebuild.
-``freq_agg`` reaches the same spectrum without the round trip, by rescaling
-each band entry to the shared amplitude.
+:func:`dft2`/:func:`idft2`, the full-spectrum pair, with :func:`amp_phase`
+and :func:`recompose` are the reference definition of frequency-domain
+fusion: split, replace the band's amplitudes, rebuild.  ``freq_agg`` fuses
+on the ``rfft2`` half spectrum, after :func:`real_stack`'s checks.
 """
 
 from __future__ import annotations
@@ -41,12 +41,8 @@ class AmpPhase(NamedTuple):
     phase: np.ndarray
 
 
-def dft2(m: np.ndarray) -> np.ndarray:
-    """Unnormalized forward 2-D DFT of a real matrix or stack of matrices.
-
-    Raises ValueError if the input is not a finite, real, non-empty array
-    of at least two dimensions.
-    """
+def real_stack(m: np.ndarray) -> np.ndarray:
+    """``m`` as float64; ValueError unless a finite, real, non-empty array of at least two dimensions."""
     m = np.asarray(m)
     if m.ndim < 2 or m.size == 0:
         raise ValueError(f"expected a non-empty stack of 2-D matrices, got shape {m.shape}")
@@ -55,7 +51,12 @@ def dft2(m: np.ndarray) -> np.ndarray:
     m = m.astype(np.float64, copy=False)
     if not np.all(np.isfinite(m)):
         raise ValueError("forward transform input contains non-finite entries")
-    return np.fft.fft2(m)
+    return m
+
+
+def dft2(m: np.ndarray) -> np.ndarray:
+    """Unnormalized forward 2-D DFT of a real matrix or stack of matrices, checked by :func:`real_stack`."""
+    return np.fft.fft2(real_stack(m))
 
 
 def idft2(f: np.ndarray) -> tuple[np.ndarray, float]:

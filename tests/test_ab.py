@@ -1,14 +1,22 @@
 """``bench/ab.py``'s one gain rule, its pair order, and its check of the base commit."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("ab", REPO / "bench" / "ab.py")
-ab = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ab)
+
+
+def _load(path: Path, name: str = "ab"):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ab = _load(REPO / "bench" / "ab.py")
 
 BASE = [10.0 + 0.1 * i for i in range(10)]  # median 10.45, IQR 0.45
 
@@ -74,3 +82,13 @@ def test_a_base_outside_git_without_base_commit_exits_before_any_run(tmp_path, m
     with pytest.raises(SystemExit, match="--base-commit"):
         ab.main(argv)
     assert not out.exists()
+
+
+def test_the_module_imports_in_a_tree_without_benchmark_json(tmp_path):
+    copy = tmp_path / "bench" / "ab.py"
+    copy.parent.mkdir()
+    shutil.copy(REPO / "bench" / "ab.py", copy)
+    assert not (tmp_path / "BENCHMARK.json").exists()
+    module = _load(copy, "ab_without_benchmark")
+    assert module.ROOT == tmp_path
+    assert module.compare(BASE, BASE)["change_wins"] == 0

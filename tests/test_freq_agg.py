@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from fedfreq.freq_agg import (
     fedavg_aggregate,
     low_freq_mask,
     pfa_aggregate,
+    pfa_fuse,
     reshape_conv,
     schedule_r,
     unreshape_conv,
@@ -337,13 +339,19 @@ def test_pfa_commutes_with_client_order():
 
 @st.composite
 def _uploads(draw):
-    """(maps, r): K random client maps of one model spec and a threshold."""
+    """(maps, r): K random client maps of one model spec and a threshold.
+
+    Each map also holds ``raw.weight``, a 2-D parameter of drawn shape, 1-12
+    by 1-12: odd and even column counts, a Nyquist column, and the 1- and
+    2-column matrices that no model has.
+    """
     spec = MODEL_SPECS[draw(st.sampled_from(["mlp32", "conv4x8"]))]
     k = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([1e-3, 0.5, 30.0]))
-    template = init_params(spec, 0)
-    maps = [{name: rng.normal(0.0, scale, v.shape) for name, v in template.items()} for _ in range(k)]
+    shapes = {name: v.shape for name, v in init_params(spec, 0).items()}
+    shapes["raw.weight"] = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    maps = [{name: rng.normal(0.0, scale, shape) for name, shape in shapes.items()} for _ in range(k)]
     return maps, draw(st.floats(0.01, 0.49))
 
 
@@ -388,10 +396,11 @@ def test_pfa_outputs_are_real_finite_and_fuse_biases_as_fedavg(uploads):
 
 
 def _per_client_reference(maps, r):
-    """PFA written client by client with 2-D ``numerics`` calls, band entry by band entry.
+    """PFA written client by client on 2-D ``rfft2`` half spectra, band entry by band entry.
 
-    A band entry F becomes ``F * (shared / |F|)``, or the real ``shared`` where
-    ``|F|`` is 0; entries outside the band are kept.
+    The band is the mask's first ``cols // 2 + 1`` columns.  A band entry F
+    becomes ``F * (shared / |F|)``, or the real ``shared`` where ``|F|`` is 0;
+    entries outside the band are kept.  ``irfft2`` inverts each half spectrum.
     """
     outputs = [{} for _ in maps]
     for name in maps[0]:
@@ -402,15 +411,16 @@ def _per_client_reference(maps, r):
                 out[name] = np.mean(tensors, axis=0)
             continue
         mats = [reshape_conv(t) if conv else t for t in tensors]
-        band = np.argwhere(low_freq_mask(*mats[0].shape, r))
-        spectra = [dft2(m) for m in mats]
+        rows, cols = mats[0].shape
+        band = np.argwhere(low_freq_mask(rows, cols, r)[:, : cols // 2 + 1])
+        spectra = [np.fft.rfft2(m) for m in mats]
         shared = np.mean([np.abs(f) for f in spectra], axis=0)
         for out, f in zip(outputs, spectra):
             moved = f.copy()
             for i, j in band:
                 amp = np.abs(f[i, j])
                 moved[i, j] = f[i, j] * (shared[i, j] / amp) if amp > 0 else shared[i, j]
-            fused, _ = idft2(moved)
+            fused = np.fft.irfft2(moved, s=(rows, cols))
             out[name] = unreshape_conv(fused, tensors[0].shape) if conv else fused
     return outputs
 
@@ -495,6 +505,16 @@ def test_pfa_outputs_are_real_float():
     for out in pfa_aggregate(AggregationRequest(maps, r=0.45, strategy=PFA)):
         for v in out.values():
             assert v.dtype == np.float64
+
+
+@pytest.mark.parametrize("entry", [np.nan, -np.inf, 1j])
+def test_pfa_checks_its_input_as_dft2_does(entry):
+    stack = np.ones((2, 4, 3), dtype=np.result_type(entry))
+    stack[1, 2, 0] = entry
+    with pytest.raises(ValueError) as expected:
+        dft2(stack)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        pfa_fuse({"w": stack}, 0.3)
 
 
 def test_pfa_validation():
