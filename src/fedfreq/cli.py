@@ -8,7 +8,8 @@ is a checkpoint-format file with model id ``fedfreq-dataset``.
 
 Exit codes, one exception type each: 0 success; 2 ``ConfigError`` (including a
 config file that is not UTF-8, a ``run`` with no output directory, a
-``synth-data`` ``--seed`` below 0 or ``--scale`` outside (0, 1]); 3
+``synth-data`` ``--seed`` below 0 or ``--scale`` outside (0, 1], or ``aggregate``
+outputs that collide or overwrite an input, on which it reads nothing); 3
 ``DataError`` (including a corrupt checkpoint or dataset file, or one of an
 unknown format version, raised as its subclasses ``CorruptCheckpointError`` and
 ``UnsupportedVersionError``; a file given as a curves.csv that is not one; a
@@ -98,6 +99,16 @@ def _cmd_aggregate(args) -> int:
         check_threshold(args.r)
     except ValueError as exc:
         raise ConfigError(f"--r: {exc}") from exc
+    out = Path(args.out_dir)
+    names = [f"{Path(src).stem}.agg.ckpt" for src in args.checkpoints] if args.strategy == PFA else ["global.ckpt"]
+    inputs, written = {Path(src).resolve(): src for src in args.checkpoints}, {}
+    for src, name in zip(args.checkpoints, names):  # PFA's output i is input i's; checked before any read
+        target = (out / name).resolve()
+        if target in inputs:
+            raise ConfigError(f"aggregate output {out / name} would overwrite input {inputs[target]}")
+        if target in written:
+            raise ConfigError(f"inputs {written[target]} and {src} would both write {out / name}")
+        written[target] = src
     loaded = [load_checkpoint_full(p) for p in args.checkpoints]
     for path, (_, model_id, _) in zip(args.checkpoints, loaded):
         if model_id == DATASET_ID:
@@ -119,11 +130,8 @@ def _cmd_aggregate(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         if args.strategy == PFA:
             aggregates = pfa_aggregate(AggregationRequest(maps, r=args.r, strategy=PFA))
-            names = [f"{Path(src).stem}.agg.ckpt" for src in args.checkpoints]
         else:
             aggregates = [fedavg_aggregate(AggregationRequest(maps, strategy=FEDAVG))]
-            names = ["global.ckpt"]
-    out = Path(args.out_dir)
     for name, agg in zip(names, aggregates):
         _check_finite(agg, f"aggregate for {out / name}")
     out.mkdir(parents=True, exist_ok=True)

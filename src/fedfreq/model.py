@@ -6,13 +6,13 @@ layer's *logits*, so :func:`backward` starts below the softmax (the usual
 fused softmax/cross-entropy arrangement).  The optimizer is plain SGD whose
 learning rate halves every ``halving_period`` epochs.
 
-Parameters live in plain ``dict[str, np.ndarray]`` maps ("named tensor
-maps"); names are unique and all iteration that must be deterministic walks
-them in sorted order.  Forward, backward, the losses and SGD are written
-once, over a leading client axis: a map whose tensors are ``(K, ...)``
-stacks holds K clients' models (:func:`stack_params` builds one), and each
-client's numbers come out exactly as they would from that client alone.  A
-plain map is a stack of one.  Inputs and labels are plain arrays.
+Parameters live in plain ``dict[str, np.ndarray]`` maps ("named tensor maps")
+that :class:`ModelSpec` names and shapes; iteration that must be deterministic
+walks them in sorted order.  Forward, backward, the losses and SGD are written
+once, over a leading client axis: a map whose tensors are ``(K, ...)`` stacks
+holds K clients' models (:func:`stack_params` builds one), and each client's
+numbers come out exactly as they would from that client alone.  A plain map is
+a stack of one.  Inputs and labels are plain arrays.
 
 A map may also hold an ``(M, K, ...)`` buffer: M models for each of K
 clients, such as a client's personalized model and its deputy, trained on
@@ -87,21 +87,27 @@ _BLAS_THREAD_CALLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threa
 
 
 @functools.cache
-def _blas_thread_calls():
-    """The ``(set, get)`` thread-count functions of the OpenBLAS in numpy's bundled-library
-    folder (``numpy.libs`` next to the package, or ``numpy/.dylibs``), or None."""
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS (in ``numpy.libs`` next to the package, or ``numpy/.dylibs``), or None."""
     package = Path(np.__file__).parent
     for path in sorted([*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]):
         try:
-            lib = ctypes.CDLL(str(path))  # the copy numpy loaded: one path is opened once
+            return ctypes.CDLL(str(path))  # the copy numpy loaded: one path is opened once
         except OSError:
             continue
-        for name in _BLAS_THREAD_CALLS:
-            setter, getter = getattr(lib, name.format("set"), None), getattr(lib, name.format("get"), None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return setter, getter
+    return None
+
+
+@functools.cache
+def _blas_thread_calls():
+    """The ``(set, get)`` thread-count functions of :func:`_openblas`, or None."""
+    lib = _openblas()
+    for name in _BLAS_THREAD_CALLS:  # with no library every lookup gives None
+        setter, getter = getattr(lib, name.format("set"), None), getattr(lib, name.format("get"), None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
     return None
 
 
@@ -126,13 +132,20 @@ class Layer:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description: ordered layers, input shape, class count."""
+    """Architecture description: ordered layers, input shape, class count.
+
+    Building one walks the layers once.  It raises ValueError unless each layer fits the
+    shape below it and the last shape is ``(classes,)``, and it derives the fields below,
+    which the package reads instead of ``Layer.dims``.
+    """
 
     layers: tuple[Layer, ...]
     input_shape: tuple[int, ...]
     classes: int = 3
     # derived: per layer, the (weight key, bias key) of its parameters, or None
     param_keys: tuple[tuple[str, str] | None, ...] = field(init=False, repr=False, compare=False)
+    # derived: parameter key -> tensor shape, in layer order, each weight before its bias
+    param_shapes: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     # derived: per layer, (index, kind, parameter keys or None, rank of one sample's input)
     plan: tuple[tuple[int, str, tuple[str, str] | None, int], ...] = field(init=False, repr=False, compare=False)
     # derived: index of the lowest layer with parameters (None if no layer has any)
@@ -140,21 +153,39 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        shapes = infer_shapes(self)  # raises on incompatible adjacent layers
-        counts = {"dense": 0, "conv2d": 0}
-        keys = []
-        for layer in self.layers:
-            if layer.kind in counts:
-                counts[layer.kind] += 1
-                prefix = f"{'conv' if layer.kind == 'conv2d' else 'dense'}{counts[layer.kind]}"
-                keys.append((f"{prefix}.weight", f"{prefix}.bias"))
-            else:
-                keys.append(None)
-        object.__setattr__(self, "param_keys", tuple(keys))
-        ranks = [len(s) for s in [self.input_shape, *shapes[:-1]]]
-        plan = zip(range(len(keys)), (layer.kind for layer in self.layers), keys, ranks)
+        shape = self.input_shape
+        counts = {"dense": 0, "conv": 0}
+        plan, param_shapes = [], {}
+        for i, layer in enumerate(self.layers):
+            rank, weight = len(shape), None
+            if layer.kind == "dense":
+                d_in, d_out = layer.dims
+                if shape != (d_in,):
+                    raise ValueError(f"layer {i}: dense expects ({d_in},), got {shape}")
+                prefix, weight, shape = "dense", (d_in, d_out), (d_out,)
+            elif layer.kind == "conv2d":
+                c_in, c_out, kh, kw = layer.dims
+                if len(shape) != 3 or shape[0] != c_in:
+                    raise ValueError(f"layer {i}: conv2d expects ({c_in}, H, W), got {shape}")
+                if shape[1] < kh or shape[2] < kw:
+                    raise ValueError(f"layer {i}: kernel {kh}x{kw} larger than input {shape}")
+                prefix, weight, shape = "conv", (c_out, c_in, kh, kw), (c_out, shape[1] - kh + 1, shape[2] - kw + 1)
+            elif layer.kind == "flatten":
+                shape = (math.prod(shape),)
+            elif layer.kind not in ("relu", "softmax_output"):
+                raise ValueError(f"layer {i}: unknown kind {layer.kind!r}")
+            keys = None
+            if weight is not None:
+                counts[prefix] += 1
+                keys = (f"{prefix}{counts[prefix]}.weight", f"{prefix}{counts[prefix]}.bias")
+                param_shapes[keys[0]], param_shapes[keys[1]] = weight, shape[:1]  # a bias per output
+            plan.append((i, layer.kind, keys, rank))
+        if shape != (self.classes,):
+            raise ValueError(f"final shape {shape} != class count ({self.classes},)")
+        object.__setattr__(self, "param_keys", tuple(keys for _, _, keys, _ in plan))
+        object.__setattr__(self, "param_shapes", param_shapes)
         object.__setattr__(self, "plan", tuple(plan))
-        object.__setattr__(self, "lowest", next((i for i, k in enumerate(keys) if k is not None), None))
+        object.__setattr__(self, "lowest", next((i for i, _, keys, _ in plan if keys is not None), None))
 
 
 @dataclass
@@ -210,35 +241,6 @@ def conv_spec(in_shape: tuple[int, int, int] = (1, 4, 8), classes: int = 3) -> M
     )
 
 
-def infer_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
-    """Shape after each layer (batch dimension omitted); raises on mismatch."""
-    shape = tuple(spec.input_shape)
-    shapes = []
-    for i, layer in enumerate(spec.layers):
-        if layer.kind == "dense":
-            d_in, d_out = layer.dims
-            if shape != (d_in,):
-                raise ValueError(f"layer {i}: dense expects ({d_in},), got {shape}")
-            shape = (d_out,)
-        elif layer.kind == "conv2d":
-            c_in, c_out, kh, kw = layer.dims
-            if len(shape) != 3 or shape[0] != c_in:
-                raise ValueError(f"layer {i}: conv2d expects ({c_in}, H, W), got {shape}")
-            if shape[1] < kh or shape[2] < kw:
-                raise ValueError(f"layer {i}: kernel {kh}x{kw} larger than input {shape}")
-            shape = (c_out, shape[1] - kh + 1, shape[2] - kw + 1)
-        elif layer.kind == "flatten":
-            shape = (int(np.prod(shape)),)
-        elif layer.kind in ("relu", "softmax_output"):
-            pass
-        else:
-            raise ValueError(f"layer {i}: unknown kind {layer.kind!r}")
-        shapes.append(shape)
-    if shape != (spec.classes,):
-        raise ValueError(f"final shape {shape} != class count ({spec.classes},)")
-    return shapes
-
-
 MODEL_SPECS = {
     "mlp32": mlp_spec(32),
     "conv4x8": conv_spec((1, 4, 8)),
@@ -246,25 +248,16 @@ MODEL_SPECS = {
 
 
 def init_params(spec: ModelSpec, seed) -> NamedTensorMap:
-    """Glorot-uniform weights, zero biases; deterministic for a given seed."""
+    """Glorot-uniform weights drawn in ``spec.param_shapes`` order, zero biases; deterministic for a given seed."""
     rng = np.random.default_rng(seed)
     params: NamedTensorMap = {}
-    for layer, keys in zip(spec.layers, spec.param_keys):
-        if keys is None:
-            continue
-        w_key, b_key = keys
-        if layer.kind == "dense":
-            d_in, d_out = layer.dims
-            s = np.sqrt(6.0 / (d_in + d_out))
-            params[w_key] = rng.uniform(-s, s, size=(d_in, d_out))
-            params[b_key] = np.zeros(d_out)
+    for key, shape in spec.param_shapes.items():
+        if key.endswith(".bias"):
+            params[key] = np.zeros(shape)
         else:
-            c_in, c_out, kh, kw = layer.dims
-            fan_in = c_in * kh * kw
-            fan_out = c_out * kh * kw
-            s = np.sqrt(6.0 / (fan_in + fan_out))
-            params[w_key] = rng.uniform(-s, s, size=(c_out, c_in, kh, kw))
-            params[b_key] = np.zeros(c_out)
+            # fan_in + fan_out, for a dense (in, out) and a conv (out, in, kh, kw) weight alike
+            s = np.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
+            params[key] = rng.uniform(-s, s, size=shape)
     return {k: params[k] for k in sorted(params)}
 
 
@@ -545,11 +538,7 @@ def sgd_step(params: NamedTensorMap, grads: NamedTensorMap, opt: OptimizerState)
 
     In place, so a map of views into a client stack updates the stack.
     """
-    if params.keys() != grads.keys():
-        raise ValueError("gradient map keys do not match parameter map keys")
-    for k, w in params.items():
-        if w.shape != grads[k].shape:
-            raise ValueError(f"shape mismatch for {k!r}")
+    check_same_structure([params, grads])
     lr = opt.lr
     for k, w in params.items():
         w -= lr * grads[k]
@@ -570,5 +559,5 @@ def predict_probs(params: NamedTensorMap, spec: ModelSpec, inputs: np.ndarray) -
 
 def _lead(params: NamedTensorMap, spec: ModelSpec) -> tuple[int, ...]:
     """The leading axes of ``params``: () for one model's map, (K,) for a stack, (M, K) for a buffer."""
-    lowest = spec.lowest
-    return () if lowest is None else params[spec.param_keys[lowest][0]].shape[: -len(spec.layers[lowest].dims)]
+    key = None if spec.lowest is None else spec.param_keys[spec.lowest][0]  # the lowest layer's weight
+    return () if key is None else params[key].shape[: -len(spec.param_shapes[key])]

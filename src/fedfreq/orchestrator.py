@@ -182,7 +182,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a byte order mark is not part of a key
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not a UTF-8 text file") from None
     return parse_config_text(text)
@@ -372,10 +372,12 @@ def results_payload(result: ExperimentResult) -> dict:
 
 
 def emit_report(result: ExperimentResult, out_dir) -> list[Path]:
-    """Write curves.csv, config.echo, each ``best_client_j.ckpt`` and, last, results.json
-    under ``out_dir``, so a directory that holds results.json holds the whole run."""
+    """Write curves.csv, config.echo, each ``best_client_j.ckpt`` and, last, results.json under
+    ``out_dir``, after deleting any earlier one, so a directory that holds results.json holds the whole run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    results = out / "results.json"
+    results.unlink(missing_ok=True)
     curves = out / "curves.csv"
     with curves.open("w") as fh:
         fh.write(CURVES_HEADER + "\n")
@@ -384,7 +386,6 @@ def emit_report(result: ExperimentResult, out_dir) -> list[Path]:
     echo = out / "config.echo"
     echo.write_text(config_echo(result.config))
     checkpoints = save_run_checkpoints(result, out)
-    results = out / "results.json"
     results.write_text(json.dumps(results_payload(result), indent=2) + "\n")
     return [curves, echo, *checkpoints, results]
 

@@ -43,6 +43,7 @@ import numpy as np
 import pytest
 
 from fedfreq.data import save_client
+from fedfreq.model import _openblas
 from fedfreq.orchestrator import emit_report
 
 PIN_FILE = Path(__file__).with_name("pinned_digests.json")
@@ -52,17 +53,12 @@ _CORENAME_CALLS = ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
 
 def _blas_kernels() -> str | None:
     """The kernel set numpy's bundled OpenBLAS picked for this CPU, e.g. ``Haswell``, or None."""
-    package = Path(np.__file__).parent
-    for path in sorted([*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for name in _CORENAME_CALLS:
-            call = getattr(lib, name, None)
-            if call is not None:
-                call.argtypes, call.restype = [], ctypes.c_char_p
-                return call().decode()
+    lib = _openblas()
+    for name in _CORENAME_CALLS:  # with no library every lookup gives None
+        call = getattr(lib, name, None)
+        if call is not None:
+            call.argtypes, call.restype = [], ctypes.c_char_p
+            return call().decode()
     return None
 
 

@@ -304,11 +304,15 @@ def test_run_whose_checkpoint_write_fails_exits_4_without_results_json(tmp_path,
     def full_disk(params, path, model_id):
         raise OSError(f"{path}: no space left on device")
 
-    # results.json once came before the checkpoints, so a failed run looked complete
-    monkeypatch.setattr(orchestrator, "save_checkpoint", full_disk)
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("strategy = FEDAVG\nlocal_epochs = 1\ntotal_epochs = 2\nseed = 4\n")
     out = tmp_path / "out"
+    # a rerun that failed once left the completed run's results.json next to its own files
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    assert (out / "results.json").exists()
+    capsys.readouterr()
+    # results.json once came before the checkpoints, so a failed run looked complete
+    monkeypatch.setattr(orchestrator, "save_checkpoint", full_disk)
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 4
     _single_error_line(capsys, f"io error: {out / 'best_client_0.ckpt'}: no space left on device\n")
     assert not (out / "results.json").exists()
@@ -596,7 +600,8 @@ def test_aggregate_of_dataset_files_is_a_data_error(tmp_path, capsys, strategy):
     inputs = []
     for seed in (0, 1):
         main(["synth-data", "--scale", "0.1", "--seed", str(seed), "--out-dir", str(tmp_path / str(seed))])
-        inputs.append(str(tmp_path / str(seed) / "client_0.fsd"))
+        # renamed, so that PFA's two outputs (named after the inputs) are two files
+        inputs.append(str((tmp_path / str(seed) / "client_0.fsd").rename(tmp_path / f"seed_{seed}.fsd")))
     capsys.readouterr()
     out = tmp_path / "agg"
     assert main(["aggregate", *inputs, "--strategy", strategy, "--out-dir", str(out)]) == 3
@@ -616,3 +621,37 @@ def test_aggregate_of_an_empty_tensor_is_a_data_error(tmp_path, capsys, strategy
     assert main(["aggregate", *inputs, "--strategy", strategy, "--out-dir", str(out)]) == 3
     _single_error_line(capsys, f"data error: {inputs[0]}: tensor 'w' has no entries")
     assert not out.exists()
+
+
+def test_aggregate_whose_outputs_are_one_file_exits_2_and_writes_nothing(tmp_path, capsys):
+    # two clients named alike in two run directories once wrote one aggregate over the other, exit 0
+    inputs = []
+    for seed in (0, 1):
+        path = tmp_path / f"run{seed}" / "best_client_0.ckpt"
+        path.parent.mkdir()
+        save_checkpoint(init_params(mlp_spec(8), seed), path, model_id="mlp8")
+        inputs.append(str(path))
+    before = [Path(p).read_bytes() for p in inputs]
+    out = tmp_path / "agg"
+    assert main(["aggregate", *inputs, "--strategy", PFA, "--out-dir", str(out)]) == 2
+    message = f"config error: inputs {inputs[0]} and {inputs[1]} would both write {out / 'best_client_0.agg.ckpt'}\n"
+    _single_error_line(capsys, message)
+    assert not out.exists()
+    assert [Path(p).read_bytes() for p in inputs] == before
+
+
+def test_aggregate_whose_output_is_an_input_exits_2_and_writes_nothing(tmp_path, capsys):
+    # a FEDAVG global.ckpt aggregated again into its own directory was once overwritten
+    out = tmp_path / "agg"
+    out.mkdir()
+    inputs = [str(out / "global.ckpt"), str(tmp_path / "b.ckpt")]
+    for seed, path in enumerate(inputs):
+        save_checkpoint(init_params(mlp_spec(8), seed), path, model_id="mlp8")
+    before = [Path(p).read_bytes() for p in inputs]
+    # the output is named through another spelling of the same directory
+    other = tmp_path / "x" / ".." / "agg"
+    assert main(["aggregate", *inputs, "--strategy", FEDAVG, "--out-dir", str(other)]) == 2
+    message = f"config error: aggregate output {other / 'global.ckpt'} would overwrite input {inputs[0]}\n"
+    _single_error_line(capsys, message)
+    assert sorted(p.name for p in out.iterdir()) == ["global.ckpt"]
+    assert [Path(p).read_bytes() for p in inputs] == before

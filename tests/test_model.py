@@ -16,7 +16,6 @@ from fedfreq.model import (
     conv_spec,
     descend,
     forward,
-    infer_shapes,
     init_params,
     kl_div,
     mlp_spec,
@@ -160,8 +159,6 @@ def test_model_spec_validation():
         )
     with pytest.raises(ValueError):
         ModelSpec(layers=(Layer("dense", (4, 5)), Layer("softmax_output")), input_shape=(4,), classes=3)
-    shapes = infer_shapes(mlp_spec(32))
-    assert shapes[-1] == (3,)
 
 
 # --- losses ---------------------------------------------------------------------
@@ -511,6 +508,14 @@ def test_init_params_deterministic_and_bounded():
     s = np.sqrt(6.0 / (32 + 64))
     assert np.max(np.abs(a["dense1.weight"])) <= s
     assert np.all(a["dense1.bias"] == 0.0)
+    conv = init_params(MODEL_SPECS["conv4x8"], 123)["conv1.weight"]
+    assert np.max(np.abs(conv)) <= np.sqrt(6.0 / ((8 + 1) * 9))  # fan_in 1 * 3 * 3, fan_out 8 * 3 * 3
+    for spec in (MODEL_SPECS["mlp32"], MODEL_SPECS["conv4x8"], two_conv()):
+        params = init_params(spec, 0)
+        # layer order, each weight before its bias; init_params returns its map in name order
+        assert list(spec.param_shapes) == [k for keys in spec.param_keys if keys is not None for k in keys]
+        assert list(params) == sorted(spec.param_shapes)
+        assert {k: v.shape for k, v in params.items()} == spec.param_shapes
 
 
 def test_predict_probs_matches_forward():

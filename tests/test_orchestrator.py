@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import json
 
@@ -106,10 +107,12 @@ def test_config_validation_rejects(field, value):
         ExperimentConfig(**{field: value})
 
 
-def test_config_file_roundtrip(tmp_path):
+# a file saved with a UTF-8 byte order mark once failed on the key '\ufeffstrategy'
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["utf8", "utf8_bom"])
+def test_config_file_roundtrip(tmp_path, bom):
     cfg = small_cfg(strategy="FEDPROX", prox_mu=0.05)
     path = tmp_path / "exp.cfg"
-    path.write_text(config_echo(cfg))
+    path.write_bytes(bom + config_echo(cfg).encode())
     assert load_config(path) == cfg
 
 
