@@ -516,6 +516,8 @@ def test_init_params_deterministic_and_bounded():
         assert list(spec.param_shapes) == [k for keys in spec.param_keys if keys is not None for k in keys]
         assert list(params) == sorted(spec.param_shapes)
         assert {k: v.shape for k, v in params.items()} == spec.param_shapes
+    # a conv weight is (out_ch, in_ch, kh, kw), where its Layer dims read (in_ch, out_ch, kh, kw)
+    assert two_conv().param_shapes["conv2.weight"] == (3, 2, 2, 2)
 
 
 def test_predict_probs_matches_forward():

@@ -107,13 +107,13 @@ def test_config_validation_rejects(field, value):
         ExperimentConfig(**{field: value})
 
 
-# a file saved with a UTF-8 byte order mark once failed on the key '\ufeffstrategy'
-@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["utf8", "utf8_bom"])
-def test_config_file_roundtrip(tmp_path, bom):
+def test_config_file_roundtrip(tmp_path):
     cfg = small_cfg(strategy="FEDPROX", prox_mu=0.05)
     path = tmp_path / "exp.cfg"
-    path.write_bytes(bom + config_echo(cfg).encode())
-    assert load_config(path) == cfg
+    # a file saved with a UTF-8 byte order mark once failed on the key '\ufeffstrategy'
+    for bom in (b"", codecs.BOM_UTF8):
+        path.write_bytes(bom + config_echo(cfg).encode())
+        assert load_config(path) == cfg
 
 
 def test_run_rejects_bad_config_before_work(monkeypatch):
