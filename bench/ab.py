@@ -58,9 +58,11 @@ Usage, from the repository root::
     python bench/ab.py --base . --change . --quick --workload server_round --out ab.json
 
 ``trees`` records per side the root, its git commit, whether it is dirty,
-and the BLAS thread count that a fresh interpreter reads after importing
-the root's fedfreq (through ``model._blas_thread_calls``; null where the
-tree has none).  A root is dirty when ``git status --porcelain -- src
+and what a fresh interpreter reads after importing the root's fedfreq: the
+BLAS thread count (through ``model._blas_thread_calls``) and the root's
+``tests/pins.environment()``, the numpy version and the BLAS with the
+kernel set it picked, which the pinned digests depend on; each null where
+the tree has no such function.  A root is dirty when ``git status --porcelain -- src
 perfbench`` lists anything there: the code that runs on that side differs
 from its commit, untracked files included.  A base root outside a git
 checkout (one exported with ``git archive``) needs ``--base-commit``, which
@@ -98,13 +100,22 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900  # one perfbench run: its set-up probes, its set-up and run_seconds of operations
-# prints, as JSON, the BLAS thread count in effect once fedfreq is imported, or null
-BLAS_THREADS_PROBE = """
-import json
+# run in a checkout's root, prints as JSON the BLAS thread count in effect once fedfreq is
+# imported and the root's tests/pins.environment() (numpy, BLAS and kernel set), each null where
+# the root has no such function
+FRESH_PROBE = """
+import importlib.util, json, os
 from fedfreq import model
 reader = getattr(model, "_blas_thread_calls", None)
 calls = reader() if reader is not None else None
-print(json.dumps(calls[1]() if calls is not None else None))
+environment = None
+if os.path.isfile("tests/pins.py"):
+    spec = importlib.util.spec_from_file_location("pins", "tests/pins.py")
+    pins = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pins)
+    environment = getattr(pins, "environment", None)
+print(json.dumps({"blas_threads": calls[1]() if calls is not None else None,
+                  "environment": environment() if environment is not None else None}))
 """
 # the acceptance setting, one fedfreq run per strategy that both trees know
 ACCEPTANCE = dict(model_id="mlp32", local_epochs=5, total_epochs=100, data_scale=0.1)
@@ -228,13 +239,13 @@ def git_facts(root: Path, given: str | None = None) -> dict:
     return {"root": str(root), "commit": commit, "dirty": None if status is None else bool(status)}
 
 
-def fresh_blas_threads(root: Path) -> int | None:
-    """The BLAS thread count a fresh interpreter runs with after importing checkout ``root``'s fedfreq."""
+def fresh_probe(root: Path) -> dict:
+    """``FRESH_PROBE``'s two facts, from a fresh interpreter that imports checkout ``root``'s fedfreq."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], cwd=root, env=env,
+    done = subprocess.run([sys.executable, "-c", FRESH_PROBE], cwd=root, env=env,
                           capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if done.returncode != 0:
-        raise SystemExit(f"{root}: the BLAS thread probe exited {done.returncode}\n{done.stderr[-2000:]}")
+        raise SystemExit(f"{root}: the fresh probe exited {done.returncode}\n{done.stderr[-2000:]}")
     return json.loads(done.stdout)
 
 
@@ -435,7 +446,7 @@ def main(argv=None) -> int:
     if trees["base"]["commit"] is None:
         raise SystemExit(f"base root {args.base} is not a git checkout: name its commit with --base-commit")
     for side in SIDES:
-        trees[side]["blas_threads"] = fresh_blas_threads(roots[side])
+        trees[side].update(fresh_probe(roots[side]))
 
     seconds = 1.0 if args.quick else bench["run_seconds"]
     runs = {"perfbench": {}, "acceptance": {}}

@@ -1,32 +1,33 @@
 """Command line entry points.
 
 Subcommands: ``synth-data`` (write client dataset files), ``run`` (full
-experiment from a config file; results.json is its last file), ``aggregate``
-(offline aggregation over checkpoints), ``eval`` (score a checkpoint on a
-dataset file) and ``report`` (summarize a curves.csv log).  A dataset file
-is a checkpoint-format file with model id ``fedfreq-dataset``.
+experiment from a config file into the one directory ``--out-dir`` names;
+results.json is its last file), ``aggregate`` (offline aggregation over
+checkpoints), ``eval`` (score a checkpoint on a dataset file) and ``report``
+(summarize a curves.csv log).  A dataset file is a checkpoint-format file with
+model id ``fedfreq-dataset``.
 
 Exit codes, one exception type each: 0 success; 2 ``ConfigError`` (including a
-config file that is not UTF-8, a ``run`` with no output directory, a
-``synth-data`` ``--seed`` below 0 or ``--scale`` outside (0, 1], or ``aggregate``
-outputs that collide or overwrite an input, on which it reads nothing); 3
-``DataError`` (including a corrupt checkpoint or dataset file, or one of an
-unknown format version, raised as its subclasses ``CorruptCheckpointError`` and
-``UnsupportedVersionError``; a file given as a curves.csv that is not one; a
-checkpoint, or an aggregate of checkpoints, holding a non-finite tensor,
-checkpoints to aggregate whose model ids or tensor shapes differ, a dataset file
-or a tensor with no entries among them, on any of which ``aggregate`` writes
-nothing; an ``eval`` checkpoint of an unknown model id, or whose tensor names or
-shapes do not fit it; and an ``eval`` dataset file with a non-finite feature, or
-whose scored split holds fewer than two classes); 4 ``OSError``, an I/O error (a
-``run`` that fails to write leaves no results.json); 5 ``DivergenceError``,
-training diverged (a parameter stopped being finite; ``run`` writes nothing).
+config file that is not UTF-8 or holds an unknown key, ``out_dir`` among them, a
+``run`` without ``--out-dir``, a ``synth-data`` ``--seed`` below 0 or
+``--scale`` outside (0, 1], or ``aggregate`` outputs that collide or overwrite
+an input, on which it reads nothing); 3 ``DataError`` (including a corrupt
+checkpoint or dataset file, or one of an unknown format version, raised as its
+subclasses ``CorruptCheckpointError`` and ``UnsupportedVersionError``; a file
+given as a curves.csv that is not one; a checkpoint, or an aggregate of
+checkpoints, holding a non-finite tensor, checkpoints to aggregate whose model
+ids or tensor shapes differ, a dataset file or a tensor with no entries among
+them, on any of which ``aggregate`` writes nothing; an ``eval`` checkpoint of an
+unknown model id, or whose tensor names or shapes do not fit it; and an ``eval``
+dataset file with a non-finite feature, or whose scored split holds fewer than
+two classes); 4 ``OSError``, an I/O error (a ``run`` that fails to write leaves
+no results.json and no earlier checkpoint); 5 ``DivergenceError``, training
+diverged (a parameter stopped being finite; ``run`` writes nothing).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -83,12 +84,10 @@ def _cmd_synth_data(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    if args.out_dir:
-        cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
-    if not cfg.out_dir:
-        raise ConfigError("no output directory: set out_dir in the config or pass --out-dir")
+    if not args.out_dir:
+        raise ConfigError("no output directory: pass --out-dir")
     result = run_experiment(cfg)
-    for path in emit_report(result, cfg.out_dir):
+    for path in emit_report(result, args.out_dir):
         print(f"wrote {path}")
     print(f"macro F1 {result.macro_f1:.4f}  macro AUC {result.macro_auc:.4f}")
     return 0

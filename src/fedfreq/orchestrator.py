@@ -98,7 +98,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One run's settings, checked at construction; change one with ``dataclasses.replace``."""
+    """One run's protocol settings, not where it is written, checked at construction; change one with
+    ``dataclasses.replace``."""
 
     strategy: str = "PFA_DET"
     num_clients: int = 4
@@ -115,7 +116,6 @@ class ExperimentConfig:
     lr_halving_period: int = 25
     data_scale: float = 0.1
     seed: int = 0
-    out_dir: str = ""
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -354,15 +354,11 @@ def mean_boundary_change(rows: list[RoundRow], client: int) -> float:
 
 
 def results_payload(result: ExperimentResult) -> dict:
-    """JSON-ready report: config echo, per-client metrics, macro averages.
-
-    The config echo leaves out ``out_dir``, so the same config gives the same
-    bytes wherever the report is written.
-    """
+    """JSON-ready report: config echo, per-client metrics, macro averages."""
     return {
         "seed": result.config.seed,
         "strategy": result.config.strategy,
-        "config": {k: v for k, v in dataclasses.asdict(result.config).items() if k != "out_dir"},
+        "config": dataclasses.asdict(result.config),
         "clients": [dataclasses.asdict(c) for c in result.clients],
         "macro_f1": result.macro_f1,
         "macro_auc": result.macro_auc,
@@ -372,12 +368,14 @@ def results_payload(result: ExperimentResult) -> dict:
 
 
 def emit_report(result: ExperimentResult, out_dir) -> list[Path]:
-    """Write curves.csv, config.echo, each ``best_client_j.ckpt`` and, last, results.json under
-    ``out_dir``, after deleting any earlier one, so a directory that holds results.json holds the whole run."""
+    """Write curves.csv, config.echo, each ``best_client_j.ckpt`` and, last, results.json under ``out_dir``,
+    after deleting every earlier results.json and ``best_client_*.ckpt`` there, so a directory that holds
+    results.json holds this whole run and no other's.  No file depends on ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = out / "results.json"
-    results.unlink(missing_ok=True)
+    for stale in [results, *out.glob("best_client_*.ckpt")]:
+        stale.unlink(missing_ok=True)
     curves = out / "curves.csv"
     with curves.open("w") as fh:
         fh.write(CURVES_HEADER + "\n")

@@ -11,10 +11,10 @@ that build, so where this environment differs the check skips and names both.
 A digest is the first 16 hex digits of a SHA-256 over the files a user
 gets.  A run's is two of them, ``"<artifacts> <results>"``: curves.csv then
 each ``best_client_j.ckpt`` in client order, as ``orchestrator.emit_report``
-writes them, and results.json.  config.echo is left out: its ``out_dir``
-line differs with where a run is written, and results.json records the rest
-of the config.  A dataset's is one, over the file ``data.save_client``
-writes for each client, in order.
+writes them, and results.json.  config.echo is left out, so the 44 pinned
+values stay the ones recorded before it stopped depending on where a run is
+written; results.json records the same config.  A dataset's is one, over the
+file ``data.save_client`` writes for each client, in order.
 
 A change that means to move bits regenerates the file with the whole
 tier-1 run (the file's own ``regenerate`` entry), and its diff is the record::

@@ -1,10 +1,12 @@
-"""``bench/ab.py``'s one gain rule, its pair order, and its check of the base commit."""
+"""``bench/ab.py``'s one gain rule, its pair order, its check of the base commit and its fresh probe."""
 
 import importlib.util
 import shutil
 from pathlib import Path
 
 import pytest
+
+import pins
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -75,7 +77,7 @@ def test_a_base_outside_git_without_base_commit_exits_before_any_run(tmp_path, m
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
-    for name in ("alternate", "perfbench", "fresh_blas_threads", "load_tree"):
+    for name in ("alternate", "perfbench", "fresh_probe", "load_tree"):
         monkeypatch.setattr(ab, name, no_run)
     out = tmp_path / "ab.json"
     argv = ["--base", str(tmp_path), "--change", str(REPO), "--workload", "server_round", "--out", str(out)]
@@ -91,3 +93,12 @@ def test_the_module_imports_in_a_tree_without_benchmark_json(tmp_path):
     module = _load(copy, "ab_without_benchmark")
     assert module.ROOT == tmp_path
     assert module.compare(BASE, BASE)["change_wins"] == 0
+
+
+def test_the_fresh_probe_records_each_roots_pinned_environment_or_null(tmp_path):
+    # a root with fedfreq and no tests/pins.py, as a checkout from before the pins
+    (tmp_path / "src").symlink_to(REPO / "src")
+    here, bare = ab.fresh_probe(REPO), ab.fresh_probe(tmp_path)
+    assert here["environment"] == pins.environment()
+    assert bare["environment"] is None
+    assert here["blas_threads"] == bare["blas_threads"]

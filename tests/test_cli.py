@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import struct
 import warnings
 from pathlib import Path
@@ -50,13 +51,10 @@ def test_synth_data_with_a_bad_option_writes_nothing(tmp_path, capsys, option, v
 
 def test_run_from_config_file(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(
-        "strategy = PFA_DET\ntotal_epochs = 10\nlocal_epochs = 5\nseed = 2\n"
-        f"out_dir = {tmp_path / 'out'}\n"
-    )
-    rc = main(["run", "--config", str(cfg_path)])
-    assert rc == 0
+    cfg_path.write_text("strategy = PFA_DET\ntotal_epochs = 10\nlocal_epochs = 5\nseed = 2\n")
     out = tmp_path / "out"
+    rc = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert rc == 0
     for name in ("curves.csv", "results.json", "config.echo", "best_client_0.ckpt"):
         assert (out / name).exists()
     payload = json.loads((out / "results.json").read_text())
@@ -113,11 +111,8 @@ def test_eval_checkpoint_on_dataset(tmp_path, capsys):
 
 def test_report_summarizes_curves(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(
-        "strategy = FEDAVG\ntotal_epochs = 10\nlocal_epochs = 5\nseed = 1\n"
-        f"out_dir = {tmp_path / 'out'}\n"
-    )
-    main(["run", "--config", str(cfg_path)])
+    cfg_path.write_text("strategy = FEDAVG\ntotal_epochs = 10\nlocal_epochs = 5\nseed = 1\n")
+    main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
     capsys.readouterr()
     rc = main(["report", "--curves", str(tmp_path / "out" / "curves.csv")])
     assert rc == 0
@@ -141,8 +136,10 @@ def test_exit_code_config_error(tmp_path, capsys):
         ("prox_mu = inf", "config error: prox_mu must be finite, got inf"),
         ("base_lr = nan", "config error: base_lr must be finite, got nan"),
         ("strategy = FEDAVG", "config error: line 2: config key 'strategy' repeats line 1"),
+        # once a second name for the run directory, beside --out-dir
+        ("out_dir = out", "config error: line 2: unknown config key 'out_dir'"),
     ],
-    ids=["negative_seed", "nan_prox_mu", "inf_prox_mu", "nan_base_lr", "repeated_key"],
+    ids=["negative_seed", "nan_prox_mu", "inf_prox_mu", "nan_base_lr", "repeated_key", "out_dir"],
 )
 def test_run_with_a_bad_config_value_exits_2_with_one_line(tmp_path, capsys, line, message):
     cfg_path = tmp_path / "bad.cfg"
@@ -296,7 +293,7 @@ def test_run_without_an_output_directory_exits_2_and_writes_nothing(tmp_path, ca
     monkeypatch.chdir(tmp_path)
     (tmp_path / "exp.cfg").write_text("strategy = FEDAVG\nlocal_epochs = 1\ntotal_epochs = 2\n")
     assert main(["run", "--config", "exp.cfg"]) == 2
-    _single_error_line(capsys, "config error: no output directory: set out_dir in the config or pass --out-dir\n")
+    _single_error_line(capsys, "config error: no output directory: pass --out-dir\n")
     assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
@@ -318,14 +315,64 @@ def test_run_whose_checkpoint_write_fails_exits_4_without_results_json(tmp_path,
     assert not (out / "results.json").exists()
 
 
+# a 2-client run's files, in the order emit_report writes them
+RUN_FILES = ["curves.csv", "config.echo", "best_client_0.ckpt", "best_client_1.ckpt", "results.json"]
+SMALL_RUN = "strategy = FEDAVG\nlocal_epochs = 1\ntotal_epochs = 2\nseed = 1\n"
+
+
 def test_run_writes_the_same_bytes_in_any_directory(tmp_path, capsys):
+    # the second run reruns the first one's config.echo, which once named its directory
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("strategy = PFA_DET\nlocal_epochs = 1\ntotal_epochs = 2\nseed = 4\n")
     outs = [tmp_path / "a", tmp_path / "elsewhere" / "b"]
-    for out in outs:
-        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
-    for name in ("results.json", "curves.csv", "best_client_0.ckpt"):
+    for cfg, out in zip([cfg_path, outs[0] / "config.echo"], outs):
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert names == sorted([*RUN_FILES, "best_client_2.ckpt", "best_client_3.ckpt"])
+    for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def four_client_run(tmp_path_factory):
+    """The directory of a complete 4-client ``SMALL_RUN``."""
+    tmp = tmp_path_factory.mktemp("four_clients")
+    (tmp / "exp.cfg").write_text(SMALL_RUN)
+    assert main(["run", "--config", str(tmp / "exp.cfg"), "--out-dir", str(tmp / "out")]) == 0
+    return tmp / "out"
+
+
+def test_a_smaller_rerun_leaves_no_file_of_the_earlier_run(tmp_path, capsys, four_client_run):
+    # the 4-client run's best_client_2.ckpt and best_client_3.ckpt once stayed beside the new results.json
+    out = tmp_path / "out"
+    shutil.copytree(four_client_run, out)
+    (tmp_path / "exp.cfg").write_text(SMALL_RUN + "num_clients = 2\n")
+    assert main(["run", "--config", str(tmp_path / "exp.cfg"), "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(RUN_FILES)
+
+
+@pytest.mark.parametrize("n", range(1, len(RUN_FILES) + 1), ids=RUN_FILES)
+def test_a_rerun_whose_nth_write_fails_exits_4_and_leaves_no_mixed_run(
+    tmp_path, capsys, monkeypatch, four_client_run, n
+):
+    out = tmp_path / "out"
+    shutil.copytree(four_client_run, out)
+    (tmp_path / "exp.cfg").write_text(SMALL_RUN + "num_clients = 2\n")
+    writes, real_open = [], Path.open
+
+    def nth_write_fails(self, mode="r", *args, **kwargs):
+        if "w" in mode:
+            writes.append(self.name)
+            if len(writes) == n:
+                raise OSError(f"{self}: no space left on device")
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", nth_write_fails)
+    assert main(["run", "--config", str(tmp_path / "exp.cfg"), "--out-dir", str(out)]) == 4
+    assert writes == RUN_FILES[:n]  # every file of a run is written through Path.open
+    _single_error_line(capsys, f"io error: {out / RUN_FILES[n - 1]}: no space left on device\n")
+    assert not {p.name for p in out.iterdir()} & {"results.json", "best_client_2.ckpt", "best_client_3.ckpt"}
 
 
 def _eval_file(tmp_path, features, labels):
