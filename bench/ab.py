@@ -62,14 +62,15 @@ and what a fresh interpreter reads after importing the root's fedfreq: the
 BLAS thread count (through ``model._blas_thread_calls``) and the root's
 ``tests/pins.environment()``, the numpy version and the BLAS with the
 kernel set it picked, which the pinned digests depend on; each null where
-the tree has no such function.  A root is dirty when ``git status --porcelain -- src
-perfbench`` lists anything there: the code that runs on that side differs
-from its commit, untracked files included.  A base root outside a git
-checkout (one exported with ``git archive``) needs ``--base-commit``, which
-must name a commit of this repository and is checked before any run; its
-``dirty`` is null.  A change root outside git is recorded with a null
-commit.  The machine facts hold cores, BLAS, numpy, Python, and the BLAS
-thread count in effect in this process once both trees are loaded.
+the tree has no such function.  A root is dirty when ``git status
+--porcelain -- src perfbench`` lists anything there: the code that runs on
+that side differs from its commit, untracked files included.  A base root
+outside a git checkout (one exported with ``git archive``) needs
+``--base-commit``, which must name a commit of this repository and is
+checked before any run; its ``dirty`` is null.  A change root outside git
+is recorded with a null commit.  The machine facts hold cores, BLAS,
+numpy, Python, and the BLAS thread count in effect in this process once
+both trees are loaded.
 ``--quick`` makes two pairs unless ``--pairs`` is given, 1-s perfbench
 runs, two-round acceptance runs and few-call layer samples: its numbers
 mean nothing, it only shows that the script works.

@@ -8,20 +8,20 @@ checkpoints), ``eval`` (score a checkpoint on a dataset file) and ``report``
 model id ``fedfreq-dataset``.
 
 Exit codes, one exception type each: 0 success; 2 ``ConfigError`` (including a
-config file that is not UTF-8 or holds an unknown key, ``out_dir`` among them, a
-``run`` without ``--out-dir``, a ``synth-data`` ``--seed`` below 0 or
-``--scale`` outside (0, 1], or ``aggregate`` outputs that collide or overwrite
-an input, on which it reads nothing); 3 ``DataError`` (including a corrupt
-checkpoint or dataset file, or one of an unknown format version, raised as its
-subclasses ``CorruptCheckpointError`` and ``UnsupportedVersionError``; a file
-given as a curves.csv that is not one; a checkpoint, or an aggregate of
-checkpoints, holding a non-finite tensor, checkpoints to aggregate whose model
-ids or tensor shapes differ, a dataset file or a tensor with no entries among
-them, on any of which ``aggregate`` writes nothing; an ``eval`` checkpoint of an
-unknown model id, or whose tensor names or shapes do not fit it; and an ``eval``
-dataset file with a non-finite feature, or whose scored split holds fewer than
-two classes); 4 ``OSError``, an I/O error (a ``run`` that fails to write leaves
-no results.json and no earlier checkpoint); 5 ``DivergenceError``, training
+config file that is not UTF-8 or holds an unknown key, a ``run`` without
+``--out-dir``, a ``synth-data`` ``--seed`` below 0 or ``--scale`` outside
+(0, 1], or ``aggregate`` outputs that collide or overwrite an input, on which it
+reads nothing); 3 ``DataError`` (including a corrupt checkpoint or dataset file,
+or one of an unknown format version, raised as its subclasses
+``CorruptCheckpointError`` and ``UnsupportedVersionError``; a file given as a
+curves.csv that is not one; a checkpoint, or an aggregate of checkpoints,
+holding a non-finite tensor, checkpoints to aggregate whose model ids or tensor
+shapes differ, a dataset file or a tensor with no entries among them, on any of
+which ``aggregate`` writes nothing; an ``eval`` checkpoint of an unknown model
+id, or whose tensor names or shapes do not fit it; and an ``eval`` dataset file
+with a non-finite feature, or whose scored split holds fewer than two classes);
+4 ``OSError``, an I/O error (a ``run`` that fails to write leaves no
+results.json and no earlier checkpoint); 5 ``DivergenceError``, training
 diverged (a parameter stopped being finite; ``run`` writes nothing).
 """
 
