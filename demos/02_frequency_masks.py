@@ -5,7 +5,7 @@ Run: python demos/02_frequency_masks.py
 
 import numpy as np
 
-from fedfreq import ScheduleParams, low_freq_mask, schedule_r
+from fedfreq import ExperimentConfig, low_freq_mask
 
 
 def render(mask):
@@ -23,8 +23,8 @@ print("\nlow_freq_mask returns standard DFT layout, with DC at index (0,0):")
 render(low_freq_mask(9, 9, 0.3))
 
 print("\nThe shared band grows linearly over training:")
-schedule = ScheduleParams(r0=0.35, r1=0.48, total_epochs=250)
+config = ExperimentConfig(r0=0.35, r1=0.48, total_epochs=250)
 for t in (0, 50, 125, 200, 250):
-    r = schedule_r(t, schedule)
+    r = config.r(t)
     shared = int(low_freq_mask(16, 16, r).sum())
     print(f"  epoch {t:3d}: r = {r:.4f}  -> {shared:3d}/256 frequencies shared")

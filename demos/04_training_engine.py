@@ -5,7 +5,7 @@ Run: python demos/04_training_engine.py
 
 import numpy as np
 
-from fedfreq import OptimizerState, backward, ce_loss, forward, init_params, kl_div
+from fedfreq import ExperimentConfig, backward, ce_loss, forward, init_params, kl_div
 from fedfreq.model import descend, mlp_spec
 
 rng = np.random.default_rng(1)
@@ -32,20 +32,20 @@ params[name][idx] += step
 print(f"  analytic {grads[name][idx]:+.6f}  finite-difference {(hi - lo) / (2 * step):+.6f}")
 
 print("\nTraining 40 epochs of SGD (lr halves every 25 epochs):")
-opt = OptimizerState(base_lr=0.05, halving_period=25)
-for epoch in range(40):
+config = ExperimentConfig(base_lr=0.05, lr_halving_period=25)
+for epoch in range(1, 41):
+    lr = config.lr(epoch)
     order = rng.permutation(len(labels))
     for i in range(0, len(labels), 16):
         sel = order[i : i + 16]
         probs, cache = forward(params, spec, inputs[sel])
         _, dlogits = ce_loss(probs, labels[sel])
-        descend(cache, dlogits, opt.lr)  # updates params in place
-    opt.epoch += 1
-    if epoch % 10 == 9 or epoch == 0:
+        descend(cache, dlogits, lr)  # updates params in place
+    if epoch % 10 == 0 or epoch == 1:
         probs, _ = forward(params, spec, inputs)
         loss, _ = ce_loss(probs, labels)
         acc = float(np.mean(probs.argmax(axis=1) == labels))
-        print(f"  epoch {epoch + 1:2d}: lr={opt.lr:.4f}  loss={loss:.4f}  accuracy={acc:.3f}")
+        print(f"  epoch {epoch:2d}: lr={lr:.4f}  loss={loss:.4f}  accuracy={acc:.3f}")
 
 print("\nKL divergence between two softened predictions (distillation term):")
 teacher, _ = forward(init_params(spec, seed=9), spec, inputs[:8])

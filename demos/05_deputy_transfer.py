@@ -11,7 +11,7 @@ Run: python demos/05_deputy_transfer.py
 
 import numpy as np
 
-from fedfreq import DetConfig, DetPhase, OptimizerState, init_params
+from fedfreq import DetConfig, DetPhase, init_params
 from fedfreq.det import Cohort, train_epoch
 from fedfreq.model import mlp_spec
 
@@ -33,11 +33,11 @@ def orders():
 init = init_params(spec, 3)
 # a cohort of one client, batched 16 rows at a time; p and its deputy both start from init
 cohort = Cohort([init], [init], [(train_x, train_y)], [(val_x, val_y)], 16)
-opt = OptimizerState(base_lr=0.01)  # one schedule for both models
+lr = 0.01  # one learning rate for both models
 
 print("Warm up the personalized model for 8 epochs:")
 for _ in range(8):
-    log = train_epoch(cohort, spec, orders(), cfg, opt)
+    log = train_epoch(cohort, spec, orders(), cfg, lr)
 print(f"  phi(p) = {log.phi_p[0]:.3f}, phase = {DetPhase(log.phase[0]).name}")
 
 print("\nDeliver a damaged aggregate (heavy noise) as the new deputy:")
@@ -51,7 +51,7 @@ print("\nEach row: scores after that epoch and the phase the NEXT epoch will")
 print("use (gates at 0.7 and 0.9 of phi(p), never moving backward):")
 print(f"  {'epoch':>5} {'phi(d)':>7} {'phi(p)':>7} {'next phase':>11}")
 for epoch in range(8):
-    log = train_epoch(cohort, spec, orders(), cfg, opt)
+    log = train_epoch(cohort, spec, orders(), cfg, lr)
     print(f"  {epoch + 1:>5} {log.phi_d[0]:>7.3f} {log.phi_p[0]:>7.3f} {DetPhase(log.phase[0]).name:>11}")
 
 print("\nThe upload is always the personalized model, never the deputy:")

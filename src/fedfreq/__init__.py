@@ -8,26 +8,24 @@ an untouched personalized model through recover/exchange/sublimate phases.
 Plain-averaging and proximal baselines, a small numpy neural network,
 synthetic heterogeneous clients and macro F1/AUC metrics round out the
 experiment harness.  Importing the package sets numpy's bundled OpenBLAS
-to one thread (``model._set_blas_threads``); no result depends on it.
+to one thread (``model._set_blas_threads``), so no result depends on the
+thread count the environment asks for.
 """
 
 from .data import ClientProfile, FederatedDataset, default_profiles, ood_client, synth
 from .det import DetConfig, DetPhase, det_phase_transition
 from .freq_agg import (
     AggregationRequest,
-    ScheduleParams,
     fedavg_aggregate,
     low_freq_mask,
     pfa_aggregate,
     reshape_conv,
-    schedule_r,
     unreshape_conv,
 )
 from .metrics import EvalResult, evaluate, macro_auc, macro_f1
 from .model import (
     MODEL_SPECS,
     ModelSpec,
-    OptimizerState,
     backward,
     ce_loss,
     forward,

@@ -14,12 +14,13 @@ config file that is not UTF-8 or holds an unknown key, a ``run`` without
 reads nothing); 3 ``DataError`` (including a corrupt checkpoint or dataset file,
 or one of an unknown format version, raised as its subclasses
 ``CorruptCheckpointError`` and ``UnsupportedVersionError``; a file given as a
-curves.csv that is not one; a checkpoint, or an aggregate of checkpoints,
-holding a non-finite tensor, checkpoints to aggregate whose model ids or tensor
-shapes differ, a dataset file or a tensor with no entries among them, on any of
-which ``aggregate`` writes nothing; an ``eval`` checkpoint of an unknown model
-id, or whose tensor names or shapes do not fit it; and an ``eval`` dataset file
-with a non-finite feature, or whose scored split holds fewer than two classes);
+curves.csv that is not one; a dataset file given as a checkpoint, a checkpoint
+holding a tensor that is empty or not finite, or whose tensors do not fit the
+model its id names, on any of which ``aggregate`` and ``eval`` write nothing;
+checkpoints to aggregate whose model ids or tensor shapes differ, or whose
+aggregate is not finite; an ``eval`` checkpoint of an unknown model id; and an
+``eval`` dataset file with a non-finite feature, or whose scored split holds
+fewer than two classes);
 4 ``OSError``, an I/O error (a ``run`` that fails to write leaves no
 results.json and no earlier checkpoint); 5 ``DivergenceError``, training
 diverged (a parameter stopped being finite; ``run`` writes nothing).
@@ -108,23 +109,16 @@ def _cmd_aggregate(args) -> int:
         if target in written:
             raise ConfigError(f"inputs {written[target]} and {src} would both write {out / name}")
         written[target] = src
-    loaded = [load_checkpoint_full(p) for p in args.checkpoints]
-    for path, (_, model_id, _) in zip(args.checkpoints, loaded):
-        if model_id == DATASET_ID:
-            raise DataError(f"{path}: a dataset file, not a model checkpoint")
-        if model_id != loaded[0][1]:
-            first = f"{args.checkpoints[0]} holds model {loaded[0][1]!r}"
+    loaded = [_load_model(path) for path in args.checkpoints]
+    for path, (model_id, _) in zip(args.checkpoints, loaded):  # ids outside MODEL_SPECS must match too
+        if model_id != loaded[0][0]:
+            first = f"{args.checkpoints[0]} holds model {loaded[0][0]!r}"
             raise DataError(f"checkpoints do not match: {first}, {path} holds {model_id!r}")
-    maps = [params for _, _, params in loaded]
+    maps = [params for _, params in loaded]
     try:
         check_same_structure(maps)
     except ValueError as exc:
         raise DataError(f"checkpoints do not match: {exc}") from exc
-    for path, params in zip(args.checkpoints, maps):
-        _check_finite(params, path)
-    empty = [name for name in sorted(maps[0]) if maps[0][name].size == 0]  # the maps share shapes
-    if empty:
-        raise DataError(f"{args.checkpoints[0]}: tensor {empty[0]!r} has no entries")
     # an overflow shows up as a non-finite aggregate, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
         if args.strategy == PFA:
@@ -135,7 +129,7 @@ def _cmd_aggregate(args) -> int:
         _check_finite(agg, f"aggregate for {out / name}")
     out.mkdir(parents=True, exist_ok=True)
     for name, agg in zip(names, aggregates):
-        save_checkpoint(agg, out / name, model_id=loaded[0][1])
+        save_checkpoint(agg, out / name, model_id=loaded[0][0])
         print(f"wrote {out / name}")
     return 0
 
@@ -147,16 +141,29 @@ def _check_finite(params, source) -> None:
             raise DataError(f"{source}: tensor {name!r} is not finite")
 
 
+def _load_model(path):
+    """``(model_id, params)`` of a model checkpoint; DataError on a dataset file, a tensor that is empty or
+    not finite, or tensors that do not fit the model their id names in ``MODEL_SPECS``."""
+    _, model_id, params = load_checkpoint_full(path)
+    if model_id == DATASET_ID:
+        raise DataError(f"{path}: a dataset file, not a model checkpoint")
+    _check_finite(params, path)
+    empty = [name for name in sorted(params) if params[name].size == 0]
+    if empty:
+        raise DataError(f"{path}: tensor {empty[0]!r} has no entries")
+    if model_id in MODEL_SPECS:
+        try:
+            check_same_structure([init_params(MODEL_SPECS[model_id], 0), params])
+        except ValueError as exc:
+            raise DataError(f"{path}: tensors do not fit model {model_id!r}: {exc}") from exc
+    return model_id, params
+
+
 def _cmd_eval(args) -> int:
-    _, model_id, params = load_checkpoint_full(args.checkpoint)
-    _check_finite(params, args.checkpoint)
+    model_id, params = _load_model(args.checkpoint)
     if model_id not in MODEL_SPECS:
         raise DataError(f"{args.checkpoint}: unknown model id {model_id!r}")
     spec = MODEL_SPECS[model_id]
-    try:
-        check_same_structure([init_params(spec, 0), params])
-    except ValueError as exc:
-        raise DataError(f"{args.checkpoint}: tensors do not fit model {model_id!r}: {exc}") from exc
     client = load_client(args.data)
     _check_finite({"features": client.features}, args.data)
     features, inputs = client.features.shape[1], int(np.prod(spec.input_shape))

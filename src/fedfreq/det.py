@@ -72,7 +72,6 @@ from .metrics import PaddedLabels
 from .model import (
     ModelSpec,
     NamedTensorMap,
-    OptimizerState,
     ce_loss,
     check_same_structure,
     clone_params,
@@ -110,7 +109,7 @@ class DetConfig:
 
 @dataclass
 class ClientState:
-    """One client's models and phase; no deputy if replacing.  The caller owns the schedule."""
+    """One client's models and phase; no deputy if replacing.  The caller owns the learning rate."""
 
     personalized: NamedTensorMap
     deputy: NamedTensorMap | None
@@ -246,14 +245,14 @@ def local_epoch(
     batch_size: int,
     val: tuple[np.ndarray, np.ndarray],
     cfg: DetConfig,
-    opt: OptimizerState,
+    lr: float,
     prox: tuple[float, NamedTensorMap] | None = None,
 ) -> EpochLog:
-    """One client's epoch: :func:`train_epoch` over a cohort of one; updates ``state``."""
+    """One client's epoch at learning rate ``lr``: :func:`train_epoch` over a cohort of one."""
     deputy = None if state.deputy is None else [state.deputy]
     cohort = Cohort([state.personalized], deputy, [train], [val], batch_size)
     cohort.phases[0] = state.phase
-    log = train_epoch(cohort, spec, [np.arange(len(train[1]))], cfg, opt, prox)
+    log = train_epoch(cohort, spec, [np.arange(len(train[1]))], cfg, lr, prox)
     state.personalized = {k: v[0] for k, v in cohort.p.items()}
     if cohort.d is not None:
         state.deputy = {k: v[0] for k, v in cohort.d.items()}
@@ -266,20 +265,20 @@ def train_epoch(
     spec: ModelSpec,
     orders: list[np.ndarray],
     cfg: DetConfig,
-    opt: OptimizerState,
+    lr: float,
     prox: tuple[float, NamedTensorMap] | None = None,
 ) -> EpochLog:
     """One local epoch for every client of ``cohort`` at once, then re-evaluate each.
 
     ``orders[j]`` is client j's permutation of its training split for this
     epoch: the epoch trains on ``(x[orders[j]], y[orders[j]])``, batched by
-    ``cohort.plan``.  Every step uses ``opt``'s learning rate; ``opt.epoch``
-    advances by one at the end.  ``prox = (mu, anchor)`` pulls every ``p``
-    toward the one anchor map.  Each client's phase decides its
-    distillation (see the module docstring).  After the pass every
-    parameter must be finite, else :class:`DivergenceError` names the
-    client, epoch and tensor; then every model is scored on its client's
-    validation split and the transition rule updates ``cohort.phases``.
+    ``cohort.plan``.  Every step uses learning rate ``lr``; the caller
+    counts epochs.  ``prox = (mu, anchor)`` pulls every ``p`` toward the one
+    anchor map.  Each client's phase decides its distillation (see the
+    module docstring).  After the pass every parameter must be finite, else
+    :class:`DivergenceError` names the client and tensor; then every model
+    is scored on its client's validation split and the transition rule
+    updates ``cohort.phases``.
     Returns an :class:`EpochLog` of arrays by client.  Before any training,
     a wrong number of permutations, or one whose length is not its split's
     row count, raises ValueError (naming the client).
@@ -297,7 +296,6 @@ def train_epoch(
     deputy_distils = (phases < DetPhase.SUBLIMATE).tolist()
     personal_distils = ((phases > DetPhase.RECOVER) & (d is not None)).tolist()
     ce_sum, kl_sum = np.zeros(len(clients)), np.zeros(len(clients))
-    lr = opt.lr
     # an overflow shows up as a non-finite parameter, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
         for i, a, b, group in cohort.plan:
@@ -315,17 +313,13 @@ def train_epoch(
             for key, v in stack.items():
                 finite = np.isfinite(v).reshape(len(v), -1).all(axis=1)
                 if not finite.all():
-                    raise DivergenceError(
-                        f"client {clients[~finite].min()} diverged in epoch {opt.epoch + 1}: "
-                        f"{name} tensor {key!r} is not finite"
-                    )
+                    raise DivergenceError(f"client {clients[~finite].min()}'s {name} tensor {key!r} is not finite")
 
     phi = cohort.validation_f1(spec)  # (M, K): p, then the deputies
     phi_p, phi_d = phi[0], np.full(len(clients), np.nan)
     if d is not None:
         phi_d = phi[1]
         cohort.phases = det_phase_transition(phi_d, phi_p, cfg, cohort.phases)
-    opt.epoch += 1
     ce, kl = ce_sum / cohort.batches, kl_sum / cohort.batches
     return EpochLog(ce[cohort.slots], kl[cohort.slots], phi_d, phi_p, cohort.phases.copy())
 

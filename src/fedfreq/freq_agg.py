@@ -5,7 +5,7 @@ Fourier domain: for every weight matrix it averages the *amplitudes* of the
 low-frequency band across clients while each client keeps its own phase map
 and its own high-frequency amplitudes.  The shared band is a centered
 rectangle whose half-widths are ``floor(r * dim)`` per axis; ``r`` grows
-linearly over training (see :func:`schedule_r`).
+linearly over training (``orchestrator.ExperimentConfig.r``).
 
 Fusion rescales each band entry ``F`` of the ``np.fft.rfft2`` half spectrum
 to the shared amplitude, ``F * (shared / |F|)``, which keeps its phase; a
@@ -44,27 +44,6 @@ import numpy as np
 from .model import NamedTensorMap, check_same_structure, stack_params
 from .numerics import dft2, real_stack  # dft2 unused here: perfbench's tracer test checks that it rebinds this name
 
-# epsilon keeping a scheduled threshold strictly inside (0, 0.5)
-R_EPS = 1e-6
-
-
-@dataclass(frozen=True)
-class ScheduleParams:
-    """Linear low-frequency threshold schedule from ``r0`` to ``r1``."""
-
-    r0: float = 0.35
-    r1: float = 0.48
-    total_epochs: int = 250
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.r0 <= self.r1 < 0.5):
-            raise ValueError(
-                f"thresholds must satisfy 0 < r0 <= r1 < 0.5, got {self.r0}, {self.r1}"
-            )
-        if self.total_epochs < 1:
-            raise ValueError("total_epochs must be >= 1")
-
-
 PFA = "PFA"
 FEDAVG = "FEDAVG"
 
@@ -82,18 +61,6 @@ def check_threshold(r: float) -> None:
     """Raise ValueError unless the low-frequency threshold lies in (0, 0.5)."""
     if not 0.0 < r < 0.5:
         raise ValueError(f"threshold r must lie in (0, 0.5), got {r}")
-
-
-def schedule_r(t: int, p: ScheduleParams) -> float:
-    """Threshold in effect after ``t`` of ``total_epochs`` local epochs.
-
-    Linear interpolation from r0 (t=0) to r1 (t=T), clamped into
-    (0, 0.5) by ``R_EPS``.  Raises ValueError outside 0 <= t <= T.
-    """
-    if not 0 <= t <= p.total_epochs:
-        raise ValueError(f"epoch {t} outside [0, {p.total_epochs}]")
-    r = p.r0 + (p.r1 - p.r0) * t / p.total_epochs
-    return float(min(max(r, R_EPS), 0.5 - R_EPS))
 
 
 def reshape_conv(w: np.ndarray) -> np.ndarray:

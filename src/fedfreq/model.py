@@ -3,8 +3,9 @@
 Layers: dense, conv2d (valid padding, stride 1), relu, flatten and a
 softmax output.  Losses return the gradient with respect to the final
 layer's *logits*, so :func:`backward` starts below the softmax (the usual
-fused softmax/cross-entropy arrangement).  The optimizer is plain SGD whose
-learning rate halves every ``halving_period`` epochs.
+fused softmax/cross-entropy arrangement).  The optimizer is plain SGD at a
+learning rate the caller passes in; the run's schedule is
+``orchestrator.ExperimentConfig.lr``.
 
 Parameters live in plain ``dict[str, np.ndarray]`` maps ("named tensor maps")
 that :class:`ModelSpec` names and shapes; iteration that must be deterministic
@@ -120,7 +121,7 @@ def _set_blas_threads(n: int) -> bool:
 
 
 # Every product runs on the calling thread: at fedfreq's sizes a second thread gains nothing and
-# can cost milliseconds, and OpenBLAS splits a product's output, never an inner sum, between threads.
+# can cost milliseconds, and with some kernel sets (Haswell) it rounds a product differently.
 _set_blas_threads(1)
 
 
@@ -186,25 +187,6 @@ class ModelSpec:
         object.__setattr__(self, "param_shapes", param_shapes)
         object.__setattr__(self, "plan", tuple(plan))
         object.__setattr__(self, "lowest", next((i for i, _, keys, _ in plan if keys is not None), None))
-
-
-@dataclass
-class OptimizerState:
-    """SGD schedule state: lr(epoch) = base_lr * 0.5 ** (epoch // period)."""
-
-    base_lr: float = 1e-2
-    epoch: int = 0
-    halving_period: int = 25
-
-    def __post_init__(self) -> None:
-        if self.base_lr < 0:
-            raise ValueError("base_lr must be >= 0")
-        if self.halving_period < 1:
-            raise ValueError("halving_period must be >= 1")
-
-    @property
-    def lr(self) -> float:
-        return self.base_lr * 0.5 ** (self.epoch // self.halving_period)
 
 
 def mlp_spec(input_dim: int = 32, classes: int = 3) -> ModelSpec:
@@ -533,13 +515,12 @@ def kl_div(p_probs: np.ndarray, q_probs: np.ndarray) -> tuple[float | np.ndarray
     return (float(value) if value.ndim == 0 else value), dlogits_p
 
 
-def sgd_step(params: NamedTensorMap, grads: NamedTensorMap, opt: OptimizerState) -> NamedTensorMap:
-    """One SGD update ``params -= lr(epoch) * grads``, in place; returns ``params``.
+def sgd_step(params: NamedTensorMap, grads: NamedTensorMap, lr: float) -> NamedTensorMap:
+    """One SGD update ``params -= lr * grads``, in place; returns ``params``.
 
     In place, so a map of views into a client stack updates the stack.
     """
     check_same_structure([params, grads])
-    lr = opt.lr
     for k, w in params.items():
         w -= lr * grads[k]
     return params

@@ -17,12 +17,14 @@ and pushes the result back down.  Each strategy name is a row of
   communication, then the last global model (``FEDPROX``, a FEDAVG row).
 
 All clients live in one ``det.Cohort``, addressed by client, next to one
-SGD schedule and one prox anchor.  The cohort holds the clients' training
-splits and their batch layout; each epoch every client draws a permutation
-of its split from its own stream, and one ``det.train_epoch`` call trains
-them all on their permuted splits.  A communication fuses
-``Cohort.uploads()`` with the aggregator, and ``Cohort.deliver`` puts the
-result in the deputies, if any, else in ``p``.
+prox anchor.  The cohort holds the clients' training splits and their batch
+layout; each epoch every client draws a permutation of its split from its
+own stream, and one ``det.train_epoch`` call trains them all on their
+permuted splits at that epoch's learning rate.  The config states the run's
+two schedules, :meth:`ExperimentConfig.lr` and PFA's threshold
+:meth:`ExperimentConfig.r`; the epoch loop passes their values down.  A
+communication fuses ``Cohort.uploads()`` with the aggregator, and
+``Cohort.deliver`` puts the result in the deputies, if any, else in ``p``.
 Every client/epoch gives one log row (losses, validation scores, phase,
 communication flag), enough to plot the post-communication performance
 drop and its absence under the deputy scheme.  The deployed model is the
@@ -48,10 +50,10 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .data import ClientData, ClientProfile, DataError, check_scale, default_profiles, ood_client, synth
-from .det import Cohort, DetConfig, DetPhase, train_epoch
-from .freq_agg import FEDAVG, PFA, ScheduleParams, fedavg_fuse, pfa_fuse, schedule_r
+from .det import Cohort, DetConfig, DetPhase, DivergenceError, train_epoch
+from .freq_agg import FEDAVG, PFA, fedavg_fuse, pfa_fuse
 from .metrics import check_two_classes, evaluate
-from .model import MODEL_SPECS, NamedTensorMap, OptimizerState, init_params, predict_probs
+from .model import MODEL_SPECS, NamedTensorMap, init_params, predict_probs
 from .model import forward  # unused here; perfbench's tracer test checks that it rebinds this name
 
 
@@ -91,6 +93,9 @@ STRATEGIES = {
 _INIT_STREAM = 1
 _SHUFFLE_STREAM = 2
 
+# epsilon keeping a scheduled threshold strictly inside (0, 0.5)
+R_EPS = 1e-6
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -99,7 +104,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run's protocol settings, not where it is written, checked at construction; change one with
-    ``dataclasses.replace``."""
+    ``dataclasses.replace``.  :meth:`lr` and :meth:`r` are the run's two schedules."""
 
     strategy: str = "PFA_DET"
     num_clients: int = 4
@@ -123,7 +128,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}; choose from {list(STRATEGIES)}")
         if self.model_id not in MODEL_SPECS:
             raise ConfigError(f"unknown model_id {self.model_id!r}; choose from {sorted(MODEL_SPECS)}")
-        for key in ("num_clients", "local_epochs", "total_epochs", "batch_size"):
+        for key in ("num_clients", "local_epochs", "total_epochs", "batch_size", "lr_halving_period"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         if self.total_epochs % self.local_epochs != 0:
@@ -131,25 +136,36 @@ class ExperimentConfig:
                 f"total_epochs ({self.total_epochs}) must be divisible by "
                 f"local_epochs ({self.local_epochs})"
             )
-        try:  # the components state their own rules
-            ScheduleParams(self.r0, self.r1, self.total_epochs)
+        if not 0.0 < self.r0 <= self.r1 < 0.5:
+            raise ConfigError(f"thresholds must satisfy 0 < r0 <= r1 < 0.5, got {self.r0}, {self.r1}")
+        try:  # det states its own rule
             DetConfig(self.lambda1, self.lambda2)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        try:
-            OptimizerState(self.base_lr, halving_period=self.lr_halving_period)
-        except ValueError as exc:  # name the config keys, not OptimizerState's fields
-            raise ConfigError(f"base_lr / lr_halving_period: {exc}") from exc
-        for key in ("base_lr", "prox_mu"):  # a NaN slips past every "< 0" check
-            if not np.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
-        if self.prox_mu < 0:
-            raise ConfigError("prox_mu must be >= 0")
+        for key in ("base_lr", "prox_mu"):  # finite first: a NaN slips past every "< 0" check
+            value = getattr(self, key)
+            if not np.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+            if value < 0:
+                raise ConfigError(f"{key} must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         check_scale(self.data_scale, "data_scale", ConfigError)
         if self.workers != 1:
             raise ConfigError(f"workers must be 1 (one process trains every client), got {self.workers}")
+
+    def lr(self, epoch: int) -> float:
+        """SGD learning rate of epoch ``epoch``, counted from 1: ``base_lr``, halved every
+        ``lr_halving_period`` epochs."""
+        return self.base_lr * 0.5 ** ((epoch - 1) // self.lr_halving_period)
+
+    def r(self, t: int) -> float:
+        """PFA's low-frequency threshold after ``t`` of ``total_epochs`` epochs: r0 to r1 linearly, clamped
+        into (0, 0.5) by ``R_EPS``; ValueError outside 0 <= t <= total_epochs."""
+        if not 0 <= t <= self.total_epochs:
+            raise ValueError(f"epoch {t} outside [0, {self.total_epochs}]")
+        r = self.r0 + (self.r1 - self.r0) * t / self.total_epochs
+        return float(min(max(r, R_EPS), 0.5 - R_EPS))
 
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
@@ -258,7 +274,6 @@ def run_experiment(
     scored = {f"client {i}": c for i, c in enumerate(dataset.clients)}
     for who, cdata in {**scored, "the held-out cohort": ood}.items():
         check_two_classes(cdata.split_xy("test")[1], spec.classes, f"{who}'s test split")
-    schedule = ScheduleParams(cfg.r0, cfg.r1, cfg.total_epochs)
     det_cfg = DetConfig(cfg.lambda1, cfg.lambda2)
 
     # one shared initialization: aggregation (plain or frequency-domain) only
@@ -273,15 +288,17 @@ def run_experiment(
         cfg.batch_size,
     )
     rngs = [np.random.default_rng([cfg.seed, profile.seed, _SHUFFLE_STREAM]) for profile in profiles]
-    opt = OptimizerState(cfg.base_lr, halving_period=cfg.lr_halving_period)
     # one anchor for every client: the common init, then each round's global model
     prox = (cfg.prox_mu, common_init) if strategy.prox and cfg.prox_mu > 0.0 else None
 
     rows: list[RoundRow] = []
     for epoch in range(1, cfg.total_epochs + 1):
         orders = [rng.permutation(cdata.splits[0]) for cdata, rng in zip(dataset.clients, rngs)]
-        log = train_epoch(cohort, spec, orders, det_cfg, opt, prox)
-        r = schedule_r(epoch, schedule)
+        try:
+            log = train_epoch(cohort, spec, orders, det_cfg, cfg.lr(epoch), prox)
+        except DivergenceError as exc:
+            raise DivergenceError(f"epoch {epoch}: {exc}") from exc
+        r = cfg.r(epoch)
         comm_event = int(strategy.aggregator is not None and epoch % cfg.local_epochs == 0)
         for j in range(cfg.num_clients):  # curves.csv rows
             phase = DetPhase(log.phase[j]).name if strategy.deputy else "-"

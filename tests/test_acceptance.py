@@ -13,16 +13,9 @@ import pytest
 
 from fedfreq.checkpoint import CorruptCheckpointError, load_checkpoint_full, save_checkpoint
 from fedfreq.det import DetConfig, DetPhase, det_phase_transition
-from fedfreq.freq_agg import (
-    PFA,
-    AggregationRequest,
-    ScheduleParams,
-    pfa_aggregate,
-    schedule_r,
-)
+from fedfreq.freq_agg import PFA, AggregationRequest, pfa_aggregate
 from fedfreq.metrics import macro_auc, macro_f1
 from fedfreq.model import (
-    OptimizerState,
     backward,
     ce_loss,
     clone_params,
@@ -31,7 +24,6 @@ from fedfreq.model import (
     init_params,
     kl_div,
 )
-from fedfreq.numerics import dft2, idft2
 from fedfreq.orchestrator import (
     ExperimentConfig,
     mean_boundary_change,
@@ -83,31 +75,38 @@ def experiment_cache():
 
 
 def test_criterion_1_transform_suite():
+    # the transform PFA runs: the rfft2 half spectrum, inverted by irfft2(s=...)
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
     for _ in range(200):
         rows = int(rng.integers(1, 65))
         cols = int(rng.integers(1, 65))
         m = rng.standard_normal((rows, cols))
-        f = dft2(m)
+        half = np.fft.rfft2(m)
         # round trip
-        back, _ = idft2(f)
+        back = np.fft.irfft2(half, s=m.shape)
         assert np.max(np.abs(back - m)) < 1e-9
-        # Hermitian symmetry by exact index pairing
+        # Hermitian symmetry of the full spectrum by exact index pairing; the half is its first columns
+        full = np.fft.fft2(m)
         ri = (-np.arange(rows)) % rows
         ci = (-np.arange(cols)) % cols
-        assert np.max(np.abs(f - np.conj(f[np.ix_(ri, ci)]))) < 1e-10
-        # Parseval
+        assert np.max(np.abs(full - np.conj(full[np.ix_(ri, ci)]))) < 1e-10
+        assert np.max(np.abs(half - full[:, : cols // 2 + 1])) < 1e-10
+        # Parseval on the half: every column but DC and, for even cols, Nyquist stands for two
+        weight = np.full(half.shape[1], 2.0)
+        weight[0] = 1.0
+        if cols % 2 == 0:
+            weight[cols // 2] = 1.0
         lhs = np.sum(m**2) * m.size
-        rhs = np.sum(np.abs(f) ** 2)
+        rhs = np.sum(weight * np.abs(half) ** 2)
         assert abs(lhs - rhs) <= 1e-6 * max(lhs, 1e-30)
         # linearity against a fresh matrix
         y = rng.standard_normal((rows, cols))
         a, b = rng.uniform(-2, 2, size=2)
-        assert np.max(np.abs(dft2(a * m + b * y) - (a * f + b * dft2(y)))) < 1e-9
+        assert np.max(np.abs(np.fft.rfft2(a * m + b * y) - (a * half + b * np.fft.rfft2(y)))) < 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    report(1, elapsed, "round-trip, Hermitian, Parseval, linearity on 200 random matrices")
+    report(1, elapsed, "rfft2/irfft2: round-trip, Hermitian, Parseval, linearity on 200 random matrices")
 
 
 def test_criterion_2_pfa_oracle_equivalence():
@@ -347,14 +346,10 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
 
 def test_criterion_10_schedule_endpoints():
     start = time.perf_counter()
-    schedule = ScheduleParams(r0=0.35, r1=0.48, total_epochs=250)
-    assert schedule_r(0, schedule) == 0.35
-    assert schedule_r(250, schedule) == 0.48
-    opt = OptimizerState(base_lr=1e-2, halving_period=25)
-    assert opt.lr == 0.01
-    opt.epoch = 25
-    assert opt.lr == 0.005
-    opt.epoch = 50
-    assert opt.lr == 0.0025
+    cfg = ExperimentConfig(r0=0.35, r1=0.48, total_epochs=250, base_lr=1e-2, lr_halving_period=25)
+    assert cfg.r(0) == 0.35
+    assert cfg.r(250) == 0.48
+    lrs = {epoch: cfg.lr(epoch) for epoch in (1, 25, 26, 50, 51)}
+    assert lrs == {1: 0.01, 25: 0.01, 26: 0.005, 50: 0.005, 51: 0.0025}
     elapsed = time.perf_counter() - start
-    report(10, elapsed, "r(0)=0.35, r(T)=0.48, lr halves exactly at epochs 25 and 50")
+    report(10, elapsed, "r(0)=0.35, r(T)=0.48, lr halves exactly after epochs 25 and 50")

@@ -1,11 +1,17 @@
-"""fedfreq runs numpy's bundled OpenBLAS on one thread, and no bit depends on the thread count.
+"""Importing fedfreq sets numpy's bundled OpenBLAS to one thread, so no bit depends on the
+thread count the caller's environment asks for.
 
-The bit test computes at full size, where OpenBLAS really hands part of a product
+The bit test computes at full size, where OpenBLAS would hand part of a product
 to a second thread: scale-1.0 data, scoring of client 1's 3,868 rows, and a run
-at ``data_scale = 0.3``.  Both tests skip where no bundled OpenBLAS is found.
+at ``data_scale = 0.3``.  It runs them in two fresh interpreters, one with
+``OPENBLAS_NUM_THREADS=1`` and one with ``2``.  It claims nothing about
+OpenBLAS itself on two threads: with some kernel sets (``OPENBLAS_CORETYPE=Haswell``)
+its two-thread split of these products rounds differently from one thread.
+Both tests skip where no bundled OpenBLAS is found.
 """
 
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -50,10 +56,21 @@ def _full_size_bytes() -> list[bytes]:
     return out
 
 
-def test_full_size_products_give_the_same_bits_on_two_threads_and_one():
-    try:
-        assert model._set_blas_threads(2)
-        two = _full_size_bytes()
-    finally:
-        model._set_blas_threads(1)
-    assert _full_size_bytes() == two
+def _digest(blobs: list[bytes]) -> str:
+    h = hashlib.sha256()
+    for blob in blobs:
+        h.update(len(blob).to_bytes(8, "little") + blob)
+    return h.hexdigest()[:16]
+
+
+def test_full_size_products_give_the_same_bits_whatever_thread_count_the_environment_asks_for():
+    env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(fedfreq.__file__).parent.parent), str(Path(__file__).parent)])
+    command = [sys.executable, "-c", "import test_blas_threads as t; print(t._digest(t._full_size_bytes()))"]
+    runs = [  # both at once: each interpreter computes on one thread
+        subprocess.Popen(command, env={**env, "OPENBLAS_NUM_THREADS": n}, stdout=subprocess.PIPE, text=True)
+        for n in ("1", "2")
+    ]
+    digests = [run.communicate()[0].strip() for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert digests[0] == digests[1], digests

@@ -258,8 +258,12 @@ def test_run_with_a_single_class_test_split_is_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("strategy", ["PFA_DET", "FEDAVG"])
-def test_run_that_diverges_exits_5_and_writes_nothing(tmp_path, capsys, strategy):
+@pytest.mark.parametrize(
+    "strategy, tensor",
+    [("PFA_DET", "client 0's deputy tensor 'dense1.bias'"), ("FEDAVG", "client 1's personalized tensor 'dense1.bias'")],
+    ids=["PFA_DET", "FEDAVG"],
+)
+def test_run_that_diverges_exits_5_and_writes_nothing(tmp_path, capsys, strategy, tensor):
     # at this learning rate the weights overflow in the first epoch after the
     # first aggregation; PFA_DET once died in the FFT, FEDAVG once exited 0
     cfg_path = tmp_path / "exp.cfg"
@@ -270,9 +274,8 @@ def test_run_that_diverges_exits_5_and_writes_nothing(tmp_path, capsys, strategy
     with warnings.catch_warnings():  # the one error line is all the user sees
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 5
-    err = capsys.readouterr().err
-    assert err.startswith("training diverged: client ") and err.count("\n") == 1, err
-    assert " diverged in epoch 6: " in err and "is not finite" in err, err
+    # train_epoch names the client and tensor, the run adds the epoch
+    _single_error_line(capsys, f"training diverged: epoch 6: {tensor} is not finite\n")
     assert not out.exists()
 
 
@@ -399,35 +402,66 @@ def test_eval_label_out_of_range_is_a_data_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "spec, model_id, problem",
     [
-        (MODEL_SPECS["conv4x8"], "conv4x8", "client_1.ckpt holds 'conv4x8'"),
-        (mlp_spec(8), "mlp32", "parameter map 1 shape mismatch for 'dense1.weight': (8, 64) vs (32, 64)"),
+        (MODEL_SPECS["conv4x8"], "conv4x8", "checkpoints do not match: {0} holds model 'mlp32', {1} holds 'conv4x8'"),
+        (
+            mlp_spec(8),
+            "mlp32",
+            "{1}: tensors do not fit model 'mlp32': "
+            "parameter map 1 shape mismatch for 'dense1.weight': (8, 64) vs (32, 64)",
+        ),
     ],
     ids=["another_model", "same_model_id_other_shapes"],
 )
 def test_aggregate_mismatched_checkpoints_is_a_data_error(tmp_path, capsys, spec, model_id, problem):
-    inputs = [tmp_path / "client_0.ckpt", tmp_path / "client_1.ckpt"]
+    inputs = [str(tmp_path / "client_0.ckpt"), str(tmp_path / "client_1.ckpt")]
     save_checkpoint(init_params(MODEL_SPECS["mlp32"], 0), inputs[0], model_id="mlp32")
     save_checkpoint(init_params(spec, 0), inputs[1], model_id=model_id)
     out = tmp_path / "agg"
-    assert main(["aggregate", *map(str, inputs), "--out-dir", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("data error: checkpoints do not match: ") and err.count("\n") == 1, err
-    assert problem in err, err
+    assert main(["aggregate", *inputs, "--out-dir", str(out)]) == 3
+    _single_error_line(capsys, "data error: " + problem.format(*inputs) + "\n")
     assert not out.exists()
 
 
-def test_aggregate_of_checkpoints_with_different_model_ids_is_a_data_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "model_ids, problem",
+    [
+        # a known id checks its model's tensors, so the second file fails that check first
+        (
+            ("mlp32", "conv4x8"),
+            "{1}: tensors do not fit model 'conv4x8': parameter map 1 names differ from map 0 at 'conv1.bias'",
+        ),
+        # ids outside MODEL_SPECS are not checked against a model, but must still agree
+        (("mlp8", "mlp8b"), "checkpoints do not match: {0} holds model 'mlp8', {1} holds 'mlp8b'"),
+    ],
+    ids=["known_ids", "unknown_ids"],
+)
+def test_aggregate_of_checkpoints_with_different_model_ids_is_a_data_error(tmp_path, capsys, model_ids, problem):
     # the same tensors under two model ids: the structures match, the models do not
-    params = init_params(MODEL_SPECS["mlp32"], 0)
+    params = init_params(mlp_spec(8) if model_ids[0] == "mlp8" else MODEL_SPECS["mlp32"], 0)
     inputs = []
-    for model_id in ("mlp32", "conv4x8"):
+    for model_id in model_ids:
         path = tmp_path / f"{model_id}.ckpt"
         save_checkpoint(params, path, model_id=model_id)
         inputs.append(str(path))
     out = tmp_path / "agg"
     assert main(["aggregate", *inputs, "--strategy", FEDAVG, "--out-dir", str(out)]) == 3
+    _single_error_line(capsys, "data error: " + problem.format(*inputs) + "\n")
+    assert not out.exists()
+
+
+def test_aggregate_of_checkpoints_that_do_not_fit_their_model_id_writes_nothing(tmp_path, capsys):
+    # two mlp_spec(8) maps saved as mlp32 once aggregated (exit 0) into a file that eval refused (exit 3)
+    inputs = []
+    for seed in (0, 1):
+        path = tmp_path / f"c{seed}.ckpt"
+        save_checkpoint(init_params(mlp_spec(8), seed), path, model_id="mlp32")
+        inputs.append(str(path))
+    out = tmp_path / "agg"
+    assert main(["aggregate", *inputs, "--strategy", FEDAVG, "--out-dir", str(out)]) == 3
     _single_error_line(
-        capsys, f"data error: checkpoints do not match: {inputs[0]} holds model 'mlp32', {inputs[1]} holds 'conv4x8'"
+        capsys,
+        f"data error: {inputs[0]}: tensors do not fit model 'mlp32': "
+        "parameter map 1 shape mismatch for 'dense1.weight': (8, 64) vs (32, 64)\n",
     )
     assert not out.exists()
 
@@ -550,6 +584,17 @@ def test_eval_of_a_checkpoint_that_does_not_fit_its_model_is_a_data_error(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"data error: {ckpt}: tensors do not fit model 'mlp32': {problem}\n"
+
+
+def test_eval_of_a_dataset_file_is_a_data_error(tmp_path, capsys):
+    # it once said "unknown model id 'fedfreq-dataset'", where aggregate names the file's kind
+    main(["synth-data", "--scale", "0.1", "--seed", "0", "--out-dir", str(tmp_path)])
+    data = tmp_path / "client_0.fsd"
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(data), "--data", str(data)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"data error: {data}: a dataset file, not a model checkpoint\n"
 
 
 def test_eval_of_a_checkpoint_with_an_unknown_model_id_is_a_data_error(tmp_path, capsys):

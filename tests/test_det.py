@@ -24,7 +24,6 @@ from fedfreq.det import (
 from fedfreq.metrics import macro_f1
 from fedfreq.model import (
     MODEL_SPECS,
-    OptimizerState,
     backward,
     ce_loss,
     clone_params,
@@ -65,13 +64,13 @@ def in_order(train):
     return [np.arange(len(y)) for _, y in train]
 
 
-def cohort_epoch(states, spec, train, batch_size, vals, opt, prox=None):
+def cohort_epoch(states, spec, train, batch_size, vals, lr, prox=None):
     """One :func:`train_epoch` over a cohort of ``states`` on the splits ``train`` as given; writes
     each client's models (read from the buffer's slots) and phase back to its state and returns its log."""
     deputies = None if states[0].deputy is None else [s.deputy for s in states]
     cohort = Cohort([s.personalized for s in states], deputies, train, vals, batch_size)
     cohort.phases[:] = [s.phase for s in states]
-    log = train_epoch(cohort, spec, in_order(train), CFG, opt, prox)
+    log = train_epoch(cohort, spec, in_order(train), CFG, lr, prox)
     logs = []
     for j, (state, s) in enumerate(zip(states, cohort.slots)):
         state.personalized = {k: v[s] for k, v in cohort.p.items()}
@@ -216,33 +215,30 @@ def test_kl_is_zero_when_deputy_equals_p():
     state.phase = DetPhase.EXCHANGE
     rng = np.random.default_rng(0)
     x, y = make_data(rng)
-    log = local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, OptimizerState(base_lr=0.0))
+    log = local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, 0.0)
     assert log.kl_loss == 0.0
     assert log.ce_loss > 0.0
 
 
 def test_local_epoch_zero_lr_freezes_p():
     state = make_state()
-    opt = OptimizerState(base_lr=0.0)
     rng = np.random.default_rng(1)
     x, y = make_data(rng)
     before = clone_params(state.personalized)
     for _ in range(3):  # covers RECOVER plus post-transition phases
-        local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, opt)
+        local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, 0.0)
     for k in before:
         assert np.array_equal(state.personalized[k], before[k])
 
 
 def test_local_epoch_trains_and_logs():
     state = make_state()
-    opt = OptimizerState()
     rng = np.random.default_rng(2)
     x, y = make_data(rng, n=48)
-    log = local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, opt)
+    log = local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, 0.01)
     assert log.ce_loss > 0.0
     assert 0.0 <= log.phi_d <= 1.0
     assert 0.0 <= log.phi_p <= 1.0
-    assert opt.epoch == 1
     assert log.phase is state.phase
 
 
@@ -250,19 +246,18 @@ def test_recover_epoch_logs_no_kl_for_p():
     state = make_state()
     rng = np.random.default_rng(3)
     x, y = make_data(rng)
-    log = local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, OptimizerState())
+    log = local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, 0.01)
     # the first epoch runs entirely in RECOVER: p sees cross entropy only
     assert log.kl_loss == 0.0
 
 
 def test_phase_monotone_within_window_and_resets_on_receive():
     state = make_state()
-    opt = OptimizerState()
     rng = np.random.default_rng(4)
     x, y = make_data(rng, n=64)
     phases = []
     for _ in range(4):
-        log = local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, opt)
+        log = local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, 0.01)
         phases.append(log.phase)
     assert all(b >= a for a, b in zip(phases, phases[1:]))
     receive_deputy(state, init_params(SPEC, 5))
@@ -278,13 +273,12 @@ def test_sublimate_trains_deputy_with_ce_only():
     x, y = make_data(rng, n=32)
     batches = batches_of(x, y)
     expected = clone_params(state.deputy)
-    expected_opt = OptimizerState(base_lr=1e-2)
     for bx, by in batches:
         probs, cache = forward(expected, SPEC, bx)
         _, dlogits = ce_loss(probs, by)
-        expected = sgd_step(expected, backward(cache, dlogits), expected_opt)
+        expected = sgd_step(expected, backward(cache, dlogits), 1e-2)
 
-    local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, OptimizerState(base_lr=1e-2))
+    local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, 1e-2)
     for k in expected:
         assert np.array_equal(state.deputy[k], expected[k])
 
@@ -293,7 +287,6 @@ def test_local_epoch_without_deputy_matches_manual_prox_loop():
     # a replacing strategy's client: one model, trained with a proximal pull
     params = init_params(SPEC, 0)
     state = ClientState(personalized=clone_params(params), deputy=None)
-    state_opt = OptimizerState(base_lr=5e-2)
     anchor = init_params(SPEC, 9)
     prox = (0.5, anchor)
     rng = np.random.default_rng(7)
@@ -301,17 +294,16 @@ def test_local_epoch_without_deputy_matches_manual_prox_loop():
     batches = batches_of(x, y)
 
     expected, unpulled = clone_params(params), clone_params(params)
-    opt = OptimizerState(base_lr=5e-2)
     ces = []
     for bx, by in batches:
         for model, mu in ((unpulled, 0.0), (expected, 0.5)):
             probs, cache = forward(model, SPEC, bx)
             ce, dlogits = ce_loss(probs, by)
             grads = {k: g + mu * (model[k] - anchor[k]) for k, g in backward(cache, dlogits).items()}
-            sgd_step(model, grads, opt)
+            sgd_step(model, grads, 5e-2)
         ces.append(ce)  # the pulled model's, stepped last
 
-    log = local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, state_opt, prox)
+    log = local_epoch(state, SPEC, (x, y), 8, (x, y), CFG, 5e-2, prox)
     for k in expected:
         assert np.array_equal(state.personalized[k], expected[k])
     assert any(not np.array_equal(expected[k], unpulled[k]) for k in expected)  # the pull acts
@@ -321,7 +313,6 @@ def test_local_epoch_without_deputy_matches_manual_prox_loop():
     assert log.phi_p == alone_f1(expected, SPEC, x, y)
     assert log.phase is DetPhase.RECOVER and state.phase is DetPhase.RECOVER
     assert state.deputy is None
-    assert state_opt.epoch == 1
 
 
 # --- stacked epoch: every client trains as if alone --------------------------------
@@ -458,9 +449,7 @@ def test_stacked_epoch_matches_a_per_client_loop_bit_for_bit(model_id, with_depu
         _ref_epoch(s.personalized, s.deputy, s.phase, spec, batches_of(*train[j], 16), 0.05, (0.3, anchor))
         for j, s in enumerate(states)
     ]
-    opt = OptimizerState(base_lr=0.05, epoch=3)
-
-    logs = cohort_epoch(states, spec, train, 16, vals, opt, (0.3, anchor))
+    logs = cohort_epoch(states, spec, train, 16, vals, 0.05, (0.3, anchor))
 
     for j, (state, log, (p, d, ce, kl)) in enumerate(zip(states, logs, expected)):
         for k in p:
@@ -469,7 +458,6 @@ def test_stacked_epoch_matches_a_per_client_loop_bit_for_bit(model_id, with_depu
                 assert np.array_equal(state.deputy[k], d[k]), (j, k)
         assert log.ce_loss == ce and log.kl_loss == kl, j
         assert log.phi_p == alone_f1(p, spec, *vals[j])
-    assert opt.epoch == 4  # one schedule, advanced once for all clients
     # p distils from its deputy outside RECOVER only; KL is exactly 0.0 otherwise
     distils = [log.kl_loss > 0.0 for log in logs]
     assert distils == ([False, True, True, True] if with_deputy else [False] * 4)
@@ -502,14 +490,14 @@ def test_permuting_the_clients_permutes_the_outputs(data):
         ]
 
     straight, shuffled = fresh_states(), fresh_states()
-    logs = cohort_epoch(straight, spec, train, size, vals, OptimizerState(base_lr=0.05))
+    logs = cohort_epoch(straight, spec, train, size, vals, 0.05)
     moved = cohort_epoch(
         [shuffled[j] for j in perm],
         spec,
         [train[j] for j in perm],
         size,
         [vals[j] for j in perm],
-        OptimizerState(base_lr=0.05),
+        0.05,
     )
     for pos, j in enumerate(perm):
         a, b = straight[j], shuffled[j]
@@ -524,16 +512,15 @@ def test_permuting_the_clients_permutes_the_outputs(data):
         assert np.array_equal(got.phi_d, want.phi_d, equal_nan=True)
 
 
-def test_train_epoch_names_the_diverged_client_epoch_and_tensor():
+def test_train_epoch_names_the_diverged_client_and_tensor():
     states = [make_state(seed=j) for j in range(3)]
     # the NaN reaches every tensor of client 1; the first in name order is named
     states[1].personalized["dense2.weight"][0, 0] = np.nan
     rng = np.random.default_rng(12)
     # 40, 40 and 64 rows: client 1 trains in slot 2, and the message names the client
     train = [make_data(rng, n) for n in (40, 40, 64)]
-    match = "client 1 diverged in epoch 7: personalized tensor 'dense1.bias' is not finite"
-    with pytest.raises(DivergenceError, match=match):
-        cohort_epoch(states, SPEC, train, 8, [make_data(rng)] * 3, OptimizerState(epoch=6))
+    with pytest.raises(DivergenceError, match="^client 1's personalized tensor 'dense1.bias' is not finite$"):
+        cohort_epoch(states, SPEC, train, 8, [make_data(rng)] * 3, 0.01)
 
 
 @pytest.mark.parametrize("call", ["Cohort", "local_epoch"])
@@ -554,17 +541,15 @@ def test_epoch_names_a_bad_split_before_training(call, bad_split, problem):
     bad = 1 if call == "Cohort" else 0
     train[bad] = bad_split(*train[bad])
     before = [clone_params(s.personalized) for s in states]
-    opt = OptimizerState()
     with pytest.raises(ValueError, match=f"client {bad}'s {problem}"):
         if call == "Cohort":  # a cohort checks its splits once, when it is built
             Cohort([s.personalized for s in states], None, train, [make_data(rng)] * 3, 8)
         else:
-            local_epoch(states[0], SPEC, train[0], 8, make_data(rng), CFG, opt)
+            local_epoch(states[0], SPEC, train[0], 8, make_data(rng), CFG, 0.01)
     # every split is checked before the first step: nothing trained
     for state, params in zip(states, before):
         for k in params:
             assert np.array_equal(state.personalized[k], params[k])
-    assert opt.epoch == 0
 
 
 def test_train_epoch_names_a_bad_permutation_before_training():
@@ -574,16 +559,14 @@ def test_train_epoch_names_a_bad_permutation_before_training():
     train = [make_data(rng, n) for n in (17, 40, 25)]
     cohort = Cohort([s.personalized for s in states], [s.deputy for s in states], train, [make_data(rng)] * 3, 8)
     before = clone_params(cohort.models)
-    opt = OptimizerState()
     orders = in_order(train)
     with pytest.raises(ValueError, match=r"need one permutation per client \(3\), got 2"):
-        train_epoch(cohort, SPEC, orders[:2], CFG, opt)
+        train_epoch(cohort, SPEC, orders[:2], CFG, 0.01)
     orders[2] = orders[2][:-1]
     with pytest.raises(ValueError, match="client 2's permutation has 24 entries for 25 rows"):
-        train_epoch(cohort, SPEC, orders, CFG, opt)
+        train_epoch(cohort, SPEC, orders, CFG, 0.01)
     for k, v in before.items():
         assert np.array_equal(cohort.models[k], v), k
-    assert opt.epoch == 0
 
 
 # --- stacked validation: padded splits score as each model alone ----------------------
@@ -596,7 +579,7 @@ def test_train_epoch_names_a_bad_permutation_before_training():
 # step, the teacher's forward pass, then p's step.
 
 
-def _separate_step(p, d, spec, x, y, deputy_distils, personal_distils, opt, prox):
+def _separate_step(p, d, spec, x, y, deputy_distils, personal_distils, lr, prox):
     """One step of the (g, ...) stacks ``p`` and ``d`` (None: no deputy), in place; returns p's (CE, KL)."""
     p_probs, p_cache = forward(p, spec, x)
     teacher = None
@@ -606,7 +589,7 @@ def _separate_step(p, d, spec, x, y, deputy_distils, personal_distils, opt, prox
         if any(deputy_distils):
             _, dkl = kl_div(d_probs, p_probs)
             dlogits = np.where(np.array(deputy_distils)[:, None, None], dlogits + dkl, dlogits)
-        sgd_step(d, backward(d_cache, dlogits), opt)
+        sgd_step(d, backward(d_cache, dlogits), lr)
         if any(personal_distils):
             teacher, _ = forward(d, spec, x)
     ce, dlogits = ce_loss(p_probs, y)
@@ -620,7 +603,7 @@ def _separate_step(p, d, spec, x, y, deputy_distils, personal_distils, opt, prox
     if prox is not None:
         mu, anchor = prox
         grads = {k: g + mu * (p[k] - anchor[k]) for k, g in grads.items()}
-    sgd_step(p, grads, opt)
+    sgd_step(p, grads, lr)
     return ce, kl
 
 
@@ -653,7 +636,7 @@ def test_group_step_matches_separate_model_calls_bit_for_bit(model_id, with_depu
 
     ce, kl = group_step(buffer, spec, x, y, deputy_distils, personal_distils, lr, prox)
     want_ce, want_kl = _separate_step(
-        p, d, spec, x, y, deputy_distils, personal_distils, OptimizerState(base_lr=lr), prox
+        p, d, spec, x, y, deputy_distils, personal_distils, lr, prox
     )
 
     for k in p:
@@ -691,7 +674,7 @@ def test_cohort_models_stay_views_of_one_buffer(with_deputy):
                 assert np.shares_memory(v, cohort.models[k]), (a, b, k)
 
     assert_views()
-    log = train_epoch(cohort, SPEC, in_order(train), CFG, OptimizerState(base_lr=0.05))
+    log = train_epoch(cohort, SPEC, in_order(train), CFG, 0.05)
     assert_views()
     aggregates = {k: rng.standard_normal(v.shape) for k, v in cohort.p.items()}
     cohort.deliver(aggregates)
@@ -721,10 +704,10 @@ def test_cohort_speaks_client_order():
         assert scores[1, j] == alone_f1(state.deputy, SPEC, x, y), j
     cohort.keep_best(np.full(3, 0.5), 1)  # every client's initial p
 
-    log = train_epoch(cohort, SPEC, in_order(train), CFG, OptimizerState(base_lr=0.05))
+    log = train_epoch(cohort, SPEC, in_order(train), CFG, 0.05)
     uploads = cohort.uploads()
     for j, state in enumerate(states):
-        alone = local_epoch(state, SPEC, train[j], 8, vals[j], CFG, OptimizerState(base_lr=0.05))
+        alone = local_epoch(state, SPEC, train[j], 8, vals[j], CFG, 0.05)
         assert (log.ce_loss[j], log.kl_loss[j], log.phi_d[j], log.phi_p[j], log.phase[j]) == (
             alone.ce_loss, alone.kl_loss, alone.phi_d, alone.phi_p, alone.phase
         ), j
@@ -786,7 +769,7 @@ def test_epoch_scores_every_model_on_its_own_ragged_split():
         s.phase = phase
     train = [make_data(rng) for _ in states]
     vals = [make_data(rng, n) for n in (7, 31, 18)]
-    logs = cohort_epoch(states, SPEC, train, 8, vals, OptimizerState(base_lr=0.05))
+    logs = cohort_epoch(states, SPEC, train, 8, vals, 0.05)
     for state, log, (x, y) in zip(states, logs, vals):
         assert log.phi_p == alone_f1(state.personalized, SPEC, x, y)
         assert log.phi_d == alone_f1(state.deputy, SPEC, x, y)

@@ -10,17 +10,16 @@ from fedfreq.freq_agg import (
     FEDAVG,
     PFA,
     AggregationRequest,
-    ScheduleParams,
     fedavg_aggregate,
     low_freq_mask,
     pfa_aggregate,
     pfa_fuse,
     reshape_conv,
-    schedule_r,
     unreshape_conv,
 )
 from fedfreq.model import MODEL_SPECS, init_params
 from fedfreq.numerics import AmpPhase, amp_phase, dft2, idft2, recompose
+from fedfreq.orchestrator import ExperimentConfig
 from helpers import direct_dft2, oracle_mask
 
 
@@ -141,33 +140,33 @@ def test_mask_threshold_validation():
 
 
 def test_schedule_endpoints_and_midpoint():
-    p = ScheduleParams(0.35, 0.48, 250)
-    assert schedule_r(0, p) == 0.35
-    assert schedule_r(250, p) == 0.48
-    assert abs(schedule_r(125, p) - 0.415) < 1e-12
+    cfg = ExperimentConfig(r0=0.35, r1=0.48, total_epochs=250)
+    assert cfg.r(0) == 0.35
+    assert cfg.r(250) == 0.48
+    assert abs(cfg.r(125) - 0.415) < 1e-12
 
 
 def test_schedule_monotone():
-    p = ScheduleParams(0.35, 0.48, 100)
-    values = [schedule_r(t, p) for t in range(101)]
+    cfg = ExperimentConfig(r0=0.35, r1=0.48, total_epochs=100)
+    values = [cfg.r(t) for t in range(101)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_schedule_epoch_validation():
-    p = ScheduleParams(0.35, 0.48, 10)
+    cfg = ExperimentConfig(r0=0.35, r1=0.48, total_epochs=10)
     with pytest.raises(ValueError):
-        schedule_r(11, p)
+        cfg.r(11)
     with pytest.raises(ValueError):
-        schedule_r(-1, p)
+        cfg.r(-1)
 
 
 def test_schedule_params_validation():
     with pytest.raises(ValueError):
-        ScheduleParams(0.0, 0.4, 10)
+        ExperimentConfig(r0=0.0, r1=0.4, total_epochs=10)
     with pytest.raises(ValueError):
-        ScheduleParams(0.4, 0.3, 10)
+        ExperimentConfig(r0=0.4, r1=0.3, total_epochs=10)
     with pytest.raises(ValueError):
-        ScheduleParams(0.3, 0.5, 10)
+        ExperimentConfig(r0=0.3, r1=0.5, total_epochs=10)
 
 
 # --- plain averaging ------------------------------------------------------------

@@ -9,7 +9,6 @@ from fedfreq.model import (
     PREDICT_BLOCK,
     Layer,
     ModelSpec,
-    OptimizerState,
     backward,
     ce_loss,
     clone_params,
@@ -402,7 +401,7 @@ def test_descend_applies_exactly_what_backward_and_sgd_step_give(spec_builder, s
     grads = backward(cache, dlogits)
     if with_prox:
         grads = {k: g + 0.3 * (params[k] - anchor[k]) for k, g in grads.items()}
-    want = sgd_step(clone_params(params), grads, OptimizerState(base_lr=0.05))
+    want = sgd_step(clone_params(params), grads, 0.05)
 
     descend(cache, dlogits, 0.05, prox=(0.3, anchor) if with_prox else None)  # in place
 
@@ -440,39 +439,22 @@ def test_descend_on_one_model_of_a_buffer_is_that_model_trained_alone(m):
 # --- optimizer ------------------------------------------------------------------
 
 
-def test_lr_schedule_halves_every_period():
-    opt = OptimizerState(base_lr=1e-2, epoch=0, halving_period=25)
-    assert opt.lr == 0.01
-    opt.epoch = 25
-    assert opt.lr == 0.005
-    opt.epoch = 50
-    assert opt.lr == 0.0025
-
-
 def test_sgd_zero_gradients_no_change():
     params = {"w": np.array([1.0, -2.0])}
-    out = sgd_step(params, {"w": np.zeros(2)}, OptimizerState())
+    out = sgd_step(params, {"w": np.zeros(2)}, 0.01)
     assert np.array_equal(out["w"], params["w"])
 
 
 def test_sgd_single_step():
-    out = sgd_step({"w": np.array([1.0])}, {"w": np.array([1.0])}, OptimizerState(base_lr=0.01))
+    out = sgd_step({"w": np.array([1.0])}, {"w": np.array([1.0])}, 0.01)
     assert np.allclose(out["w"], [0.99])
 
 
 def test_sgd_structural_mismatch():
     with pytest.raises(ValueError):
-        sgd_step({"w": np.zeros(2)}, {"v": np.zeros(2)}, OptimizerState())
+        sgd_step({"w": np.zeros(2)}, {"v": np.zeros(2)}, 0.01)
     with pytest.raises(ValueError):
-        sgd_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, OptimizerState())
-
-
-def test_optimizer_validation():
-    with pytest.raises(ValueError):
-        OptimizerState(base_lr=-0.1)
-    with pytest.raises(ValueError):
-        OptimizerState(halving_period=0)
-    OptimizerState(base_lr=0.0)  # zero learning rate is a legal degenerate case
+        sgd_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, 0.01)
 
 
 # --- training sanity -------------------------------------------------------------
@@ -485,8 +467,6 @@ def test_loss_decreases_on_separable_toy_set():
     centers = np.array([[3.0, 0.0], [-3.0, 3.0], [0.0, -3.0]])
     labels = rng.integers(0, 3, size=60)
     inputs = centers[labels] + 0.1 * rng.standard_normal((60, 2))
-    opt = OptimizerState(base_lr=0.05)
-
     def current_loss(p):
         probs, _ = forward(p, spec, inputs)
         return ce_loss(probs, labels)[0]
@@ -495,7 +475,7 @@ def test_loss_decreases_on_separable_toy_set():
     for _ in range(200):
         probs, cache = forward(params, spec, inputs)
         _, dlogits = ce_loss(probs, labels)
-        params = sgd_step(params, backward(cache, dlogits), opt)
+        params = sgd_step(params, backward(cache, dlogits), 0.05)
     assert current_loss(params) < initial
 
 

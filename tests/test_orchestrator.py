@@ -95,6 +95,7 @@ def test_parse_config_missing_equals():
         ("total_epochs", 0),
         ("prox_mu", -0.1),
         ("lr_halving_period", 0),
+        ("base_lr", -0.1),
         ("seed", -1),
         ("base_lr", float("nan")),
         ("base_lr", float("inf")),
@@ -105,6 +106,10 @@ def test_parse_config_missing_equals():
 def test_config_validation_rejects(field, value):
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig(**{field: value})
+
+
+def test_config_accepts_a_zero_learning_rate():
+    assert ExperimentConfig(base_lr=0.0).lr(1) == 0.0  # a legal degenerate case
 
 
 def test_config_file_roundtrip(tmp_path):
